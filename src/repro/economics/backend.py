@@ -4,10 +4,7 @@ Every layer that evaluates market economics - the optimizer, the
 pairwise comparisons, the efficiency tables, the auction, the streaming
 allocation service, engine work units and both CLIs - accepts a
 ``backend=`` keyword and routes it through :func:`resolve_backend`
-here.  Historically this lived in :mod:`repro.economics.tensor`;
-importing it from there still works but emits a
-``DeprecationWarning`` (see the module ``__getattr__`` shim in
-``tensor.py``).
+here.
 
 Two backends exist:
 

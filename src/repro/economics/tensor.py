@@ -26,10 +26,7 @@ Backend selection
 Backend selection lives in :mod:`repro.economics.backend` - the single
 shared entry point every layer (optimizer, comparison, efficiency,
 auction, allocation service, engine work units, both CLIs) routes its
-``backend=`` keyword through.  ``resolve_backend`` is still importable
-from this module for one release, but doing so emits a
-``DeprecationWarning``; new code should import it from
-``repro.economics.backend``.
+``backend=`` keyword through.
 
 Market binding
 --------------
@@ -40,8 +37,7 @@ A :class:`MarketKernel` may be *bound* to one market at construction
 :meth:`MarketKernel.for_market` derives a bound view that shares the
 memoized performance rows and cost matrices, which is how multi-market
 callers (the optimizer's Table 6 sweep) keep the per-profile sharing.
-The old signatures that threaded a ``market`` through every call keep
-working for one release but warn.
+Market queries on an unbound kernel raise ``TypeError``.
 
 Tie-breaking contract: the scalar loops keep the *first* strictly
 greater value in (cache outer, slice inner) order; ``np.argmax`` over
@@ -53,15 +49,13 @@ equivalence tests enforce.
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.economics.backend import (
     BACKENDS,
     DEFAULT_BACKEND,
     HAVE_NUMPY,
     require_numpy as _require_numpy,
-    resolve_backend as _resolve_backend,
 )
 from repro.perfmodel.model import (
     ALU_PATH_FRACTION,
@@ -82,21 +76,6 @@ if HAVE_NUMPY:  # pragma: no branch - mirrors repro.economics.backend
     import numpy as np
 else:  # pragma: no cover - the no-numpy container case
     np = None  # type: ignore[assignment]
-
-
-def __getattr__(name: str):
-    """Deprecated import path: ``resolve_backend`` moved to
-    :mod:`repro.economics.backend` (kept here for one release)."""
-    if name == "resolve_backend":
-        warnings.warn(
-            "importing resolve_backend from repro.economics.tensor is "
-            "deprecated; import it from repro.economics.backend",
-            DeprecationWarning, stacklevel=2,
-        )
-        return _resolve_backend
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 # ---------------------------------------------------------------------
@@ -246,8 +225,8 @@ class MarketKernel:
     every query (``vcores(budget)``, ``best(profile, utility,
     budget)``).  :meth:`for_market` derives a bound view sharing this
     kernel's memoized rows, so multi-market sweeps keep the
-    per-profile sharing.  The old market-threading signatures still
-    work for one release but emit a ``DeprecationWarning``.
+    per-profile sharing.  Market queries on an unbound kernel raise
+    ``TypeError``.
     """
 
     def __init__(self, model: Optional[AnalyticModel] = None,
@@ -300,27 +279,14 @@ class MarketKernel:
             self._views[key] = view
         return view
 
-    def _bound_market(self, method: str, args: tuple) -> Tuple[Any, tuple]:
-        """Split deprecated market-threading call styles.
-
-        Old call sites pass a market object ahead of the remaining
-        positional arguments; new ones rely on the bound market.
-        """
-        if args and hasattr(args[0], "slice_price"):
-            warnings.warn(
-                f"MarketKernel.{method}(market, ...) is deprecated; "
-                "bind the market at construction "
-                "(MarketKernel(market=...)) or via for_market() and "
-                f"call {method}() without it",
-                DeprecationWarning, stacklevel=3,
-            )
-            return args[0], args[1:]
+    def _bound(self, method: str):
+        """The bound market; ``TypeError`` on an unbound kernel."""
         if self.market is None:
             raise TypeError(
                 f"MarketKernel.{method}: no market bound; construct "
                 "with MarketKernel(market=...) or use for_market()"
             )
-        return self.market, args
+        return self.market
 
     # -- performance rows ------------------------------------------------
 
@@ -380,63 +346,46 @@ class MarketKernel:
             self._cost[key] = cost
         return cost
 
-    def market_cost(self, market=None) -> "np.ndarray":
-        if market is not None:
-            market, _ = self._bound_market("market_cost", (market,))
-        else:
-            market, _ = self._bound_market("market_cost", ())
-        return self._cost_for(market)
+    def market_cost(self) -> "np.ndarray":
+        """Equation 2 cost over the grid for the bound market."""
+        return self._cost_for(self._bound("market_cost"))
 
     def _vcores_for(self, market, budget: float) -> "np.ndarray":
         if budget < 0:
             raise ValueError("budget cannot be negative")
         return budget / self._cost_for(market)
 
-    def vcores(self, *args) -> "np.ndarray":
-        """``v = B / cost`` over the grid; ``vcores(budget)`` on a bound
-        kernel (``vcores(market, budget)`` is the deprecated form)."""
-        market, (budget,) = self._bound_market("vcores", args)
-        return self._vcores_for(market, budget)
+    def vcores(self, budget: float) -> "np.ndarray":
+        """``v = B / cost`` over the grid for the bound market."""
+        return self._vcores_for(self._bound("vcores"), budget)
 
-    def feasibility_mask(self, *args,
+    def feasibility_mask(self, budget: float, *,
                          min_vcores: float = 0.0) -> "np.ndarray":
-        """Boolean grid: configurations affordable under the budget.
-
-        ``feasibility_mask(budget)`` on a bound kernel;
-        ``feasibility_mask(market, budget)`` is the deprecated form.
-        """
-        market, (budget,) = self._bound_market("feasibility_mask", args)
-        return self._vcores_for(market, budget) >= min_vcores
+        """Boolean grid: configurations affordable under the budget."""
+        return self._vcores_for(self._bound("feasibility_mask"),
+                                budget) >= min_vcores
 
     # -- utility surfaces and optima ------------------------------------
 
     def utility_grid(self, profile: ProfileLike, utility,
-                     *args) -> "np.ndarray":
-        """``U(c, s)`` surface for one customer, shape ``(cache, slice)``.
-
-        ``utility_grid(profile, utility, budget)`` on a bound kernel;
-        ``utility_grid(profile, utility, market, budget)`` is the
-        deprecated form.
-        """
-        market, (budget,) = self._bound_market("utility_grid", args)
+                     budget: float) -> "np.ndarray":
+        """``U(c, s)`` surface for one customer, shape ``(cache, slice)``."""
+        market = self._bound("utility_grid")
         self._c_grids.inc()
         return utility_matrix(self.perf_row(profile),
                               self._vcores_for(market, budget), utility)
 
-    def best(self, profile: ProfileLike, utility, *args,
+    def best(self, profile: ProfileLike, utility, budget: float, *,
              min_vcores: float = 0.0
              ) -> Tuple[float, int, float, float, float]:
         """Masked argmax over the grid.
 
-        ``best(profile, utility, budget)`` on a bound kernel
-        (``best(profile, utility, market, budget)`` is the deprecated
-        form).  Returns ``(cache_kb, slices, vcores, performance,
-        utility)`` for the feasible utility-maximising configuration;
-        raises ``ValueError`` when the mask leaves nothing feasible.
+        Returns ``(cache_kb, slices, vcores, performance, utility)`` for
+        the feasible utility-maximising configuration; raises
+        ``ValueError`` when the mask leaves nothing feasible.
         """
-        market, (budget,) = self._bound_market("best", args)
-        bound = self.for_market(market)
-        grid = bound.utility_grid(profile, utility, budget)
+        market = self._bound("best")
+        grid = self.utility_grid(profile, utility, budget)
         if min_vcores > 0.0:
             mask = self._vcores_for(market, budget) >= min_vcores
             if not mask.any():
@@ -460,13 +409,9 @@ class MarketKernel:
     # -- bulk helpers ----------------------------------------------------
 
     def utility_stack(self, profiles: Sequence[ProfileLike], utility,
-                      *args) -> "np.ndarray":
-        """Stacked ``U`` surfaces, shape ``(len(profiles), cache, slice)``.
-
-        ``utility_stack(profiles, utility, budget)`` on a bound kernel;
-        the market-threading form is deprecated.
-        """
-        market, (budget,) = self._bound_market("utility_stack", args)
+                      budget: float) -> "np.ndarray":
+        """Stacked ``U`` surfaces, shape ``(len(profiles), cache, slice)``."""
+        market = self._bound("utility_stack")
         self.prime(profiles)
         perf = np.stack([self.perf_row(p) for p in profiles])
         vcores = self._vcores_for(market, budget)

@@ -11,22 +11,9 @@ entries are never served; they are simply orphaned under the old key.
 Entries live under ``.repro_cache/v<N>/<kk>/<key>.json`` (override the
 root with ``REPRO_CACHE_DIR`` or the runner's ``--cache-dir``).  Writes
 are atomic (temp file + ``os.replace``) so concurrent worker processes
-and runs never observe torn entries; corrupt or unreadable entries are
-counted (``counters()["corrupt"]``), unlinked, and treated as misses.
-
-Hits resolve against a shared **index**: one append-only manifest,
-``v<N>/index.jsonl``, holding one JSON line per published entry.  A
-sweep loads it once and answers every lookup from an in-memory set
-instead of paying a per-unit ``open()`` probe; appends are single
-``O_APPEND`` writes (atomic on POSIX regular files), and a reader that
-sees a torn final line simply ignores it until the next refresh.  The
-index is pure acceleration: it can be deleted at any time and is
-rebuilt from the entry files on the next load, reproducing identical
-hit behaviour.  ``refresh_index()`` tails new appends from other
-processes, which is how concurrent sweeps on one box observe each
-other's results; in-flight **claim** files
-(:class:`~repro.engine.claims.ClaimBox` under ``claims/``) let those
-sweeps dedupe identical units instead of racing to evaluate them.
+and runs never observe torn entries; a lookup opens the entry file, a
+missing file is a miss, and corrupt or unreadable entries are counted
+(``counters()["corrupt"]``), unlinked, and treated as misses.
 
 ``python -m repro.experiments.runner --no-cache`` bypasses the cache
 entirely; delete the directory (or call :meth:`ResultCache.clear`) to
@@ -38,12 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Optional, Set
-
-from repro.engine.claims import ClaimBox
+from typing import Any, Mapping, Optional
 
 #: Bump when the stored value layout (not the inputs) changes shape.
 CACHE_VERSION = 1
@@ -81,11 +65,6 @@ class ResultCache:
         self.misses = 0
         self.puts = 0
         self.corrupt = 0
-        #: In-flight unit claims: concurrent sweeps on one box dedupe
-        #: identical pending units through these (see ``SweepEngine``).
-        self.claims = ClaimBox(self.root / "claims")
-        self._index: Optional[Set[str]] = None
-        self._index_offset = 0
 
     # ------------------------------------------------------------------
     # key construction
@@ -99,10 +78,6 @@ class ResultCache:
     def _path_for(self, key: str) -> Path:
         return self.root / f"v{CACHE_VERSION}" / key[:2] / f"{key}.json"
 
-    @property
-    def index_path(self) -> Path:
-        return self.root / f"v{CACHE_VERSION}" / "index.jsonl"
-
     # ------------------------------------------------------------------
     # store operations
     # ------------------------------------------------------------------
@@ -110,16 +85,10 @@ class ResultCache:
     def get(self, key: str) -> Optional[Any]:
         """The cached value for ``key``, or ``None`` on a miss.
 
-        Resolved through the in-memory index (one set lookup) - entries
-        published by other processes since the last
-        :meth:`refresh_index` are not visible until the next refresh.
-        Corrupt entries are unlinked and counted.
+        A missing entry file is a plain miss; corrupt entries are
+        unlinked and counted.
         """
         if not self.enabled:
-            return None
-        index = self._load_index()
-        if key not in index:
-            self.misses += 1
             return None
         path = self._path_for(key)
         try:
@@ -127,9 +96,6 @@ class ResultCache:
                 entry = json.load(handle)
             value = entry["value"]
         except FileNotFoundError:
-            # Entry removed behind the index (a clear, or another
-            # reader's quarantine): a plain miss, not corruption.
-            index.discard(key)
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError):
@@ -137,7 +103,6 @@ class ResultCache:
             # the cache instead of tripping on it forever.
             self.corrupt += 1
             self.misses += 1
-            index.discard(key)
             try:
                 os.unlink(path)
             except OSError:
@@ -146,26 +111,12 @@ class ResultCache:
         self.hits += 1
         return value
 
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is published, per the in-memory index.
-
-        Pure lookup: no hit/miss counters move, no file is touched.
-        Pair with :meth:`refresh_index` when polling for entries being
-        published by a concurrent process.
-        """
-        if not self.enabled:
-            return False
-        return key in self._load_index()
-
     def put(self, key: str, value: Any,
             key_fields: Optional[Mapping[str, Any]] = None) -> None:
         """Store ``value`` under ``key`` atomically.
 
         ``key_fields``, when given, is written alongside the value so a
         human inspecting ``.repro_cache/`` can see what an entry is.
-        The entry file is published first, then the key is appended to
-        the index - a crash in between leaves a valid entry that the
-        next index rebuild picks up.
         """
         if not self.enabled:
             return
@@ -192,162 +143,21 @@ class ResultCache:
             # A read-only or full filesystem degrades to compute-only.
             return
         self.puts += 1
-        self._append_index(key)
 
     def clear(self) -> int:
         """Delete every cached entry (all schema versions); returns count.
 
-        Index files and claim dirs are dropped too (they are derived
-        state, not entries, so they don't contribute to the count).
+        Only the cache's own ``v<N>/<kk>/<key>.json`` files go: a
+        workload store placed under the same root keeps its entries.
         """
         removed = 0
-        if not self.root.exists():
-            self._index = set()
-            self._index_offset = 0
-            return removed
-        for path in sorted(self.root.rglob("*.json")):
+        for path in sorted(self.root.glob("v[0-9]*/??/*.json")):
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
-        for path in sorted(self.root.glob("v*/index.jsonl")):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        shutil.rmtree(self.claims.root, ignore_errors=True)
-        self._index = set()
-        self._index_offset = 0
         return removed
-
-    # ------------------------------------------------------------------
-    # the shared index
-    # ------------------------------------------------------------------
-
-    def _load_index(self) -> Set[str]:
-        """The in-memory key set, loaded (or rebuilt) on first use."""
-        if self._index is not None:
-            return self._index
-        self._index = set()
-        self._index_offset = 0
-        if not self.index_path.exists():
-            # No manifest but entries on disk (pre-index cache dir, or
-            # a deleted index): rebuild so hit behaviour is identical.
-            if self._scan_entry_keys():
-                self.rebuild_index()
-            return self._index
-        self.refresh_index()
-        return self._index
-
-    def refresh_index(self) -> int:
-        """Tail newly appended index lines; returns keys added.
-
-        Reads from the last consumed byte offset, so polling is one
-        ``seek`` + short read regardless of index size.  A torn final
-        line (a concurrent append in flight) is left un-consumed and
-        picked up complete on the next refresh - readers never observe
-        a partial record.
-        """
-        if self._index is None:
-            self._load_index()
-            return len(self._index or ())
-        added = 0
-        try:
-            with open(self.index_path, "rb") as handle:
-                handle.seek(self._index_offset)
-                chunk = handle.read()
-        except OSError:
-            return 0
-        consumed = 0
-        while True:
-            newline = chunk.find(b"\n", consumed)
-            if newline < 0:
-                # Torn final line (a concurrent append in flight): it
-                # stays un-consumed and is re-read complete next time.
-                break
-            line = chunk[consumed:newline]
-            consumed = newline + 1
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            key = record.get("key") if isinstance(record, dict) else None
-            if key:
-                if key not in self._index:
-                    added += 1
-                self._index.add(key)
-        self._index_offset += consumed
-        return added
-
-    def rebuild_index(self) -> int:
-        """Regenerate ``index.jsonl`` from the entry files; returns the
-        number of entries indexed.
-
-        The index is derived state - this scan is the source of truth -
-        so a lost or damaged manifest can always be replaced with one
-        that reproduces identical hit behaviour.
-        """
-        keys = self._scan_entry_keys()
-        path = self.index_path
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                            suffix=".tmp")
-            size = 0
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    for key in sorted(keys):
-                        line = json.dumps(
-                            {"key": key}, separators=(",", ":")
-                        ).encode("utf-8") + b"\n"
-                        handle.write(line)
-                        size += len(line)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            self._index = keys
-            self._index_offset = 0
-            return len(keys)
-        self._index = keys
-        self._index_offset = size
-        return len(keys)
-
-    def _scan_entry_keys(self) -> Set[str]:
-        version_dir = self.root / f"v{CACHE_VERSION}"
-        if not version_dir.exists():
-            return set()
-        return {
-            path.stem
-            for path in version_dir.glob("??/*.json")
-        }
-
-    def _append_index(self, key: str) -> None:
-        """Publish ``key`` to the shared manifest: one ``O_APPEND``
-        write of one complete line, atomic for concurrent appenders."""
-        if self._index is not None:
-            self._index.add(key)
-        line = json.dumps({"key": key},
-                          separators=(",", ":")).encode("utf-8") + b"\n"
-        try:
-            fd = os.open(self.index_path,
-                         os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-            try:
-                os.write(fd, line)
-            finally:
-                os.close(fd)
-        except OSError:
-            pass
-        # The byte offset is *not* advanced: our line (and any lines
-        # racing in around it) will be consumed by the next refresh;
-        # re-reading our own append is a harmless set re-add.
 
     # ------------------------------------------------------------------
     # introspection

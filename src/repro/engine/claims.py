@@ -1,10 +1,10 @@
-"""In-flight claim files: single-box work dedupe for stores and caches.
+"""In-flight claim files: the workload store's single-box dump lock.
 
-A *claim* marks a piece of content-addressed work (generating a
-workload, evaluating a work unit) as in flight, so concurrent processes
-on one box wait for the winner's published result instead of redoing
-the work.  Claims are plain files created with ``O_EXCL`` - the atomic
-create is the lock - holding the owner pid and a wall-clock timestamp.
+A *claim* marks a piece of content-addressed work (generating and
+dumping a workload) as in flight, so concurrent processes on one box
+wait for the winner's published result instead of redoing the work.
+Claims are plain files created with ``O_EXCL`` - the atomic create is
+the lock - holding the owner pid and a wall-clock timestamp.
 
 A claim is *stale* (and may be broken by any contender) when its owner
 process is dead or the claim is older than ``ttl_s``; both cover the

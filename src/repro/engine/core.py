@@ -7,9 +7,10 @@ Equation 3 grid.  :class:`SweepEngine` centralises that:
 1. a :class:`SweepSpec` names the axes - benchmarks x cache_kb x slices,
    optionally x utility x market - and expands into :class:`WorkUnit`\\ s,
    one per (benchmark[, utility, market]) chunk over the config grid;
-2. work units fan across a ``concurrent.futures.ProcessPoolExecutor``
-   with chunking, falling back to in-process serial evaluation for small
-   grids (pool startup costs more than tiny sweeps);
+2. work units are grouped into workload-affinity batches that fan
+   across a ``concurrent.futures.ProcessPoolExecutor``, falling back to
+   in-process serial evaluation for small grids (pool startup costs more
+   than tiny sweeps);
 3. every unit is backed by the content-addressed on-disk
    :class:`~repro.engine.cache.ResultCache` - warm runs skip evaluation
    entirely;
@@ -26,9 +27,9 @@ existing ``model=`` parameters.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import traceback as _traceback
-from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -37,9 +38,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import ResultCache
 from repro.engine.metrics import EngineMetrics, SweepRecord, UnitStat
@@ -65,33 +64,6 @@ DEFAULT_POOL_RETRIES = 2
 #: First retry delay after a worker death; doubles per retry, capped.
 POOL_RETRY_BACKOFF_S = 0.05
 POOL_RETRY_BACKOFF_CAP_S = 1.0
-
-#: How often the scheduler's wait loop wakes to check deadlines and
-#: straggling batches.
-POOL_POLL_S = 0.05
-
-#: A still-running batch is re-dispatched to an idle worker once its
-#: wall time exceeds ``max(straggler_min_s, straggler_factor x median
-#: completed-batch wall)``.  First completion wins; results are
-#: bit-identical either way, so speculation is always safe.
-DEFAULT_STRAGGLER_FACTOR = 4.0
-DEFAULT_STRAGGLER_MIN_S = 1.0
-
-#: Upper bound on how long a sweep waits for a *concurrent* sweep that
-#: claimed one of its units before giving up and evaluating locally
-#: (``timeout_s``, when set, takes precedence).
-DEDUPE_WAIT_CAP_S = 600.0
-_DEDUPE_POLL_S = 0.01
-
-#: Prior cost (seconds per point) per unit kind, used to order batches
-#: heaviest-first before any telemetry exists; replaced by a live EMA
-#: of observed eval rates as outcomes arrive.
-_COST_PRIOR = {
-    "simulation": 0.5,
-    "service": 1e-4,
-    "performance": 2e-5,
-    "utility": 2e-5,
-}
 
 KindKey = Tuple[Any, ...]
 
@@ -472,39 +444,6 @@ def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
     raise ValueError(f"unknown work-unit kind {unit.kind!r}")
 
 
-def _evaluate_unit_tracked(payload: Tuple[WorkUnit, float]) -> Dict[str, Any]:
-    """Worker-side wrapper around :func:`evaluate_unit`.
-
-    Runs in pool workers (and in-process for serial sweeps).  Measures
-    queue wait (submit-to-start on the shared ``CLOCK_MONOTONIC``, so
-    worker timestamps line up with the parent's) and evaluation time,
-    and converts any exception into a structured failure record - the
-    parent re-raises it as a clear :class:`WorkUnitError` instead of
-    surfacing a pickled remote traceback.
-    """
-    unit, submitted = payload
-    started = time.monotonic()
-    pid = os.getpid()
-    base = {
-        "pid": pid,
-        "queue_wait_s": max(0.0, started - submitted),
-    }
-    try:
-        rows = evaluate_unit(unit)
-    except Exception as exc:
-        base.update({
-            "ok": False,
-            "eval_s": time.monotonic() - started,
-            "error_type": type(exc).__name__,
-            "error_msg": str(exc),
-            "traceback": _traceback.format_exc(),
-        })
-        return base
-    base.update({"ok": True, "rows": rows,
-                 "eval_s": time.monotonic() - started})
-    return base
-
-
 def _affinity_key(unit: "WorkUnit") -> Tuple[Any, ...]:
     """Which workload a unit touches; units sharing it share a batch.
 
@@ -520,6 +459,39 @@ def _affinity_key(unit: "WorkUnit") -> Tuple[Any, ...]:
     if unit.kind == "service":
         return ("service", unit.shard, unit.service)
     return ("profile", unit.profile_fields)
+
+
+def _make_batches(pending: Sequence["WorkUnit"],
+                  workers: int) -> List[List["WorkUnit"]]:
+    """Group units into affinity batches, split for parallelism,
+    ordered most-points-first.
+
+    Units sharing an :func:`_affinity_key` (same generated workload)
+    start in one batch so a single worker pays the trace's acquisition
+    once and its siblings ride the process LRU.  The largest batches
+    are then halved until there are at least ``min(workers,
+    len(pending))`` of them - affinity never idles a worker; with the
+    mmap store a split batch's second half reloads the workload in
+    milliseconds.  A sweep's units are all of one kind, so a batch's
+    point count is its cost: sorting by it starts the longest work
+    first (LPT scheduling).
+    """
+    groups: Dict[Tuple[Any, ...], List[WorkUnit]] = {}
+    for unit in pending:
+        groups.setdefault(_affinity_key(unit), []).append(unit)
+    batches = list(groups.values())
+    target = min(workers, len(pending))
+    while len(batches) < target:
+        largest = max(batches, key=len)
+        if len(largest) < 2:
+            break
+        batches.remove(largest)
+        half = len(largest) // 2
+        batches.append(largest[:half])
+        batches.append(largest[half:])
+    batches.sort(key=lambda batch: sum(u.points for u in batch),
+                 reverse=True)
+    return batches
 
 
 def _install_worker_store(store_root: Optional[str]) -> None:
@@ -565,10 +537,12 @@ def _evaluate_batch_tracked(
 
     Evaluates every unit of the batch in order (a failing unit is
     recorded and does not abort its siblings), measuring per-unit queue
-    wait (submit-to-start on the shared ``CLOCK_MONOTONIC``) and eval
-    time exactly like :func:`_evaluate_unit_tracked`, plus the deltas
+    wait (submit-to-start on the shared ``CLOCK_MONOTONIC``, so worker
+    timestamps line up with the parent's) and eval time, plus the deltas
     of the workload LRU/store/generator counters so the parent can
-    attribute where each unit's trace came from.
+    attribute where each unit's trace came from.  An exception becomes a
+    structured failure record; the parent re-raises it as a one-line
+    :class:`WorkUnitError` instead of a pickled remote traceback.
     """
     units, submitted, store_root = payload
     _install_worker_store(store_root)
@@ -618,9 +592,8 @@ class SweepResult:
     #: (lru_hits/misses, generations, store hits/misses/dumps, bytes
     #: mapped, ...); empty for fully-cached sweeps.
     store_stats: Dict[str, float] = field(default_factory=dict)
-    #: Scheduler accounting: affinity batches formed, straggler
-    #: re-dispatches (steals), claims won/lost against concurrent
-    #: sweeps, units served from a peer's evaluation.
+    #: Scheduler accounting: affinity batches formed and fresh pools
+    #: started after a worker died.
     sched_stats: Dict[str, float] = field(default_factory=dict)
 
     def grid(self, benchmark: ProfileLike, utility: Any = None,
@@ -647,14 +620,14 @@ class SweepEngine:
                  sampling: Any = None,
                  backend: Optional[str] = None,
                  pool_retries: int = DEFAULT_POOL_RETRIES,
-                 store: Any = None,
-                 straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-                 straggler_min_s: float = DEFAULT_STRAGGLER_MIN_S,
-                 dedupe: bool = True):
+                 store: Any = None):
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         if pool_retries < 0:
             raise ValueError("pool_retries cannot be negative")
+        if timeout_s is not None and not timeout_s > 0:
+            raise ValueError(
+                f"timeout_s must be > 0 (None disables it), got {timeout_s}")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache if cache is not None else ResultCache()
         self.parallel_threshold = parallel_threshold
@@ -676,21 +649,8 @@ class SweepEngine:
         #: root, a path or :class:`WorkloadStore` uses that store.
         #: Results are bit-identical on or off.
         self.store = self._resolve_store(store)
-        self.straggler_factor = float(straggler_factor)
-        self.straggler_min_s = float(straggler_min_s)
-        #: Claim pending units in the shared cache so concurrent sweeps
-        #: on one box each evaluate a unique unit exactly once.
-        self.dedupe = dedupe
-        #: Kind -> EMA of observed seconds-per-point, fed by completed
-        #: outcomes and consulted when ordering batches (heaviest
-        #: first) - the UnitStat telemetry driving the schedule.
-        self._cost_ema: Dict[str, float] = {}
-        # Cumulative scheduler/dedupe accounting, exported as gauges.
-        self._steals = 0
+        # Units served from a worker's workload LRU, exported as a gauge.
         self._affinity_hits = 0
-        self._claims_won = 0
-        self._claims_lost = 0
-        self._deferred_served = 0
         # Pre-bound instruments: null objects when obs is off, so the
         # hot scheduling loop never branches on enablement.
         scope = self.obs.scope("engine")
@@ -702,12 +662,7 @@ class SweepEngine:
         self._h_eval = scope.histogram("unit_eval_s")
         self._h_queue = scope.histogram("unit_queue_wait_s")
         self._t_sweep = scope.timer("sweep_s")
-        scope.gauge("sched.steals", lambda: self._steals)
         scope.gauge("sched.affinity_hits", lambda: self._affinity_hits)
-        scope.gauge("sched.claims_won", lambda: self._claims_won)
-        scope.gauge("sched.claims_lost", lambda: self._claims_lost)
-        scope.gauge("sched.deferred_served",
-                    lambda: self._deferred_served)
         scope.gauge("cache.corrupt", lambda: self.cache.corrupt)
         if self.store is not None:
             from repro.engine.store import attach_obs as _store_obs
@@ -763,10 +718,6 @@ class SweepEngine:
         pending: List[WorkUnit] = []
         stats: List[UnitStat] = []
         hits = 0
-        # One tail-read makes every entry published since the last
-        # sweep (by this or any concurrent process) visible; each unit
-        # below then resolves with a single in-memory lookup.
-        self.cache.refresh_index()
         for unit in units:
             cached = self.cache.get(unit.cache_key())
             if cached is not None:
@@ -779,84 +730,39 @@ class SweepEngine:
             else:
                 pending.append(unit)
 
-        # Claim pending units so concurrent sweeps on one box split the
-        # work: units whose claim is held elsewhere are deferred - we
-        # wait for the claimant's published entry instead of redoing it.
-        held: Set[str] = set()
-        deferred: List[WorkUnit] = []
-        evaluable: List[WorkUnit] = []
-        if pending and self.dedupe and self.cache.enabled:
-            for unit in pending:
-                key = unit.cache_key()
-                if self.cache.claims.acquire(key):
-                    held.add(key)
-                    evaluable.append(unit)
-                    self._claims_won += 1
-                else:
-                    deferred.append(unit)
-                    self._claims_lost += 1
-        else:
-            evaluable = list(pending)
-
         store_root = (str(self.store.root)
                       if self.store is not None else None)
-        pending_points = sum(u.points for u in evaluable)
-        workers = min(self.jobs, len(evaluable)) if evaluable else 0
+        pending_points = sum(u.points for u in pending)
+        workers = min(self.jobs, len(pending)) if pending else 0
         parallel = (workers > 1
                     and pending_points >= self.parallel_threshold)
         outcomes_by_unit: Dict[WorkUnit, Dict[str, Any]] = {}
-        sched: Dict[str, float] = {
-            "batches": 0, "steals": 0, "redispatched_units": 0,
-            "claims_won": len(held), "claims_lost": len(deferred),
-            "deferred_served": 0, "pool_retries": 0,
-        }
+        sched: Dict[str, float] = {"batches": 0, "pool_retries": 0}
         from repro.trace import materialize as _materialize
 
         previous_store = _materialize.get_default_store()
         try:
             if parallel:
                 outcomes_by_unit = self._run_parallel(
-                    evaluable, workers, store_root, held, sched)
+                    pending, workers, store_root, sched)
             else:
-                workers = 1 if evaluable else 0
-                for unit in evaluable:
-                    (outcome,) = _evaluate_batch_tracked(
+                workers = 1 if pending else 0
+                for unit in pending:
+                    outcomes = _evaluate_batch_tracked(
                         ((unit,), time.monotonic(), store_root))
-                    outcomes_by_unit[unit] = outcome
-                    self._note_cost(unit, outcome)
-                    self._finish_outcome(unit, outcome, held)
-            for unit in deferred:
-                value = self._await_deferred(unit)
-                if value is not None:
-                    results[unit] = value
-                    stats.append(UnitStat(
-                        benchmark=unit.benchmark, kind=unit.kind,
-                        points=unit.points, cached=True,
-                    ))
-                    self._deferred_served += 1
-                    sched["deferred_served"] += 1
-                else:
-                    # The claimant vanished without publishing (crash,
-                    # failed unit): evaluate locally after all.
-                    (outcome,) = _evaluate_batch_tracked(
-                        ((unit,), time.monotonic(), store_root))
-                    outcomes_by_unit[unit] = outcome
-                    self._finish_outcome(unit, outcome, held)
+                    self._collect((unit,), outcomes, outcomes_by_unit)
         finally:
             # The in-process batch wrapper installs the sweep's store as
             # the process default; put the caller's back.
             _materialize.set_store(previous_store)
-            for key in list(held):
-                self.cache.claims.release(key)
-            held.clear()
 
         failure: Optional[Tuple[WorkUnit, Dict[str, Any]]] = None
         workload_totals: Dict[str, float] = {}
         for unit in pending:
             outcome = outcomes_by_unit.get(unit)
             if outcome is None:
-                # Deferred-and-served elsewhere, or lost to a pool that
-                # exhausted its retries before reaching this unit.
+                # Lost to a pool that exhausted its retries before
+                # reaching this unit.
                 continue
             stat = UnitStat(
                 benchmark=unit.benchmark, kind=unit.kind,
@@ -873,8 +779,8 @@ class SweepEngine:
                 workload_totals[name] = (
                     workload_totals.get(name, 0) + delta)
             if outcome["ok"]:
-                # Already cached eagerly by _finish_outcome the moment
-                # it completed; a failed unit never reaches the cache.
+                # Already cached eagerly by _collect the moment it
+                # completed; a failed unit never reaches the cache.
                 results[unit] = outcome["rows"]
             elif failure is None:
                 failure = (unit, outcome)
@@ -938,20 +844,18 @@ class SweepEngine:
         return sweep
 
     def _run_parallel(self, pending: List["WorkUnit"], workers: int,
-                      store_root: Optional[str], held: Set[str],
-                      sched: Dict[str, float]
+                      store_root: Optional[str], sched: Dict[str, float]
                       ) -> Dict["WorkUnit", Dict[str, Any]]:
         """Fan pending units across a process pool, tracked and bounded.
 
         Units are grouped into workload-affinity batches
-        (:meth:`_make_batches`) so every unit sharing a generated trace
-        lands in one worker's LRU, submitted heaviest-first as
+        (:func:`_make_batches`) so every unit sharing a generated trace
+        lands in one worker's LRU, submitted most-points-first as
         independent futures, and harvested as they complete - a
         completed unit is cached *immediately*, so a later crash or
-        timeout never loses finished work.  A batch whose wall time
-        blows past the straggler threshold is speculatively
-        re-dispatched to an idle worker; first completion wins (results
-        are bit-identical, so speculation is always safe).
+        timeout never loses finished work.  Between completions the
+        loop blocks in ``wait(FIRST_COMPLETED)``, bounded by the sweep
+        deadline when ``timeout_s`` is set.
 
         On timeout the pool is abandoned without waiting (queued futures
         cancelled, worker processes terminated) so a hung unit cannot
@@ -964,38 +868,34 @@ class SweepEngine:
         unit is surfaced as a failed outcome.
         """
         outcomes_by_unit: Dict["WorkUnit", Dict[str, Any]] = {}
-        batches = self._make_batches(pending, workers)
+        batches = _make_batches(pending, workers)
         sched["batches"] = len(batches)
-        pending_idx: Set[int] = set(range(len(batches)))
+        remaining = set(range(len(batches)))
         deadline = (time.monotonic() + self.timeout_s
                     if self.timeout_s is not None else None)
         attempt = 0
-        while pending_idx:
+        while True:
             pool = ProcessPoolExecutor(max_workers=workers)
-            futures: Dict[Any, int] = {}
-            duplicated: Set[int] = set()
-            submit_ts: Dict[int, float] = {}
-            batch_walls: List[float] = []
             crashed = False
             try:
-                # Indices ascend in heaviest-first batch order (LPT).
-                for idx in sorted(pending_idx):
-                    ts = time.monotonic()
-                    submit_ts[idx] = ts
-                    fut = pool.submit(
-                        _evaluate_batch_tracked,
-                        (tuple(batches[idx]), ts, store_root))
-                    futures[fut] = idx
-                while pending_idx and futures:
-                    done, _ = futures_wait(
-                        list(futures), timeout=POOL_POLL_S,
-                        return_when=FIRST_COMPLETED)
-                    now = time.monotonic()
-                    if (deadline is not None and now > deadline
-                            and pending_idx):
-                        stuck = tuple(u for i in sorted(pending_idx)
+                # Indices ascend in most-points-first batch order (LPT).
+                futures = {
+                    pool.submit(_evaluate_batch_tracked,
+                                (tuple(batches[idx]), time.monotonic(),
+                                 store_root)): idx
+                    for idx in sorted(remaining)
+                }
+                while futures and not crashed:
+                    timeout = None
+                    if deadline is not None:
+                        # wait() overflows past TIMEOUT_MAX (timeout_s=inf).
+                        timeout = min(max(0.0, deadline - time.monotonic()),
+                                      threading.TIMEOUT_MAX)
+                    done, _ = futures_wait(futures, timeout=timeout,
+                                           return_when=FIRST_COMPLETED)
+                    if not done:
+                        stuck = tuple(u for i in sorted(remaining)
                                       for u in batches[i])
-                        self._abandon_pool(pool)
                         names = ", ".join(
                             u.benchmark for u in stuck[:5]
                         ) + ("..." if len(stuck) > 5 else "")
@@ -1004,62 +904,38 @@ class SweepEngine:
                             f"with {len(stuck)} of {len(pending)} units "
                             f"outstanding ({names})",
                             pending_units=stuck,
-                        ) from None
+                        )
                     for fut in done:
                         idx = futures.pop(fut)
-                        if fut.cancelled():
-                            continue
                         try:
                             batch_outcomes = fut.result()
                         except BrokenProcessPool:
                             crashed = True
                             continue
-                        if idx not in pending_idx:
-                            # A straggler duplicate lost the race; the
-                            # winner's (bit-identical) result stands.
-                            continue
-                        self._collect_batch(batches[idx], batch_outcomes,
-                                            outcomes_by_unit, held)
-                        pending_idx.discard(idx)
-                        batch_walls.append(now - submit_ts[idx])
-                    if crashed:
-                        break
-                    if (pending_idx and batch_walls
-                            and len(futures) < workers):
-                        self._redispatch_stragglers(
-                            pool, batches, pending_idx, duplicated,
-                            submit_ts, batch_walls, futures, workers,
-                            store_root, sched)
+                        self._collect(batches[idx], batch_outcomes,
+                                      outcomes_by_unit)
+                        remaining.discard(idx)
+                if crashed:
+                    # A worker died.  Batches that completed around the
+                    # crash hold good results; keep them.
+                    for fut, idx in futures.items():
+                        if fut.done() and fut.exception() is None:
+                            self._collect(batches[idx], fut.result(),
+                                          outcomes_by_unit)
+                            remaining.discard(idx)
             except BaseException:
                 self._abandon_pool(pool)
                 raise
             if not crashed:
-                if futures:
-                    # Only losing straggler duplicates remain; their
-                    # results are already in.  Don't wait on them.
-                    self._abandon_pool(pool)
-                else:
-                    pool.shutdown(wait=True)
-                continue
-            # A worker died.  Harvest whatever completed around the
-            # crash (those results are good), then retry the un-run
-            # remainder on a fresh pool; give up after ``pool_retries``.
-            for fut, idx in list(futures.items()):
-                if not fut.done() or fut.cancelled():
-                    continue
-                try:
-                    batch_outcomes = fut.result()
-                except BaseException:
-                    continue
-                if idx in pending_idx:
-                    self._collect_batch(batches[idx], batch_outcomes,
-                                        outcomes_by_unit, held)
-                    pending_idx.discard(idx)
+                pool.shutdown(wait=True)
+                return outcomes_by_unit
+            # Retry the un-run remainder on a fresh pool; give up after
+            # ``pool_retries``.
             self._abandon_pool(pool)
-            if not pending_idx:
-                break
+            if not remaining:
+                return outcomes_by_unit
             if attempt >= self.pool_retries:
-                first = batches[min(pending_idx)][0]
+                first = batches[min(remaining)][0]
                 outcomes_by_unit[first] = {
                     "pid": 0,
                     "queue_wait_s": 0.0,
@@ -1072,155 +948,25 @@ class SweepEngine:
                         f"{attempt + 1} pool attempts"),
                     "traceback": "",
                 }
-                break
+                return outcomes_by_unit
             attempt += 1
             sched["pool_retries"] += 1
             delay = min(POOL_RETRY_BACKOFF_CAP_S,
                         POOL_RETRY_BACKOFF_S * (2 ** (attempt - 1)))
             time.sleep(delay)
-        return outcomes_by_unit
 
-    def _make_batches(self, pending: Sequence["WorkUnit"],
-                      workers: int) -> List[List["WorkUnit"]]:
-        """Group units into affinity batches, split for parallelism,
-        ordered heaviest-first.
-
-        Units sharing an :func:`_affinity_key` (same generated
-        workload) start in one batch so a single worker pays the
-        trace's acquisition once and its siblings ride the process LRU.
-        The largest batches are then halved until there are at least
-        ``min(workers, len(pending))`` of them - affinity never idles a
-        worker; with the mmap store a split batch's second half reloads
-        the workload in milliseconds.  Finally batches are ordered by
-        estimated cost (live per-kind EMA of observed seconds-per-point,
-        seeded by ``_COST_PRIOR``), heaviest first, so the longest work
-        starts earliest (LPT scheduling).
-        """
-        groups: "OrderedDict[Tuple[Any, ...], List[WorkUnit]]" = \
-            OrderedDict()
-        for unit in pending:
-            groups.setdefault(_affinity_key(unit), []).append(unit)
-        batches = list(groups.values())
-        target = min(workers, len(pending))
-        while len(batches) < target:
-            largest = max(batches, key=len)
-            if len(largest) < 2:
-                break
-            batches.remove(largest)
-            half = len(largest) // 2
-            batches.append(largest[:half])
-            batches.append(largest[half:])
-        batches.sort(key=self._batch_cost, reverse=True)
-        return batches
-
-    def _batch_cost(self, batch: Sequence["WorkUnit"]) -> float:
-        return sum(
-            unit.points * self._cost_ema.get(
-                unit.kind, _COST_PRIOR.get(unit.kind, 1e-3))
-            for unit in batch
-        )
-
-    def _collect_batch(self, units: Sequence["WorkUnit"],
-                       batch_outcomes: Sequence[Dict[str, Any]],
-                       outcomes_by_unit: Dict["WorkUnit", Dict[str, Any]],
-                       held: Set[str]) -> None:
-        for unit, outcome in zip(units, batch_outcomes):
+    def _collect(self, units: Sequence["WorkUnit"],
+                 outcomes: Sequence[Dict[str, Any]],
+                 outcomes_by_unit: Dict["WorkUnit", Dict[str, Any]]
+                 ) -> None:
+        """Record a finished batch and cache each unit the moment it
+        lands (success only - a failed unit must never poison the
+        cache)."""
+        for unit, outcome in zip(units, outcomes):
             outcomes_by_unit[unit] = outcome
-            self._note_cost(unit, outcome)
-            self._finish_outcome(unit, outcome, held)
-
-    def _finish_outcome(self, unit: "WorkUnit",
-                        outcome: Dict[str, Any],
-                        held: Set[str]) -> None:
-        """Publish one completed unit the moment it lands: cache the
-        result (success only - a failed unit must never poison the
-        cache) and release its claim so deferred peers unblock."""
-        key = unit.cache_key()
-        if outcome["ok"]:
-            self.cache.put(key, outcome["rows"],
-                           key_fields=unit.key_fields())
-        if key in held:
-            self.cache.claims.release(key)
-            held.discard(key)
-
-    def _note_cost(self, unit: "WorkUnit",
-                   outcome: Dict[str, Any]) -> None:
-        """Feed the per-kind cost EMA from one successful outcome."""
-        if not outcome.get("ok"):
-            return
-        rate = outcome["eval_s"] / max(1, unit.points)
-        prev = self._cost_ema.get(unit.kind)
-        self._cost_ema[unit.kind] = (
-            rate if prev is None else 0.7 * prev + 0.3 * rate)
-
-    def _redispatch_stragglers(self, pool: ProcessPoolExecutor,
-                               batches: Sequence[Sequence["WorkUnit"]],
-                               pending_idx: Set[int],
-                               duplicated: Set[int],
-                               submit_ts: Dict[int, float],
-                               batch_walls: Sequence[float],
-                               futures: Dict[Any, int], workers: int,
-                               store_root: Optional[str],
-                               sched: Dict[str, float]) -> None:
-        """Duplicate batches that blew past the straggler threshold onto
-        idle workers.  Driven by the same telemetry the UnitStats
-        record: completed-batch walls set the bar, and a batch is only
-        stolen while spare worker slots exist."""
-        walls = sorted(batch_walls)
-        median = walls[len(walls) // 2]
-        threshold = max(self.straggler_min_s,
-                        self.straggler_factor * median)
-        now = time.monotonic()
-        for idx in sorted(pending_idx):
-            if len(futures) >= workers:
-                break
-            if idx in duplicated:
-                continue
-            if now - submit_ts[idx] <= threshold:
-                continue
-            try:
-                fut = pool.submit(
-                    _evaluate_batch_tracked,
-                    (tuple(batches[idx]), now, store_root))
-            except RuntimeError:
-                # Pool already broken or shutting down; the main loop
-                # deals with it.
-                return
-            futures[fut] = idx
-            duplicated.add(idx)
-            self._steals += 1
-            sched["steals"] += 1
-            sched["redispatched_units"] += len(batches[idx])
-
-    def _await_deferred(self, unit: "WorkUnit"
-                        ) -> Optional[List[List[float]]]:
-        """Wait for a concurrent sweep's claimed unit to publish.
-
-        Polls the shared index (cheap tail-reads) while the peer's
-        claim stays live; returns the published rows, or ``None`` when
-        the claimant vanished without publishing (the caller then
-        evaluates locally).
-        """
-        key = unit.cache_key()
-        cap = (self.timeout_s if self.timeout_s is not None
-               else DEDUPE_WAIT_CAP_S)
-        deadline = time.monotonic() + cap
-        while True:
-            self.cache.refresh_index()
-            if self.cache.contains(key):
-                value = self.cache.get(key)
-                if value is not None:
-                    return value
-            if not self.cache.claims.active(key):
-                # Claim gone: either the peer published (entry appears
-                # on one final refresh) or it died/failed mid-unit.
-                self.cache.refresh_index()
-                if self.cache.contains(key):
-                    return self.cache.get(key)
-                return None
-            if time.monotonic() > deadline:
-                return None
-            time.sleep(_DEDUPE_POLL_S)
+            if outcome["ok"]:
+                self.cache.put(unit.cache_key(), outcome["rows"],
+                               key_fields=unit.key_fields())
 
     @staticmethod
     def _abandon_pool(pool: ProcessPoolExecutor) -> None:

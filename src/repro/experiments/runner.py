@@ -92,6 +92,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner",
@@ -130,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write run metrics (and, with --obs, the "
                              "instrument snapshot) as JSON")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
+    parser.add_argument("--timeout", type=_positive_float, default=None,
+                        metavar="S",
                         help="per-sweep wall-clock bound for parallel "
                              "fan-outs (seconds)")
     parser.add_argument("--backend", choices=("numpy", "python"),

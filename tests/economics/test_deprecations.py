@@ -1,80 +1,29 @@
-"""Deprecated entry points: old import paths and kernel signatures.
+"""Market binding on :class:`~repro.economics.tensor.MarketKernel`.
 
-The backend helpers moved to :mod:`repro.economics.backend` and the
-:class:`~repro.economics.tensor.MarketKernel` now binds its market at
-construction (or via ``for_market``); the old spellings must keep
-working - with a :class:`DeprecationWarning` - and produce identical
-results to the new API.
+A kernel answers market queries only once a market is bound, at
+construction or through ``for_market``; an unbound kernel - or a call
+still threading the market through as an argument - raises
+``TypeError``.  Bound views share the parent's memoized rows.
 """
-
-import warnings
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.economics import backend as backend_module
 from repro.economics.market import MARKET2
 from repro.economics.tensor import MarketKernel
 from repro.economics.utility import UTILITY2
 
 
-class TestBackendImportShim:
-    def test_tensor_resolve_backend_warns(self):
-        import repro.economics.tensor as tensor
-
-        with pytest.warns(DeprecationWarning,
-                          match="repro.economics.backend"):
-            resolved = tensor.__getattr__("resolve_backend")
-        assert resolved is backend_module.resolve_backend
-
-    def test_reexported_constants_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.economics.tensor import (  # noqa: F401
-                BACKENDS,
-                DEFAULT_BACKEND,
-                HAVE_NUMPY,
-            )
-        assert "numpy" in BACKENDS and "python" in BACKENDS
-
-    def test_canonical_module_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert backend_module.resolve_backend(None) in (
-                "numpy", "python")
-
-
 class TestKernelMarketBinding:
-    def test_old_signatures_warn_and_match_bound(self):
-        kernel = MarketKernel()
-        bound = kernel.for_market(MARKET2)
-        with pytest.warns(DeprecationWarning, match="for_market"):
-            old = kernel.vcores(MARKET2, 24.0)
-        new = bound.vcores(24.0)
-        assert np.array_equal(old, new)
-
-        with pytest.warns(DeprecationWarning, match="for_market"):
-            old_grid = kernel.utility_grid("gcc", UTILITY2, MARKET2, 24.0)
-        new_grid = bound.utility_grid("gcc", UTILITY2, 24.0)
-        assert np.array_equal(old_grid, new_grid)
-
-        with pytest.warns(DeprecationWarning, match="for_market"):
-            old_best = kernel.best("gcc", UTILITY2, MARKET2, 24.0)
-        assert old_best == bound.best("gcc", UTILITY2, 24.0)
-
-    def test_bound_kernel_does_not_warn(self):
-        kernel = MarketKernel(market=MARKET2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            kernel.vcores(24.0)
-            kernel.utility_grid("gcc", UTILITY2, 24.0)
-            kernel.best("gcc", UTILITY2, 24.0)
-
     def test_unbound_kernel_without_market_raises(self):
         kernel = MarketKernel()
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="no market bound"):
             kernel.vcores(24.0)
+        with pytest.raises(TypeError, match="no market bound"):
+            kernel.best("gcc", UTILITY2, 24.0)
+        with pytest.raises(TypeError):
+            kernel.best("gcc", UTILITY2, MARKET2, 24.0)
 
     def test_for_market_views_share_performance_rows(self):
         kernel = MarketKernel(market=MARKET2)

@@ -6,6 +6,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.economics.backend import resolve_backend
 from repro.economics.market import MARKET1, MARKET2, MARKET3
 from repro.economics.tensor import (
     BACKENDS,
@@ -15,7 +16,6 @@ from repro.economics.tensor import (
     geometric_mean_vector,
     pair_gain_summary,
     performance_tensor,
-    resolve_backend,
     utility_matrix,
     vcores_matrix,
 )
@@ -104,10 +104,10 @@ class TestMarketMatrices:
 
 class TestMarketKernel:
     def test_best_matches_masked_argmax_contract(self):
-        kernel = MarketKernel()
-        grid = kernel.utility_grid("gcc", UTILITY2, MARKET2, 24.0)
+        kernel = MarketKernel().for_market(MARKET2)
+        grid = kernel.utility_grid("gcc", UTILITY2, 24.0)
         cache_kb, slices, vcores, perf, value = kernel.best(
-            "gcc", UTILITY2, MARKET2, 24.0
+            "gcc", UTILITY2, 24.0
         )
         assert value == pytest.approx(float(grid.max()), rel=0)
         ci = list(kernel.cache_grid).index(cache_kb)
@@ -115,16 +115,16 @@ class TestMarketKernel:
         assert float(grid[ci, si]) == value
 
     def test_feasibility_mask_min_vcores(self):
-        kernel = MarketKernel()
-        mask = kernel.feasibility_mask(MARKET2, 24.0, min_vcores=0.5)
+        kernel = MarketKernel().for_market(MARKET2)
+        mask = kernel.feasibility_mask(24.0, min_vcores=0.5)
         vm = vcores_matrix(MARKET2, 24.0, kernel.cache_grid,
                            kernel.slice_grid)
         assert (mask == (vm >= 0.5)).all()
 
     def test_infeasible_budget_raises(self):
-        kernel = MarketKernel()
+        kernel = MarketKernel().for_market(MARKET2)
         with pytest.raises(ValueError, match="feasible"):
-            kernel.best("gcc", UTILITY2, MARKET2, 24.0, min_vcores=1e9)
+            kernel.best("gcc", UTILITY2, 24.0, min_vcores=1e9)
 
     def test_perf_rows_shared_and_counted(self):
         obs = Observability()
@@ -132,7 +132,7 @@ class TestMarketKernel:
         kernel.prime(BENCHES)
         for u in STANDARD_UTILITIES:
             for m in (MARKET1, MARKET2, MARKET3):
-                kernel.best("gcc", u, m, 24.0)
+                kernel.for_market(m).best("gcc", u, 24.0)
         snap = obs.snapshot()
         misses = snap["economics.kernel.perf_rows.misses"]["value"]
         hits = snap["economics.kernel.perf_rows.hits"]["value"]

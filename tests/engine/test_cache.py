@@ -1,14 +1,23 @@
 """Tests for the content-addressed on-disk result cache."""
 
 import json
+import re
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
+from repro.engine import core as engine_core
 from repro.engine.cache import CACHE_VERSION, ResultCache, canonical_key
 from repro.engine.core import SweepEngine, SweepSpec, model_calibration
 from repro.perfmodel.model import AnalyticModel
+from repro.trace import materialize
+
+#: The only files a cache root may hold: ``v<N>/<kk>/<key>.json``.
+ENTRY_PATH = re.compile(
+    rf"v{CACHE_VERSION}/([0-9a-f]{{2}})/\1[0-9a-f]{{62}}\.json")
 
 
 @pytest.fixture
@@ -105,7 +114,7 @@ class TestStore:
         assert counters["hits"] == 1
 
     def test_missing_entry_behind_index_is_not_corrupt(self, cache):
-        """An entry unlinked behind the index (a concurrent clear or
+        """An entry unlinked after its put (a concurrent clear or
         quarantine) is a plain miss, not corruption."""
         key = canonical_key({"z": 5})
         cache.put(key, [1])
@@ -125,6 +134,32 @@ class TestStore:
             cache.put(canonical_key({"i": i}), [i])
         assert cache.clear() == 3
         assert cache.get(canonical_key({"i": 0})) is None
+
+    def test_clear_keeps_workload_store(self, tmp_path):
+        """The default workload store lives under the cache root;
+        clear() must drop the cache's entries and leave the store
+        serving hits."""
+        root = tmp_path / "cache"
+        spec = SweepSpec(benchmarks=("gcc",), simulate=True,
+                         cache_grid=(64.0,), slice_grid=(1,),
+                         trace_length=600)
+        materialize.clear()
+        try:
+            cold = SweepEngine(jobs=1, cache=ResultCache(root=root),
+                               store=True).run(spec)
+            assert cold.store_stats["store_dumps"] == 1
+            assert ResultCache(root=root).clear() == 1
+
+            materialize.clear()  # force the store tier, not the LRU
+            warm = SweepEngine(jobs=1, cache=ResultCache(root=root),
+                               store=True).run(spec)
+        finally:
+            materialize.clear()
+            materialize.set_store(None)
+        assert warm.cache_misses == 1
+        assert warm.store_stats["store_hits"] == 1
+        assert warm.store_stats["generations"] == 0
+        assert warm.values == cold.values
 
     def test_env_var_sets_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env_cache"))
@@ -161,3 +196,55 @@ class TestInvalidation:
         second = warm.run(spec)
         assert second.cache_hits == 2 and second.cache_misses == 0
         assert second.values == first.values
+
+
+class TestOnDiskLayout:
+    def test_sweep_leaves_only_entry_files(self, tmp_path):
+        root = tmp_path / "cache"
+        spec = SweepSpec(benchmarks=("gcc", "bzip"),
+                         cache_grid=(0.0, 128.0), slice_grid=(1, 2))
+        SweepEngine(jobs=1, cache=ResultCache(root=root)).run(spec)
+        assert [p.name for p in root.iterdir()] == [f"v{CACHE_VERSION}"]
+        files = sorted(p.relative_to(root).as_posix()
+                       for p in root.rglob("*") if p.is_file())
+        assert len(files) == 2
+        assert all(ENTRY_PATH.fullmatch(f) for f in files), files
+
+
+class TestConcurrentSweeps:
+    def test_two_engines_share_one_cache_dir(self, tmp_path, monkeypatch):
+        """Two engines, one cache dir, overlapping sweeps: both get the
+        full, identical result set, and every entry either one wrote
+        stays parseable."""
+        real = engine_core.evaluate_unit
+
+        def slow(unit):
+            time.sleep(0.15)  # hold the overlap window open
+            return real(unit)
+
+        monkeypatch.setattr(engine_core, "evaluate_unit", slow)
+        spec = SweepSpec(benchmarks=("gcc", "bzip", "mcf"),
+                         cache_grid=(0.0, 128.0), slice_grid=(1, 2))
+        cache_root = tmp_path / "cache"
+        sweeps = {}
+
+        def run(name):
+            engine = SweepEngine(jobs=1,
+                                 cache=ResultCache(root=cache_root))
+            sweeps[name] = engine.run(spec)
+
+        first = threading.Thread(target=run, args=("a",))
+        first.start()
+        time.sleep(0.05)  # let A start evaluating before B expands
+        run("b")
+        first.join(timeout=60)
+        assert not first.is_alive()
+
+        assert sweeps["a"].values == sweeps["b"].values
+        reader = ResultCache(root=cache_root)
+        for unit in spec.expand():
+            path = reader._path_for(unit.cache_key())
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            assert entry["key"] == unit.cache_key()
+            assert reader.get(unit.cache_key()) == entry["value"]
+        assert reader.counters()["corrupt"] == 0

@@ -23,6 +23,7 @@ from repro.engine import (
     WorkUnitError,
 )
 from repro.engine import core as engine_core
+from repro.engine.cache import CACHE_VERSION
 
 IS_FORK = multiprocessing.get_start_method() == "fork"
 
@@ -128,6 +129,14 @@ class TestHungWorker:
         assert excinfo.value.pending_units
         assert "timed out" in str(excinfo.value)
 
+    def test_infinite_timeout_never_fires(self, tmp_path):
+        # The pool loop's blocking wait must clamp an unbounded deadline
+        # rather than overflow the lock timeout.
+        engine = _engine(tmp_path, jobs=2, parallel_threshold=1,
+                         timeout_s=float("inf"))
+        sweep = engine.run(_spec())
+        assert sweep.parallel and sweep.units == 2
+
     def test_serial_runs_ignore_timeout(self, tmp_path):
         # timeout applies to pool fan-outs; small sweeps stay serial
         engine = _engine(tmp_path, jobs=1, timeout_s=0.000001)
@@ -203,6 +212,23 @@ class TestWorkerDeath:
         with pytest.raises(ValueError):
             _engine(tmp_path, pool_retries=-1)
 
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan")])
+    def test_timeout_validation(self, tmp_path, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be > 0"):
+            _engine(tmp_path, timeout_s=timeout_s)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cli_rejects_nonpositive_timeout(self, capsys, value):
+        from repro.__main__ import main as cli_main
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit) as runner_exit:
+            runner.main(["--no-cache", "--timeout", value])
+        with pytest.raises(SystemExit) as cli_exit:
+            cli_main(["experiments", "--no-cache", "--timeout", value])
+        assert runner_exit.value.code == cli_exit.value.code == 2
+        assert "--timeout: must be > 0" in capsys.readouterr().err
+
 
 class TestCorruptedCache:
     def test_corrupt_entry_detected_and_recomputed(self, tmp_path):
@@ -249,9 +275,10 @@ class TestUnitTelemetry:
 
 
 class TestDeathAndSharedState:
-    """Worker death crossed with the shared index and store claims:
-    everything published before a crash stays visible to every other
-    reader, and nothing a dead process held can wedge a successor."""
+    """Worker death crossed with the shared cache directory and store
+    claims: everything published before a crash stays visible to every
+    other reader, and nothing a dead process held can wedge a
+    successor."""
 
     @pytest.mark.skipif(not IS_FORK,
                         reason="monkeypatch propagation needs fork")
@@ -268,13 +295,14 @@ class TestDeathAndSharedState:
         with pytest.raises(WorkUnitError):
             engine.run(spec)
 
-        # A brand-new cache instance (fresh pool of readers) resolves
-        # the completed prefix through the on-disk index.
+        # A brand-new cache instance resolves the completed prefix from
+        # the entry files the dead sweep published.
         fresh = ResultCache(root=tmp_path / "cache")
-        assert fresh.contains(keys["gcc"]) is True
-        assert fresh.contains(keys["bzip"]) is False
         assert fresh.get(keys["gcc"]) is not None
-        assert fresh.counters()["hits"] == 1
+        assert fresh.get(keys["bzip"]) is None
+        counters = fresh.counters()
+        assert counters["hits"] == 1 and counters["misses"] == 1
+        assert counters["corrupt"] == 0
 
     @pytest.mark.skipif(not IS_FORK,
                         reason="monkeypatch propagation needs fork")
@@ -288,8 +316,13 @@ class TestDeathAndSharedState:
         spec = _spec()
         with pytest.raises(WorkUnitError):
             engine.run(spec)
-        for unit in spec.expand():
-            assert not engine.cache.claims.active(unit.cache_key())
+        # The cache root holds entries only - no lock a dead sweep
+        # could leave behind - so a healthy successor runs straight on.
+        root = tmp_path / "cache"
+        assert [p.name for p in root.iterdir()] == [f"v{CACHE_VERSION}"]
+        monkeypatch.undo()
+        sweep = _engine(tmp_path, jobs=1).run(spec)
+        assert sweep.cache_hits == 1 and sweep.cache_misses == 1
 
     def test_store_claim_from_dead_worker_expires(self, tmp_path):
         """A workload-store claim held by a dead pid (a worker that was

@@ -1,20 +1,18 @@
-"""The work-stealing scheduler: dual-path equivalence, workload
-affinity, straggler re-dispatch.
+"""The affinity scheduler: dual-path equivalence, workload affinity,
+batch ordering.
 
 The scheduler's contract mirrors the store's: turning it on (affinity
-batches, speculative duplicates, the store tier) changes *when and
-where* units run, never *what* they produce - values, cache keys, and
-cache entry sets are bit-identical to the serial store-off path.
+batches, the store tier) changes *when and where* units run, never
+*what* they produce - values, cache keys, and cache entry sets are
+bit-identical to the serial store-off path.
 """
 
 import multiprocessing
-import time
 
 import pytest
 
 from repro.engine import ResultCache, SweepEngine, SweepSpec
-from repro.engine import core as engine_core
-from repro.engine.core import _affinity_key
+from repro.engine.core import _affinity_key, _make_batches
 from repro.trace import materialize
 
 IS_FORK = multiprocessing.get_start_method() == "fork"
@@ -48,6 +46,10 @@ def _utility_spec():
     )
 
 
+def _entry_keys(cache):
+    return {path.stem for path in cache.root.glob("v*/??/*.json")}
+
+
 @pytest.fixture(autouse=True)
 def _clean_lru():
     materialize.clear()
@@ -72,16 +74,16 @@ class TestEquivalence:
 
         assert fanned.parallel and not serial.parallel
         assert fanned.values == serial.values
-        assert (fan_cache._scan_entry_keys()
-                == serial_cache._scan_entry_keys())
+        assert _entry_keys(fan_cache) == _entry_keys(serial_cache)
+        assert len(_entry_keys(serial_cache)) == 4
 
     def test_simulation_sweep_bit_identical_with_store(self, tmp_path):
         spec = SweepSpec(benchmarks=("gcc", "bzip"), simulate=True,
                          cache_grid=(64.0, 256.0), slice_grid=(1, 2),
                          trace_length=800)
         off = SweepEngine(jobs=1,
-                          cache=ResultCache(root=tmp_path / "off"),
-                          dedupe=False).run(spec)
+                          cache=ResultCache(root=tmp_path / "off")
+                          ).run(spec)
         materialize.clear()
         on = SweepEngine(jobs=2, parallel_threshold=1,
                          cache=ResultCache(root=tmp_path / "on"),
@@ -98,7 +100,7 @@ class TestEquivalence:
         assert sweep.store_stats["generations"] == 1
         # Second grid point of the unit rides the worker's LRU.
         assert sweep.store_stats["lru_hits"] >= 1
-        assert sweep.sched_stats["claims_won"] == 1
+        assert set(sweep.sched_stats) == {"batches", "pool_retries"}
 
 
 class TestAffinity:
@@ -153,63 +155,19 @@ class TestAffinity:
         assert sweep.units == 4
 
 
-class TestStragglers:
-    def test_straggling_batch_is_redispatched(self, tmp_path,
-                                              monkeypatch):
-        real = engine_core.evaluate_unit
-
-        def slow_bzip(unit):
-            if unit.benchmark == "bzip":
-                time.sleep(0.75)
-            return real(unit)
-
-        monkeypatch.setattr(engine_core, "evaluate_unit", slow_bzip)
-        engine = SweepEngine(jobs=3, parallel_threshold=1,
-                             cache=ResultCache(root=tmp_path / "c"),
-                             straggler_min_s=0.05,
-                             straggler_factor=2.0)
-        sweep = engine.run(SweepSpec(benchmarks=("gcc", "bzip"),
-                                     cache_grid=(0.0, 128.0),
-                                     slice_grid=(1, 2, 4)))
-        # gcc's batch finished fast, bzip's blew the threshold with a
-        # worker idle: it must have been speculatively duplicated.
-        assert sweep.sched_stats["steals"] >= 1
-        assert engine._steals >= 1
-        # First-completion-wins left exactly one result set, correct.
-        clean = SweepEngine(jobs=1,
-                            cache=ResultCache(root=tmp_path / "ref"))
-        assert sweep.values == clean.run(
-            SweepSpec(benchmarks=("gcc", "bzip"),
-                      cache_grid=(0.0, 128.0),
-                      slice_grid=(1, 2, 4))).values
-
-    def test_no_steals_without_idle_workers(self, tmp_path):
-        sweep = SweepEngine(
-            jobs=2, parallel_threshold=1,
-            cache=ResultCache(root=tmp_path / "c"),
-        ).run(SweepSpec(benchmarks=("gcc", "bzip"),
-                        cache_grid=(0.0,), slice_grid=(1, 2)))
-        assert sweep.sched_stats["steals"] == 0
-
-
 class TestCostOrdering:
-    def test_cost_ema_learns_from_outcomes(self, tmp_path):
-        engine = SweepEngine(jobs=1,
-                             cache=ResultCache(root=tmp_path / "c"))
-        engine.run(SweepSpec(benchmarks=("gcc",),
-                             cache_grid=(0.0, 128.0),
-                             slice_grid=(1, 2)))
-        assert "performance" in engine._cost_ema
-        assert engine._cost_ema["performance"] >= 0.0
-
-    def test_heaviest_batch_first(self, tmp_path):
-        engine = SweepEngine(jobs=2,
-                             cache=ResultCache(root=tmp_path / "c"))
+    def test_heaviest_batch_first(self):
+        # A sweep's units share one kind, so a batch's point count is
+        # its cost: the longest batch must be submitted first, whatever
+        # the expansion order.
         light = SweepSpec(benchmarks=("gcc",), cache_grid=(0.0,),
                           slice_grid=(1,)).expand()
-        heavy = SweepSpec(benchmarks=("bzip",), simulate=True,
-                          cache_grid=(0.0, 64.0), slice_grid=(1, 2),
-                          trace_length=500).expand()
-        batches = engine._make_batches(light + heavy, workers=2)
-        # Simulation points dominate the cost prior: heavy goes first.
-        assert batches[0][0].kind == "simulation"
+        heavy = SweepSpec(benchmarks=("bzip",),
+                          cache_grid=(0.0, 64.0, 256.0),
+                          slice_grid=(1, 2)).expand()
+        middle = SweepSpec(benchmarks=("mcf",), cache_grid=(0.0, 64.0),
+                           slice_grid=(1, 2)).expand()
+        batches = _make_batches(light + middle + heavy, workers=2)
+        assert [[u.benchmark for u in b] for b in batches] == [
+            ["bzip"], ["mcf"], ["gcc"]]
+        assert [sum(u.points for u in b) for b in batches] == [6, 4, 1]

@@ -8,10 +8,12 @@ the mapped file instead of copying them.
 """
 
 import os
+import time
 
 import pytest
 
 from repro.core.simulator import simulate
+from repro.engine.claims import ClaimBox
 from repro.engine.store import (
     STORE_VERSION,
     WorkloadStore,
@@ -220,6 +222,45 @@ class TestFetch:
         assert len(trace) == LENGTH
         assert store_counters()["claim_waits"] == 0
         assert store.has(key)
+
+
+class TestClaims:
+    """The store's dump lock: O_EXCL claim files that a dead owner or an
+    expired TTL cannot keep held."""
+
+    def test_acquire_release_roundtrip(self, tmp_path):
+        box = ClaimBox(tmp_path / "claims")
+        assert box.acquire("k") is True
+        assert box.active("k") is True
+        assert box.acquire("k") is False  # live claim held (our pid)
+        box.release("k")
+        assert box.active("k") is False
+        assert box.acquire("k") is True
+
+    def test_dead_owner_claim_is_broken(self, tmp_path):
+        box = ClaimBox(tmp_path / "claims")
+        path = box.path("k")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"pid": 999999999, "ts": 0.0}',
+                        encoding="utf-8")
+        old = os.stat(path)
+        os.utime(path, (old.st_atime - 10, old.st_mtime - 10))
+        assert box.active("k") is False
+        assert box.acquire("k") is True
+
+    def test_aged_claim_expires(self, tmp_path):
+        box = ClaimBox(tmp_path / "claims", ttl_s=0.05)
+        assert box.acquire("k")
+        time.sleep(0.1)
+        assert box.active("k") is False  # own pid alive, but past TTL
+        assert box.acquire("k") is True  # broken and re-taken
+
+    def test_release_is_idempotent(self, tmp_path):
+        box = ClaimBox(tmp_path / "claims")
+        box.release("never-acquired")
+        assert box.acquire("k")
+        box.release("k")
+        box.release("k")
 
 
 class TestGetWorkloadTier:
