@@ -14,8 +14,7 @@ The thresholds are deliberately conservative (measured runs land at
 regressions - an accidentally quadratic roster walk, a reintroduced
 per-step ``np.stack`` rebuild, compaction thrashing - without flaking
 on slow CI runners.  Timing JSONs land in ``REPRO_PERF_SMOKE_DIR``
-(default current directory) for the CI artifact upload, alongside the
-market-perf-smoke timings.
+(default current directory) for the CI artifact upload.
 """
 
 import json
@@ -54,7 +53,7 @@ def _dump(name, payload):
 
 
 def test_bench_stream_perf_smoke():
-    service = build_service(backend="numpy")
+    service = build_service()
     stats, latencies, _ = drive_stream(
         service, NUM_EVENTS, seed=SEED,
         reprice_every=REPRICE_EVERY, collect_latencies=True,

@@ -68,8 +68,6 @@ def _cmd_experiments(args) -> int:
         argv += ["--metrics-out", args.metrics_out]
     if args.timeout is not None:
         argv += ["--timeout", str(args.timeout)]
-    if args.backend != "numpy":
-        argv += ["--backend", args.backend]
     if args.sampling:
         argv.append("--sampling")
     if args.profile:
@@ -187,7 +185,6 @@ def _cmd_datacenter_stream(args) -> int:
         result = datacenter_stream.run(
             num_events=args.events,
             seed=args.seed,
-            backend=args.backend,
             admission_floor=floor,
             reprice_every=args.reprice_every,
             shards=args.shards,
@@ -258,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write run metrics as JSON")
     exp.add_argument("--timeout", type=float, default=None, metavar="S",
                      help="per-sweep wall-clock bound (seconds)")
-    exp.add_argument("--backend", choices=("numpy", "python"),
-                     default="numpy",
-                     help="economics evaluation backend (default numpy)")
     exp_mode = exp.add_mutually_exclusive_group()
     exp_mode.add_argument("--sampling", action="store_true",
                           help="interval-sampled simulation sweeps")
@@ -319,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--events", type=int, default=20_000,
                         help="number of submit/resize/depart events")
     stream.add_argument("--seed", type=int, default=11)
-    stream.add_argument("--backend", choices=("numpy", "python"),
-                        default=None,
-                        help="economics backend (default numpy when "
-                             "available)")
     stream.add_argument("--admission-floor", type=float, default=None,
                         help="minimum utility per budget unit to admit "
                              "a tenant")

@@ -234,6 +234,12 @@ class Fabric:
         return self._free_counts[kind]
 
     @property
+    def bank_columns(self) -> List[int]:
+        """Mesh columns made of bank tiles, ascending."""
+        return [x for x in range(self.mesh.width)
+                if x not in self._col_index]
+
+    @property
     def num_slices(self) -> int:
         return len(self._slice_cols) * self.mesh.height
 

@@ -300,30 +300,29 @@ def verify_invariants(service: AllocationService) -> None:
                             f"{state.request.name!r}")
 
     arena = service._arena
-    if arena is not None:
-        if arena.n_active != len(service._roster):
-            problems.append(
-                f"tensor arena has {arena.n_active} active rows for "
-                f"{len(service._roster)} tenants")
-        elif arena.order != roster_names:
-            problems.append("arena active view not in roster order")
-        else:
-            budgets = [float(b)
-                       for b in arena.view_budgets[:arena.n_active, 0]]
-            expect = [t.request.budget for t in service._roster]
-            if budgets != expect:
-                problems.append("arena budgets diverge from roster "
-                                "budgets")
-        if set(arena.slot_of) != set(roster_names):
-            problems.append("arena slot index disagrees with roster")
-        used = set(arena.slot_of.values())
-        if len(used) != len(arena.slot_of):
-            problems.append("two tenants share one arena slot")
-        free = set(arena.free_slots)
-        if free & used:
-            problems.append("arena free list overlaps used slots")
-        if any(s >= arena.capacity for s in used | free):
-            problems.append("arena slot beyond capacity")
+    if arena.n_active != len(service._roster):
+        problems.append(
+            f"tensor arena has {arena.n_active} active rows for "
+            f"{len(service._roster)} tenants")
+    elif arena.order != roster_names:
+        problems.append("arena active view not in roster order")
+    else:
+        budgets = [float(b)
+                   for b in arena.view_budgets[:arena.n_active, 0]]
+        expect = [t.request.budget for t in service._roster]
+        if budgets != expect:
+            problems.append("arena budgets diverge from roster "
+                            "budgets")
+    if set(arena.slot_of) != set(roster_names):
+        problems.append("arena slot index disagrees with roster")
+    used = set(arena.slot_of.values())
+    if len(used) != len(arena.slot_of):
+        problems.append("two tenants share one arena slot")
+    free = set(arena.free_slots)
+    if free & used:
+        problems.append("arena free list overlaps used slots")
+    if any(s >= arena.capacity for s in used | free):
+        problems.append("arena slot beyond capacity")
 
     fabric = service.fabric
     if fabric is not None:

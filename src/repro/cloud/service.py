@@ -23,12 +23,7 @@ exposes an event-driven API:
 Batch clearing is now a thin wrapper: :meth:`clear_batch` replays the
 registered tenants through the same tatonnement loop with cold-start
 semantics, and :meth:`~repro.economics.auction.SpotMarket.clear`
-delegates here.  Both backends of the auction are preserved verbatim -
-the vectorized round is bit-identical to the old
-``SpotMarket._round_numpy`` (same stacked tensors in tenant-insertion
-order, same reduction order), and the scalar path keeps one fresh
-reference optimizer per bidder per round - so existing golden and
-equivalence suites pin the service-backed results unchanged.
+delegates here.
 """
 
 from __future__ import annotations
@@ -41,6 +36,8 @@ from typing import (
     Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple,
 )
 
+import numpy as np
+
 from repro.cloud.arena import TensorArena
 from repro.cloud.errors import (
     DuplicateTenantError,
@@ -52,10 +49,9 @@ from repro.cloud.fabric import AllocationError, Fabric
 from repro.economics.auction import Allocation, ClearingResult, _clamp
 from repro.economics.backend import resolve_backend
 from repro.economics.market import BANK_KB, Market
-from repro.economics.optimizer import UtilityOptimizer
 from repro.economics.tensor import MarketKernel
 from repro.economics.utility import UtilityFunction
-from repro.perfmodel.model import AnalyticModel, _resolve
+from repro.perfmodel.model import AnalyticModel
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ class _TenantState:
         self.cache_kb = cache_kb
         self.slices = slices
         self.vcores = vcores
-        self.perf_k_flat = perf_k_flat  # (C*S,) on the numpy backend
+        self.perf_k_flat = perf_k_flat  # (C*S,) memoized P^k row
         self.inv_k = inv_k
 
 
@@ -203,6 +199,12 @@ class AllocationService:
     (``fabric=None`` with explicit supplies) backs the batch auction
     wrapper; fabric-backed operation adds physical placement and
     capacity-based rejection.
+
+    ``model`` reaches the market kernel, which reads only its
+    ``comm_tolerance`` and ``mlp_per_slice`` and never calls an
+    overridden ``performance`` (see :mod:`repro.economics.tensor`,
+    "Model contract").  ``backend`` accepts only ``None`` or
+    ``"numpy"``.
     """
 
     def __init__(self, slice_supply: Optional[float] = None,
@@ -242,6 +244,7 @@ class AllocationService:
             raise ValueError("admission floor cannot be negative")
         if max_vcores < 1:
             raise ValueError("max_vcores must be >= 1")
+        resolve_backend(backend)
         self.fabric = fabric
         self.slice_supply = slice_supply
         self.bank_supply = bank_supply
@@ -250,22 +253,14 @@ class AllocationService:
         self.adjustment_rate = adjustment_rate
         self.tolerance = tolerance
         self.max_rounds = max_rounds
-        self.backend = resolve_backend(backend)
         self.admission_floor = admission_floor
         self.max_vcores = max_vcores
         self.compaction_threshold = compaction_threshold
         self.slice_price = initial_slice_price
         self.bank_price = initial_bank_price
-        self.kernel: Optional[MarketKernel] = None
-        if self.backend == "numpy":
-            self.kernel = kernel or MarketKernel(model=self.model)
-            self.cache_grid = self.kernel.cache_grid
-            self.slice_grid = self.kernel.slice_grid
-        else:
-            from repro.perfmodel.model import CACHE_GRID_KB, SLICE_GRID
-
-            self.cache_grid = tuple(float(c) for c in CACHE_GRID_KB)
-            self.slice_grid = tuple(int(s) for s in SLICE_GRID)
+        self.kernel = kernel or MarketKernel(model=self.model)
+        self.cache_grid = self.kernel.cache_grid
+        self.slice_grid = self.kernel.slice_grid
 
         #: Tenants in arrival order - the reduction order of every
         #: vectorized round, so batch replay matches the old auction
@@ -277,7 +272,11 @@ class AllocationService:
         self._price_epoch = 0
         self._flat_cost_epoch = -1
         self._flat_cost = None
-        self._grid_rows: Optional[Tuple[Any, Any]] = None
+        #: Per-VCore Slice and bank counts over the grid, shaped to
+        #: broadcast into a ``(cache, slice)`` cost matrix.
+        self._slices_row = np.asarray(self.slice_grid, dtype=float)[None, :]
+        self._banks_row = (np.asarray(self.cache_grid, dtype=float)
+                           / BANK_KB)[:, None]
         self._spot_market: Optional[Market] = None
 
         # --- self-healing state -----------------------------------
@@ -320,14 +319,11 @@ class AllocationService:
         self._t_resize = scope.timer("resize_s")
         self._t_step = scope.timer("step_s")
         scope.gauge("active_tenants", lambda: len(self._roster))
-        #: Incremental tensor arena (numpy backend only): preallocated
-        #: per-tenant round tensors with a contiguous active view, so
-        #: no event ever triggers a stack rebuild.
-        self._arena: Optional[TensorArena] = None
-        if self.backend == "numpy":
-            self._arena = TensorArena(
-                len(self.cache_grid) * len(self.slice_grid),
-                scope=scope)
+        #: Incremental tensor arena: preallocated per-tenant round
+        #: tensors with a contiguous active view, so no event ever
+        #: triggers a stack rebuild.
+        self._arena = TensorArena(
+            len(self.cache_grid) * len(self.slice_grid), scope=scope)
         # Mirrored plain tallies for stream summaries (obs may be off).
         self._n_admitted = 0
         self._n_rejected_price = 0
@@ -441,8 +437,7 @@ class AllocationService:
                     f"unknown tenant {tenant_id!r}", tenant=tenant_id)
             index = self._roster.index(state)
             del self._roster[index]
-            if self._arena is not None:
-                self._arena.depart(tenant_id, index)
+            self._arena.depart(tenant_id, index)
             self._c_departures.inc()
             self._n_departures += 1
             if self.fabric is not None:
@@ -496,7 +491,7 @@ class AllocationService:
                 utility=state.request.utility, budget=budget,
             )
             state.vcores = vcores
-            if budget != old_budget and self._arena is not None:
+            if budget != old_budget:
                 self._arena.set_budget(tenant_id,
                                        self._roster.index(state),
                                        budget)
@@ -769,9 +764,9 @@ class AllocationService:
         """Cold-start clearing over the registered tenants.
 
         Replays the old ``SpotMarket._clear`` loop - same initial
-        prices, same two-round convergence minimum, same backends -
-        and leaves the service's price vector at the clearing point,
-        so a subsequent :meth:`step` warm-starts from it.
+        prices, same two-round convergence minimum - and leaves the
+        service's price vector at the clearing point, so a subsequent
+        :meth:`step` warm-starts from it.
         """
         if not self._roster:
             raise ValueError("need at least one bidder")
@@ -804,23 +799,17 @@ class AllocationService:
         ``json.dumps`` of the snapshot round-trips bit-exactly: Python
         serializes floats via ``repr`` (shortest round-trip form).
 
-        Version 2 adds the arena slot layout (capacity, free list,
+        Version 2 carries the arena slot layout (capacity, free list,
         slot map); the rows themselves are recomputed from the
         memoized kernel on restore - they are pure functions of each
-        tenant's profile and utility exponent.  :meth:`restore`
-        accepts version-1 snapshots (fresh arena layout in roster
-        order; round results are layout-independent).
+        tenant's profile and utility exponent.  ``"config"`` holds the
+        construction shape :meth:`restore` checks, fabric geometry
+        included.
         """
         return {
             "version": 2,
-            "arena": (self._arena.layout()
-                      if self._arena is not None else None),
-            "config": {
-                "backend": self.backend,
-                "slice_supply": self.slice_supply,
-                "bank_supply": self.bank_supply,
-                "fixed_cost": self.fixed_cost,
-            },
+            "arena": self._arena.layout(),
+            "config": self._config(),
             "prices": {"slice": self.slice_price,
                        "bank": self.bank_price},
             "price_epoch": self._price_epoch,
@@ -875,32 +864,55 @@ class AllocationService:
             ],
         }
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Reset this service to a :meth:`snapshot` - bit-exact resume.
+    def _config(self) -> Dict[str, Any]:
+        """The construction shape a snapshot must match to restore."""
+        fabric = self.fabric
+        return {
+            "slice_supply": self.slice_supply,
+            "bank_supply": self.bank_supply,
+            "fixed_cost": self.fixed_cost,
+            "fabric_width": fabric.mesh.width if fabric else None,
+            "fabric_height": fabric.mesh.height if fabric else None,
+            "fabric_bank_columns": fabric.bank_columns if fabric else None,
+        }
 
-        The service must have been constructed with the same shape
-        (backend, supplies, fabric geometry) as the snapshotting one;
-        mismatches raise :class:`ValueError` before any state is
-        touched.  A restored run continues exactly as the
-        uninterrupted one would (proven by the crash/resume
-        equivalence suite).
-        """
-        from repro.economics.utility import UtilityFunction
-
+    def _check_snapshot(self, state: Dict[str, Any]) -> None:
+        """Raise :class:`ValueError` unless :meth:`restore` can take
+        ``state``: version 2 with an arena layout, taken from a service
+        of this one's shape.  Touches no state."""
+        version = state.get("version")
+        if version != 2:
+            raise ValueError(
+                f"unsupported service snapshot version {version!r}; "
+                "restore accepts version 2")
+        if state.get("arena") is None:
+            raise ValueError(
+                "service snapshot version 2 has no arena layout")
         config = state.get("config", {})
-        for key, ours in (("backend", self.backend),
-                          ("slice_supply", self.slice_supply),
-                          ("bank_supply", self.bank_supply),
-                          ("fixed_cost", self.fixed_cost)):
+        for key, ours in self._config().items():
             theirs = config.get(key, ours)
             if theirs != ours:
                 raise ValueError(
                     f"snapshot {key}={theirs!r} does not match this "
                     f"service's {key}={ours!r}")
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Reset this service to a :meth:`snapshot` - bit-exact resume.
+
+        The snapshot must be version 2 with an arena layout, and the
+        service must have been constructed with the same shape
+        (supplies, fixed cost, fabric width, height and bank columns)
+        as the snapshotting one; anything else raises
+        :class:`ValueError` before any state is touched.  A restored
+        run continues exactly as the uninterrupted one would (proven
+        by the crash/resume equivalence suite).
+        """
+        from repro.economics.utility import UtilityFunction
+
+        self._check_snapshot(state)
         self._roster = []
         self._by_name = {}
-        if self._arena is not None:
-            self._arena.clear()
+        self._arena.clear()
         for row in state["roster"]:
             util = row["utility"]
             request = TenantRequest(
@@ -912,9 +924,7 @@ class AllocationService:
             )
             self._register(request, cache_kb=row["cache_kb"],
                            slices=row["slices"], vcores=row["vcores"])
-        arena_layout = state.get("arena")
-        if self._arena is not None and arena_layout is not None:
-            self._arena.adopt_layout(arena_layout)
+        self._arena.adopt_layout(state["arena"])
         self.slice_price = state["prices"]["slice"]
         self.bank_price = state["prices"]["bank"]
         self._price_epoch = state["price_epoch"]
@@ -973,44 +983,26 @@ class AllocationService:
                         ) -> Tuple[float, int, float]:
         """``(cache_kb, slices, utility_at_budget)`` at current prices.
 
-        The numpy path works on epoch-cached flat tensors instead of
-        binding a throwaway :class:`Market` into the kernel: price
-        vectors change continuously, so per-market memoization would
-        grow without bound over an event stream.
+        Works on epoch-cached flat tensors instead of binding a
+        throwaway :class:`Market` into the kernel: price vectors change
+        continuously, so per-market memoization would grow without
+        bound over an event stream.
         """
-        if self.backend == "numpy":
-            import numpy as np
-
-            k = tenant.utility.perf_exponent
-            perf_k = self._perf_k(tenant.benchmark, k)
-            cost = self._flat_cost_row()
-            vcores = tenant.budget / cost
-            utility = (vcores ** (1.0 / k)) * perf_k
-            winner = int(np.argmax(utility))
-            ci, si = divmod(winner, len(self.slice_grid))
-            return (self.cache_grid[ci], self.slice_grid[si],
-                    float(utility[winner]))
-        optimizer = UtilityOptimizer(model=self.model,
-                                     budget=tenant.budget,
-                                     backend="python")
-        choice = optimizer.best(tenant.benchmark, tenant.utility,
-                                self.spot_market())
-        return choice.cache_kb, choice.slices, choice.utility
-
-    def _perf_k(self, benchmark, k: float):
-        """Flat ``P(c, s)^k`` row, memoized in the kernel per
-        (profile, exponent) - the rows the arena copies in-place."""
-        return self.kernel.perf_pow_row(benchmark, k)
+        k = tenant.utility.perf_exponent
+        perf_k = self.kernel.perf_pow_row(tenant.benchmark, k)
+        cost = self._flat_cost_row()
+        vcores = tenant.budget / cost
+        utility = (vcores ** (1.0 / k)) * perf_k
+        winner = int(np.argmax(utility))
+        ci, si = divmod(winner, len(self.slice_grid))
+        return (self.cache_grid[ci], self.slice_grid[si],
+                float(utility[winner]))
 
     def _flat_cost_row(self):
         """Flat per-VCore cost over the grid at the current prices."""
         if self._flat_cost_epoch != self._price_epoch:
-            import numpy as np
-
-            cache = np.asarray(self.cache_grid, dtype=float)
-            slices = np.asarray(self.slice_grid, dtype=float)
-            cost = (self.bank_price * (cache / BANK_KB)[:, None]
-                    + self.slice_price * slices[None, :]
+            cost = (self.bank_price * self._banks_row
+                    + self.slice_price * self._slices_row
                     + self.fixed_cost)
             self._flat_cost = cost.reshape(-1)
             self._flat_cost_epoch = self._price_epoch
@@ -1025,17 +1017,17 @@ class AllocationService:
 
     def _register(self, tenant: TenantRequest, cache_kb: float = 0.0,
                   slices: int = 0, vcores: int = 0) -> None:
-        state = _TenantState(tenant, cache_kb=cache_kb, slices=slices,
-                             vcores=vcores)
-        if self.backend == "numpy":
-            k = tenant.utility.perf_exponent
-            state.perf_k_flat = self._perf_k(tenant.benchmark, k)
-            state.inv_k = 1.0 / k
+        # The kernel memoizes P^k per (profile, exponent): the rows the
+        # arena copies in place.
+        k = tenant.utility.perf_exponent
+        state = _TenantState(
+            tenant, cache_kb=cache_kb, slices=slices, vcores=vcores,
+            perf_k_flat=self.kernel.perf_pow_row(tenant.benchmark, k),
+            inv_k=1.0 / k)
         self._roster.append(state)
         self._by_name[tenant.name] = state
-        if self._arena is not None:
-            self._arena.submit(tenant.name, state.perf_k_flat,
-                               state.inv_k, tenant.budget)
+        self._arena.submit(tenant.name, state.perf_k_flat, state.inv_k,
+                           tenant.budget)
 
     # ------------------------------------------------------------------
     # internals: tatonnement (shared with the batch auction)
@@ -1052,16 +1044,9 @@ class AllocationService:
         C-contiguous array is itself contiguous, so every later
         reduction runs over identical bytes in identical order.
         """
-        if self._grid_rows is None:
-            import numpy as np
-
-            cache = np.asarray(self.cache_grid, dtype=float)
-            slices = np.asarray(self.slice_grid, dtype=float)
-            self._grid_rows = (slices[None, :],
-                               (cache / BANK_KB)[:, None])
         state = self._arena.active_view()
-        state["slices_row"] = self._grid_rows[0]
-        state["banks_row"] = self._grid_rows[1]
+        state["slices_row"] = self._slices_row
+        state["banks_row"] = self._banks_row
         state["n_slices"] = len(self.slice_grid)
         return state
 
@@ -1069,8 +1054,6 @@ class AllocationService:
                      bank_price: float):
         """One vectorized best-response round (the old auction's,
         verbatim, over the incrementally maintained stack)."""
-        import numpy as np
-
         cost = (bank_price * state["banks_row"]
                 + slice_price * state["slices_row"] + self.fixed_cost)
         flat_cost = cost.reshape(1, -1)
@@ -1092,30 +1075,6 @@ class AllocationService:
             "si": si,
         }
         return choices, slice_demand, bank_demand
-
-    def _demands_python(self, slice_price: float,
-                        bank_price: float) -> List[Allocation]:
-        """Scalar reference round: one fresh best-response optimizer
-        per tenant (the old auction's reference path, verbatim)."""
-        market = Market(name="spot", slice_price=slice_price,
-                        bank_price=bank_price,
-                        fixed_cost=self.fixed_cost)
-        allocations = []
-        for state in self._roster:
-            request = state.request
-            optimizer = UtilityOptimizer(model=self.model,
-                                         budget=request.budget,
-                                         backend="python")
-            choice = optimizer.best(request.benchmark, request.utility,
-                                    market)
-            allocations.append(Allocation(
-                bidder=request.name,
-                cache_kb=choice.cache_kb,
-                slices=choice.slices,
-                vcores=choice.vcores,
-                utility=choice.utility,
-            ))
-        return allocations
 
     def _allocations_from(self, choices: dict) -> List[Allocation]:
         return [
@@ -1139,8 +1098,7 @@ class AllocationService:
         ``min_rounds=1`` is the warm-start mode, where converging on
         the very first round leaves prices untouched.
         """
-        vectorized = self.backend == "numpy"
-        state = self._numpy_state() if vectorized else None
+        state = self._numpy_state()
         allocations: List[Allocation] = []
         choices: Optional[dict] = None
         converged = False
@@ -1149,16 +1107,9 @@ class AllocationService:
         last_demand = (None, None)
         rounds = 0
         for rounds in range(1, self.max_rounds + 1):
-            if vectorized:
-                choices, slice_demand, bank_demand = self._round_numpy(
-                    state, slice_price, bank_price
-                )
-            else:
-                allocations = self._demands_python(slice_price,
-                                                   bank_price)
-                slice_demand = sum(a.slices_demanded
-                                   for a in allocations)
-                bank_demand = sum(a.banks_demanded for a in allocations)
+            choices, slice_demand, bank_demand = self._round_numpy(
+                state, slice_price, bank_price
+            )
             slice_excess = slice_demand / self.slice_supply - 1.0
             bank_excess = bank_demand / self.bank_supply - 1.0
             # Cleared: no over-demand on either resource (free
@@ -1189,12 +1140,11 @@ class AllocationService:
                 floor, slice_price * math.exp(k * _clamp(slice_excess)))
             bank_price = max(
                 floor, bank_price * math.exp(k * _clamp(bank_excess)))
-        if vectorized:
-            self._arena.note_rounds(rounds)
-            if choices is not None and want_allocations:
-                # Warm steps discard allocations (StepResult carries
-                # only prices), so they skip this construction.
-                allocations = self._allocations_from(choices)
+        self._arena.note_rounds(rounds)
+        if choices is not None and want_allocations:
+            # Warm steps discard allocations (StepResult carries only
+            # prices), so they skip this construction.
+            allocations = self._allocations_from(choices)
         return {
             "slice_price": slice_price,
             "bank_price": bank_price,
@@ -1257,9 +1207,8 @@ class AllocationService:
                     if nodes:
                         self.fabric.claim(nodes, name)
                 return
-        if self._arena is not None:
-            # Piggyback arena slot re-packing on the same
-            # fragmentation-driven cadence - never on the hot path.
-            self._arena.compact()
+        # Piggyback arena slot re-packing on the same
+        # fragmentation-driven cadence - never on the hot path.
+        self._arena.compact()
         self._c_compactions.inc()
         self._n_compactions += 1

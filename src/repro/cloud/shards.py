@@ -97,10 +97,17 @@ class CoupledShards:
     def restore(self, state: Dict[str, Any]) -> None:
         """Reset this group to a :meth:`snapshot` - bit-exact resume.
 
-        The group must have been built with the same shard count and
-        shard shapes; per-shard mismatches raise from the underlying
-        :meth:`~repro.cloud.service.AllocationService.restore` guard.
+        The snapshot must be version 1, and the group must have been
+        built with the same shard count, ``sync_every`` and shard
+        shapes.  Anything else - including a shard snapshot the
+        :meth:`~repro.cloud.service.AllocationService.restore` guard
+        rejects - raises :class:`ValueError` before any shard changes.
         """
+        version = state.get("version")
+        if version != 1:
+            raise ValueError(
+                f"unsupported coupled snapshot version {version!r}; "
+                "restore accepts version 1")
         shards = state["shards"]
         if len(shards) != len(self.services):
             raise ValueError(
@@ -110,6 +117,8 @@ class CoupledShards:
             raise ValueError(
                 f"snapshot sync_every={state['sync_every']} does not "
                 f"match group sync_every={self.sync_every}")
+        for service, shard_state in zip(self.services, shards):
+            service._check_snapshot(shard_state)
         for service, shard_state in zip(self.services, shards):
             service.restore(shard_state)
         self.n_syncs = int(state["n_syncs"])

@@ -18,12 +18,10 @@ This package implements:
   against static fixed and heterogeneous architectures (Figures 15-16);
 * the dynamic-phase analysis (Table 7).
 
-Two interchangeable backends execute the hot paths: the vectorized
-market kernel of :mod:`repro.economics.tensor` (``backend="numpy"``, the
-default when numpy is importable) and the scalar reference loops
-(``backend="python"``).  Both produce bit-identical optimal
-configurations; see DESIGN.md's "Vectorized market kernel" section for
-the fp-tolerance policy on utility *values*.
+Every grid search runs on the vectorized market kernel of
+:mod:`repro.economics.tensor`.  The scalar loops it replaced live on as
+test oracles; see DESIGN.md's "Vectorized market kernel" section for
+the tie-breaking and fp-tolerance policy the kernel is held to.
 """
 
 from repro.economics.utility import (
@@ -48,12 +46,7 @@ from repro.economics.comparison import (
     PairGain,
 )
 from repro.economics.phases_analysis import PhaseScheduleResult, analyze_phases
-from repro.economics.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    HAVE_NUMPY,
-    resolve_backend,
-)
+from repro.economics.backend import resolve_backend
 from repro.economics.tensor import MarketKernel
 
 __all__ = [
@@ -79,9 +72,6 @@ __all__ = [
     "PairGain",
     "PhaseScheduleResult",
     "analyze_phases",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "HAVE_NUMPY",
     "MarketKernel",
     "resolve_backend",
 ]

@@ -20,14 +20,11 @@ the provider must ration (exactly what EC2's spot market does when it
 interrupts instances).  Diverse populations, the realistic case, clear
 in a handful of rounds.
 
-Backends: each tatonnement round is one best-response computation for
-every bidder.  On ``"numpy"`` the bidders' performance grids are stacked
-into one ``(bidders, cache, slices)`` tensor once, and each round is a
+Each tatonnement round is one best-response computation for every
+bidder: the bidders' performance rows are stacked into one
+``(bidders, cache * slices)`` tensor once, and each round is a
 broadcasted cost/utility evaluation plus a flat argmax per bidder -
 :class:`Allocation` objects are only materialized for the final round.
-The ``"python"`` path keeps the per-bidder scalar optimizer as the
-reference implementation.  The price-adjustment/convergence logic is
-shared verbatim between the two.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.economics.backend import resolve_backend
 from repro.economics.tensor import MarketKernel
 from repro.economics.utility import UtilityFunction
 from repro.perfmodel.model import AnalyticModel
@@ -113,7 +109,13 @@ class ClearingResult:
 
 
 class SpotMarket:
-    """Tatonnement over Slice and bank prices."""
+    """Tatonnement over Slice and bank prices.
+
+    Bidders' best responses come from the market kernel, which reads
+    ``model`` only through its ``comm_tolerance`` and ``mlp_per_slice``
+    and never calls an overridden ``performance`` (see
+    :mod:`repro.economics.tensor`, "Model contract").
+    """
 
     def __init__(self, slice_supply: float, bank_supply: float,
                  fixed_cost: float = 8.0,
@@ -121,7 +123,6 @@ class SpotMarket:
                  adjustment_rate: float = 0.3,
                  tolerance: float = 0.05,
                  max_rounds: int = 60,
-                 backend: Optional[str] = None,
                  obs=None):
         if slice_supply <= 0 or bank_supply <= 0:
             raise ValueError("supplies must be positive")
@@ -134,7 +135,6 @@ class SpotMarket:
         self.adjustment_rate = adjustment_rate
         self.tolerance = tolerance
         self.max_rounds = max_rounds
-        self.backend = resolve_backend(backend)
         from repro.obs import OBS_OFF
 
         self._obs = obs or OBS_OFF
@@ -153,9 +153,8 @@ class SpotMarket:
         bidders are replayed as an arrival-only event stream into an
         economics-only :class:`~repro.cloud.service.AllocationService`,
         whose cold-start tatonnement reproduces the historical loop
-        bit for bit (same stacked tensors in bidder order on numpy,
-        same per-bidder reference optimizers on python, same two-round
-        convergence minimum).
+        bit for bit (same stacked tensors in bidder order, same
+        two-round convergence minimum).
         """
         if not bidders:
             raise ValueError("need at least one bidder")
@@ -172,7 +171,6 @@ class SpotMarket:
                 adjustment_rate=self.adjustment_rate,
                 tolerance=self.tolerance,
                 max_rounds=self.max_rounds,
-                backend=self.backend,
                 kernel=self._kernel,
             )
             for bidder in bidders:

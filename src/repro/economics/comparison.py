@@ -15,31 +15,23 @@ suite is chosen, and each customer runs on their utility's tuned core:
 
 Both studies restrict to Market2 (prices track area), as the paper does.
 
-Backends: on ``"numpy"`` (the default) customer utilities live in one
-``(customers, configs)`` matrix, reference configs are log-mean argmaxes
-and the pairwise studies are upper-triangle tensor reductions - no
-Python double loop touches the ~n^2/2 pair space.  ``"python"`` keeps
-the scalar double-loop reference for the equivalence suite.  Customer
-sets can grow/shrink incrementally (:meth:`add_benchmarks`,
-:meth:`remove_benchmark`): utility rows are appended/dropped and the
-cached reference configs invalidated, instead of rebuilding the whole
-study.
+Customer utilities live in one ``(customers, configs)`` matrix built by
+the market kernel, reference configs are log-mean argmaxes and the
+pairwise studies are upper-triangle tensor reductions - no Python double
+loop touches the ~n^2/2 pair space.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.economics.backend import HAVE_NUMPY, resolve_backend
+import numpy as np
+
 from repro.economics.market import MARKET2, Market
 from repro.economics.optimizer import UtilityOptimizer
 from repro.economics.tensor import pair_gain_summary
 from repro.economics.utility import STANDARD_UTILITIES, UtilityFunction
-
-if HAVE_NUMPY:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -70,27 +62,6 @@ class PairGain:
         return self.sharing_utility / self.fixed_utility
 
 
-def _geometric_mean(values: Sequence[float],
-                    labels: Optional[Sequence] = None) -> float:
-    """Geometric mean via an ``fsum`` of logs (order-independent to the
-    working precision, unlike a naive running sum).
-
-    Non-positive utilities have no geometric mean; the error names the
-    offending customer/config through ``labels`` instead of silently
-    collapsing the mean to zero.
-    """
-    if not values:
-        raise ValueError("geometric mean of nothing")
-    for idx, v in enumerate(values):
-        if v <= 0:
-            where = labels[idx] if labels is not None else f"index {idx}"
-            raise ValueError(
-                f"geometric mean undefined: non-positive utility {v!r} "
-                f"for {where}"
-            )
-    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
-
-
 class MarketEfficiencyComparison:
     """Pairwise utility-gain studies against fixed architectures."""
 
@@ -98,20 +69,14 @@ class MarketEfficiencyComparison:
                  utilities: Sequence[UtilityFunction] = STANDARD_UTILITIES,
                  market: Market = MARKET2,
                  optimizer: Optional[UtilityOptimizer] = None,
-                 engine=None, backend: Optional[str] = None):
+                 engine=None):
         if not benchmarks:
             raise ValueError("need at least one benchmark")
         self.benchmarks = list(benchmarks)
         self.utilities = list(utilities)
         self.market = market
-        if optimizer is not None:
-            self.optimizer = optimizer
-            self.backend = (optimizer.backend if backend is None
-                            else resolve_backend(backend))
-        else:
-            self.backend = resolve_backend(backend)
-            self.optimizer = UtilityOptimizer(engine=engine,
-                                              backend=self.backend)
+        self.optimizer = (optimizer if optimizer is not None
+                          else UtilityOptimizer(engine=engine))
         #: Grid points in flat (cache outer, slice inner) order - the
         #: column order of the utility matrix.
         self._configs: List[Tuple[float, int]] = [
@@ -119,100 +84,24 @@ class MarketEfficiencyComparison:
             for cache_kb in self.optimizer.cache_grid
             for slices in self.optimizer.slice_grid
         ]
-        self.customers: List[Customer] = []
-        self._config_utils: Dict[Tuple[str, str], Dict] = {}
-        self._U = None  # (customers, configs) on the numpy backend
-        self._sharing_best: Dict[Tuple[str, str], float] = {}
-        self._append_benchmarks(self.benchmarks)
-
-    # ------------------------------------------------------------------
-    # customer-set maintenance (incremental)
-    # ------------------------------------------------------------------
-
-    def _append_benchmarks(self, benchmarks: Sequence[str]) -> None:
-        """Compute utility rows for new customers and append them."""
-        self.optimizer.prime(benchmarks)
-        fresh = [
+        self.optimizer.prime(self.benchmarks)
+        self.customers: List[Customer] = [
             Customer(benchmark=b, utility=u)
-            for b in benchmarks
+            for b in self.benchmarks
             for u in self.utilities
         ]
-        if self.backend == "numpy" and self.optimizer.kernel is not None:
-            kernel = self.optimizer.kernel.for_market(self.market)
-            rows = [
-                kernel.utility_grid(c.benchmark, c.utility,
-                                    self.optimizer.budget).ravel()
-                for c in fresh
-            ]
-            block = np.stack(rows)
-            self._U = (block if self._U is None
-                       else np.vstack([self._U, block]))
-            for c, row in zip(fresh, rows):
-                self._sharing_best[c.key] = float(row.max())
-        else:
-            for c in fresh:
-                utils = {
-                    cfg: self.optimizer.utility_at(
-                        c.benchmark, c.utility, self.market, *cfg
-                    )
-                    for cfg in self._configs
-                }
-                self._config_utils[c.key] = utils
-                self._sharing_best[c.key] = max(utils.values())
-        self.customers.extend(fresh)
-        self._invalidate_references()
-
-    def add_benchmarks(self, benchmarks: Sequence[str]) -> None:
-        """Grow the customer set: one new customer per (benchmark,
-        utility), computed incrementally (existing rows untouched)."""
-        known = set(self.benchmarks)
-        new = [b for b in benchmarks if b not in known]
-        if not new:
-            return
-        self.benchmarks.extend(new)
-        self._append_benchmarks(new)
-
-    def remove_benchmark(self, benchmark: str) -> None:
-        """Drop one benchmark's customers from the study."""
-        if benchmark not in self.benchmarks:
-            raise KeyError(f"unknown benchmark {benchmark!r}")
-        keep = [i for i, c in enumerate(self.customers)
-                if c.benchmark != benchmark]
-        dropped = [c for c in self.customers if c.benchmark == benchmark]
-        if self._U is not None:
-            self._U = self._U[keep]
-        for c in dropped:
-            self._config_utils.pop(c.key, None)
-            self._sharing_best.pop(c.key, None)
-        self.customers = [self.customers[i] for i in keep]
-        self.benchmarks.remove(benchmark)
-        self._invalidate_references()
-
-    def _invalidate_references(self) -> None:
+        kernel = self.optimizer.kernel.for_market(market)
+        rows = [
+            kernel.utility_grid(c.benchmark, c.utility,
+                                self.optimizer.budget).ravel()
+            for c in self.customers
+        ]
+        #: Customer utilities, shape (customers, configs).
+        self._U = np.stack(rows)
+        #: Each customer's utility at their own optimum (sharing).
+        self._sharing = [float(row.max()) for row in rows]
         self._static_cfg: Optional[Tuple[float, int]] = None
         self._per_utility_cfg: Optional[Dict[str, Tuple[float, int]]] = None
-
-    # ------------------------------------------------------------------
-    # per-customer utility access (backend-neutral)
-    # ------------------------------------------------------------------
-
-    def _customer_utils(self, index: int) -> Sequence[float]:
-        """Customer ``index``'s utilities in flat config order."""
-        if self._U is not None:
-            return self._U[index]
-        c = self.customers[index]
-        utils = self._config_utils[c.key]
-        return [utils[cfg] for cfg in self._configs]
-
-    def _utils_at(self, indices: Sequence[int], cfg_index: int
-                  ) -> List[float]:
-        if self._U is not None:
-            col = self._U[:, cfg_index]
-            return [float(col[i]) for i in indices]
-        cfg = self._configs[cfg_index]
-        return [
-            self._config_utils[self.customers[i].key][cfg] for i in indices
-        ]
 
     # ------------------------------------------------------------------
     # fixed-architecture references
@@ -220,35 +109,23 @@ class MarketEfficiencyComparison:
 
     def _best_reference_config(self, indices: Sequence[int]
                                ) -> Tuple[float, int]:
-        """The config maximising the customers' geometric-mean utility."""
-        if self._U is not None:
-            sub = self._U[list(indices)]
-            bad = np.argwhere(sub <= 0)
-            if bad.size:
-                i, j = (int(v) for v in bad[0])
-                customer = self.customers[list(indices)[i]]
-                raise ValueError(
-                    f"geometric mean undefined: non-positive utility "
-                    f"{float(sub[i, j])!r} for customer "
-                    f"{customer.key} at config {self._configs[j]}"
-                )
-            score = np.log(sub).mean(axis=0)
-            return self._configs[int(np.argmax(score))]
-        best_cfg = None
-        best_score = None
-        labels = [
-            f"customer {self.customers[i].key}" for i in indices
-        ]
-        for ci, cfg in enumerate(self._configs):
-            values = self._utils_at(indices, ci)
-            score = _geometric_mean(
-                values,
-                labels=[f"{lab} at config {cfg}" for lab in labels],
+        """The config maximising the customers' geometric-mean utility.
+
+        Non-positive utilities have no geometric mean; the error names
+        the offending customer and config.
+        """
+        sub = self._U[list(indices)]
+        bad = np.argwhere(sub <= 0)
+        if bad.size:
+            i, j = (int(v) for v in bad[0])
+            customer = self.customers[list(indices)[i]]
+            raise ValueError(
+                f"geometric mean undefined: non-positive utility "
+                f"{float(sub[i, j])!r} for customer "
+                f"{customer.key} at config {self._configs[j]}"
             )
-            if best_score is None or score > best_score:
-                best_cfg, best_score = cfg, score
-        assert best_cfg is not None
-        return best_cfg
+        score = np.log(sub).mean(axis=0)
+        return self._configs[int(np.argmax(score))]
 
     def best_static_config(self) -> Tuple[float, int]:
         """The single configuration maximising GME across all customers.
@@ -283,55 +160,39 @@ class MarketEfficiencyComparison:
     # pairwise gain studies
     # ------------------------------------------------------------------
 
-    def _sharing_vector(self) -> List[float]:
-        return [self._sharing_best[c.key] for c in self.customers]
-
     def _fixed_vector_static(self) -> List[float]:
         cfg_index = self._configs.index(self.best_static_config())
-        return self._utils_at(range(len(self.customers)), cfg_index)
+        return [float(v) for v in self._U[:, cfg_index]]
 
     def _fixed_vector_hetero(self) -> List[float]:
-        per_utility = self._per_utility_configs()
         cfg_indices = {
             name: self._configs.index(cfg)
-            for name, cfg in per_utility.items()
+            for name, cfg in self._per_utility_configs().items()
         }
         return [
-            self._utils_at([i], cfg_indices[c.utility.name])[0]
+            float(self._U[i, cfg_indices[c.utility.name]])
             for i, c in enumerate(self.customers)
         ]
 
     def _pair_gains(self, fixed: Sequence[float]) -> List[PairGain]:
         """All-pairs gains from per-customer vectors.
 
-        numpy: the pair space is one upper-triangle broadcast; the
-        PairGain objects are built from the resulting arrays (callers
-        wanting statistics only should use the summary methods, which
-        never materialize the pairs).
+        The pair space is one upper-triangle broadcast; the PairGain
+        objects are built from the resulting arrays (callers wanting
+        statistics only should use the summary methods, which never
+        materialize the pairs).
         """
-        sharing = self._sharing_vector()
         keys = [c.key for c in self.customers]
-        n = len(keys)
-        if self._U is not None:
-            sh = np.asarray(sharing)
-            fx = np.asarray(fixed)
-            i, j = np.triu_indices(n, k=1)
-            sh_sum = sh[i] + sh[j]
-            fx_sum = fx[i] + fx[j]
-            return [
-                PairGain(keys[a], keys[b], float(s), float(f))
-                for a, b, s, f in zip(i.tolist(), j.tolist(),
-                                      sh_sum.tolist(), fx_sum.tolist())
-            ]
-        gains: List[PairGain] = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                gains.append(PairGain(
-                    keys[a], keys[b],
-                    sharing[a] + sharing[b],
-                    fixed[a] + fixed[b],
-                ))
-        return gains
+        sh = np.asarray(self._sharing)
+        fx = np.asarray(fixed)
+        i, j = np.triu_indices(len(keys), k=1)
+        sh_sum = sh[i] + sh[j]
+        fx_sum = fx[i] + fx[j]
+        return [
+            PairGain(keys[a], keys[b], float(s), float(f))
+            for a, b, s, f in zip(i.tolist(), j.tolist(),
+                                  sh_sum.tolist(), fx_sum.tolist())
+        ]
 
     def gains_vs_static(self) -> List[PairGain]:
         """Figure 15: all customer pairs against the best static config."""
@@ -344,16 +205,13 @@ class MarketEfficiencyComparison:
     def summary_vs_static(self) -> Dict[str, float]:
         """Figure 15 statistics as pure tensor reductions (no per-pair
         objects) - the datacenter-scale path."""
-        return self._summary(self._fixed_vector_static())
+        return pair_gain_summary(self._sharing,
+                                 self._fixed_vector_static())
 
     def summary_vs_heterogeneous(self) -> Dict[str, float]:
         """Figure 16 statistics as pure tensor reductions."""
-        return self._summary(self._fixed_vector_hetero())
-
-    def _summary(self, fixed: Sequence[float]) -> Dict[str, float]:
-        if self._U is not None:
-            return pair_gain_summary(self._sharing_vector(), fixed)
-        return self.summarize(self._pair_gains(fixed))
+        return pair_gain_summary(self._sharing,
+                                 self._fixed_vector_hetero())
 
     @staticmethod
     def summarize(gains: Sequence[PairGain]) -> Dict[str, float]:

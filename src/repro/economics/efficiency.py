@@ -6,11 +6,12 @@ single-thread performance (the paper notes the analogy to Energy*Delay^2
 and Energy*Delay^3).  Optimal VCore configurations are found by
 exhaustive search over the Equation 3 space.
 
-On the ``"numpy"`` backend the search is one ``perf**k / area`` tensor
-and an argmax per (benchmark, metric); the scalar double loop stays as
-the ``"python"`` reference path.  Row-major (cache outer, slice inner)
-argmax ties break identically to the scalar first-strictly-greater
-loop, so the chosen configurations are bit-identical across backends.
+The search is one ``perf**k / area`` tensor and an argmax per
+(benchmark, metric).  Row-major (cache outer, slice inner) argmax ties
+break on the first maximum, like a first-strictly-greater scalar loop.
+The performance tensor reads ``model`` only through its
+``comm_tolerance`` and ``mlp_per_slice`` (see
+:mod:`repro.economics.tensor`, "Model contract").
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.area.model import AreaModel
-from repro.economics.backend import resolve_backend
 from repro.economics.tensor import performance_tensor
 from repro.perfmodel.model import (
     AnalyticModel,
@@ -72,8 +74,6 @@ def area_matrix(area_model: Optional[AreaModel] = None,
                 cache_grid: Sequence[float] = CACHE_GRID_KB,
                 slice_grid: Sequence[int] = SLICE_GRID):
     """The ``(cache, slices)`` VCore-area matrix (uncore included)."""
-    import numpy as np
-
     area_model = area_model or AreaModel()
     return np.array([
         [area_model.vcore_area(cache_kb, slices, include_uncore=True)
@@ -89,43 +89,20 @@ def optimal_configuration(
     area_model: Optional[AreaModel] = None,
     cache_grid: Sequence[float] = CACHE_GRID_KB,
     slice_grid: Sequence[int] = SLICE_GRID,
-    backend: Optional[str] = None,
 ) -> ConfigurationScore:
     """Exhaustively search Equation 3's space for the best configuration."""
-    model = model or AnalyticModel()
-    area_model = area_model or AreaModel()
-    if resolve_backend(backend) == "numpy":
-        import numpy as np
-
-        perf = performance_tensor([benchmark], cache_grid, slice_grid,
-                                  model=model)[0]
-        area = area_matrix(area_model, cache_grid, slice_grid)
-        score = (perf ** metric.perf_exponent) / area
-        ci, si = divmod(int(np.argmax(score)), len(slice_grid))
-        return ConfigurationScore(
-            cache_kb=cache_grid[ci],
-            slices=slice_grid[si],
-            performance=float(perf[ci, si]),
-            area=float(area[ci, si]),
-            score=float(score[ci, si]),
-        )
-    best: Optional[ConfigurationScore] = None
-    for cache_kb in cache_grid:
-        for slices in slice_grid:
-            perf = model.performance(benchmark, cache_kb, slices)
-            area = area_model.vcore_area(cache_kb, slices,
-                                          include_uncore=True)
-            score = metric.value(perf, area)
-            if best is None or score > best.score:
-                best = ConfigurationScore(
-                    cache_kb=cache_kb,
-                    slices=slices,
-                    performance=perf,
-                    area=area,
-                    score=score,
-                )
-    assert best is not None
-    return best
+    perf = performance_tensor([benchmark], cache_grid, slice_grid,
+                              model=model)[0]
+    area = area_matrix(area_model, cache_grid, slice_grid)
+    score = (perf ** metric.perf_exponent) / area
+    ci, si = divmod(int(np.argmax(score)), len(slice_grid))
+    return ConfigurationScore(
+        cache_kb=cache_grid[ci],
+        slices=slice_grid[si],
+        performance=float(perf[ci, si]),
+        area=float(area[ci, si]),
+        score=float(score[ci, si]),
+    )
 
 
 def efficiency_table(
@@ -133,46 +110,32 @@ def efficiency_table(
     metrics: Sequence[EfficiencyMetric] = STANDARD_METRICS,
     model: Optional[AnalyticModel] = None,
     area_model: Optional[AreaModel] = None,
-    backend: Optional[str] = None,
 ):
     """Table 4: optimal (cache, slices) per benchmark per metric.
 
-    The numpy path builds one ``(benchmarks, cache, slices)`` performance
-    tensor and reduces it under every metric exponent, instead of
-    re-walking the grid per (benchmark, metric).
+    One ``(benchmarks, cache, slices)`` performance tensor is reduced
+    under every metric exponent, instead of re-walking the grid per
+    (benchmark, metric).
     """
-    model = model or AnalyticModel()
-    area_model = area_model or AreaModel()
-    if resolve_backend(backend) == "numpy":
-        import numpy as np
-
-        cache_grid, slice_grid = CACHE_GRID_KB, SLICE_GRID
-        names = [_resolve(b).name for b in benchmarks]
-        perf = performance_tensor(benchmarks, cache_grid, slice_grid,
-                                  model=model)
-        area = area_matrix(area_model, cache_grid, slice_grid)
-        table = {}
-        for metric in metrics:
-            scores = (perf ** metric.perf_exponent) / area
-            flat = scores.reshape(len(names), -1)
-            winners = np.argmax(flat, axis=1)
-            row = {}
-            for bi, name in enumerate(names):
-                ci, si = divmod(int(winners[bi]), len(slice_grid))
-                row[name] = ConfigurationScore(
-                    cache_kb=cache_grid[ci],
-                    slices=slice_grid[si],
-                    performance=float(perf[bi, ci, si]),
-                    area=float(area[ci, si]),
-                    score=float(scores[bi, ci, si]),
-                )
-            table[metric.name] = row
-        return table
-    return {
-        metric.name: {
-            bench: optimal_configuration(bench, metric, model, area_model,
-                                         backend="python")
-            for bench in benchmarks
-        }
-        for metric in metrics
-    }
+    cache_grid, slice_grid = CACHE_GRID_KB, SLICE_GRID
+    names = [_resolve(b).name for b in benchmarks]
+    perf = performance_tensor(benchmarks, cache_grid, slice_grid,
+                              model=model)
+    area = area_matrix(area_model, cache_grid, slice_grid)
+    table = {}
+    for metric in metrics:
+        scores = (perf ** metric.perf_exponent) / area
+        flat = scores.reshape(len(names), -1)
+        winners = np.argmax(flat, axis=1)
+        row = {}
+        for bi, name in enumerate(names):
+            ci, si = divmod(int(winners[bi]), len(slice_grid))
+            row[name] = ConfigurationScore(
+                cache_kb=cache_grid[ci],
+                slices=slice_grid[si],
+                performance=float(perf[bi, ci, si]),
+                area=float(area[ci, si]),
+                score=float(scores[bi, ci, si]),
+            )
+        table[metric.name] = row
+    return table

@@ -11,17 +11,10 @@ The search is exhaustive over the valid configuration grid, exactly as
 the paper's evaluation ("an exhaustive search of performance for
 different Slice count and Cache configurations", Section 5.5).
 
-Two interchangeable backends perform that search (``backend=``):
-
-* ``"numpy"`` (default when numpy is available) - the vectorized
-  market kernel of :mod:`repro.economics.tensor`: one masked argmax per
-  customer over a memoized utility tensor;
-* ``"python"`` - the scalar reference loops, kept for the equivalence
-  suite and numpy-less installs.
-
-Either way the per-benchmark ``P(c, s)`` grid is evaluated *once* and
-shared across every utility function and market that queries it (the
-hit/miss counters under ``economics.optimizer`` quantify the reuse).
+The vectorized market kernel of :mod:`repro.economics.tensor` performs
+that search: one masked argmax per customer over a memoized utility
+tensor, with each benchmark's ``P(c, s)`` row built once and shared
+across every utility function and market that queries it.
 """
 
 from __future__ import annotations
@@ -29,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.economics.backend import resolve_backend
 from repro.economics.market import Market
 from repro.economics.tensor import MarketKernel
 from repro.economics.utility import UtilityFunction
@@ -66,14 +58,20 @@ class UtilityOptimizer:
     explicit ``model``), performance grids are sourced through the
     engine's :class:`~repro.engine.core.GridModel` - same numbers, but
     batch-evaluated with cache-and-fan-out semantics.
+
+    ``model`` reaches :meth:`best`, :meth:`table6` and
+    :meth:`utility_surface` through the market kernel, which reads only
+    its ``comm_tolerance`` and ``mlp_per_slice`` and never calls an
+    overridden ``performance`` (see :mod:`repro.economics.tensor`,
+    "Model contract").  :meth:`utility_at` does call
+    ``model.performance``.
     """
 
     def __init__(self, model: Optional[AnalyticModel] = None,
                  budget: float = DEFAULT_BUDGET,
                  cache_grid: Sequence[float] = CACHE_GRID_KB,
                  slice_grid: Sequence[int] = SLICE_GRID,
-                 engine=None, backend: Optional[str] = None,
-                 obs=None):
+                 engine=None, obs=None):
         if budget <= 0:
             raise ValueError("budget must be positive")
         self.cache_grid = tuple(cache_grid)
@@ -83,7 +81,6 @@ class UtilityOptimizer:
                                       slice_grid=self.slice_grid)
         self.model = model or AnalyticModel()
         self.budget = budget
-        self.backend = resolve_backend(backend)
         if obs is None and engine is not None:
             obs = getattr(engine, "obs", None)
         from repro.obs import OBS_OFF
@@ -92,36 +89,28 @@ class UtilityOptimizer:
         scope = self._obs.scope("economics.optimizer")
         self._c_grid_hits = scope.counter("perf_grid.hits")
         self._c_grid_misses = scope.counter("perf_grid.misses")
-        #: Scalar-path P(c, s) tables, one per profile, shared across
-        #: every (utility, market) query.
+        #: ``utility_at``'s P(c, s) tables, one per profile, shared
+        #: across every (utility, market) query.
         self._perf_grids: Dict[object, Dict[Tuple[float, int], float]] = {}
-        self._kernel: Optional[MarketKernel] = None
-        if self.backend == "numpy":
-            self._kernel = MarketKernel(
-                model=self.model, cache_grid=self.cache_grid,
-                slice_grid=self.slice_grid, obs=self._obs,
-            )
-
-    @property
-    def kernel(self) -> Optional[MarketKernel]:
-        """The vectorized kernel (``None`` on the python backend)."""
-        return self._kernel
+        self.kernel = MarketKernel(
+            model=self.model, cache_grid=self.cache_grid,
+            slice_grid=self.slice_grid, obs=self._obs,
+        )
 
     def prime(self, benchmarks: Sequence[ProfileLike]) -> None:
         """Batch-evaluate the grid for ``benchmarks`` ahead of queries.
 
         Engine-backed :class:`~repro.engine.core.GridModel`\\ s fill
-        their table in one fan-out; the numpy kernel builds all
-        performance rows in one broadcasted pass.
+        their table in one fan-out; the kernel builds all performance
+        rows in one broadcasted pass.
         """
         prime = getattr(self.model, "prime", None)
         if prime is not None:
             prime(benchmarks)
-        if self._kernel is not None:
-            self._kernel.prime(benchmarks)
+        self.kernel.prime(benchmarks)
 
     # ------------------------------------------------------------------
-    # memoized scalar grids (shared across utilities and markets)
+    # single configurations (memoized model grids)
     # ------------------------------------------------------------------
 
     def _perf_grid(self, benchmark: ProfileLike
@@ -154,43 +143,19 @@ class UtilityOptimizer:
     def best(self, benchmark: ProfileLike, utility: UtilityFunction,
              market: Market) -> OptimalChoice:
         """The utility-maximising configuration for one customer."""
-        name = _resolve(benchmark).name
-        if self._kernel is not None:
-            cache_kb, slices, vcores, perf, value = self._kernel.for_market(
-                market
-            ).best(benchmark, utility, self.budget)
-            return OptimalChoice(
-                benchmark=name,
-                utility_name=utility.name,
-                market_name=market.name,
-                cache_kb=cache_kb,
-                slices=slices,
-                vcores=vcores,
-                performance=perf,
-                utility=value,
-            )
-        grid = self._perf_grid(benchmark)
-        best_choice: Optional[OptimalChoice] = None
-        for cache_kb in self.cache_grid:
-            for slices in self.slice_grid:
-                perf = grid[(cache_kb, slices)]
-                vcores = market.vcores_affordable(
-                    self.budget, cache_kb, slices
-                )
-                value = utility.value(perf, vcores)
-                if best_choice is None or value > best_choice.utility:
-                    best_choice = OptimalChoice(
-                        benchmark=name,
-                        utility_name=utility.name,
-                        market_name=market.name,
-                        cache_kb=cache_kb,
-                        slices=slices,
-                        vcores=vcores,
-                        performance=perf,
-                        utility=value,
-                    )
-        assert best_choice is not None
-        return best_choice
+        cache_kb, slices, vcores, perf, value = self.kernel.for_market(
+            market
+        ).best(benchmark, utility, self.budget)
+        return OptimalChoice(
+            benchmark=_resolve(benchmark).name,
+            utility_name=utility.name,
+            market_name=market.name,
+            cache_kb=cache_kb,
+            slices=slices,
+            vcores=vcores,
+            performance=perf,
+            utility=value,
+        )
 
     def table6(self, benchmarks: Sequence[ProfileLike],
                utilities: Sequence[UtilityFunction],
@@ -211,18 +176,10 @@ class UtilityOptimizer:
                         utility: UtilityFunction,
                         market: Market) -> Dict[Tuple[float, int], float]:
         """Figure 14: the full utility surface over (cache, slices)."""
-        if self._kernel is not None:
-            grid = self._kernel.for_market(market).utility_grid(
-                benchmark, utility, self.budget)
-            return {
-                (cache_kb, slices): float(grid[ci, si])
-                for ci, cache_kb in enumerate(self.cache_grid)
-                for si, slices in enumerate(self.slice_grid)
-            }
+        grid = self.kernel.for_market(market).utility_grid(
+            benchmark, utility, self.budget)
         return {
-            (cache_kb, slices): self.utility_at(
-                benchmark, utility, market, cache_kb, slices
-            )
-            for cache_kb in self.cache_grid
-            for slices in self.slice_grid
+            (cache_kb, slices): float(grid[ci, si])
+            for ci, cache_kb in enumerate(self.cache_grid)
+            for si, slices in enumerate(self.slice_grid)
         }

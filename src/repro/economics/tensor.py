@@ -4,29 +4,33 @@ The paper's economic evaluation is tensor-shaped: every customer's
 utility ``U(c, s, v)`` is evaluated over the full (cache, slices) grid
 (Equation 3), optima are grid argmaxes (Table 6, Figure 14), and the
 market-efficiency studies reduce over all customer pairs (Figures
-15-16).  The scalar reference implementation walks that space with
-Python loops; this module materializes it as numpy arrays instead:
+15-16).  This module materializes that space as numpy arrays, and it is
+the only economics path: the optimizer, the comparisons, the efficiency
+tables, the auction and the allocation service all evaluate through it.
 
 * :func:`performance_tensor` - ``P[bench, cache, slice]`` evaluated in
   one broadcasted pass that mirrors
   :class:`~repro.perfmodel.model.AnalyticModel` operation for
   operation (same order of arithmetic, so values agree with the scalar
-  path to the last few ulps - see DESIGN.md "Vectorized market kernel"
+  model to the last few ulps - see DESIGN.md "Vectorized market kernel"
   for the fp-tolerance policy);
 * :func:`cost_matrix` / :func:`vcores_matrix` - Equation 2 over the
   grid for one market;
 * :class:`MarketKernel` - per-profile performance rows memoized once
-  and shared across every utility function and market (the scalar
-  optimizer re-queried ``P(c, s)`` per utility per market), plus
+  and shared across every utility function and market, plus
   budget-feasibility masks and the masked-argmax ``best`` that backs
   :meth:`~repro.economics.optimizer.UtilityOptimizer.best`.
 
-Backend selection
------------------
-Backend selection lives in :mod:`repro.economics.backend` - the single
-shared entry point every layer (optimizer, comparison, efficiency,
-auction, allocation service, engine work units, both CLIs) routes its
-``backend=`` keyword through.
+Model contract
+--------------
+:func:`performance_tensor` re-derives ``P(c, s)`` from the profile's
+fields and the model's ``comm_tolerance`` and ``mlp_per_slice``; it
+never calls :meth:`AnalyticModel.performance`.  A model subclass that
+overrides ``performance`` therefore changes nothing on this path.  (The
+engine's :class:`~repro.engine.core.GridModel` overrides it only to
+serve cached values of the same pipeline, so nothing is lost there.)
+To give the kernel a different performance surface, pass different
+profiles or model parameters.
 
 Market binding
 --------------
@@ -39,24 +43,19 @@ memoized performance rows and cost matrices, which is how multi-market
 callers (the optimizer's Table 6 sweep) keep the per-profile sharing.
 Market queries on an unbound kernel raise ``TypeError``.
 
-Tie-breaking contract: the scalar loops keep the *first* strictly
-greater value in (cache outer, slice inner) order; ``np.argmax`` over
-the row-major ``(cache, slice)`` array returns the first occurrence of
-the maximum - identical winners whenever values agree, which the
-equivalence tests enforce.
+Tie-breaking contract: ``np.argmax`` over the row-major ``(cache,
+slice)`` array returns the first occurrence of the maximum, which is
+the first strictly greater value in (cache outer, slice inner) order -
+the winner the scalar oracle loops in ``tests/oracles/economics.py``
+keep.  The equivalence suite holds the kernel to them.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.economics.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    HAVE_NUMPY,
-    require_numpy as _require_numpy,
-)
+import numpy as np
+
 from repro.perfmodel.model import (
     ALU_PATH_FRACTION,
     BRANCH_PENALTY_BASE,
@@ -71,11 +70,6 @@ from repro.perfmodel.model import (
     _resolve,
     l2_mean_latency,
 )
-
-if HAVE_NUMPY:  # pragma: no branch - mirrors repro.economics.backend
-    import numpy as np
-else:  # pragma: no cover - the no-numpy container case
-    np = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------
@@ -98,8 +92,9 @@ def performance_tensor(profiles: Sequence[ProfileLike],
 
     Mirrors :meth:`AnalyticModel.performance` arithmetic exactly
     (operation order included), broadcast over all three axes at once.
+    Reads only the profiles' fields and ``model.comm_tolerance`` /
+    ``model.mlp_per_slice`` (see "Model contract" above).
     """
-    _require_numpy()
     model = model or AnalyticModel()
     profs = [_resolve(p) for p in profiles]
     fields = {
@@ -174,9 +169,8 @@ def cost_matrix(market, cache_grid: Sequence[float] = CACHE_GRID_KB,
     """Hourly VCore cost per grid point, shape ``(cache, slice)``.
 
     Same arithmetic order as :meth:`~repro.economics.market.Market.cost`
-    so values agree bitwise with the scalar path.
+    so values agree bitwise with the scalar formula.
     """
-    _require_numpy()
     cache = np.asarray(cache_grid, dtype=np.float64).reshape(-1, 1)
     slices = np.asarray(slice_grid, dtype=np.float64).reshape(1, -1)
     banks = cache / 64.0
@@ -196,7 +190,6 @@ def vcores_matrix(market, budget: float,
 def utility_matrix(perf, vcores, utility):
     """``U = v^(1/k) * P^k`` elementwise (same op order as the scalar
     :meth:`~repro.economics.utility.UtilityFunction.value`)."""
-    _require_numpy()
     k = utility.perf_exponent
     return (vcores ** (1.0 / k)) * (perf ** k)
 
@@ -218,7 +211,12 @@ class MarketKernel:
     ``min_vcores`` is the budget-feasibility floor: configurations whose
     affordable replication falls below it are masked out of ``best``.
     The default ``0.0`` keeps every configuration feasible, matching the
-    paper's continuous-``v`` treatment (and the scalar reference path).
+    paper's continuous-``v`` treatment.
+
+    Performance rows come from :func:`performance_tensor`, so the
+    kernel sees ``model`` only through its ``comm_tolerance`` and
+    ``mlp_per_slice``: an overridden ``model.performance`` is never
+    called (see the module's "Model contract").
 
     A kernel may be *bound* to one market at construction
     (``market=``); bound kernels drop the ``market`` argument from
@@ -233,7 +231,6 @@ class MarketKernel:
                  cache_grid: Sequence[float] = CACHE_GRID_KB,
                  slice_grid: Sequence[int] = SLICE_GRID,
                  obs=None, market=None):
-        _require_numpy()
         self.model = model or AnalyticModel()
         self.cache_grid = tuple(float(c) for c in cache_grid)
         self.slice_grid = tuple(int(s) for s in slice_grid)
@@ -406,22 +403,6 @@ class MarketKernel:
             float(grid[ci, si]),
         )
 
-    # -- bulk helpers ----------------------------------------------------
-
-    def utility_stack(self, profiles: Sequence[ProfileLike], utility,
-                      budget: float) -> "np.ndarray":
-        """Stacked ``U`` surfaces, shape ``(len(profiles), cache, slice)``."""
-        market = self._bound("utility_stack")
-        self.prime(profiles)
-        perf = np.stack([self.perf_row(p) for p in profiles])
-        vcores = self._vcores_for(market, budget)
-        return utility_matrix(perf, vcores, utility)
-
-    def config_list(self) -> List[Tuple[float, int]]:
-        """Grid points in scalar-iteration (cache outer, slice inner)
-        order - the flat-index order of every array this kernel emits."""
-        return [(c, s) for c in self.cache_grid for s in self.slice_grid]
-
 
 def pair_gain_summary(sharing, fixed) -> Dict[str, float]:
     """Figure 15/16 pairwise-gain summary as pure tensor reductions.
@@ -432,7 +413,6 @@ def pair_gain_summary(sharing, fixed) -> Dict[str, float]:
     :meth:`~repro.economics.comparison.MarketEfficiencyComparison.summarize`
     field for field without materializing any per-pair objects.
     """
-    _require_numpy()
     sh = np.asarray(sharing, dtype=np.float64)
     fx = np.asarray(fixed, dtype=np.float64)
     if sh.shape != fx.shape or sh.ndim != 1:
@@ -459,30 +439,8 @@ def geometric_mean_vector(utilities_by_customer) -> "np.ndarray":
     """Per-config geometric mean over customers via mean-of-logs.
 
     ``utilities_by_customer`` has shape ``(customers, configs)``; all
-    values must be strictly positive (callers validate and raise the
-    naming :class:`ValueError` - see ``comparison._geometric_mean``).
+    values must be strictly positive (callers validate and raise a
+    :class:`ValueError` naming the offending customer first).
     """
-    _require_numpy()
     arr = np.asarray(utilities_by_customer, dtype=np.float64)
     return np.exp(np.log(arr).mean(axis=0))
-
-
-def _self_check() -> None:  # pragma: no cover - debugging helper
-    """Compare the tensor against the scalar model on every profile."""
-    from repro.trace.profiles import all_benchmarks
-
-    model = AnalyticModel()
-    names = all_benchmarks()
-    tensor = performance_tensor(names, model=model)
-    worst = 0.0
-    for bi, name in enumerate(names):
-        for ci, c in enumerate(CACHE_GRID_KB):
-            for si, s in enumerate(SLICE_GRID):
-                ref = model.performance(name, c, s)
-                got = float(tensor[bi, ci, si])
-                worst = max(worst, abs(got - ref) / ref)
-    print(f"max relative error vs scalar model: {worst:.3e}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _self_check()

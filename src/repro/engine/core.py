@@ -137,12 +137,6 @@ class WorkUnit:
     #: runs exact.  Part of the cache key, so sampled and exact results
     #: can never alias.
     sampling: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: Evaluation backend for utility units ("python" | "numpy").
-    #: Always part of the cache key so scalar and vectorized results
-    #: can never alias; performance/simulation units stay "python"
-    #: (the backend cannot affect them, and a no-op axis would cold
-    #: their cache entries for nothing).
-    backend: str = "python"
     #: Streaming-service shard parameters as a sorted item tuple
     #: (``kind="service"``); inert ``None`` for grid kinds.
     service: Optional[Tuple[Tuple[str, Any], ...]] = None
@@ -197,7 +191,6 @@ class WorkUnit:
                            if sim_config is not None else None),
             "sampling": (list(self.sampling)
                          if self.sampling is not None else None),
-            "backend": self.backend,
             "service": (list(self.service)
                         if self.service is not None else None),
             "shard": self.shard,
@@ -226,8 +219,6 @@ class SweepSpec:
     trace_length: int = 4000
     trace_seed: int = 1
     sim_config: Any = None  # Optional[SimConfig]
-    #: Backend for utility units; ``None`` keeps the scalar reference.
-    backend: Optional[str] = None
     #: Streaming-service parameters; when set the spec expands into
     #: ``shards`` independent ``kind="service"`` units (benchmarks and
     #: grids are ignored).  Values must be primitives - they become the
@@ -264,12 +255,6 @@ class SweepSpec:
         calibration = model_calibration(model or AnalyticModel())
         cache_grid = tuple(float(c) for c in self.cache_grid)
         slice_grid = tuple(int(s) for s in self.slice_grid)
-        if self.backend is None:
-            unit_backend = "python"
-        else:
-            from repro.economics.backend import resolve_backend
-
-            unit_backend = resolve_backend(self.backend)
         units: List[WorkUnit] = []
         for bench in self.benchmarks:
             fields = profile_key(bench)
@@ -307,7 +292,6 @@ class SweepSpec:
                         utility=_norm_utility(utility),
                         market=_norm_market(market),
                         budget=float(self.budget),
-                        backend=unit_backend,
                     ))
         return units
 
@@ -409,6 +393,11 @@ def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
         # Import lazily so the engine has no load-time economics
         # dependency (economics imports the engine).
         from repro.economics.market import Market
+        from repro.economics.tensor import (
+            performance_tensor,
+            utility_matrix,
+            vcores_matrix,
+        )
         from repro.economics.utility import UtilityFunction
 
         uname, exponent = unit.utility
@@ -416,31 +405,16 @@ def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
         utility = UtilityFunction(name=uname, perf_exponent=exponent)
         market = Market(name=mname, slice_price=slice_price,
                         bank_price=bank_price, fixed_cost=fixed_cost)
-        model = _model()
-        if unit.backend == "numpy":
-            from repro.economics.tensor import (
-                performance_tensor,
-                utility_matrix,
-                vcores_matrix,
-            )
-
-            perf = performance_tensor([profile], unit.cache_grid,
-                                      unit.slice_grid, model=model)[0]
-            vcores = vcores_matrix(market, unit.budget, unit.cache_grid,
-                                   unit.slice_grid)
-            util = utility_matrix(perf, vcores, utility)
-            return [
-                [c, s, float(util[ci, si])]
-                for ci, c in enumerate(unit.cache_grid)
-                for si, s in enumerate(unit.slice_grid)
-            ]
-        rows = []
-        for c in unit.cache_grid:
-            for s in unit.slice_grid:
-                perf = model.performance(profile, c, s)
-                vcores = market.vcores_affordable(unit.budget, c, s)
-                rows.append([c, s, utility.value(perf, vcores)])
-        return rows
+        perf = performance_tensor([profile], unit.cache_grid,
+                                  unit.slice_grid, model=_model())[0]
+        vcores = vcores_matrix(market, unit.budget, unit.cache_grid,
+                               unit.slice_grid)
+        util = utility_matrix(perf, vcores, utility)
+        return [
+            [c, s, float(util[ci, si])]
+            for ci, c in enumerate(unit.cache_grid)
+            for si, s in enumerate(unit.slice_grid)
+        ]
     raise ValueError(f"unknown work-unit kind {unit.kind!r}")
 
 
@@ -628,6 +602,11 @@ class SweepEngine:
         if timeout_s is not None and not timeout_s > 0:
             raise ValueError(
                 f"timeout_s must be > 0 (None disables it), got {timeout_s}")
+        # Utility units always run on the market kernel; the keyword
+        # stays for callers that pass backend="numpy".
+        from repro.economics.backend import resolve_backend
+
+        resolve_backend(backend)
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache if cache is not None else ResultCache()
         self.parallel_threshold = parallel_threshold
@@ -638,9 +617,6 @@ class SweepEngine:
         #: every simulation work unit this engine schedules.  ``None``
         #: keeps simulation units exact (the default for golden paths).
         self.sampling = sampling
-        #: Backend applied to utility sweeps whose spec doesn't choose
-        #: one itself; stamped into every unit's cache key.
-        self.backend = backend
         #: Transient worker deaths tolerated per sweep before the
         #: remaining units are surfaced as a :class:`WorkUnitError`.
         self.pool_retries = pool_retries
@@ -703,8 +679,6 @@ class SweepEngine:
         """
         start = time.perf_counter()
         sweep_start_us = now_us()
-        if self.backend is not None and spec.backend is None:
-            spec = replace(spec, backend=self.backend)
         units = spec.expand(model)
         if self.sampling is not None:
             sampling_key = tuple(sorted(self.sampling.key_fields().items()))

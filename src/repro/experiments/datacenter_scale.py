@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cloud.fabric import Fabric, TileKind
 from repro.cloud.hypervisor import Hypervisor
@@ -92,7 +92,6 @@ def _synthesize(num_tenants: int, seed: int) -> List[Tenant]:
 
 def run(num_tenants: int = 10_000, seed: int = 7,
         markets: Sequence[Market] = STANDARD_MARKETS,
-        backend: Optional[str] = None,
         engine=None, obs=None) -> DatacenterScaleResult:
     """Allocate ``num_tenants`` synthetic tenants in every market."""
     start = time.perf_counter()
@@ -108,7 +107,7 @@ def run(num_tenants: int = 10_000, seed: int = 7,
     c_placed = scope.counter("tenants_placed")
     c_rejected = scope.counter("tenants_rejected")
 
-    optimizer = UtilityOptimizer(engine=engine, backend=backend, obs=obs)
+    optimizer = UtilityOptimizer(engine=engine, obs=obs)
     utilities = {u.name: u for u in STANDARD_UTILITIES}
     benchmarks = sorted(PROFILES)
 
@@ -181,7 +180,7 @@ def run(num_tenants: int = 10_000, seed: int = 7,
         name=NAME,
         params={"num_tenants": num_tenants, "seed": seed,
                 "markets": [m.name for m in markets],
-                "backend": optimizer.backend,
+                "backend": "numpy",
                 "rack": f"{RACK_WIDTH}x{RACK_HEIGHT}"},
         rows=tuple(rows),
         elapsed=time.perf_counter() - start,
@@ -190,7 +189,7 @@ def run(num_tenants: int = 10_000, seed: int = 7,
         phase_seconds={"optimize": optimize_s,
                        "synthesize": synthesize_s,
                        "allocate": allocate_s},
-        backend=optimizer.backend,
+        backend="numpy",
     )
 
 

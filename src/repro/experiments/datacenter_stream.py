@@ -34,7 +34,6 @@ from repro.cloud.resilience import (
 )
 from repro.cloud.service import AllocationService, Event, TenantRequest
 from repro.cloud.shards import CoupledShards
-from repro.economics.backend import resolve_backend
 from repro.economics.utility import STANDARD_UTILITIES
 from repro.experiments.base import ExperimentResult
 from repro.experiments.datacenter_scale import (
@@ -107,8 +106,7 @@ class DatacenterStreamResult(ExperimentResult):
         return out
 
 
-def build_service(backend: Optional[str] = None,
-                  admission_floor: float = ADMISSION_FLOOR,
+def build_service(admission_floor: float = ADMISSION_FLOOR,
                   obs=None, **service_kwargs) -> AllocationService:
     """One rack-backed service with the experiment's standard knobs.
 
@@ -118,7 +116,6 @@ def build_service(backend: Optional[str] = None,
     """
     return AllocationService(
         fabric=Fabric(RACK_WIDTH, RACK_HEIGHT),
-        backend=backend,
         admission_floor=admission_floor,
         max_vcores=MAX_VCORES,
         obs=obs,
@@ -315,24 +312,21 @@ def resume_stream(service: AllocationService,
 
 def build_coupled_group(couple: int,
                         sync_every: int = SYNC_EVERY,
-                        backend: Optional[str] = None,
                         admission_floor: float = ADMISSION_FLOOR,
                         obs=None, **service_kwargs) -> CoupledShards:
     """``couple`` rack-backed shard services coupled through one
     global price vector.
 
-    On the numpy backend all shards share one
-    :class:`~repro.economics.tensor.MarketKernel`, so memoized
-    ``P^k`` rows (the arena's row source) are built once per group.
+    All shards share one :class:`~repro.economics.tensor.MarketKernel`,
+    so memoized ``P^k`` rows (the arena's row source) are built once
+    per group.
     """
     if couple < 1:
         raise ValueError("couple must be >= 1")
-    backend_name = resolve_backend(backend)
     services: List[AllocationService] = []
     kernel = None
     for _ in range(couple):
-        service = build_service(backend=backend_name,
-                                admission_floor=admission_floor,
+        service = build_service(admission_floor=admission_floor,
                                 obs=obs, kernel=kernel,
                                 **service_kwargs)
         kernel = kernel or service.kernel
@@ -505,7 +499,6 @@ def evaluate_shard(params: Dict[str, object]) -> List[List[float]]:
         group = build_coupled_group(
             couple,
             sync_every=int(params.get("sync_every", SYNC_EVERY)),
-            backend=str(params.get("backend", "numpy")),
             admission_floor=float(params.get("admission_floor",
                                              ADMISSION_FLOOR)),
             degrade_on_divergence=not strict,
@@ -532,7 +525,6 @@ def evaluate_shard(params: Dict[str, object]) -> List[List[float]]:
             seed=int(params.get("chaos_seed", 0)),
         )
     service = build_service(
-        backend=str(params.get("backend", "numpy")),
         admission_floor=float(params.get("admission_floor",
                                          ADMISSION_FLOOR)),
         degrade_on_divergence=not strict,
@@ -563,7 +555,6 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 def run(num_events: int = 20_000, seed: int = 11,
-        backend: Optional[str] = None,
         active_target: int = ACTIVE_TARGET,
         admission_floor: float = ADMISSION_FLOOR,
         reprice_every: int = 1, segments: int = 4,
@@ -593,7 +584,6 @@ def run(num_events: int = 20_000, seed: int = 11,
     ``checkpoint_path`` every N events (single-stream mode only).
     """
     start = time.perf_counter()
-    backend_name = resolve_backend(backend)
     if obs is None and engine is not None:
         obs = getattr(engine, "obs", None)
     if strict is None:
@@ -601,7 +591,6 @@ def run(num_events: int = 20_000, seed: int = 11,
 
     if shards > 1 and engine is not None:
         params = {"num_events": num_events // shards, "seed": seed,
-                  "backend": backend_name,
                   "admission_floor": admission_floor,
                   "active_target": active_target,
                   "reprice_every": reprice_every,
@@ -625,7 +614,7 @@ def run(num_events: int = 20_000, seed: int = 11,
         latencies: List[float] = []
     elif couple > 1:
         group = build_coupled_group(
-            couple, sync_every=sync_every, backend=backend_name,
+            couple, sync_every=sync_every,
             admission_floor=admission_floor, obs=obs,
             degrade_on_divergence=not strict)
         stats, latencies = drive_coupled_stream(
@@ -639,9 +628,7 @@ def run(num_events: int = 20_000, seed: int = 11,
         rows = [stats]
         latencies = list(latencies)
     else:
-        service = build_service(backend=backend_name,
-                                admission_floor=admission_floor,
-                                obs=obs,
+        service = build_service(admission_floor=admission_floor, obs=obs,
                                 degrade_on_divergence=not strict)
         injector = None
         if fault_rate > 0.0:
@@ -685,7 +672,7 @@ def run(num_events: int = 20_000, seed: int = 11,
             latencies.extend(lats)
 
     run_params = {"num_events": num_events, "seed": seed,
-                  "backend": backend_name,
+                  "backend": "numpy",
                   "active_target": active_target,
                   "admission_floor": admission_floor,
                   "reprice_every": reprice_every,
@@ -713,7 +700,7 @@ def run(num_events: int = 20_000, seed: int = 11,
         elapsed=time.perf_counter() - start,
         num_events=int(total_events),
         seed=seed,
-        backend=backend_name,
+        backend="numpy",
         events_per_s=(total_events / total_elapsed
                       if total_elapsed > 0 else float("inf")),
         rejection_rate=rejected / submitted if submitted else 0.0,

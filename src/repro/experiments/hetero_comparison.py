@@ -30,14 +30,11 @@ class HeteroComparisonResult(ExperimentResult):
 
 def run(benchmarks: Optional[Sequence[str]] = None,
         comparison: Optional[MarketEfficiencyComparison] = None,
-        engine=None,
-        backend: Optional[str] = None) -> HeteroComparisonResult:
+        engine=None) -> HeteroComparisonResult:
     """Figure 16 as a frozen result."""
     start = time.perf_counter()
     comparison = comparison or MarketEfficiencyComparison(
-        list(benchmarks or all_benchmarks()), engine=engine,
-        backend=backend,
-    )
+        list(benchmarks or all_benchmarks()), engine=engine)
     gains = tuple(comparison.gains_vs_heterogeneous())
     per_utility = {
         u.name: comparison.best_config_for_utility(u)
@@ -54,7 +51,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         name=NAME,
         params={"benchmarks": list(comparison.benchmarks),
                 "market": comparison.market.name,
-                "backend": comparison.backend},
+                "backend": "numpy"},
         rows=rows,
         elapsed=time.perf_counter() - start,
         per_utility_configs=per_utility,

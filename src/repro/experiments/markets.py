@@ -35,11 +35,10 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         markets: Sequence[Market] = STANDARD_MARKETS,
         utilities: Sequence[UtilityFunction] = STANDARD_UTILITIES,
         optimizer: Optional[UtilityOptimizer] = None,
-        engine=None, backend: Optional[str] = None) -> MarketsResult:
+        engine=None) -> MarketsResult:
     """Table 6 as a frozen result."""
     start = time.perf_counter()
-    optimizer = optimizer or UtilityOptimizer(engine=engine,
-                                              backend=backend)
+    optimizer = optimizer or UtilityOptimizer(engine=engine)
     benchmarks = list(benchmarks or all_benchmarks())
     raw = optimizer.table6(benchmarks, utilities, markets)
     table: MarketTable = {
@@ -57,7 +56,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         params={"benchmarks": benchmarks,
                 "markets": [m.name for m in markets],
                 "utilities": [u.name for u in utilities],
-                "backend": optimizer.backend},
+                "backend": "numpy"},
         rows=rows,
         elapsed=time.perf_counter() - start,
         table=table,

@@ -19,7 +19,6 @@ from repro.economics.efficiency import (
     EfficiencyMetric,
     optimal_configuration,
 )
-from repro.economics.backend import resolve_backend
 from repro.experiments.base import ExperimentResult
 from repro.trace.profiles import all_benchmarks
 
@@ -38,7 +37,7 @@ class OptimaResult(ExperimentResult):
 
 def run(benchmarks: Optional[Sequence[str]] = None,
         metrics: Sequence[EfficiencyMetric] = STANDARD_METRICS,
-        engine=None, backend: Optional[str] = None) -> OptimaResult:
+        engine=None) -> OptimaResult:
     """Table 4 as a frozen result."""
     start = time.perf_counter()
     benchmarks = list(benchmarks or all_benchmarks())
@@ -49,7 +48,6 @@ def run(benchmarks: Optional[Sequence[str]] = None,
             bench: (
                 (score := optimal_configuration(
                     bench, metric, model=model, area_model=area_model,
-                    backend=backend,
                 )).cache_kb,
                 score.slices,
             )
@@ -68,7 +66,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         name=NAME,
         params={"benchmarks": benchmarks,
                 "metrics": [m.name for m in metrics],
-                "backend": resolve_backend(backend)},
+                "backend": "numpy"},
         rows=rows,
         elapsed=time.perf_counter() - start,
         table=table,

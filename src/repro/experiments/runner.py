@@ -15,9 +15,6 @@ paper's presentation order.  Flags:
 ``--trace PATH``      write a Chrome trace_event JSON of the run
                       (implies ``--obs``; open in ui.perfetto.dev)
 ``--metrics-out PATH``  write run metrics (+ obs snapshot) as JSON
-``--backend B``       economics evaluation backend: ``numpy`` (default,
-                      vectorized market kernel) or ``python`` (scalar
-                      reference); stamped into sweep cache keys
 ``--timeout S``       per-sweep wall-clock bound for pool fan-outs
 ``--sampling``        interval-sampled simulation for simulation sweeps
                       (``--exact``, the default, keeps golden paths
@@ -34,7 +31,6 @@ cache/fan-out metrics that land in the JSON export.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from typing import Optional, Sequence
@@ -141,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="per-sweep wall-clock bound for parallel "
                              "fan-outs (seconds)")
-    parser.add_argument("--backend", choices=("numpy", "python"),
-                        default="numpy",
-                        help="economics evaluation backend (default "
-                             "numpy; falls back to python when numpy "
-                             "is unavailable). Stamped into sweep cache "
-                             "keys, so backends never alias.")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--sampling", action="store_true",
                       help="interval-sampled simulation for simulation "
@@ -212,7 +202,7 @@ def _run(args) -> int:
         store = args.workload_store
     engine = SweepEngine(jobs=args.jobs, cache=cache, obs=obs,
                          timeout_s=args.timeout, sampling=sampling,
-                         backend=args.backend, store=store)
+                         store=store)
     if obs is not OBS_OFF:
         from repro.trace import materialize
         materialize.attach_obs(obs.scope("trace.workload_lru"))
@@ -228,11 +218,8 @@ def _run(args) -> int:
         print("=" * 72)
         print(title)
         print("=" * 72)
-        kwargs = {"engine": engine}
-        if "backend" in inspect.signature(module.run).parameters:
-            kwargs["backend"] = args.backend
         with run_metrics.measure(module.NAME):
-            result = module.run(**kwargs)
+            result = module.run(engine=engine)
         module.render(result)
         results.append(result)
         print(f"[{result.elapsed:.1f}s]\n")

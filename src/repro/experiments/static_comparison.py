@@ -30,14 +30,11 @@ class StaticComparisonResult(ExperimentResult):
 
 def run(benchmarks: Optional[Sequence[str]] = None,
         comparison: Optional[MarketEfficiencyComparison] = None,
-        engine=None,
-        backend: Optional[str] = None) -> StaticComparisonResult:
+        engine=None) -> StaticComparisonResult:
     """Figure 15 as a frozen result."""
     start = time.perf_counter()
     comparison = comparison or MarketEfficiencyComparison(
-        list(benchmarks or all_benchmarks()), engine=engine,
-        backend=backend,
-    )
+        list(benchmarks or all_benchmarks()), engine=engine)
     gains = tuple(comparison.gains_vs_static())
     summary = comparison.summarize(gains)
     rows = tuple(
@@ -50,7 +47,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         name=NAME,
         params={"benchmarks": list(comparison.benchmarks),
                 "market": comparison.market.name,
-                "backend": comparison.backend},
+                "backend": "numpy"},
         rows=rows,
         elapsed=time.perf_counter() - start,
         static_config=comparison.best_static_config(),

@@ -41,12 +41,10 @@ class UtilitySurfacesResult(ExperimentResult):
 
 def run(market: Market = MARKET2,
         optimizer: Optional[UtilityOptimizer] = None,
-        engine=None,
-        backend: Optional[str] = None) -> UtilitySurfacesResult:
+        engine=None) -> UtilitySurfacesResult:
     """Figure 14 as a frozen result."""
     start = time.perf_counter()
-    optimizer = optimizer or UtilityOptimizer(engine=engine,
-                                              backend=backend)
+    optimizer = optimizer or UtilityOptimizer(engine=engine)
     surfaces: Dict[SurfaceKey, Surface] = {}
     peaks: Dict[SurfaceKey, Tuple[float, int]] = {}
     for bench, utility in PANELS:
@@ -62,7 +60,7 @@ def run(market: Market = MARKET2,
         name=NAME,
         params={"market": market.name,
                 "panels": [[b, u.name] for b, u in PANELS],
-                "backend": optimizer.backend},
+                "backend": "numpy"},
         rows=rows,
         elapsed=time.perf_counter() - start,
         surfaces=surfaces,

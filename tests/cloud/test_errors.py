@@ -20,8 +20,7 @@ def tenant(name, budget=24.0):
 
 
 def service():
-    return AllocationService(slice_supply=64.0, bank_supply=64.0,
-                             backend="python")
+    return AllocationService(slice_supply=64.0, bank_supply=64.0)
 
 
 class TestTaxonomy:

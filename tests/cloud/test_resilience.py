@@ -29,7 +29,6 @@ def tenant(name, budget=24.0, utility=UTILITY2):
 
 
 def rack_service(**kwargs):
-    kwargs.setdefault("backend", "python")
     return AllocationService(fabric=Fabric(16, 8), **kwargs)
 
 
@@ -351,10 +350,50 @@ class TestServiceSnapshot:
 
     def test_restore_rejects_config_mismatch(self):
         snap = self.build().snapshot()
-        other = AllocationService(slice_supply=4.0, bank_supply=4.0,
-                                  backend="python")
+        other = AllocationService(slice_supply=4.0, bank_supply=4.0)
         with pytest.raises(ValueError):
             other.restore(snap)
+
+    def _rejects_untouched(self, target, snap, match):
+        """``restore(snap)`` raises a one-line ValueError and leaves
+        ``target`` exactly as it was."""
+        before = target.snapshot()
+        with pytest.raises(ValueError, match=match) as info:
+            target.restore(snap)
+        assert "\n" not in str(info.value)
+        assert target.snapshot() == before
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_restore_rejects_unsupported_versions(self, version):
+        snap = json.loads(json.dumps(self.build().snapshot()))
+        if version is None:
+            del snap["version"]
+        else:
+            snap["version"] = version
+        target = rack_service()
+        target.submit(tenant("resident", budget=30.0))
+        self._rejects_untouched(target, snap, f"version {version!r}")
+
+    def test_restore_rejects_snapshot_without_arena(self):
+        snap = json.loads(json.dumps(self.build().snapshot()))
+        snap["arena"] = None
+        target = rack_service()
+        target.submit(tenant("resident", budget=30.0))
+        self._rejects_untouched(target, snap, "no arena layout")
+
+    @pytest.mark.parametrize("fabric", [
+        lambda: Fabric(8, 16),
+        lambda: Fabric(16, 8, bank_columns=range(0, 16, 2)),
+    ], ids=["transposed", "bank_columns"])
+    def test_restore_rejects_fabric_geometry_mismatch(self, fabric):
+        """Same slice and bank counts (so the supplies match), but a
+        different mesh: restoring would re-claim tile ids that mean
+        other tiles here."""
+        snap = json.loads(json.dumps(self.build().snapshot()))
+        target = AllocationService(fabric=fabric())
+        assert (target.slice_supply, target.bank_supply) == (
+            snap["config"]["slice_supply"], snap["config"]["bank_supply"])
+        self._rejects_untouched(target, snap, "snapshot fabric_")
 
     def test_restore_passes_invariants(self):
         service = self.build()

@@ -20,7 +20,6 @@ def tenant(name, benchmark="gcc", utility=UTILITY2, budget=24.0):
 def economics_service(**kwargs):
     kwargs.setdefault("slice_supply", 64.0)
     kwargs.setdefault("bank_supply", 64.0)
-    kwargs.setdefault("backend", "python")
     return AllocationService(**kwargs)
 
 
@@ -31,9 +30,15 @@ class TestConstruction:
 
     def test_supplies_default_from_fabric(self):
         fabric = Fabric(16, 8)
-        service = AllocationService(fabric=fabric, backend="python")
+        service = AllocationService(fabric=fabric)
         assert service.slice_supply == fabric.num_slices
         assert service.bank_supply == fabric.num_banks
+
+    def test_only_the_numpy_backend(self):
+        economics_service(backend="numpy")
+        with pytest.raises(ValueError, match="economics backend") as info:
+            economics_service(backend="python")
+        assert "\n" not in str(info.value)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -90,8 +95,7 @@ class TestSubmit:
         assert service.active_tenants == []
 
     def test_capacity_rejection_on_full_fabric(self):
-        service = AllocationService(fabric=Fabric(4, 1),
-                                    backend="python")
+        service = AllocationService(fabric=Fabric(4, 1))
         results = [service.submit(tenant(f"t{i}")) for i in range(8)]
         assert any(r.reason == "rejected_capacity" for r in results)
         # A rejected tenant holds no tiles and is not in the market.
@@ -104,7 +108,7 @@ class TestSubmit:
 class TestDepart:
     def test_depart_releases_tiles(self):
         fabric = Fabric(16, 8)
-        service = AllocationService(fabric=fabric, backend="python")
+        service = AllocationService(fabric=fabric)
         service.submit(tenant("a"))
         assert fabric.owned_by("a")
         service.depart("a")
@@ -148,8 +152,7 @@ class TestResize:
 
     def test_unabsorbable_resize_restores_placement(self):
         fabric = Fabric(32, 2)
-        service = AllocationService(fabric=fabric, backend="python",
-                                    max_vcores=8)
+        service = AllocationService(fabric=fabric, max_vcores=8)
         first = service.submit(tenant("a", budget=24.0))
         assert first.admitted
         # Fill the rest of the fabric so growth has nowhere to go.
@@ -229,7 +232,7 @@ class TestCompaction:
         fabric = Fabric(16, 4)
         # threshold 0.0: every departure that leaves any fragmentation
         # compacts, exercising the lift-and-repack path aggressively.
-        service = AllocationService(fabric=fabric, backend="python",
+        service = AllocationService(fabric=fabric,
                                     compaction_threshold=0.0)
         admitted = []
         for i in range(10):

@@ -100,6 +100,32 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError):
             build_coupled_group(2, sync_every=99).restore(snap)
 
+    @pytest.mark.parametrize("version", [None, 2])
+    def test_restore_rejects_unsupported_versions(self, version):
+        snap = build_coupled_group(2, sync_every=100).snapshot()
+        if version is None:
+            del snap["version"]
+        else:
+            snap["version"] = version
+        group = build_coupled_group(2, sync_every=100)
+        drive_coupled_stream(group, 200, seed=3, **drive_kwargs())
+        before = group.snapshot()
+        with pytest.raises(ValueError, match=f"version {version!r}"):
+            group.restore(snap)
+        assert group.snapshot() == before
+
+    def test_bad_shard_rejected_before_any_shard_changes(self):
+        source = build_coupled_group(2, sync_every=100)
+        drive_coupled_stream(source, 200, seed=5, **drive_kwargs())
+        snap = json.loads(json.dumps(source.snapshot()))
+        snap["shards"][1]["version"] = 1
+        group = build_coupled_group(2, sync_every=100)
+        drive_coupled_stream(group, 200, seed=3, **drive_kwargs())
+        before = group.snapshot()
+        with pytest.raises(ValueError, match="version 1"):
+            group.restore(snap)
+        assert group.snapshot() == before
+
     def test_resume_bit_equal_to_uninterrupted(self):
         full = build_coupled_group(2, sync_every=100)
         full_stats, _ = drive_coupled_stream(full, 2000, seed=7,

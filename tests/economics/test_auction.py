@@ -2,15 +2,15 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.economics.auction import Allocation, Bidder, SpotMarket
-from repro.economics.tensor import HAVE_NUMPY
 from repro.economics.utility import UTILITY1, UTILITY2, UTILITY3
 from repro.obs import Observability
-from repro.perfmodel.model import AnalyticModel
-from repro.trace import all_benchmarks
+from repro.trace import all_benchmarks, get_profile
+from tests.oracles import economics as oracle
 
 
 def _mixed_bidders(n=16, seed=3):
@@ -103,14 +103,27 @@ class TestClearing:
             Bidder("x", "gcc", UTILITY1, budget=0)
 
 
-class _CacheBlindModel(AnalyticModel):
-    """Performance independent of cache: every optimum buys 0 banks."""
+def _cache_blind_bidders(n, seed):
+    """Mixed bidders whose profiles never miss in L1 (``l1_mpki=0``):
+    the L2 cannot change their performance, so every optimum buys 0
+    banks.  (The market kernel reads profile fields, not an overridden
+    ``AnalyticModel.performance``, so the profile is the knob.)"""
+    return [replace(b, benchmark=replace(get_profile(b.benchmark),
+                                         l1_mpki=0.0))
+            for b in _mixed_bidders(n=n, seed=seed)]
 
-    def performance(self, benchmark, cache_kb, slices):
-        return super().performance(benchmark, 0.0, slices)
+
+def _clear(impl, slice_supply, bank_supply, bidders, **kwargs):
+    """Clear on the production kernel (``numpy``) or on the scalar
+    oracle loops (``python``)."""
+    if impl == "numpy":
+        return SpotMarket(slice_supply, bank_supply,
+                          **kwargs).clear(bidders)
+    return oracle.clear(bidders, slice_supply, bank_supply, **kwargs)
 
 
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
+#: ``numpy`` runs the production kernel, ``python`` the scalar oracle.
+IMPLS = ("python", "numpy")
 
 
 class TestEdgeCases:
@@ -120,12 +133,9 @@ class TestEdgeCases:
     def test_zero_demand_good_price_decays(self):
         """Nobody wants banks: the auction must still clear on the
         slice market while the bank price falls, not divide by zero or
-        chase phantom demand.  (python backend: the vectorized kernel
-        mirrors the stock model's arithmetic, so a subclassed
-        ``performance`` only affects the scalar path.)"""
-        market = SpotMarket(60, 80, model=_CacheBlindModel(),
-                            backend="python")
-        result = market.clear(_mixed_bidders(n=10, seed=0))
+        chase phantom demand."""
+        market = SpotMarket(60, 80)
+        result = market.clear(_cache_blind_bidders(n=10, seed=0))
         assert result.converged
         assert result.bank_demand == 0.0
         assert result.bank_price < 1.0  # decayed from its initial value
@@ -134,61 +144,58 @@ class TestEdgeCases:
     def test_zero_demand_good_reaches_floor(self):
         """Started near the floor, a good nobody demands is pinned
         there instead of drifting negative."""
-        market = SpotMarket(60, 80, model=_CacheBlindModel(),
-                            backend="python")
-        result = market.clear(_mixed_bidders(n=10, seed=0),
+        market = SpotMarket(60, 80)
+        result = market.clear(_cache_blind_bidders(n=10, seed=0),
                               initial_bank_price=0.011)
         assert result.converged
         assert result.bank_price >= 0.01  # never below the floor
         assert result.bank_price <= 0.011
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_budget_exhausted_bidders_converge(self, backend):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_budget_exhausted_bidders_converge(self, impl):
         """Near-zero budgets mean near-zero demand on both goods; the
         stability rule accepts the settled prices instead of spinning
         for the full round cap."""
-        market = SpotMarket(100, 200, backend=backend)
         bidders = [Bidder(f"t{i}", "bzip", UTILITY1, 1e-6)
                    for i in range(4)]
-        result = market.clear(bidders)
+        result = _clear(impl, 100, 200, bidders)
         assert result.converged
         assert not result.rationed
-        assert result.rounds < market.max_rounds
+        assert result.rounds < 60  # the default round cap
         assert result.slice_price <= 2.0
         assert result.bank_price <= 1.0
         assert len(result.allocations) == len(bidders)
         assert all(0 < a.vcores < 1e-3 for a in result.allocations)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mixed_rich_and_exhausted_bidders(self, backend):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_mixed_rich_and_exhausted_bidders(self, impl):
         """Budget-exhausted bidders ride along without distorting the
         clearing driven by the funded population."""
         bidders = _mixed_bidders(n=8) + [
             Bidder(f"poor{i}", "gcc", UTILITY2, 1e-6) for i in range(4)
         ]
-        result = SpotMarket(60, 120, backend=backend).clear(bidders)
+        result = _clear(impl, 60, 120, bidders)
         assert result.converged
         assert {a.bidder for a in result.allocations} == {
             b.name for b in bidders
         }
-        rich_only = SpotMarket(60, 120, backend=backend).clear(
-            _mixed_bidders(n=8))
+        rich_only = _clear(impl, 60, 120, _mixed_bidders(n=8))
         assert result.slice_price == pytest.approx(rich_only.slice_price,
                                                    rel=1e-6)
         assert result.bank_price == pytest.approx(rich_only.bank_price,
                                                   rel=1e-6)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_seeded_oscillation_terminates_under_damping(self, backend):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_seeded_oscillation_terminates_under_damping(self, impl):
         """The canonical non-existence case: identical bidders, scarce
         supply.  Demand flips between two grid bundles forever; damping
         must keep prices bounded and the loop must stop at the round
         cap with an honest ``converged=False``."""
-        market = SpotMarket(10, 10, max_rounds=60, backend=backend)
-        result = market.clear(
-            [Bidder(f"c{i}", "gcc", UTILITY2, 48.0) for i in range(8)]
-        )
-        assert result.rounds == market.max_rounds
+        result = _clear(
+            impl, 10, 10,
+            [Bidder(f"c{i}", "gcc", UTILITY2, 48.0) for i in range(8)],
+            max_rounds=60)
+        assert result.rounds == 60
         assert not result.converged
         # Damping bound: each round multiplies a price by at most
         # exp(k * 2) with k <= 0.3, and the oscillation alternates sign,
@@ -197,10 +204,9 @@ class TestEdgeCases:
         assert 0.01 <= result.bank_price < 1e3
         assert math.isfinite(result.total_welfare)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_obs_counts_rounds_and_bids(self, backend):
+    def test_obs_counts_rounds_and_bids(self):
         obs = Observability()
-        market = SpotMarket(60, 120, backend=backend, obs=obs)
+        market = SpotMarket(60, 120, obs=obs)
         bidders = _mixed_bidders(n=6)
         result = market.clear(bidders)
         snap = obs.snapshot()

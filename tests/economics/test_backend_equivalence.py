@@ -1,26 +1,24 @@
-"""Scalar/vector equivalence suite (the ISSUE's acceptance contract).
+"""Kernel/oracle equivalence suite.
 
-* tab4/tab6 optimal *configurations* must be bit-identical between
-  ``backend="python"`` and ``backend="numpy"`` - both search the grid
-  in (cache outer, slice inner) order and keep the first strict
-  maximum, so the winners agree exactly;
+Production runs every economics search on the numpy market kernel; the
+scalar loops in ``tests/oracles/economics.py`` are its reference:
+
+* tab4/tab6 optimal *configurations* must be bit-identical - both
+  search the grid in (cache outer, slice inner) order and keep the
+  first strict maximum, so the winners agree exactly;
 * fig14/fig15/fig16 utility *values* agree within the documented fp
-  tolerance (DESIGN.md "Vectorized market kernel"): the numpy kernel
-  mirrors the scalar arithmetic op for op, so differences are a few
-  ulps;
+  tolerance (DESIGN.md "Vectorized market kernel"): the kernel mirrors
+  the scalar arithmetic op for op, so differences are a few ulps;
 * the auction must take the same rounds to the same prices.
 
 ``REPRO_EQUIV_SEED`` varies the randomized populations; CI runs this
 module under two seeds.
 """
 
-import itertools
 import os
 import random
 
 import pytest
-
-pytest.importorskip("numpy")
 
 from repro.economics.auction import Bidder, SpotMarket
 from repro.economics.comparison import MarketEfficiencyComparison
@@ -29,10 +27,11 @@ from repro.economics.market import STANDARD_MARKETS, MARKET2
 from repro.economics.optimizer import UtilityOptimizer
 from repro.economics.utility import STANDARD_UTILITIES
 from repro.trace.profiles import PROFILES
+from tests.oracles import economics as oracle
 
-#: fp tolerance for utility values between backends (see DESIGN.md):
-#: both paths use the same op order, so agreement is ulp-level; 1e-9
-#: leaves five orders of magnitude of headroom over observed 1e-15.
+#: fp tolerance for utility values between kernel and oracle (see
+#: DESIGN.md): both use the same op order, so agreement is ulp-level;
+#: 1e-9 leaves five orders of magnitude of headroom over observed 1e-15.
 VALUE_RTOL = 1e-9
 
 SEED = int(os.environ.get("REPRO_EQUIV_SEED", "0"))
@@ -41,10 +40,8 @@ BENCHES = sorted(PROFILES)
 
 class TestTable6:
     def test_configs_bit_identical(self):
-        t_py = UtilityOptimizer(backend="python").table6(
-            BENCHES, STANDARD_UTILITIES, STANDARD_MARKETS
-        )
-        t_np = UtilityOptimizer(backend="numpy").table6(
+        t_py = oracle.table6(BENCHES, STANDARD_UTILITIES, STANDARD_MARKETS)
+        t_np = UtilityOptimizer().table6(
             BENCHES, STANDARD_UTILITIES, STANDARD_MARKETS
         )
         assert t_py.keys() == t_np.keys()
@@ -57,8 +54,8 @@ class TestTable6:
 
 class TestTable4:
     def test_configs_bit_identical(self):
-        t_py = efficiency_table(BENCHES, backend="python")
-        t_np = efficiency_table(BENCHES, backend="numpy")
+        t_py = oracle.efficiency_table(BENCHES)
+        t_np = efficiency_table(BENCHES)
         for metric in t_py:
             for bench in t_py[metric]:
                 a, b = t_py[metric][bench], t_np[metric][bench]
@@ -68,12 +65,11 @@ class TestTable4:
 
 class TestFig14:
     def test_surfaces_within_tolerance(self):
-        opt_py = UtilityOptimizer(backend="python")
-        opt_np = UtilityOptimizer(backend="numpy")
+        optimizer = UtilityOptimizer()
         for bench, utility in (("gcc", STANDARD_UTILITIES[0]),
                                ("bzip", STANDARD_UTILITIES[1])):
-            s_py = opt_py.utility_surface(bench, utility, MARKET2)
-            s_np = opt_np.utility_surface(bench, utility, MARKET2)
+            s_py = oracle.utility_surface(bench, utility, MARKET2)
+            s_np = optimizer.utility_surface(bench, utility, MARKET2)
             assert s_py.keys() == s_np.keys()
             for cfg, want in s_py.items():
                 assert s_np[cfg] == pytest.approx(want, rel=VALUE_RTOL)
@@ -87,8 +83,8 @@ class TestFig15Fig16:
         rng = random.Random(SEED)
         benches = rng.sample(BENCHES, k=10)
         return (
-            MarketEfficiencyComparison(benches, backend="python"),
-            MarketEfficiencyComparison(benches, backend="numpy"),
+            oracle.Comparison(benches),
+            MarketEfficiencyComparison(benches),
         )
 
     def test_reference_configs_identical(self, comparisons):
@@ -128,8 +124,8 @@ class TestAuction:
                    budget=rng.choice([12.0, 24.0, 48.0]))
             for i in range(12)
         ]
-        r_py = SpotMarket(80, 160, backend="python").clear(bidders)
-        r_np = SpotMarket(80, 160, backend="numpy").clear(bidders)
+        r_py = oracle.clear(bidders, 80, 160)
+        r_np = SpotMarket(80, 160).clear(bidders)
         assert r_py.rounds == r_np.rounds
         assert r_py.converged == r_np.converged
         assert r_py.rationed == r_np.rationed
@@ -144,43 +140,23 @@ class TestAuction:
             assert b.utility == pytest.approx(a.utility, rel=VALUE_RTOL)
 
 
-class TestEngineStamping:
-    def test_backend_in_cache_key(self):
-        from repro.engine.core import SweepSpec
-
-        spec = SweepSpec(benchmarks=("gcc",),
-                         utilities=(STANDARD_UTILITIES[0],),
-                         markets=(MARKET2,), budget=24.0)
-        u_py = SweepSpec(**{**spec.__dict__, "backend": "python"}).expand()
-        u_np = SweepSpec(**{**spec.__dict__, "backend": "numpy"}).expand()
-        assert u_py[0].backend == "python"
-        assert u_np[0].backend == "numpy"
-        assert u_py[0].cache_key() != u_np[0].cache_key()
-
-    def test_performance_units_never_stamped(self):
-        from repro.engine.core import SweepSpec
-
-        units = SweepSpec(benchmarks=("gcc",), backend="numpy").expand()
-        assert all(u.backend == "python" for u in units)
-
+class TestEngineUnits:
     def test_engine_utility_map_values_equivalent(self, tmp_path):
         from repro.engine import ResultCache, SweepEngine
 
-        def values(backend):
-            engine = SweepEngine(
-                jobs=1,
-                cache=ResultCache(root=str(tmp_path / backend)),
-                backend=backend,
-            )
-            result = engine.utility_map(
-                ["gcc", "bzip"], STANDARD_UTILITIES[:2], [MARKET2], 24.0
-            )
-            return result.values
-
-        g_py = values("python")
-        g_np = values("numpy")
+        engine = SweepEngine(jobs=1, cache=ResultCache(root=str(tmp_path)))
+        utilities = STANDARD_UTILITIES[:2]
+        g_np = engine.utility_map(["gcc", "bzip"], utilities, [MARKET2],
+                                  24.0).values
+        g_py = {
+            (bench, u.name, MARKET2.name): oracle.utility_surface(
+                bench, u, MARKET2, 24.0)
+            for bench in ("gcc", "bzip")
+            for u in utilities
+        }
         assert g_py.keys() == g_np.keys()
         for key in g_py:
+            assert g_py[key].keys() == g_np[key].keys()
             for cfg, want in g_py[key].items():
                 assert g_np[key][cfg] == pytest.approx(want,
                                                        rel=VALUE_RTOL)

@@ -18,20 +18,17 @@ import random
 import pytest
 
 from repro.cloud.service import AllocationService, TenantRequest
-from repro.economics.backend import HAVE_NUMPY
 from repro.economics.utility import STANDARD_UTILITIES
 from repro.trace.profiles import PROFILES
-
-BACKENDS = ("numpy", "python") if HAVE_NUMPY else ("python",)
 
 SLICE_SUPPLY = 48.0
 BANK_SUPPLY = 48.0
 
 
-def make_service(backend, **kwargs):
+def make_service(**kwargs):
     kwargs.setdefault("slice_supply", SLICE_SUPPLY)
     kwargs.setdefault("bank_supply", BANK_SUPPLY)
-    return AllocationService(backend=backend, **kwargs)
+    return AllocationService(**kwargs)
 
 
 def population(count, seed=3):
@@ -49,10 +46,9 @@ def population(count, seed=3):
     ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFixedPointExactness:
-    def test_submit_depart_returns_to_fixed_point(self, backend):
-        service = make_service(backend)
+    def test_submit_depart_returns_to_fixed_point(self):
+        service = make_service()
         for request in population(8):
             service.register(request)
         service.clear_batch()
@@ -66,9 +62,8 @@ class TestFixedPointExactness:
         assert service.prices()[0] == pytest.approx(before[0], rel=1e-9)
         assert service.prices()[1] == pytest.approx(before[1], rel=1e-9)
 
-    def test_step_at_fixed_point_is_one_round_zero_movement(
-            self, backend):
-        service = make_service(backend)
+    def test_step_at_fixed_point_is_one_round_zero_movement(self):
+        service = make_service()
         for request in population(8):
             service.register(request)
         batch = service.clear_batch()
@@ -82,8 +77,8 @@ class TestFixedPointExactness:
         assert (result.slice_price, result.bank_price) == (
             batch.slice_price, batch.bank_price)
 
-    def test_warm_restart_allocations_bit_equal_cold(self, backend):
-        service = make_service(backend)
+    def test_warm_restart_allocations_bit_equal_cold(self):
+        service = make_service()
         for request in population(10, seed=5):
             service.register(request)
         cold = service.clear_batch()
@@ -101,13 +96,12 @@ class TestFixedPointExactness:
             assert a.utility == b.utility
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestWarmRoundEconomy:
-    def test_warm_rounds_never_exceed_cold(self, backend):
+    def test_warm_rounds_never_exceed_cold(self):
         """Stream checkpoint: repricing warm from the previous fixed
         point costs no more rounds than cold-clearing the roster."""
         rng = random.Random(17)
-        service = make_service(backend)
+        service = make_service()
         requests = population(12, seed=17)
         for request in requests[:6]:
             service.register(request)
@@ -124,7 +118,7 @@ class TestWarmRoundEconomy:
                 service.depart(victim.name)
             warm = service.step()
             warm_total += warm.rounds
-            cold = make_service(backend)
+            cold = make_service()
             for standing in roster:
                 cold.register(standing)
             cold_total += cold.clear_batch().rounds

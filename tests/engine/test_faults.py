@@ -217,6 +217,15 @@ class TestWorkerDeath:
         with pytest.raises(ValueError, match="timeout_s must be > 0"):
             _engine(tmp_path, timeout_s=timeout_s)
 
+    @pytest.mark.parametrize("backend", ["python", "fortran"])
+    def test_backend_validation(self, tmp_path, backend):
+        """Utility units always run on the market kernel; ``backend``
+        takes only None or "numpy"."""
+        assert _engine(tmp_path, backend="numpy") is not None
+        with pytest.raises(ValueError, match="economics backend") as info:
+            _engine(tmp_path, backend=backend)
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_cli_rejects_nonpositive_timeout(self, capsys, value):
         from repro.__main__ import main as cli_main

@@ -11,7 +11,6 @@ from repro.experiments.datacenter_stream import STREAM_METRICS
 PARAMS = {
     "num_events": 200,
     "seed": 9,
-    "backend": "numpy",
     "admission_floor": 0.0,
     "active_target": 24,
     "reprice_every": 20,
@@ -60,7 +59,7 @@ class TestCacheKeys:
         distinct = [
             _service_unit(num_events=400),
             _service_unit(seed=10),
-            _service_unit(backend="python"),
+            _service_unit(reprice_every=10),
             _service_unit(admission_floor=0.5),
             _service_unit(shard=1),
         ]

@@ -34,3 +34,24 @@ class TestCLI:
     def test_parser_rejects_bad_benchmark(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--benchmark", "doom"])
+
+    @pytest.mark.parametrize("argv", [
+        ["experiments", "--backend", "numpy"],
+        ["datacenter-stream", "--backend", "numpy"],
+    ])
+    def test_no_economics_backend_flag(self, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+
+    def test_runner_has_no_backend_flag(self):
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit) as info:
+            runner.build_parser().parse_args(["--backend", "numpy"])
+        assert info.value.code == 2
+
+    def test_simulate_keeps_simulator_backend_flag(self):
+        args = build_parser().parse_args(
+            ["simulate", "--backend", "batched"])
+        assert args.sim_backend == "batched"

@@ -7,9 +7,9 @@ from repro.experiments import datacenter_stream as ds
 
 class TestDriveStream:
     def test_seeded_stream_is_deterministic(self):
-        a = ds.drive_stream(ds.build_service(backend="python"),
+        a = ds.drive_stream(ds.build_service(),
                             120, seed=5)[0]
-        b = ds.drive_stream(ds.build_service(backend="python"),
+        b = ds.drive_stream(ds.build_service(),
                             120, seed=5)[0]
         timing = {"events_per_s", "wall_s", "latency_p50_ms",
                   "latency_p99_ms"}
@@ -19,7 +19,7 @@ class TestDriveStream:
             assert b[key] == value, key
 
     def test_event_accounting_balances(self):
-        stats, _, _ = ds.drive_stream(ds.build_service(backend="python"),
+        stats, _, _ = ds.drive_stream(ds.build_service(),
                                       150, seed=2)
         handled = (stats["admitted"] + stats["rejected_price"]
                    + stats["rejected_capacity"] + stats["departures"]
@@ -31,7 +31,7 @@ class TestDriveStream:
             stats["admitted"] - stats["departures"]
 
     def test_segments_chain_into_one_stream(self):
-        service = ds.build_service(backend="python")
+        service = ds.build_service()
         active = []
         _, _, serial = ds.drive_stream(service, 60, seed=1,
                                        active=active, serial0=0)
@@ -44,8 +44,7 @@ class TestDriveStream:
 
 class TestRun:
     def test_run_aggregates_segments(self):
-        result = ds.run(num_events=200, seed=4, backend="python",
-                        segments=2)
+        result = ds.run(num_events=200, seed=4, segments=2)
         assert result.name == ds.NAME
         assert result.num_events == 200
         assert len(result.rows) == 2
@@ -54,16 +53,15 @@ class TestRun:
         assert result.latency_p99_ms >= result.latency_p50_ms >= 0.0
 
     def test_rejection_rate_reflects_floor(self):
-        open_door = ds.run(num_events=150, seed=4, backend="python",
+        open_door = ds.run(num_events=150, seed=4,
                            segments=1, admission_floor=0.0)
-        closed = ds.run(num_events=150, seed=4, backend="python",
+        closed = ds.run(num_events=150, seed=4,
                         segments=1, admission_floor=1e9)
         assert closed.rejection_rate > open_door.rejection_rate
         assert closed.rejection_rate == 1.0
 
     def test_render_smoke(self, capsys):
-        result = ds.run(num_events=100, seed=4, backend="python",
-                        segments=1)
+        result = ds.run(num_events=100, seed=4, segments=1)
         ds.render(result)
         out = capsys.readouterr().out
         assert "Streaming datacenter service" in out
@@ -90,7 +88,6 @@ class TestCli:
         from repro.__main__ import main
 
         assert main(["datacenter-stream", "--events", "80",
-                     "--backend", "python",
                      "--reprice-every", "20"]) == 0
         out = capsys.readouterr().out
         assert "Streaming datacenter service" in out
@@ -102,11 +99,34 @@ class TestCli:
 
         path = tmp_path / "stream.json"
         assert main(["datacenter-stream", "--events", "60",
-                     "--backend", "python", "--reprice-every", "0",
+                     "--reprice-every", "0",
                      "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["name"] == "datacenter_stream"
         assert payload["rows"]
+
+
+class TestCheckpointGeometry:
+    def test_resume_into_transposed_rack_raises(self):
+        """A 32x64 rack has the 64x32 rack's 1,024 slices and 1,024
+        banks, so its supplies match; resuming a checkpoint into it
+        must still fail up front instead of re-claiming the same tile
+        ids on a different mesh."""
+        from repro.cloud.fabric import Fabric
+        from repro.cloud.service import AllocationService
+
+        checkpoints = {}
+        ds.drive_stream(ds.build_service(), 500, seed=3,
+                        checkpoint_every=500,
+                        on_checkpoint=checkpoints.setdefault)
+        transposed = AllocationService(
+            fabric=Fabric(ds.RACK_HEIGHT, ds.RACK_WIDTH),
+            admission_floor=ds.ADMISSION_FLOOR,
+            max_vcores=ds.MAX_VCORES)
+        before = transposed.snapshot()
+        with pytest.raises(ValueError, match="fabric_width"):
+            ds.resume_stream(transposed, checkpoints[500], 2000)
+        assert transposed.snapshot() == before
 
 
 class TestCoupledRun:
@@ -160,7 +180,7 @@ class TestCoupledRun:
 
         path = tmp_path / "stream.pstats"
         assert main(["datacenter-stream", "--events", "60",
-                     "--backend", "python", "--reprice-every", "0",
+                     "--reprice-every", "0",
                      "--profile", str(path)]) == 0
         assert path.exists()
         import pstats

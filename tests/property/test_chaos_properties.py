@@ -58,8 +58,7 @@ class TestInvariantsUnderChaos:
     @settings(max_examples=8, deadline=None)
     def test_invariants_hold_after_every_event(self, seed):
         seed += EQUIV_SEED
-        service = build_service(backend="python",
-                                degrade_on_divergence=True)
+        service = build_service(degrade_on_divergence=True)
         injector = chaos_injector(
             seed, kinds=STATE_NEUTRAL_KINDS + ("nonconverge",))
         # audit_every=1 raises InvariantViolation on the first broken
@@ -78,10 +77,10 @@ class TestFaultyEqualsClean:
     def test_state_neutral_faults_do_not_change_the_outcome(
             self, seed, rate):
         seed += EQUIV_SEED
-        clean = build_service(backend="python")
+        clean = build_service()
         drive_stream(clean, NUM_EVENTS, seed)
 
-        faulty = build_service(backend="python")
+        faulty = build_service()
         injector = chaos_injector(seed, rate=rate)
         drive_stream(faulty, NUM_EVENTS, seed, strict=False,
                      injector=injector, audit_every=20)
@@ -103,7 +102,7 @@ class TestFaultAccounting:
         seed = 21 + EQUIV_SEED
         # degrade_on_divergence stays off so degraded_steps counts
         # *only* injected nonconvergence, not organic divergence.
-        service = build_service(backend="python")
+        service = build_service()
         injector = chaos_injector(
             seed, rate=0.2,
             kinds=("malformed", "duplicate", "unknown", "nonconverge"),
@@ -130,8 +129,7 @@ class TestFaultAccounting:
         pytest.importorskip("numpy")
         seed = 5 + EQUIV_SEED
         num_events = 100_000
-        service = build_service(backend="numpy",
-                                degrade_on_divergence=True)
+        service = build_service(degrade_on_divergence=True)
         injector = chaos_injector(
             seed, rate=0.05,
             kinds=STATE_NEUTRAL_KINDS + ("nonconverge",),
@@ -152,8 +150,7 @@ class TestCrashResume:
     CHECKPOINT_EVERY = 20
 
     def reference_run(self, seed, injector=None):
-        service = build_service(backend="python",
-                                degrade_on_divergence=True)
+        service = build_service(degrade_on_divergence=True)
         checkpoints = {}
 
         def keep(count, payload):
@@ -174,8 +171,7 @@ class TestCrashResume:
         for count, checkpoint in checkpoints.items():
             if count == NUM_EVENTS:
                 continue
-            resumed = build_service(backend="python",
-                                    degrade_on_divergence=True)
+            resumed = build_service(degrade_on_divergence=True)
             resume_stream(resumed, checkpoint, NUM_EVENTS,
                           strict=False)
             assert resumed.snapshot() == final, count
@@ -192,8 +188,7 @@ class TestCrashResume:
         for count, checkpoint in checkpoints.items():
             if count == NUM_EVENTS:
                 continue
-            resumed = build_service(backend="python",
-                                    degrade_on_divergence=True)
+            resumed = build_service(degrade_on_divergence=True)
             resume_stream(resumed, checkpoint, NUM_EVENTS,
                           strict=False,
                           injector=FaultInjector(plan, seed=seed))
@@ -212,8 +207,7 @@ class TestCrashResume:
         reference, _ = self.reference_run(
             seed, injector=FaultInjector(plan, seed=seed))
 
-        service = build_service(backend="python",
-                                degrade_on_divergence=True)
+        service = build_service(degrade_on_divergence=True)
         checkpoints = {}
 
         def keep(count, payload):
@@ -227,8 +221,7 @@ class TestCrashResume:
         assert exc.value.index == crash_at
         latest = max(c for c in checkpoints if c <= crash_at)
 
-        resumed = build_service(backend="python",
-                                degrade_on_divergence=True)
+        resumed = build_service(degrade_on_divergence=True)
         resume_stream(
             resumed, checkpoints[latest], NUM_EVENTS, strict=False,
             injector=FaultInjector(armed.without(crash_at, "crash"),
@@ -243,7 +236,7 @@ class TestRunWrapperCheckpoints:
         from repro.cloud.service import Event, TenantRequest
         from repro.economics.utility import UTILITY2
 
-        service = build_service(backend="python")
+        service = build_service()
         events = []
         for i in range(12):
             events.append(Event(kind="submit", tenant=TenantRequest(

@@ -2,11 +2,13 @@
 
 ``fixtures/golden_market.json`` pins the seed run's Table 4 and Table 6
 optimal configurations, the Figure 14 surface peaks, and the Figure
-15/16 gain summaries.  Both backends are checked against the same
-fixture: configurations (grid argmax winners) must match *exactly* on
-either backend - the numpy kernel shares the scalar tie-breaking
-contract - while float values are held to ``REL_TOL`` (the documented
-fp-tolerance policy; observed scalar-vs-vector drift is ~1e-15).
+15/16 gain summaries.  The production kernel (``numpy``) and the scalar
+oracle loops of ``tests/oracles/economics.py`` (``python``) are both
+checked against the same fixture, so neither can drift: configurations
+(grid argmax winners) must match *exactly* - the kernel shares the
+oracle's tie-breaking contract - while float values are held to
+``REL_TOL`` (the documented fp-tolerance policy; observed
+scalar-vs-vector drift is ~1e-15).
 Regenerate the fixture deliberately when a model or calibration change
 is meant to move these numbers.
 """
@@ -20,14 +22,15 @@ from repro.economics.comparison import MarketEfficiencyComparison
 from repro.economics.efficiency import efficiency_table
 from repro.economics.market import STANDARD_MARKETS, MARKET2
 from repro.economics.optimizer import UtilityOptimizer
-from repro.economics.tensor import BACKENDS, HAVE_NUMPY
 from repro.economics.utility import STANDARD_UTILITIES
 from repro.trace.profiles import PROFILES
+from tests.oracles import economics as oracle
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_market.json"
 REL_TOL = 1e-9
 
-RUN_BACKENDS = BACKENDS if HAVE_NUMPY else ("python",)
+#: ``numpy`` runs the production kernel, ``python`` the scalar oracle.
+IMPLS = ("numpy", "python")
 BENCHES = sorted(PROFILES)
 
 
@@ -36,10 +39,11 @@ def golden():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("backend", RUN_BACKENDS)
+@pytest.mark.parametrize("impl", IMPLS)
 class TestTable4:
-    def test_matches_fixture(self, golden, backend):
-        table = efficiency_table(BENCHES, backend=backend)
+    def test_matches_fixture(self, golden, impl):
+        table = (efficiency_table(BENCHES) if impl == "numpy"
+                 else oracle.efficiency_table(BENCHES))
         want = golden["tab4"]
         assert sorted(str(m) for m in table) == sorted(want)
         for metric, per_bench in table.items():
@@ -51,10 +55,10 @@ class TestTable4:
                                                      rel=REL_TOL)
 
 
-@pytest.mark.parametrize("backend", RUN_BACKENDS)
+@pytest.mark.parametrize("impl", IMPLS)
 class TestTable6:
-    def test_matches_fixture(self, golden, backend):
-        table = UtilityOptimizer(backend=backend).table6(
+    def test_matches_fixture(self, golden, impl):
+        table = (UtilityOptimizer() if impl == "numpy" else oracle).table6(
             BENCHES, STANDARD_UTILITIES, STANDARD_MARKETS
         )
         want = golden["tab6"]
@@ -69,10 +73,10 @@ class TestTable6:
                                                   rel=REL_TOL)
 
 
-@pytest.mark.parametrize("backend", RUN_BACKENDS)
+@pytest.mark.parametrize("impl", IMPLS)
 class TestFig14Peaks:
-    def test_matches_fixture(self, golden, backend):
-        optimizer = UtilityOptimizer(backend=backend)
+    def test_matches_fixture(self, golden, impl):
+        optimizer = UtilityOptimizer() if impl == "numpy" else oracle
         for key, pin in golden["fig14_peaks"].items():
             bench, util_name = key.split("|")
             utility = next(u for u in STANDARD_UTILITIES
@@ -85,11 +89,13 @@ class TestFig14Peaks:
             assert peak == pytest.approx(pin["peak_value"], rel=REL_TOL)
 
 
-@pytest.mark.parametrize("backend", RUN_BACKENDS)
+@pytest.mark.parametrize("impl", IMPLS)
 class TestFig15Fig16:
     @pytest.fixture()
-    def comparison(self, backend):
-        return MarketEfficiencyComparison(BENCHES, backend=backend)
+    def comparison(self, impl):
+        if impl == "numpy":
+            return MarketEfficiencyComparison(BENCHES)
+        return oracle.Comparison(BENCHES)
 
     def test_reference_configs_exact(self, golden, comparison):
         assert (list(comparison.best_static_config())
