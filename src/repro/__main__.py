@@ -43,38 +43,6 @@ _EXPERIMENTS = {
 }
 
 
-def _cmd_experiments(args) -> int:
-    from repro.experiments import runner
-    argv = []
-    for name in args.only or ():
-        argv += ["--only", name]
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.json:
-        argv += ["--json", args.json]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_store:
-        argv.append("--no-store")
-    elif args.workload_store is not True:
-        argv += ["--workload-store", args.workload_store]
-    if args.obs:
-        argv.append("--obs")
-    if args.trace:
-        argv += ["--trace", args.trace]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
-    if args.timeout is not None:
-        argv += ["--timeout", str(args.timeout)]
-    if args.sampling:
-        argv.append("--sampling")
-    if args.profile:
-        argv.append("--profile")
-    return runner.main(argv)
-
-
 def _cmd_experiment(args) -> int:
     module_name = _EXPERIMENTS.get(args.name)
     if module_name is None:
@@ -172,6 +140,15 @@ def _cmd_datacenter_stream(args) -> int:
     if args.shards > 1:
         from repro.engine import SweepEngine
         engine = SweepEngine(jobs=args.jobs)
+    try:
+        datacenter_stream.check_run_args(
+            args.events, shards=args.shards, couple=args.couple,
+            fault_rate=args.faults,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_path=args.checkpoint_path, engine=engine)
+    except ValueError as exc:
+        print(f"repro datacenter-stream: error: {exc}", file=sys.stderr)
+        return 2
     floor = (args.admission_floor if args.admission_floor is not None
              else datacenter_stream.ADMISSION_FLOOR)
     strict = True if args.strict else None
@@ -229,41 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    exp = sub.add_parser("experiments", help="run every table/figure")
-    exp.add_argument("--only", action="append", metavar="NAME",
-                     default=None, help="run only this experiment "
-                     "(repeatable; see `repro list`)")
-    exp.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="sweep-engine worker processes")
-    exp.add_argument("--json", metavar="PATH", default=None,
-                     help="export results + metrics as JSON")
-    exp.add_argument("--no-cache", action="store_true",
-                     help="disable the persistent result cache")
-    exp.add_argument("--cache-dir", metavar="DIR", default=None,
-                     help="result-cache directory")
-    exp.add_argument("--workload-store", metavar="PATH", nargs="?",
-                     const=True, default=True,
-                     help="shared mmap workload store (default on, "
-                          "under the cache dir)")
-    exp.add_argument("--no-store", action="store_true",
-                     help="disable the workload store")
-    exp.add_argument("--obs", action="store_true",
-                     help="enable the instrument registry")
-    exp.add_argument("--trace", metavar="PATH", default=None,
-                     help="write Chrome trace_event JSON (implies --obs)")
-    exp.add_argument("--metrics-out", metavar="PATH", default=None,
-                     help="write run metrics as JSON")
-    exp.add_argument("--timeout", type=float, default=None, metavar="S",
-                     help="per-sweep wall-clock bound (seconds)")
-    exp_mode = exp.add_mutually_exclusive_group()
-    exp_mode.add_argument("--sampling", action="store_true",
-                          help="interval-sampled simulation sweeps")
-    exp_mode.add_argument("--exact", action="store_true",
-                          help="exact simulation sweeps (default)")
-    exp.add_argument("--profile", action="store_true",
-                     help="wrap the run in cProfile "
-                          "(pstats next to --metrics-out)")
-    exp.set_defaults(func=_cmd_experiments)
+    from repro.experiments import runner
+
+    exp = sub.add_parser("experiments", help="run every table/figure",
+                         parents=[runner.build_parser(add_help=False)])
+    exp.set_defaults(func=runner.run_parsed)
 
     one = sub.add_parser("experiment", help="run one artefact")
     one.add_argument("name", help="fig12, tab6, parsec, ...")

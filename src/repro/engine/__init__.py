@@ -17,14 +17,6 @@ pool -> cache pipeline and cache-invalidation rules.
 """
 
 from repro.engine.cache import CACHE_VERSION, DEFAULT_CACHE_DIR, ResultCache
-from repro.engine.claims import ClaimBox
-from repro.engine.store import (
-    DEFAULT_STORE_DIRNAME,
-    WorkloadStore,
-    get_store,
-    store_counters,
-    store_key,
-)
 from repro.engine.core import (
     DEFAULT_PARALLEL_THRESHOLD,
     GridModel,
@@ -46,10 +38,8 @@ from repro.engine.metrics import (
 
 __all__ = [
     "CACHE_VERSION",
-    "ClaimBox",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_PARALLEL_THRESHOLD",
-    "DEFAULT_STORE_DIRNAME",
     "EngineMetrics",
     "GridModel",
     "ResultCache",
@@ -62,10 +52,6 @@ __all__ = [
     "UnitStat",
     "WorkUnit",
     "WorkUnitError",
-    "WorkloadStore",
     "evaluate_unit",
-    "get_store",
     "model_calibration",
-    "store_counters",
-    "store_key",
 ]

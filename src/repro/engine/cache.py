@@ -147,8 +147,8 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every cached entry (all schema versions); returns count.
 
-        Only the cache's own ``v<N>/<kk>/<key>.json`` files go: a
-        workload store placed under the same root keeps its entries.
+        Only the cache's own ``v<N>/<kk>/<key>.json`` entry files go;
+        any other file under the root is left alone.
         """
         removed = 0
         for path in sorted(self.root.glob("v[0-9]*/??/*.json")):

@@ -37,7 +37,6 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import ResultCache
@@ -441,14 +440,14 @@ def _make_batches(pending: Sequence["WorkUnit"],
     ordered most-points-first.
 
     Units sharing an :func:`_affinity_key` (same generated workload)
-    start in one batch so a single worker pays the trace's acquisition
-    once and its siblings ride the process LRU.  The largest batches
-    are then halved until there are at least ``min(workers,
-    len(pending))`` of them - affinity never idles a worker; with the
-    mmap store a split batch's second half reloads the workload in
-    milliseconds.  A sweep's units are all of one kind, so a batch's
-    point count is its cost: sorting by it starts the longest work
-    first (LPT scheduling).
+    start in one batch so a single worker generates the trace once and
+    its siblings ride the process LRU.  The largest batches are then
+    halved until there are at least ``min(workers, len(pending))`` of
+    them - affinity never idles a worker, at the price of the split
+    batch's second half regenerating the workload in its own worker.
+    A sweep's units are all of one kind, so a batch's point count is
+    its cost: sorting by it starts the longest work first (LPT
+    scheduling).
     """
     groups: Dict[Tuple[Any, ...], List[WorkUnit]] = {}
     for unit in pending:
@@ -468,44 +467,21 @@ def _make_batches(pending: Sequence["WorkUnit"],
     return batches
 
 
-def _install_worker_store(store_root: Optional[str]) -> None:
-    """Point this process's ``get_workload`` at the sweep's store tier."""
-    from repro.trace import materialize as _materialize
-
-    if store_root is None:
-        _materialize.set_store(None)
-        return
-    from repro.engine.store import get_store
-
-    _materialize.set_store(get_store(store_root))
-
-
 def _workload_counters() -> Dict[str, float]:
-    """Snapshot of this process's workload-acquisition counters."""
-    from repro.engine.store import store_counters
+    """Snapshot of this process's workload LRU and generator counters."""
     from repro.trace.materialize import cache_stats
 
     lru = cache_stats()
-    st = store_counters()
     return {
         "lru_hits": lru["hits"],
         "lru_misses": lru["misses"],
         "generations": lru["generations"],
         "generation_s": lru["generation_s"],
-        "store_hits": st["hits"],
-        "store_misses": st["misses"],
-        "store_dumps": st["dumps"],
-        "store_corrupt": st["corrupt"],
-        "store_mmap_opens": st["mmap_opens"],
-        "store_bytes_mapped": st["bytes_mapped"],
-        "store_wait_s": st["wait_s"],
-        "store_load_s": st["load_s"],
-        "store_dump_s": st["dump_s"],
     }
 
 
 def _evaluate_batch_tracked(
-        payload: Tuple[Tuple["WorkUnit", ...], float, Optional[str]]
+        payload: Tuple[Tuple["WorkUnit", ...], float]
 ) -> List[Dict[str, Any]]:
     """Worker-side evaluation of one affinity batch.
 
@@ -513,13 +489,12 @@ def _evaluate_batch_tracked(
     recorded and does not abort its siblings), measuring per-unit queue
     wait (submit-to-start on the shared ``CLOCK_MONOTONIC``, so worker
     timestamps line up with the parent's) and eval time, plus the deltas
-    of the workload LRU/store/generator counters so the parent can
-    attribute where each unit's trace came from.  An exception becomes a
+    of the workload LRU/generator counters so the parent can attribute
+    where each unit's trace came from.  An exception becomes a
     structured failure record; the parent re-raises it as a one-line
     :class:`WorkUnitError` instead of a pickled remote traceback.
     """
-    units, submitted, store_root = payload
-    _install_worker_store(store_root)
+    units, submitted = payload
     pid = os.getpid()
     outcomes: List[Dict[str, Any]] = []
     for unit in units:
@@ -562,10 +537,10 @@ class SweepResult:
     parallel: bool
     #: Per-unit evaluation telemetry (cache hits included, eval_s == 0).
     unit_stats: Tuple[UnitStat, ...] = ()
-    #: Workload-acquisition totals across all evaluated units
-    #: (lru_hits/misses, generations, store hits/misses/dumps, bytes
-    #: mapped, ...); empty for fully-cached sweeps.
-    store_stats: Dict[str, float] = field(default_factory=dict)
+    #: Workload LRU and generator totals across all evaluated units
+    #: (lru_hits, lru_misses, generations, generation_s); empty for
+    #: fully-cached sweeps.
+    workload_stats: Dict[str, float] = field(default_factory=dict)
     #: Scheduler accounting: affinity batches formed and fresh pools
     #: started after a worker died.
     sched_stats: Dict[str, float] = field(default_factory=dict)
@@ -607,6 +582,12 @@ class SweepEngine:
         from repro.economics.backend import resolve_backend
 
         resolve_backend(backend)
+        # Workloads come from each process's LRU or the generator; the
+        # keyword stays for callers that pass store=None.
+        if store is not None:
+            raise ValueError(
+                f"unknown workload store {store!r}; workers regenerate "
+                "workloads on an LRU miss (pass None)")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache if cache is not None else ResultCache()
         self.parallel_threshold = parallel_threshold
@@ -620,11 +601,6 @@ class SweepEngine:
         #: Transient worker deaths tolerated per sweep before the
         #: remaining units are surfaced as a :class:`WorkUnitError`.
         self.pool_retries = pool_retries
-        #: Shared mmap workload store (:mod:`repro.engine.store`):
-        #: ``None`` is off, ``True`` places it under the result cache's
-        #: root, a path or :class:`WorkloadStore` uses that store.
-        #: Results are bit-identical on or off.
-        self.store = self._resolve_store(store)
         # Units served from a worker's workload LRU, exported as a gauge.
         self._affinity_hits = 0
         # Pre-bound instruments: null objects when obs is off, so the
@@ -640,28 +616,6 @@ class SweepEngine:
         self._t_sweep = scope.timer("sweep_s")
         scope.gauge("sched.affinity_hits", lambda: self._affinity_hits)
         scope.gauge("cache.corrupt", lambda: self.cache.corrupt)
-        if self.store is not None:
-            from repro.engine.store import attach_obs as _store_obs
-
-            _store_obs(self.obs.scope("engine.store"))
-
-    def _resolve_store(self, store: Any):
-        """``None``/``False`` -> off; ``True`` -> under the cache root;
-        a path -> that root; a :class:`WorkloadStore` -> itself."""
-        if store is None or store is False:
-            return None
-        from repro.engine.store import (
-            DEFAULT_STORE_DIRNAME,
-            WorkloadStore,
-            get_store,
-        )
-
-        if isinstance(store, WorkloadStore):
-            return store
-        if store is True:
-            return get_store(Path(self.cache.root)
-                             / DEFAULT_STORE_DIRNAME)
-        return get_store(store)
 
     # ------------------------------------------------------------------
     # core scheduling
@@ -704,31 +658,20 @@ class SweepEngine:
             else:
                 pending.append(unit)
 
-        store_root = (str(self.store.root)
-                      if self.store is not None else None)
         pending_points = sum(u.points for u in pending)
         workers = min(self.jobs, len(pending)) if pending else 0
         parallel = (workers > 1
                     and pending_points >= self.parallel_threshold)
         outcomes_by_unit: Dict[WorkUnit, Dict[str, Any]] = {}
         sched: Dict[str, float] = {"batches": 0, "pool_retries": 0}
-        from repro.trace import materialize as _materialize
-
-        previous_store = _materialize.get_default_store()
-        try:
-            if parallel:
-                outcomes_by_unit = self._run_parallel(
-                    pending, workers, store_root, sched)
-            else:
-                workers = 1 if pending else 0
-                for unit in pending:
-                    outcomes = _evaluate_batch_tracked(
-                        ((unit,), time.monotonic(), store_root))
-                    self._collect((unit,), outcomes, outcomes_by_unit)
-        finally:
-            # The in-process batch wrapper installs the sweep's store as
-            # the process default; put the caller's back.
-            _materialize.set_store(previous_store)
+        if parallel:
+            outcomes_by_unit = self._run_parallel(pending, workers, sched)
+        else:
+            workers = 1 if pending else 0
+            for unit in pending:
+                outcomes = _evaluate_batch_tracked(
+                    ((unit,), time.monotonic()))
+                self._collect((unit,), outcomes, outcomes_by_unit)
 
         failure: Optional[Tuple[WorkUnit, Dict[str, Any]]] = None
         workload_totals: Dict[str, float] = {}
@@ -787,7 +730,7 @@ class SweepEngine:
             workers=workers,
             parallel=parallel,
             unit_stats=tuple(stats),
-            store_stats=workload_totals,
+            workload_stats=workload_totals,
             sched_stats=dict(sched),
         )
         self.metrics.record(SweepRecord(
@@ -818,7 +761,7 @@ class SweepEngine:
         return sweep
 
     def _run_parallel(self, pending: List["WorkUnit"], workers: int,
-                      store_root: Optional[str], sched: Dict[str, float]
+                      sched: Dict[str, float]
                       ) -> Dict["WorkUnit", Dict[str, Any]]:
         """Fan pending units across a process pool, tracked and bounded.
 
@@ -855,8 +798,7 @@ class SweepEngine:
                 # Indices ascend in most-points-first batch order (LPT).
                 futures = {
                     pool.submit(_evaluate_batch_tracked,
-                                (tuple(batches[idx]), time.monotonic(),
-                                 store_root)): idx
+                                (tuple(batches[idx]), time.monotonic())): idx
                     for idx in sorted(remaining)
                 }
                 while futures and not crashed:

@@ -554,6 +554,26 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[idx]
 
 
+def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
+                   fault_rate: float = 0.0, checkpoint_every: int = 0,
+                   checkpoint_path: Optional[str] = None,
+                   engine=None) -> None:
+    """Raise the one-line ``ValueError`` :func:`run` raises for these
+    arguments, if any: a run drives exactly ``num_events`` events and
+    acts on every option it is given."""
+    if num_events < 1:
+        raise ValueError(f"num_events must be >= 1, got {num_events}")
+    if fault_rate > 0.0 and couple > 1:
+        raise ValueError("fault injection needs couple=1: coupled shard "
+                         "groups run without a fault injector")
+    if checkpoint_every and not checkpoint_path:
+        raise ValueError("checkpoint_every needs a checkpoint_path")
+    if checkpoint_every and (couple > 1
+                             or (shards > 1 and engine is not None)):
+        raise ValueError("checkpoint_every needs shards=1 and couple=1: "
+                         "only the single stream writes checkpoints")
+
+
 def run(num_events: int = 20_000, seed: int = 11,
         active_target: int = ACTIVE_TARGET,
         admission_floor: float = ADMISSION_FLOOR,
@@ -582,7 +602,13 @@ def run(num_events: int = 20_000, seed: int = 11,
     graceful degradation) unless ``strict=True`` is forced.
     ``checkpoint_every=N`` writes a resumable checkpoint JSON to
     ``checkpoint_path`` every N events (single-stream mode only).
+    Arguments that would drive a different number of events or drop an
+    option raise ``ValueError`` (see :func:`check_run_args`).
     """
+    check_run_args(num_events, shards=shards, couple=couple,
+                   fault_rate=fault_rate,
+                   checkpoint_every=checkpoint_every,
+                   checkpoint_path=checkpoint_path, engine=engine)
     start = time.perf_counter()
     if obs is None and engine is not None:
         obs = getattr(engine, "obs", None)
@@ -638,7 +664,7 @@ def run(num_events: int = 20_000, seed: int = 11,
                 seed=chaos_seed,
             )
         on_checkpoint = None
-        if checkpoint_every and checkpoint_path:
+        if checkpoint_every:
             from repro.cloud.resilience import save_checkpoint
 
             def on_checkpoint(count, payload,
@@ -649,9 +675,11 @@ def run(num_events: int = 20_000, seed: int = 11,
         latencies = []
         active: List[str] = []
         serial = 0
-        per_segment = max(1, num_events // max(1, segments))
+        # Never more segments than events: every segment drives >= 1.
+        segments = max(1, min(segments, num_events))
+        per_segment = num_events // segments
         done = 0
-        for segment in range(max(1, segments)):
+        for segment in range(segments):
             count = (num_events - per_segment * (segments - 1)
                      if segment == segments - 1 else per_segment)
             stats, lats, serial = drive_stream(

@@ -8,9 +8,6 @@ paper's presentation order.  Flags:
 ``--json <path>``     export all results + run metrics as JSON
 ``--no-cache``        disable the persistent result cache
 ``--cache-dir DIR``   cache location (default ``.repro_cache``)
-``--workload-store [PATH]``  shared mmap workload store (default on,
-                      under the cache dir; PATH overrides the root)
-``--no-store``        disable the workload store
 ``--obs``             enable the instrument registry (repro.obs)
 ``--trace PATH``      write a Chrome trace_event JSON of the run
                       (implies ``--obs``; open in ui.perfetto.dev)
@@ -21,6 +18,10 @@ paper's presentation order.  Flags:
                       bit-identical)
 ``--profile``         wrap the run in cProfile; writes a pstats dump
                       next to ``--metrics-out`` (see README "Profiling")
+
+``python -m repro experiments`` takes the same flags: its subcommand
+parser inherits :func:`build_parser` and hands the parsed namespace to
+:func:`run_parsed`.
 
 Every experiment goes through the same path: ``module.run(engine=...)``
 returns a frozen :class:`~repro.experiments.base.ExperimentResult`,
@@ -95,10 +96,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner",
         description="Run the paper's tables and figures",
+        add_help=add_help,
     )
     parser.add_argument("--only", action="append", choices=NAMES,
                         metavar="NAME", default=None,
@@ -113,17 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="result-cache directory "
                              "(default .repro_cache, or $REPRO_CACHE_DIR)")
-    parser.add_argument("--workload-store", metavar="PATH", nargs="?",
-                        const=True, default=True,
-                        help="shared mmap workload store: generated "
-                             "traces are dumped once and mapped "
-                             "read-only by every worker (default on, "
-                             "under the cache dir; pass PATH for an "
-                             "explicit root). Bit-identical results "
-                             "either way.")
-    parser.add_argument("--no-store", action="store_true",
-                        help="disable the workload store (regenerate "
-                             "traces per worker process)")
     parser.add_argument("--obs", action="store_true",
                         help="enable the instrument registry "
                              "(counters/histograms in --metrics-out)")
@@ -166,7 +157,11 @@ def profile_dump_path(metrics_out: Optional[str]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    return run_parsed(build_parser().parse_args(argv))
+
+
+def run_parsed(args: argparse.Namespace) -> int:
+    """Run the experiments a :func:`build_parser` namespace selects."""
     if args.profile:
         import cProfile
         import pstats
@@ -192,17 +187,8 @@ def _run(args) -> int:
     if args.sampling:
         from repro.sampling import DEFAULT_SAMPLING
         sampling = DEFAULT_SAMPLING
-    if args.no_store:
-        store = None
-    elif args.workload_store is True:
-        # Default placement is under the cache dir; honouring
-        # --no-cache keeps that run entirely off-disk.
-        store = None if args.no_cache else True
-    else:
-        store = args.workload_store
     engine = SweepEngine(jobs=args.jobs, cache=cache, obs=obs,
-                         timeout_s=args.timeout, sampling=sampling,
-                         store=store)
+                         timeout_s=args.timeout, sampling=sampling)
     if obs is not OBS_OFF:
         from repro.trace import materialize
         materialize.attach_obs(obs.scope("trace.workload_lru"))

@@ -27,7 +27,7 @@ import time
 from array import array
 from collections import OrderedDict
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.trace.profiles import BenchmarkProfile, get_profile
 from repro.trace.records import Trace
@@ -86,25 +86,6 @@ class TraceArrays:
     def __len__(self) -> int:
         return self.length
 
-    @classmethod
-    def from_buffers(cls, length: int, pcs, mem_addrs, flags,
-                     targets) -> "TraceArrays":
-        """Wrap existing column buffers without copying.
-
-        Used by the workload store to serve mmap-backed, read-only
-        ``memoryview`` columns: every worker process indexes the same
-        physical pages.  Buffers must follow the constructor's layout
-        (``'q'`` for pcs/mem_addrs/targets, ``'b'`` flags, ``-1``
-        sentinels).
-        """
-        self = cls.__new__(cls)
-        self.length = int(length)
-        self.pcs = pcs
-        self.mem_addrs = mem_addrs
-        self.flags = flags
-        self.targets = targets
-        return self
-
 
 #: Full-fidelity content tokens are computed for traces up to this many
 #: instructions; beyond it :func:`trace_token` samples element
@@ -157,42 +138,13 @@ ProfileLike = Union[str, BenchmarkProfile]
 WorkloadKey = Tuple[Any, ...]
 
 _lock = threading.Lock()
-_lru: "OrderedDict[WorkloadKey, Tuple[Any, Trace]]" = OrderedDict()
+_lru: "OrderedDict[WorkloadKey, Tuple[List[int], Trace]]" = OrderedDict()
 _capacity = DEFAULT_CAPACITY
 _hits = 0
 _misses = 0
 _evictions = 0
 _generations = 0
 _generation_s = 0.0
-
-#: Process default workload store (see :func:`set_store`): the tier
-#: between the in-process LRU and regeneration.  Duck-typed - anything
-#: with ``fetch(profile_fields, length, seed, multiplier, generate)``
-#: works; in practice a
-#: :class:`~repro.engine.store.WorkloadStore` (materialize cannot
-#: import it: the store sits above this module in the layering).
-_default_store: Optional[Any] = None
-
-#: Sentinel distinguishing "use the process default" from an explicit
-#: ``store=None`` (force regeneration semantics).
-_UNSET = object()
-
-
-def set_store(store: Optional[Any]) -> Optional[Any]:
-    """Install the process-default workload store; returns the old one.
-
-    Pool workers call this (through the engine's batch payloads) so
-    every :func:`get_workload` LRU miss tries the shared mmap store
-    before paying for generation.
-    """
-    global _default_store
-    previous = _default_store
-    _default_store = store
-    return previous
-
-
-def get_default_store() -> Optional[Any]:
-    return _default_store
 
 
 def _profile_fields(profile: ProfileLike) -> Tuple[Tuple[str, Any], ...]:
@@ -208,41 +160,18 @@ def workload_key(profile: ProfileLike, length: int, seed: int = 0,
             float(warmup_cold_multiplier))
 
 
-def _generate_workload(prof: BenchmarkProfile, length: int, seed: int,
-                       warmup_cold_multiplier: float
-                       ) -> Tuple[List[int], Trace]:
-    """Run the synthetic generator (the slow path), counted and timed."""
-    global _generations, _generation_s
-    from repro.trace.generator import SyntheticTraceGenerator
-
-    start = time.monotonic()
-    generator = SyntheticTraceGenerator(prof, seed=seed)
-    warmup = generator.warmup_addresses(warmup_cold_multiplier)
-    trace = generator.generate(length)
-    materialize(trace)
-    with _lock:
-        _generations += 1
-        _generation_s += time.monotonic() - start
-    return warmup, trace
-
-
 def get_workload(profile: ProfileLike, length: int, seed: int = 0,
-                 warmup_cold_multiplier: float = 4.0,
-                 store: Any = _UNSET) -> Tuple[Any, Trace]:
-    """A ``(warmup_addresses, trace)`` pair, served in three tiers:
-    the process-local LRU, then the shared mmap workload store (when one
-    is installed via :func:`set_store` or passed as ``store=``), then
-    the synthetic generator.
+                 warmup_cold_multiplier: float = 4.0
+                 ) -> Tuple[List[int], Trace]:
+    """A ``(warmup_addresses, trace)`` pair from the process-local LRU,
+    generated on a miss.
 
     Generation is identical to
     :func:`repro.trace.generator.make_workload`; only the redundant
     re-generation is elided.  The trace's :class:`TraceArrays` are built
-    eagerly so every consumer shares them.  Store-served workloads are
-    bit-identical to generated ones (same instruction stream, same
-    warmup values); their warmup is a read-only ``memoryview`` over the
-    mapped file rather than a list.
+    eagerly so every consumer shares them.
     """
-    global _hits, _misses, _evictions
+    global _hits, _misses, _evictions, _generations, _generation_s
     key = workload_key(profile, length, seed, warmup_cold_multiplier)
     with _lock:
         cached = _lru.get(key)
@@ -251,20 +180,19 @@ def get_workload(profile: ProfileLike, length: int, seed: int = 0,
             _hits += 1
             return cached
 
-    # Generate/load outside the lock: generation is seconds-scale and
-    # pure, and the store serializes concurrent generators itself.
+    # Generate outside the lock: generation is seconds-scale and pure.
+    from repro.trace.generator import SyntheticTraceGenerator
+
+    start = time.monotonic()
     prof = get_profile(profile) if isinstance(profile, str) else profile
-    if store is _UNSET:
-        store = _default_store
-    if store is not None:
-        entry = store.fetch(
-            key[0], int(length), int(seed), float(warmup_cold_multiplier),
-            lambda: _generate_workload(prof, int(length), int(seed),
-                                       float(warmup_cold_multiplier)))
-    else:
-        entry = _generate_workload(prof, int(length), int(seed),
-                                   float(warmup_cold_multiplier))
+    generator = SyntheticTraceGenerator(prof, seed=int(seed))
+    warmup = generator.warmup_addresses(float(warmup_cold_multiplier))
+    trace = generator.generate(int(length))
+    materialize(trace)
+    entry = (warmup, trace)
     with _lock:
+        _generations += 1
+        _generation_s += time.monotonic() - start
         _misses += 1
         _lru[key] = entry
         _lru.move_to_end(key)

@@ -37,21 +37,6 @@ class Trace(Sequence[Instruction]):
             )
         self._validate_sequence_numbers()
 
-    @classmethod
-    def from_trusted(cls, instructions: List[Instruction],
-                     metadata: TraceMetadata) -> "Trace":
-        """Wrap an already-validated instruction list without copying.
-
-        For internal fast paths (the workload store rebuilds traces
-        whose sequence numbers are correct by construction); the O(n)
-        validation walk of ``__init__`` is skipped.  The list is owned
-        by the returned trace - callers must not mutate it.
-        """
-        trace = cls.__new__(cls)
-        trace._instructions = instructions
-        trace.metadata = metadata
-        return trace
-
     def _validate_sequence_numbers(self) -> None:
         for idx, inst in enumerate(self._instructions):
             if inst.seq != idx:

@@ -13,7 +13,6 @@ from repro.engine import core as engine_core
 from repro.engine.cache import CACHE_VERSION, ResultCache, canonical_key
 from repro.engine.core import SweepEngine, SweepSpec, model_calibration
 from repro.perfmodel.model import AnalyticModel
-from repro.trace import materialize
 
 #: The only files a cache root may hold: ``v<N>/<kk>/<key>.json``.
 ENTRY_PATH = re.compile(
@@ -134,32 +133,6 @@ class TestStore:
             cache.put(canonical_key({"i": i}), [i])
         assert cache.clear() == 3
         assert cache.get(canonical_key({"i": 0})) is None
-
-    def test_clear_keeps_workload_store(self, tmp_path):
-        """The default workload store lives under the cache root;
-        clear() must drop the cache's entries and leave the store
-        serving hits."""
-        root = tmp_path / "cache"
-        spec = SweepSpec(benchmarks=("gcc",), simulate=True,
-                         cache_grid=(64.0,), slice_grid=(1,),
-                         trace_length=600)
-        materialize.clear()
-        try:
-            cold = SweepEngine(jobs=1, cache=ResultCache(root=root),
-                               store=True).run(spec)
-            assert cold.store_stats["store_dumps"] == 1
-            assert ResultCache(root=root).clear() == 1
-
-            materialize.clear()  # force the store tier, not the LRU
-            warm = SweepEngine(jobs=1, cache=ResultCache(root=root),
-                               store=True).run(spec)
-        finally:
-            materialize.clear()
-            materialize.set_store(None)
-        assert warm.cache_misses == 1
-        assert warm.store_stats["store_hits"] == 1
-        assert warm.store_stats["generations"] == 0
-        assert warm.values == cold.values
 
     def test_env_var_sets_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env_cache"))

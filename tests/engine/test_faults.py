@@ -226,6 +226,17 @@ class TestWorkerDeath:
             _engine(tmp_path, backend=backend)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("store", [True, "workloads"])
+    def test_store_validation(self, tmp_path, store):
+        """Workloads come from the process LRU or the generator;
+        ``store`` takes only None."""
+        assert _engine(tmp_path, store=None) is not None
+        if store == "workloads":
+            store = tmp_path / store
+        with pytest.raises(ValueError, match="workload store") as info:
+            _engine(tmp_path, store=store)
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_cli_rejects_nonpositive_timeout(self, capsys, value):
         from repro.__main__ import main as cli_main
@@ -332,33 +343,3 @@ class TestDeathAndSharedState:
         monkeypatch.undo()
         sweep = _engine(tmp_path, jobs=1).run(spec)
         assert sweep.cache_hits == 1 and sweep.cache_misses == 1
-
-    def test_store_claim_from_dead_worker_expires(self, tmp_path):
-        """A workload-store claim held by a dead pid (a worker that was
-        OOM-killed mid-generation) must be broken by the next sweep,
-        not waited out."""
-        from repro.engine.store import WorkloadStore, store_key
-        from repro.trace import materialize
-        from repro.trace.materialize import workload_key
-
-        materialize.clear()  # force the store tier, not the LRU
-        store = WorkloadStore(tmp_path / "workloads")
-        fields = workload_key("gcc", 600, 1, 4.0)[0]
-        key = store_key(fields, 600, 1, 4.0)
-        path = store.claims.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"pid": 999999999, "ts": 0.0}',
-                        encoding="utf-8")
-        old = os.stat(path)
-        os.utime(path, (old.st_atime - 10, old.st_mtime - 10))
-
-        engine = _engine(tmp_path, jobs=1, store=store)
-        spec = SweepSpec(benchmarks=("gcc",), simulate=True,
-                         cache_grid=(64.0,), slice_grid=(1,),
-                         trace_length=600)
-        start = time.perf_counter()
-        sweep = engine.run(spec)
-        assert time.perf_counter() - start < 60  # no TTL wait
-        assert sweep.cache_misses == 1
-        assert store.has(key)  # the successor generated and published
-        assert not store.claims.active(key)

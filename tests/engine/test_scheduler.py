@@ -1,10 +1,9 @@
-"""The affinity scheduler: dual-path equivalence, workload affinity,
-batch ordering.
+"""The affinity scheduler: pooled-vs-serial equivalence, workload
+affinity, batch ordering.
 
-The scheduler's contract mirrors the store's: turning it on (affinity
-batches, the store tier) changes *when and where* units run, never
-*what* they produce - values, cache keys, and cache entry sets are
-bit-identical to the serial store-off path.
+Fanning a sweep across a pool in affinity batches changes *when and
+where* units run, never *what* they produce - values, cache keys, and
+cache entry sets are bit-identical to the serial path.
 """
 
 import multiprocessing
@@ -53,14 +52,12 @@ def _entry_keys(cache):
 @pytest.fixture(autouse=True)
 def _clean_lru():
     materialize.clear()
-    yield
-    materialize.set_store(None)
 
 
 class TestEquivalence:
-    def test_scheduler_and_store_match_serial(self, tmp_path):
-        """jobs=2 + store + affinity scheduling == serial store-off:
-        same values AND the same set of cache entries on disk."""
+    def test_scheduler_matches_serial(self, tmp_path):
+        """jobs=2 + affinity scheduling == serial: same values AND the
+        same set of cache entries on disk."""
         spec = SweepSpec(benchmarks=("gcc", "bzip", "mcf", "astar"),
                          cache_grid=(0.0, 64.0, 256.0),
                          slice_grid=(1, 2, 4))
@@ -69,37 +66,39 @@ class TestEquivalence:
 
         fan_cache = ResultCache(root=tmp_path / "fanned")
         fanned = SweepEngine(jobs=2, cache=fan_cache,
-                             parallel_threshold=1,
-                             store=tmp_path / "workloads").run(spec)
+                             parallel_threshold=1).run(spec)
 
         assert fanned.parallel and not serial.parallel
         assert fanned.values == serial.values
         assert _entry_keys(fan_cache) == _entry_keys(serial_cache)
         assert len(_entry_keys(serial_cache)) == 4
 
-    def test_simulation_sweep_bit_identical_with_store(self, tmp_path):
+    def test_pooled_simulation_sweep_bit_identical(self, tmp_path):
         spec = SweepSpec(benchmarks=("gcc", "bzip"), simulate=True,
                          cache_grid=(64.0, 256.0), slice_grid=(1, 2),
                          trace_length=800)
-        off = SweepEngine(jobs=1,
-                          cache=ResultCache(root=tmp_path / "off")
-                          ).run(spec)
+        serial = SweepEngine(jobs=1,
+                             cache=ResultCache(root=tmp_path / "serial")
+                             ).run(spec)
         materialize.clear()
-        on = SweepEngine(jobs=2, parallel_threshold=1,
-                         cache=ResultCache(root=tmp_path / "on"),
-                         store=tmp_path / "workloads").run(spec)
-        assert on.values == off.values
+        pooled = SweepEngine(jobs=2, parallel_threshold=1,
+                             cache=ResultCache(root=tmp_path / "pooled")
+                             ).run(spec)
+        assert pooled.parallel and not serial.parallel
+        assert pooled.values == serial.values
 
-    def test_store_stats_surface_in_result(self, tmp_path):
+    def test_workload_stats_surface_in_result(self, tmp_path):
         spec = SweepSpec(benchmarks=("gcc",), simulate=True,
                          cache_grid=(64.0,), slice_grid=(1, 2),
                          trace_length=600)
         sweep = SweepEngine(jobs=1,
-                            cache=ResultCache(root=tmp_path / "c"),
-                            store=tmp_path / "w").run(spec)
-        assert sweep.store_stats["generations"] == 1
+                            cache=ResultCache(root=tmp_path / "c")
+                            ).run(spec)
+        assert set(sweep.workload_stats) == {
+            "lru_hits", "lru_misses", "generations", "generation_s"}
+        assert sweep.workload_stats["generations"] == 1
         # Second grid point of the unit rides the worker's LRU.
-        assert sweep.store_stats["lru_hits"] >= 1
+        assert sweep.workload_stats["lru_hits"] >= 1
         assert set(sweep.sched_stats) == {"batches", "pool_retries"}
 
 

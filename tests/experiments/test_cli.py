@@ -44,6 +44,22 @@ class TestCLI:
             build_parser().parse_args(argv)
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("dest", ["workload_store", "no_store"])
+    def test_no_workload_store_flags(self, capsys, dest):
+        """Both parsers reject the flags of the deleted workload store
+        with a usage error."""
+        from repro.experiments import runner
+
+        flag = "--" + dest.replace("_", "-")
+        for parse in (lambda: build_parser().parse_args(
+                          ["experiments", flag]),
+                      lambda: runner.build_parser().parse_args([flag])):
+            with pytest.raises(SystemExit) as info:
+                parse()
+            assert info.value.code == 2
+            last = capsys.readouterr().err.strip().splitlines()[-1]
+            assert last.endswith("unrecognized arguments: " + flag)
+
     def test_runner_has_no_backend_flag(self):
         from repro.experiments import runner
 

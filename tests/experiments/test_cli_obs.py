@@ -110,21 +110,22 @@ class TestRunnerFlags:
         assert runner_main(_runner_args(tmp_path, "--timeout", "300")) == 0
 
 
-def test_experiments_subcommand_forwards_flags(tmp_path, capsys,
-                                               monkeypatch):
+def test_experiments_subcommand_forwards_flags(monkeypatch):
+    """``repro experiments`` parses with the runner's own flag set and
+    hands the namespace straight to the runner."""
     import repro.__main__ as cli
+    from repro.experiments import runner
 
     captured = {}
 
-    def fake_main(argv):
-        captured["argv"] = argv
+    def fake_run(args):
+        captured["args"] = args
         return 0
 
-    monkeypatch.setattr("repro.experiments.runner.main", fake_main)
-    assert cli.main(["experiments", "--obs", "--trace", "t.json",
-                     "--metrics-out", "m.json", "--timeout", "5"]) == 0
-    argv = captured["argv"]
-    assert "--obs" in argv
-    assert ["--trace", "t.json"] == argv[argv.index("--trace"):
-                                         argv.index("--trace") + 2]
-    assert "--metrics-out" in argv and "--timeout" in argv
+    monkeypatch.setattr(runner, "run_parsed", fake_run)
+    flags = ["--obs", "--trace", "t.json", "--metrics-out", "m.json",
+             "--timeout", "5", "--exact"]
+    assert cli.main(["experiments", *flags]) == 0
+    forwarded = vars(captured["args"])
+    expected = vars(runner.build_parser().parse_args(flags))
+    assert {name: forwarded[name] for name in expected} == expected

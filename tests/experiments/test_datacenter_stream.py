@@ -1,8 +1,33 @@
 """The datacenter_stream experiment: seeded streams, shards, CLI."""
 
+import os
+
 import pytest
 
 from repro.experiments import datacenter_stream as ds
+
+#: Stream arguments rejected before any event is driven, as ``run()``
+#: keywords and as CLI flags: each would drive a different number of
+#: events than asked or silently drop an option.  ``ck.json`` is
+#: relative to the test's working directory.
+REJECTED = {
+    "zero-events": ({"num_events": 0}, ["--events", "0"]),
+    "negative-events": ({"num_events": -5}, ["--events", "-5"]),
+    "faults-with-couple": ({"fault_rate": 0.2, "couple": 2},
+                           ["--faults", "0.2", "--couple", "2"]),
+    "checkpoint-without-path": ({"checkpoint_every": 100},
+                                ["--checkpoint-every", "100"]),
+    "checkpoint-with-couple": (
+        {"checkpoint_every": 100, "checkpoint_path": "ck.json",
+         "couple": 2},
+        ["--checkpoint-every", "100", "--checkpoint-path", "ck.json",
+         "--couple", "2"]),
+    "checkpoint-with-shards": (
+        {"checkpoint_every": 100, "checkpoint_path": "ck.json",
+         "shards": 2},
+        ["--checkpoint-every", "100", "--checkpoint-path", "ck.json",
+         "--shards", "2"]),
+}
 
 
 class TestDriveStream:
@@ -51,6 +76,14 @@ class TestRun:
         assert result.events_per_s > 0
         assert 0.0 <= result.rejection_rate <= 1.0
         assert result.latency_p99_ms >= result.latency_p50_ms >= 0.0
+
+    def test_fewer_events_than_segments(self):
+        """Every segment drives at least one event, and the run drives
+        exactly ``num_events``."""
+        result = ds.run(num_events=2, seed=4)
+        assert [row["segment"] for row in result.rows] == ["q1", "q2"]
+        assert [row["events"] for row in result.rows] == [1.0, 1.0]
+        assert result.num_events == 2
 
     def test_rejection_rate_reflects_floor(self):
         open_door = ds.run(num_events=150, seed=4,
@@ -104,6 +137,37 @@ class TestCli:
         payload = json.loads(path.read_text())
         assert payload["name"] == "datacenter_stream"
         assert payload["rows"]
+
+
+class TestRejectedArgs:
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_run_raises(self, case):
+        from repro.engine import SweepEngine
+
+        kwargs = {"num_events": 400, "reprice_every": 50,
+                  **REJECTED[case][0]}
+        if kwargs.get("shards", 1) > 1:
+            kwargs["engine"] = SweepEngine(jobs=1)
+        with pytest.raises(ValueError) as info:
+            ds.run(seed=4, **kwargs)
+        assert "\n" not in str(info.value)
+        assert not os.path.exists("ck.json")
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_cli_exits_2(self, case, capsys):
+        from repro.__main__ import main
+
+        assert main(["datacenter-stream", "--events", "400",
+                     "--reprice-every", "50", *REJECTED[case][1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not os.path.exists("ck.json")
 
 
 class TestCheckpointGeometry:

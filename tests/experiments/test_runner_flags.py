@@ -71,11 +71,11 @@ class TestCliPassthrough:
 
         seen = {}
 
-        def fake_main(argv):
-            seen["argv"] = list(argv)
+        def fake_run(args):
+            seen["args"] = args
             return 0
 
-        monkeypatch.setattr(runner, "main", fake_main)
+        monkeypatch.setattr(runner, "run_parsed", fake_run)
         assert cli.main(["experiments", "--sampling", "--profile"]) == 0
-        assert "--sampling" in seen["argv"]
-        assert "--profile" in seen["argv"]
+        assert seen["args"].sampling
+        assert seen["args"].profile

@@ -77,14 +77,6 @@ class TestTraceArrays:
         _, trace = make_workload("gcc", 300, seed=1)
         assert mat.trace_token(trace) == mat.trace_token(trace)
 
-    def test_from_buffers_wraps_without_copy(self):
-        _, trace = make_workload("gcc", 200, seed=1)
-        src = TraceArrays(trace)
-        view = TraceArrays.from_buffers(
-            src.length, src.pcs, src.mem_addrs, src.flags, src.targets)
-        assert view.pcs is src.pcs
-        assert len(view) == len(src)
-
 
 class TestWorkloadLRU:
     def test_hit_and_miss_counters(self):
