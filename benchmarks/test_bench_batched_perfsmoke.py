@@ -17,11 +17,9 @@ the win is column reuse, flat arrays and event-driven wakeup).  The
 threshold is set at 3x so a CI-runner slowdown doesn't flake the job
 while a real regression (losing the event-driven issue path, say)
 still fails loudly.  Timing JSONs land in ``REPRO_PERF_SMOKE_DIR``
-(default current directory) for the CI artifact upload.
+(default: the test's ``tmp_path``) for the CI artifact upload.
 """
 
-import json
-import os
 import time
 
 from repro.core.batched import BatchedSimulator
@@ -40,16 +38,7 @@ FIG12_GRID = tuple((ns, 128.0) for ns in (1, 2, 3, 4, 5, 6, 7, 8))
 MIN_SPEEDUP = 3.0
 
 
-def _dump(name, payload):
-    out_dir = os.environ.get("REPRO_PERF_SMOKE_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-    return path
-
-
-def test_bench_batched_perf_smoke():
+def test_bench_batched_perf_smoke(perf_smoke_dump):
     warmup, trace = get_workload(BENCHMARK, LENGTH, SEED)
 
     # Warm both paths (imports, workload memo, trace columns) so the
@@ -79,11 +68,11 @@ def test_bench_batched_perf_smoke():
         "trace_seed": SEED,
         "grid": [[ns, kb] for ns, kb in FIG12_GRID],
     }
-    scalar_path = _dump("batched_perf_smoke_scalar.json", {
+    scalar_path = perf_smoke_dump("batched_perf_smoke_scalar.json", {
         **common, "backend": "python", "wall_s": scalar_s,
         "cycles": [r.stats.cycles for r in scalar],
     })
-    _dump("batched_perf_smoke_batched.json", {
+    perf_smoke_dump("batched_perf_smoke_batched.json", {
         **common, "backend": "batched", "wall_s": batched_s,
         "speedup_vs_scalar": speedup,
         "cycles": [r.stats.cycles for r in batched],

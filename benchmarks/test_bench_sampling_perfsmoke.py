@@ -9,12 +9,10 @@ The ISSUE's headline claim for sampled simulation, asserted end to end:
 
 Both runs are timed sequentially in this process after pre-warming the
 workload LRU, so neither pays trace generation and the ratio is pure
-simulation time.  Timing JSONs land in ``REPRO_PERF_SMOKE_DIR`` (default
-current directory) for the CI artifact upload.
+simulation time.  Timing JSONs land in ``REPRO_PERF_SMOKE_DIR`` (default:
+the test's ``tmp_path``) for the CI artifact upload.
 """
 
-import json
-import os
 import time
 
 from repro.experiments.scalability import run_simulated
@@ -43,16 +41,7 @@ def _timed(sampling):
     return series, time.perf_counter() - start
 
 
-def _dump(name, payload):
-    out_dir = os.environ.get("REPRO_PERF_SMOKE_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-    return path
-
-
-def test_bench_sampling_perf_smoke():
+def test_bench_sampling_perf_smoke(perf_smoke_dump):
     get_workload(BENCH, LENGTH, SEED)  # pre-warm: no generation in timings
 
     exact_series, exact_s = _timed(None)
@@ -66,11 +55,11 @@ def test_bench_sampling_perf_smoke():
         "trace_length": LENGTH,
         "seed": SEED,
     }
-    exact_path = _dump("perf_smoke_exact.json", {
+    exact_path = perf_smoke_dump("perf_smoke_exact.json", {
         **common, "mode": "exact", "wall_s": exact_s,
         "series": {str(s): v for s, v in exact_series.items()},
     })
-    _dump("perf_smoke_sampled.json", {
+    perf_smoke_dump("perf_smoke_sampled.json", {
         **common, "mode": "sampled", "wall_s": sampled_s,
         "speedup_vs_exact": speedup,
         "sampling": DEFAULT_SAMPLING.key_fields(),

@@ -14,11 +14,8 @@ The thresholds are deliberately conservative (measured runs land at
 regressions - an accidentally quadratic roster walk, a reintroduced
 per-step ``np.stack`` rebuild, compaction thrashing - without flaking
 on slow CI runners.  Timing JSONs land in ``REPRO_PERF_SMOKE_DIR``
-(default current directory) for the CI artifact upload.
+(default: the test's ``tmp_path``) for the CI artifact upload.
 """
-
-import json
-import os
 
 import pytest
 
@@ -43,16 +40,7 @@ MIN_EVENTS_PER_S = 900.0
 MAX_P99_MS = 80.0
 
 
-def _dump(name, payload):
-    out_dir = os.environ.get("REPRO_PERF_SMOKE_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-    return path
-
-
-def test_bench_stream_perf_smoke():
+def test_bench_stream_perf_smoke(perf_smoke_dump):
     service = build_service()
     stats, latencies, _ = drive_stream(
         service, NUM_EVENTS, seed=SEED,
@@ -66,7 +54,7 @@ def test_bench_stream_perf_smoke():
     p99_ms = stats["latency_p99_ms"]
     arena = service._arena
 
-    path = _dump("stream_perf_smoke.json", {
+    path = perf_smoke_dump("stream_perf_smoke.json", {
         "num_events": NUM_EVENTS,
         "seed": SEED,
         "reprice_every": REPRICE_EVERY,

@@ -113,15 +113,20 @@ class Hypervisor:
         )
         tag = instance.vcore_owner_tag(vcore_index)
         self.fabric.release(tag)
-        slices = self.fabric.find_contiguous_slices(new_spec.num_slices)
-        if slices is None:
-            # Roll back: re-place the old VCore.
+        try:
+            slices = self.fabric.find_contiguous_slices(new_spec.num_slices)
+            if slices is None:
+                raise AllocationError("no room for the resized VCore")
+            self.fabric.claim(slices, owner=tag)
+            banks = self.fabric.find_nearest_banks(slices[0],
+                                                   new_spec.num_banks)
+            self.fabric.claim(banks, owner=tag)
+        except AllocationError:
+            # Roll back: re-place the old VCore on its exact tiles.
             old_slices, old_banks = instance.placements[vcore_index]
+            self.fabric.release(tag)
             self.fabric.claim(old_slices + old_banks, owner=tag)
-            raise AllocationError("no room for the resized VCore")
-        self.fabric.claim(slices, owner=tag)
-        banks = self.fabric.find_nearest_banks(slices[0], new_spec.num_banks)
-        self.fabric.claim(banks, owner=tag)
+            raise
         instance.placements[vcore_index] = (slices, banks)
         vcores = list(instance.spec.vcores)
         vcores[vcore_index] = new_spec

@@ -77,3 +77,54 @@ class TestAllocation:
         fabric = Fabric(width=4, height=1)
         assert fabric.defragment_candidates(2)
         assert not fabric.defragment_candidates(3)
+
+
+def state(fabric):
+    """Everything a claim may change, through the public API."""
+    return (
+        fabric.snapshot_owners(),
+        [fabric.owner_of(n) for n in range(fabric.mesh.num_nodes)],
+        fabric.free_count(TileKind.SLICE),
+        fabric.free_count(TileKind.BANK),
+        fabric.max_free_run(),
+        fabric.utilization(),
+    )
+
+
+class TestClaimIsAtomic:
+    """A rejected claim raises ``AllocationError`` and changes nothing."""
+
+    def test_duplicate_bank(self):
+        fabric = Fabric(width=8, height=2)
+        bank = fabric.tiles(TileKind.BANK)[0]
+        before = state(fabric)
+        with pytest.raises(AllocationError):
+            fabric.claim([bank, bank], "a")
+        assert state(fabric) == before
+        assert fabric.release("a") == []
+
+    def test_node_off_the_fabric(self):
+        fabric = Fabric(width=8, height=2)
+        before = state(fabric)
+        with pytest.raises(AllocationError):
+            fabric.claim([3, 999], "c")
+        assert fabric.owner_of(999) is None
+        assert state(fabric) == before
+        with pytest.raises(AllocationError):
+            fabric.claim([-1], "c")
+        assert state(fabric) == before
+
+    def test_duplicate_slice(self):
+        fabric = Fabric(width=8, height=2)
+        run = fabric.find_contiguous_slices(3)
+        before = state(fabric)
+        with pytest.raises(AllocationError):
+            fabric.claim(run + run[:1], "d")
+        assert state(fabric) == before
+        assert fabric.find_contiguous_slices(3) == run
+
+    def test_kind_rejects_nodes_off_the_fabric(self):
+        fabric = Fabric(width=8, height=2)
+        for node in (-1, fabric.mesh.num_nodes):
+            with pytest.raises(KeyError):
+                fabric.kind(node)

@@ -1,13 +1,13 @@
 """Equivalence tests for the indexed fabric fast paths.
 
-The fabric's placement queries were rewritten from linear tile scans to
-indexed structures (per-row free-run lists + a row-max segment tree for
-``find_contiguous_slices``, Manhattan ring expansion for
-``find_nearest_banks``).  These tests pin the new code to brute-force
-reference scans built on the public API only: over thousands of
-randomized claim/release operations, every query must return the exact
-node list the old linear scan would have, and the O(1) ``free_count``
-bookkeeping must match a full recount.
+The fabric answers placement queries from indexed structures (per-row
+free bytes + a row-max segment tree for ``find_contiguous_slices``;
+per-anchor bank orders, shared by ``empty_like()`` siblings, filtered
+through a free-tile mask for ``find_nearest_banks``).  These tests pin
+them to brute-force reference scans built on the public API only: over
+thousands of randomized claim/release operations, every query must
+return the exact node list the old linear scan would have, and the O(1)
+``free_count`` bookkeeping must match a full recount.
 """
 
 import random
@@ -50,17 +50,38 @@ def ref_free_counts(fabric):
     }
 
 
-@pytest.mark.parametrize("width,height,seed", [
-    (16, 8, 1),
-    (32, 16, 2),
-    (17, 5, 3),  # odd width: unbalanced slice/bank columns
+def fully_free(fabric):
+    return (fabric.utilization() == 0.0
+            and fabric.free_count(TileKind.SLICE) == fabric.num_slices
+            and fabric.free_count(TileKind.BANK) == fabric.num_banks)
+
+
+@pytest.mark.parametrize("width,height,bank_columns,seed", [
+    pytest.param(16, 8, None, 1, id="16-8-1"),
+    pytest.param(32, 16, None, 2, id="32-16-2"),
+    # odd width: unbalanced slice/bank columns
+    pytest.param(17, 5, None, 3, id="17-5-3"),
+    # banks on the edge and side by side
+    pytest.param(9, 6, [0, 3, 4], 4, id="9-6-banks034-4"),
 ])
-def test_randomized_equivalence(width, height, seed):
-    fabric = Fabric(width=width, height=height)
+def test_randomized_equivalence(width, height, bank_columns, seed):
+    template = Fabric(width=width, height=height, bank_columns=bank_columns)
+    # Siblings share the template's bank orders; the fresh fabric builds
+    # its own.  Operations interleave across all of them, and every so
+    # often a new sibling opens from a fabric that may be occupied.
+    fabrics = [template.empty_like(),
+               Fabric(width=width, height=height, bank_columns=bank_columns)]
+    held = [[], []]
     rng = random.Random(seed)
-    owners = []
     next_id = 0
-    for step in range(600):
+    for step in range(900):
+        if step % 300 == 150:
+            sibling = fabrics[rng.randrange(len(fabrics))].empty_like()
+            assert fully_free(sibling)
+            fabrics.append(sibling)
+            held.append([])
+        i = rng.randrange(len(fabrics))
+        fabric, owners = fabrics[i], held[i]
         op = rng.random()
         if op < 0.45:
             count = rng.randint(1, 6)
@@ -72,7 +93,8 @@ def test_randomized_equivalence(width, height, seed):
                 fabric.claim(got, owner)
                 owners.append(owner)
         elif op < 0.75:
-            anchor = rng.choice(fabric.tiles(TileKind.SLICE))
+            # Any tile may anchor, bank tiles included.
+            anchor = rng.randrange(fabric.mesh.num_nodes)
             count = rng.randint(1, 8)
             want = ref_nearest_banks(fabric, anchor, count)
             if want is None:
@@ -93,12 +115,11 @@ def test_randomized_equivalence(width, height, seed):
             want = ref_free_counts(fabric)
             assert fabric.free_count(TileKind.SLICE) == want[TileKind.SLICE]
             assert fabric.free_count(TileKind.BANK) == want[TileKind.BANK]
-    # Drain and verify the fabric returns to fully free.
-    for owner in owners:
-        fabric.release(owner)
-    assert fabric.free_count(TileKind.SLICE) == fabric.num_slices
-    assert fabric.free_count(TileKind.BANK) == fabric.num_banks
-    assert fabric.utilization() == 0.0
+    # Drain and verify every fabric returns to fully free.
+    for fabric, owners in zip(fabrics, held):
+        for owner in owners:
+            fabric.release(owner)
+        assert fully_free(fabric)
 
 
 def test_full_fabric_has_no_runs():

@@ -72,6 +72,19 @@ class TestHypervisor:
         assert instance.spec.vcores[0].num_slices == 4
         assert hv.stats.reconfigurations == 2
 
+    def test_resize_bank_shortfall_restores_placement(self):
+        hv = Hypervisor(Fabric(width=4, height=1))  # two banks
+        instance = hv.place(VMSpec.uniform(1, 1, 64))
+        owners = hv.fabric.snapshot_owners()
+        placements = list(instance.placements)
+        with pytest.raises(AllocationError):
+            hv.resize_vcore(instance.vm_id, 0,
+                            VCoreSpec(num_slices=1, l2_cache_kb=192))
+        assert hv.fabric.snapshot_owners() == owners
+        assert instance.placements == placements
+        assert instance.spec.vcores[0].l2_cache_kb == 64
+        assert hv.stats.reconfigurations == 0
+
     def test_resize_unknown_vm(self):
         hv = Hypervisor(Fabric(width=8, height=2))
         with pytest.raises(KeyError):

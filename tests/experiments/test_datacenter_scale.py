@@ -1,7 +1,13 @@
 """Tests for the datacenter-scale allocation experiment."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.cloud import fabric as fabric_module
+from repro.cloud.fabric import Fabric
+from repro.cloud.hypervisor import Hypervisor
 from repro.economics.market import MARKET2
 from repro.experiments import datacenter_scale
 from repro.obs import Observability
@@ -73,3 +79,57 @@ class TestRun:
         assert "200 tenants" in out
         assert "Market3" in out
         assert "phases:" in out
+
+
+class TestPlacement:
+    #: sha256 of every ``Hypervisor.place`` result (``None`` for a full
+    #: rack) of ``run(num_tenants=300, seed=7)``, recorded before the
+    #: bank orders moved to numpy.  The benchmark digests see only
+    #: per-market totals, not which tiles each VCore got.
+    PLACEMENTS_SHA256 = (
+        "478bf3f12ef1ffdd1088ca471039951888b7f3de3d2f9b45c31e029f68722ca0"
+    )
+
+    def test_placements_pinned(self, monkeypatch):
+        placements = []
+        place = Hypervisor.place
+
+        def recording(self, spec):
+            instance = place(self, spec)
+            placements.append(None if instance is None
+                              else instance.placements)
+            return instance
+
+        monkeypatch.setattr(Hypervisor, "place", recording)
+        datacenter_scale.run(num_tenants=300, seed=7)
+        text = json.dumps(placements, separators=(",", ":"))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == self.PLACEMENTS_SHA256)
+
+    def test_one_bank_order_per_anchor_per_run(self, monkeypatch):
+        """A run's racks share one order per anchor; a second run in the
+        same process starts cold and builds them again."""
+        builds = []
+        anchors = set()
+        build = fabric_module._BankOrders.__missing__
+        find = Fabric.find_nearest_banks
+
+        def counting(self, anchor):
+            builds.append(anchor)
+            return build(self, anchor)
+
+        def recording(self, anchor, count):
+            banks = find(self, anchor, count)
+            if banks:
+                anchors.add(anchor)
+            return banks
+
+        monkeypatch.setattr(fabric_module._BankOrders, "__missing__",
+                            counting)
+        monkeypatch.setattr(Fabric, "find_nearest_banks", recording)
+        datacenter_scale.run(num_tenants=300, seed=7)
+        assert sorted(builds) == sorted(anchors)
+        first = len(builds)
+        builds.clear()
+        datacenter_scale.run(num_tenants=300, seed=7)
+        assert len(builds) == first
