@@ -7,10 +7,13 @@ The ISSUE's headline claim for sampled simulation, asserted end to end:
   point (per-profile IPC accuracy is enforced separately by
   ``tests/sampling/test_equivalence.py``).
 
-Both runs are timed sequentially in this process after pre-warming the
-workload LRU, so neither pays trace generation and the ratio is pure
-simulation time.  Timing JSONs land in ``REPRO_PERF_SMOKE_DIR`` (default:
-the test's ``tmp_path``) for the CI artifact upload.
+Both sides run on the production structure-of-arrays core, one
+``simulate``/``simulate_sampled`` call per grid point, so the ratio is
+the schedule's saving alone.  Both runs are timed sequentially in this
+process after pre-warming the workload LRU, so neither pays trace
+generation and the ratio is pure simulation time.  Timing JSONs land
+in ``REPRO_PERF_SMOKE_DIR`` (default: the test's ``tmp_path``) for the
+CI artifact upload.
 """
 
 import time

@@ -62,28 +62,25 @@ def _cmd_simulate(args) -> int:
 
     obs = None
     if args.obs or args.trace or args.metrics_out:
+        if args.sampling:
+            print("repro simulate: error: --sampling has no per-cycle "
+                  "instrumentation; drop --obs/--trace/--metrics-out or "
+                  "--sampling", file=sys.stderr)
+            return 2
         obs = Observability(trace=args.trace is not None)
     warmup, trace = make_workload(args.benchmark, args.length,
                                   seed=args.seed)
-    backend = args.sim_backend
-    if backend == "batched" and obs is not None:
-        print("--backend batched has no per-instruction observability; "
-              "drop --obs/--trace or use --backend python",
-              file=sys.stderr)
-        return 2
     summary = None
     if args.sampling:
         from repro.sampling import simulate_sampled
         result = simulate_sampled(trace, num_slices=args.slices,
                                   l2_cache_kb=args.cache_kb,
-                                  warmup_addresses=warmup, obs=obs,
-                                  backend=backend)
+                                  warmup_addresses=warmup)
         summary = result.sampling
     else:
         result = simulate(trace, num_slices=args.slices,
                           l2_cache_kb=args.cache_kb,
-                          warmup_addresses=warmup, obs=obs,
-                          backend=backend)
+                          warmup_addresses=warmup, obs=obs)
     print(f"{args.benchmark} on ({args.slices} Slices, "
           f"{args.cache_kb:.0f} KB L2):")
     for key, value in result.stats.summary().items():
@@ -145,7 +142,9 @@ def _cmd_datacenter_stream(args) -> int:
             args.events, shards=args.shards, couple=args.couple,
             fault_rate=args.faults,
             checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint_path, engine=engine)
+            checkpoint_path=args.checkpoint_path, engine=engine,
+            sync_every=args.sync_every, chaos_seed=args.chaos_seed,
+            jobs=args.jobs)
     except ValueError as exc:
         print(f"repro datacenter-stream: error: {exc}", file=sys.stderr)
         return 2
@@ -166,8 +165,7 @@ def _cmd_datacenter_stream(args) -> int:
             reprice_every=args.reprice_every,
             shards=args.shards,
             couple=args.couple,
-            sync_every=(args.sync_every if args.sync_every is not None
-                        else datacenter_stream.SYNC_EVERY),
+            sync_every=args.sync_every,
             fault_rate=args.faults,
             chaos_seed=args.chaos_seed,
             strict=strict,
@@ -224,17 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--length", type=int, default=3000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--obs", action="store_true",
-                     help="attach the instrument registry")
+                     help="attach the instrument registry (runs the "
+                          "object-model reference core)")
     sim.add_argument("--trace", metavar="PATH", default=None,
                      help="write Chrome trace_event JSON of the run "
                           "(open in ui.perfetto.dev)")
     sim.add_argument("--metrics-out", metavar="PATH", default=None,
                      help="write stats + instrument snapshot as JSON")
-    sim.add_argument("--backend", dest="sim_backend",
-                     choices=("python", "batched"), default="python",
-                     help="simulator backend: the scalar reference or "
-                          "the structure-of-arrays batched backend "
-                          "(bit-identical stats, faster)")
     sim_mode = sim.add_mutually_exclusive_group()
     sim_mode.add_argument("--sampling", action="store_true",
                           help="interval-sampled run (reports IPC with "
@@ -276,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--sync-every", type=int, default=None,
                         metavar="N",
                         help="per-shard events between global price "
-                             "syncs when coupling (default 500)")
+                             "syncs (needs --couple; default 500)")
     stream.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes when sharding")
+                        help="worker processes (needs --shards)")
     stream.add_argument("--profile", metavar="PATH", default=None,
                         help="wrap the run in cProfile and dump pstats "
                              "to PATH")
@@ -288,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="RATE",
                         help="inject seeded faults at this per-event "
                              "rate (0 disables; implies lenient mode)")
-    stream.add_argument("--chaos-seed", type=int, default=0,
-                        help="seed for the fault plan and injector")
+    stream.add_argument("--chaos-seed", type=int, default=None,
+                        help="seed for the fault plan and injector "
+                             "(needs --faults; default 0)")
     stream.add_argument("--strict", action="store_true",
                         help="raise on bad events even when injecting "
                              "faults (default: lenient when --faults>0)")
@@ -305,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "events (needs --checkpoint-path)")
     stream.add_argument("--checkpoint-path", metavar="PATH",
                         default=None,
-                        help="where to write the checkpoint JSON")
+                        help="where to write the checkpoint JSON "
+                             "(needs --checkpoint-every)")
     stream.set_defaults(func=_cmd_datacenter_stream)
 
     sub.add_parser("list", help="list names").set_defaults(func=_cmd_list)

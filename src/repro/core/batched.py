@@ -1,28 +1,31 @@
-"""Batched structure-of-arrays simulator backend.
+"""Structure-of-arrays simulator core: the production SSim.
 
-One :class:`BatchedSimulator` advances *many VCore configurations in
-lockstep* over shared, materialized trace columns: the Fig 12/13 grid
-becomes a leading ``lane`` axis, with one numpy tensor per pipeline
-structure (ROB/LSQ occupancy in :class:`BatchedROB`/:class:`BatchedLSQ`,
-branch-predictor counter and BTB tables) and flat per-lane columns for
-the per-instruction pipeline state that the scalar simulator keeps in
-``DynInst`` objects.
+:class:`~repro.core.simulator.SharingSimulator` runs one lane of a
+:class:`BatchedSimulator` per configuration, and
+:func:`~repro.sampling.simulate_sampled` one lane of
+:meth:`BatchedSimulator.run_sampled`.  A batch can also advance *many
+VCore configurations* over shared, materialized trace columns: the
+configurations form a leading ``lane`` axis, with one structure per
+pipeline resource (ROB/LSQ occupancy in :class:`BatchedROB` /
+:class:`BatchedLSQ`, branch-predictor counter and BTB tables) and flat
+per-lane columns for the per-instruction pipeline state that the object
+model keeps in ``DynInst`` objects.
 
-The scalar :class:`~repro.core.simulator.SharingSimulator` is the
-untouched equivalence reference (the ``backend="python"`` role): every
-statistic in :class:`~repro.core.stats.SimStats` is reproduced
-*bit-for-bit* per lane, enforced by ``tests/core/test_batched_equivalence``
-exactly as ``economics/tensor.py`` is pinned to its scalar path.
+The object model :class:`~repro.core.simulator.ReferenceSimulator` is
+the equivalence reference: every statistic in
+:class:`~repro.core.stats.SimStats` is reproduced *bit-for-bit* per
+lane, enforced by ``tests/core/test_batched_equivalence`` and the golden
+fixtures.
 
-Where the batched speed comes from
-----------------------------------
+Where the speed comes from
+--------------------------
 
-* **Shared workload** - every lane of a trace walks one set of
+* **Flat workload columns** - every lane of a trace walks one set of
   precomputed columns (PCs, packed flags, live sources, home/fetch
-  Slice maps) instead of chasing ``Instruction`` property chains.
+  Slice maps, cached on the trace) instead of chasing ``Instruction``
+  property chains.
 * **Shared warmup** - cache-warm state is computed once per
-  (trace, num_slices) group and copied into each lane, instead of
-  replaying millions of warmup addresses per configuration.
+  (trace, num_slices) group and copied into each lane.
 * **De-objectified pipeline** - per-instruction state lives in flat
   per-lane columns indexed by sequence number (epoch counters replace
   object identity across squash/refetch), and the per-cycle
@@ -30,6 +33,9 @@ Where the batched speed comes from
   drains are caught up only when a Slice's memory system is next
   observed, which is exact because both are pure functions of the cycle
   number.
+
+The speed is per lane: a multi-lane grid saves only the shared warmup
+(DESIGN.md §12), so production runs one lane per configuration.
 
 Divergence handling
 -------------------
@@ -39,16 +45,16 @@ each keeps its own ``now`` and the driver advances lanes in bounded
 chunks, so "lockstep" is a scheduling policy rather than a correctness
 constraint.  Two structures are deliberately kept as exact Python ports
 rather than tensors because their *iteration order is observable* in the
-scalar reference: the LRF remote-operand cache (``next(iter(set))``
-eviction) and the cache LRU lists (dict/list ordering).  Reproducing the
-same operation sequence on the same container types reproduces the same
+reference: the LRF remote-operand cache (``next(iter(set))`` eviction)
+and the cache LRU lists (dict/list ordering).  Reproducing the same
+operation sequence on the same container types reproduces the same
 victims, which is what bit-identity requires.
 
-Restrictions: ``repro.obs`` instrumentation is not supported on the
-batched backend (attach ``obs`` to the scalar reference instead); lanes
-always use the default ring-packed L2 bank distances, exactly like every
-``simulate()`` call (which rebuilds the ``VCoreConfig`` from
-``(num_slices, l2_cache_kb)``).
+Restrictions: ``repro.obs`` instrumentation is not supported (run
+:class:`~repro.core.simulator.ReferenceSimulator`, or ``simulate()``
+with an enabled ``obs``, for instrumented runs); lanes always use the
+default ring-packed L2 bank distances, so a config that sets
+``VCoreConfig.l2_bank_distances`` is rejected.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cache.l1 import L1_LINE_BYTES
 from repro.cache.l2 import (
     L2_ASSOC,
     L2_BANK_BYTES,
@@ -449,8 +456,10 @@ class BatchedSimulator:
     a sequence of ``(num_slices, l2_cache_kb)`` pairs (single trace) or
     ``(trace_index, num_slices, l2_cache_kb)`` triples.  All lanes share
     one :class:`~repro.core.config.SimConfig` (grid sweeps vary only the
-    VCore composition); each lane's results are bit-identical to a
-    scalar ``simulate()`` call with the same parameters.
+    VCore composition: a lane's Slice count and L2 size come from its
+    spec, not from ``config.vcore``); each lane's results are
+    bit-identical to a :class:`~repro.core.simulator.ReferenceSimulator`
+    run with the same parameters.
     """
 
     def __init__(self, traces: Union[Trace, Sequence[Trace]],
@@ -463,9 +472,9 @@ class BatchedSimulator:
                  obs: Any = None) -> None:
         if obs is not None and getattr(obs, "enabled", False):
             raise ValueError(
-                "the batched backend does not support repro.obs "
-                "instrumentation; use backend='python' for instrumented "
-                "runs"
+                "the structure-of-arrays core does not support repro.obs "
+                "instrumentation; run ReferenceSimulator (or simulate() "
+                "with obs) for instrumented runs"
             )
         if isinstance(traces, Trace):
             traces = [traces]
@@ -476,6 +485,11 @@ class BatchedSimulator:
         if not lanes:
             raise ValueError("need at least one lane")
         cfg = config or SimConfig()
+        if cfg.vcore.l2_bank_distances is not None:
+            raise ValueError(
+                "VCoreConfig.l2_bank_distances is not supported: lanes "
+                "use the default ring-packed bank distances"
+            )
         if timeout is not None:
             cfg = replace(cfg, max_cycles=timeout)
         self.config = cfg
@@ -508,7 +522,9 @@ class BatchedSimulator:
         self.l1i_sets_n = max(1, int(c_cfg.l1i.size_kb * 1024)
                               // self.l1i_line // self.l1i_assoc)
         self.l1i_hit = c_cfg.l1i.hit_delay
-        self.l1d_line = c_cfg.l1d.block_bytes
+        # Fixed like the object model's L1D, MSHR and store-buffer lines:
+        # ``CacheLevelConfig.block_bytes`` reaches neither core.
+        self.l1d_line = L1_LINE_BYTES
         self.l1d_assoc = c_cfg.l1d.assoc
         self.l1d_sets_n = max(1, int(c_cfg.l1d.size_kb * 1024)
                               // self.l1d_line // self.l1d_assoc)
@@ -1749,10 +1765,13 @@ class BatchedSimulator:
     def run_sampled(self, sampling: Any,
                     phase_lengths: Optional[Sequence[int]] = None
                     ) -> List[SimResult]:
-        """Sampled run: every lane follows the scalar
-        :class:`~repro.sampling.sampled.SampledSimulator` loop exactly
-        (same schedule, same window targets, same extrapolation), with
-        lanes of one trace advancing window-by-window together.
+        """Sampled run: every lane follows the planned schedule - an
+        exhaustively timed head, then fast-forward gaps and detailed
+        windows whose warmup prefix is discarded - and extrapolates with
+        :func:`~repro.sampling.sampled.extrapolate_sampled`.  Lanes of
+        one trace advance window-by-window together.  The sampled
+        reference loop on the object model (``tests/oracles/sampled.py``)
+        pins every result.
         """
         from repro.sampling.policy import SamplingPolicy
         from repro.sampling.sampled import extrapolate_sampled
@@ -1835,56 +1854,3 @@ class BatchedSimulator:
                     head_cycles=head_cycles[lane.index],
                 )
         return results  # type: ignore[return-value]
-
-
-# ======================================================================
-# module-level entry points
-# ======================================================================
-
-
-def simulate_batched(trace: Trace, num_slices: int = 1,
-                     l2_cache_kb: float = 128.0,
-                     config: Optional[SimConfig] = None,
-                     warmup_trace: Optional[Trace] = None,
-                     warmup_addresses: Optional[Sequence[int]] = None,
-                     timeout: Optional[int] = None,
-                     obs: Any = None) -> SimResult:
-    """One-configuration convenience wrapper (a one-lane batch)."""
-    sim = BatchedSimulator(
-        trace, [(num_slices, l2_cache_kb)], config=config,
-        warmup_traces=[warmup_trace] if warmup_trace is not None else None,
-        warmup_addresses=([warmup_addresses]
-                          if warmup_addresses is not None else None),
-        timeout=timeout, obs=obs,
-    )
-    return sim.run()[0]
-
-
-def simulate_grid(trace: Trace, cache_grid: Sequence[float],
-                  slice_grid: Sequence[int],
-                  config: Optional[SimConfig] = None,
-                  warmup_trace: Optional[Trace] = None,
-                  warmup_addresses: Optional[Sequence[int]] = None,
-                  timeout: Optional[int] = None,
-                  sampling: Any = None,
-                  phase_lengths: Optional[Sequence[int]] = None
-                  ) -> Dict[Tuple[float, int], SimResult]:
-    """One batched pass over a (cache_kb, slices) grid.
-
-    Returns ``{(cache_kb, slices): SimResult}`` for every grid point;
-    with ``sampling`` the run composes interval sampling with batching
-    (sampled extrapolation per lane, shared fast-forward schedule).
-    """
-    points = [(float(c), int(s)) for c in cache_grid for s in slice_grid]
-    sim = BatchedSimulator(
-        trace, [(s, c) for c, s in points], config=config,
-        warmup_traces=[warmup_trace] if warmup_trace is not None else None,
-        warmup_addresses=([warmup_addresses]
-                          if warmup_addresses is not None else None),
-        timeout=timeout,
-    )
-    if sampling is not None:
-        results = sim.run_sampled(sampling, phase_lengths=phase_lengths)
-    else:
-        results = sim.run()
-    return dict(zip(points, results))

@@ -176,11 +176,9 @@ class SimConfig:
     #: violation-replay (the paper's unordered, late-binding design).
     ordered_lsq: bool = False
     max_cycles: int = 2_000_000
-    #: Simulator implementation: "python" is the scalar reference
-    #: (``SharingSimulator``), "batched" the structure-of-arrays backend
-    #: (``repro.core.batched``, bit-identical stats, many configurations
-    #: per pass).  Part of ``fingerprint()``, so engine work-unit cache
-    #: entries from the two backends never alias.
+    #: Selects nothing: every run uses the one production core.  Kept,
+    #: and kept in ``fingerprint()``, so callers that pass it and the
+    #: engine's cache keys stay valid.
     backend: str = "python"
 
     def __post_init__(self) -> None:

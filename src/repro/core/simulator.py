@@ -26,6 +26,14 @@ The simulator is trace-driven: wrong-path instructions are not executed;
 a mispredicted branch instead stalls fetch until resolution plus the
 redirect penalty, and a memory-order violation squashes and refetches
 from the violating load.
+
+Two cores implement this model with bit-identical ``SimStats``:
+:class:`SharingSimulator`, the production entry point, runs the
+structure-of-arrays core in :mod:`repro.core.batched`;
+:class:`ReferenceSimulator` is the object model it is checked against,
+and the only core that supports ``repro.obs`` instrumentation.
+:func:`simulate` picks the reference only when an enabled ``obs`` is
+attached.
 """
 
 from __future__ import annotations
@@ -82,14 +90,85 @@ class SimResult:
         return self.stats.ipc
 
 
+def _resolve_config(config: Optional[SimConfig],
+                    num_slices: Optional[int],
+                    l2_cache_kb: Optional[float],
+                    timeout: Optional[int]) -> SimConfig:
+    """``config`` with the VCore and cycle-budget keywords applied."""
+    cfg = config or SimConfig()
+    if num_slices is not None or l2_cache_kb is not None:
+        cfg = cfg.with_vcore(
+            num_slices=(num_slices if num_slices is not None
+                        else cfg.vcore.num_slices),
+            l2_cache_kb=(l2_cache_kb if l2_cache_kb is not None
+                         else cfg.vcore.l2_cache_kb),
+        )
+    if timeout is not None:
+        cfg = replace(cfg, max_cycles=timeout)
+    return cfg
+
+
+def _one_lane(trace: Trace, config: SimConfig,
+              warmup_trace: Optional[Trace],
+              warmup_addresses: Optional[Sequence[int]]):
+    """A one-lane structure-of-arrays core for ``config.vcore``.
+
+    Imported on first use: callers that never simulate (the analytic
+    sweeps) do not load :mod:`repro.core.batched`.
+    """
+    from repro.core.batched import BatchedSimulator
+
+    vcore = config.vcore
+    return BatchedSimulator(
+        trace, [(vcore.num_slices, vcore.l2_cache_kb)], config=config,
+        warmup_traces=[warmup_trace] if warmup_trace is not None else None,
+        warmup_addresses=([warmup_addresses]
+                          if warmup_addresses is not None else None),
+    )
+
+
 class SharingSimulator:
     """Cycle-level simulation of one trace on one VCore configuration.
+
+    The production simulator: :meth:`run` advances one lane of the
+    structure-of-arrays core (:class:`~repro.core.batched.BatchedSimulator`),
+    whose ``SimStats`` equal :class:`ReferenceSimulator`'s bit for bit.
 
     ``warmup_trace``, when given, is replayed *functionally* (cache state
     only, no timing) before the timed region, so short timed traces see
     steady-state miss rates rather than a cold-cache compulsory-miss wall.
     This substitutes for the fast-forward phase of the paper's full-length
-    GEM5 trace runs.
+    GEM5 trace runs.  ``warmup_addresses`` replays a read-address stream
+    the same way.  ``timeout`` caps the run at that many cycles.
+    """
+
+    def __init__(self, trace: Trace, config: Optional[SimConfig] = None,
+                 num_slices: Optional[int] = None,
+                 l2_cache_kb: Optional[float] = None,
+                 warmup_trace: Optional[Trace] = None,
+                 warmup_addresses: Optional[Sequence[int]] = None,
+                 timeout: Optional[int] = None):
+        self.trace = trace
+        self.config = _resolve_config(config, num_slices, l2_cache_kb,
+                                      timeout)
+        self.warmup_trace = warmup_trace
+        self.warmup_addresses = warmup_addresses
+
+    def run(self) -> SimResult:
+        """Simulate the whole trace; raises :class:`SimulationTimeout`."""
+        return _one_lane(self.trace, self.config, self.warmup_trace,
+                         self.warmup_addresses).run()[0]
+
+
+class ReferenceSimulator:
+    """The object-model SSim: one ``DynInst`` per in-flight instruction.
+
+    The equivalence reference for the production
+    :class:`SharingSimulator` (every ``SimStats`` field must match), and
+    the only core with per-cycle instrumentation: ``obs`` attaches the
+    component counters and, when tracing, the pipeline/cache/network
+    event stream.  Takes :class:`SharingSimulator`'s keywords plus
+    ``obs``.
     """
 
     def __init__(self, trace: Trace, config: Optional[SimConfig] = None,
@@ -100,17 +179,8 @@ class SharingSimulator:
                  timeout: Optional[int] = None,
                  obs: Optional[Observability] = None):
         self.trace = trace
-        cfg = config or SimConfig()
-        if num_slices is not None or l2_cache_kb is not None:
-            cfg = cfg.with_vcore(
-                num_slices=(num_slices if num_slices is not None
-                            else cfg.vcore.num_slices),
-                l2_cache_kb=(l2_cache_kb if l2_cache_kb is not None
-                             else cfg.vcore.l2_cache_kb),
-            )
-        if timeout is not None:
-            cfg = replace(cfg, max_cycles=timeout)
-        self.config = cfg
+        self.config = _resolve_config(config, num_slices, l2_cache_kb,
+                                      timeout)
         self.vcore = VCore(self.config)
         self.stats = SimStats()
         if warmup_trace is not None:
@@ -135,8 +205,9 @@ class SharingSimulator:
         )
         self._now = 0
         self._fetch_ptr = 0
-        #: fetch stops at this trace position (sampled runs bound each
-        #: detailed window; exact runs leave it at the trace length)
+        #: fetch stops at this trace position (the sampled reference loop
+        #: bounds each detailed window; exact runs leave it at the trace
+        #: length)
         self._fetch_limit = len(trace)
         self._fetch_stall_until = 0
         self._blocking_branch: Optional[DynInst] = None
@@ -249,8 +320,9 @@ class SharingSimulator:
         """Step the detailed model until ``target`` instructions committed.
 
         ``target`` counts detailed commits only (fast-forwarded
-        instructions are excluded); the sampled simulator uses this to
-        run one bounded detail window at a time.
+        instructions are excluded); the sampled reference loop
+        (``tests/oracles/sampled.py``) uses this to run one bounded
+        detail window at a time.
         """
         max_cycles = self.config.max_cycles
         stats = self.stats
@@ -859,40 +931,26 @@ class SharingSimulator:
         stats.l2_misses = self.vcore.l2.misses
 
 
-def simulate(trace: Trace, num_slices: int = 1, l2_cache_kb: float = 128.0,
+def simulate(trace: Trace, num_slices: Optional[int] = None,
+             l2_cache_kb: Optional[float] = None,
              config: Optional[SimConfig] = None,
              warmup_trace: Optional[Trace] = None,
              warmup_addresses: Optional[Sequence[int]] = None,
              timeout: Optional[int] = None,
-             obs: Optional[Observability] = None,
-             backend: Optional[str] = None) -> SimResult:
+             obs: Optional[Observability] = None) -> SimResult:
     """Convenience wrapper: simulate ``trace`` on one VCore configuration.
 
-    Takes the same keywords as :class:`SharingSimulator` (``num_slices``,
-    ``l2_cache_kb``, ``warmup_trace``, ``warmup_addresses``, ``timeout``);
-    ``timeout`` caps the simulation at that many cycles.  ``obs`` attaches
-    an :class:`~repro.obs.Observability` instance: its registry gets the
+    Takes the same keywords as :class:`SharingSimulator`; ``num_slices``
+    and ``l2_cache_kb`` default to ``config.vcore``'s.  An enabled
+    ``obs`` (an :class:`~repro.obs.Observability`) runs the instrumented
+    :class:`ReferenceSimulator` instead: its registry gets the
     per-component counters, and (when tracing) its tracer records the
-    pipeline/cache/network event stream for Chrome trace export.
-
-    ``backend`` overrides ``config.backend``: ``"python"`` runs this
-    module's scalar reference, ``"batched"`` the bit-identical
-    structure-of-arrays backend (:mod:`repro.core.batched`).
+    pipeline/cache/network event stream for Chrome trace export.  Both
+    cores return identical results.
     """
-    if backend is None:
-        backend = config.backend if config is not None else "python"
-    if backend == "batched":
-        from repro.core.batched import simulate_batched
-
-        return simulate_batched(
-            trace, num_slices=num_slices, l2_cache_kb=l2_cache_kb,
-            config=config, warmup_trace=warmup_trace,
-            warmup_addresses=warmup_addresses, timeout=timeout, obs=obs)
-    if backend != "python":
-        raise ValueError(
-            f"backend must be 'python' or 'batched', got {backend!r}")
-    return SharingSimulator(trace, config=config, num_slices=num_slices,
-                            l2_cache_kb=l2_cache_kb,
-                            warmup_trace=warmup_trace,
-                            warmup_addresses=warmup_addresses,
-                            timeout=timeout, obs=obs).run()
+    kwargs = dict(config=config, num_slices=num_slices,
+                  l2_cache_kb=l2_cache_kb, warmup_trace=warmup_trace,
+                  warmup_addresses=warmup_addresses, timeout=timeout)
+    if obs is not None and obs.enabled:
+        return ReferenceSimulator(trace, obs=obs, **kwargs).run()
+    return SharingSimulator(trace, **kwargs).run()

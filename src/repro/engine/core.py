@@ -345,30 +345,6 @@ def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
 
         sampling = (SamplingConfig(**dict(unit.sampling))
                     if unit.sampling is not None else None)
-        sim_config = unit.sim_config
-        if sim_config is not None and sim_config.backend == "batched":
-            # Whole-grid batched evaluation: every (cache, slices) point
-            # of this unit becomes one lane over ONE shared trace-column
-            # materialization, advanced in lockstep by the SoA backend.
-            # Bit-identical to the scalar loop below (the equivalence
-            # harness pins this), just one simulator instead of |grid|.
-            from repro.core.batched import BatchedSimulator
-
-            warmup, trace = get_workload(
-                profile, unit.trace_length, unit.trace_seed)
-            lanes = [(int(s), float(c))
-                     for c in unit.cache_grid for s in unit.slice_grid]
-            sim = BatchedSimulator(
-                trace, lanes, config=sim_config,
-                warmup_addresses=[warmup])
-            if sampling is not None:
-                lane_results = sim.run_sampled(sampling)
-            else:
-                lane_results = sim.run()
-            return [
-                [float(c), int(s), result.ipc]
-                for (s, c), result in zip(lanes, lane_results)
-            ]
         rows = []
         for c in unit.cache_grid:
             for s in unit.slice_grid:

@@ -557,10 +557,14 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
                    fault_rate: float = 0.0, checkpoint_every: int = 0,
                    checkpoint_path: Optional[str] = None,
-                   engine=None) -> None:
+                   engine=None, sync_every: Optional[int] = None,
+                   chaos_seed: Optional[int] = None,
+                   jobs: int = 1) -> None:
     """Raise the one-line ``ValueError`` :func:`run` raises for these
     arguments, if any: a run drives exactly ``num_events`` events and
-    acts on every option it is given."""
+    acts on every option it is given.  ``None`` means "not given" for
+    ``sync_every`` and ``chaos_seed``; ``jobs`` is the CLI's worker
+    count for sharded runs."""
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
     if fault_rate > 0.0 and couple > 1:
@@ -568,6 +572,17 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
                          "groups run without a fault injector")
     if checkpoint_every and not checkpoint_path:
         raise ValueError("checkpoint_every needs a checkpoint_path")
+    if checkpoint_path and not checkpoint_every:
+        raise ValueError("checkpoint_path needs checkpoint_every")
+    if sync_every is not None and couple <= 1:
+        raise ValueError("sync_every needs couple > 1: only coupled "
+                         "shards sync prices")
+    if chaos_seed is not None and fault_rate <= 0.0:
+        raise ValueError("chaos_seed needs fault_rate > 0: it seeds the "
+                         "fault plan")
+    if jobs != 1 and shards <= 1:
+        raise ValueError("jobs needs shards > 1: only sharded runs fan "
+                         "out to workers")
     if checkpoint_every and (couple > 1
                              or (shards > 1 and engine is not None)):
         raise ValueError("checkpoint_every needs shards=1 and couple=1: "
@@ -579,8 +594,8 @@ def run(num_events: int = 20_000, seed: int = 11,
         admission_floor: float = ADMISSION_FLOOR,
         reprice_every: int = 1, segments: int = 4,
         shards: int = 1,
-        couple: int = 1, sync_every: int = SYNC_EVERY,
-        fault_rate: float = 0.0, chaos_seed: int = 0,
+        couple: int = 1, sync_every: Optional[int] = None,
+        fault_rate: float = 0.0, chaos_seed: Optional[int] = None,
         strict: Optional[bool] = None, readmit: bool = False,
         audit_every: int = 0,
         checkpoint_every: int = 0,
@@ -592,14 +607,15 @@ def run(num_events: int = 20_000, seed: int = 11,
     ``kind="service"`` work units instead (one row per shard).
     ``couple > 1`` makes each unit a *coupled group* of that many
     shard services trading against one shared global price vector,
-    averaged/broadcast every ``sync_every`` events per shard - the
+    averaged/broadcast every ``sync_every`` events per shard (default
+    :data:`SYNC_EVERY`) - the
     1M-event configuration is ``shards * couple`` services covering
     ``num_events`` total events in one invocation.
 
     ``fault_rate > 0`` perturbs the stream with a
     :class:`~repro.cloud.resilience.FaultPlan` seeded by
-    ``chaos_seed``; the service then runs lenient (dead letters,
-    graceful degradation) unless ``strict=True`` is forced.
+    ``chaos_seed`` (default 0); the service then runs lenient (dead
+    letters, graceful degradation) unless ``strict=True`` is forced.
     ``checkpoint_every=N`` writes a resumable checkpoint JSON to
     ``checkpoint_path`` every N events (single-stream mode only).
     Arguments that would drive a different number of events or drop an
@@ -608,7 +624,12 @@ def run(num_events: int = 20_000, seed: int = 11,
     check_run_args(num_events, shards=shards, couple=couple,
                    fault_rate=fault_rate,
                    checkpoint_every=checkpoint_every,
-                   checkpoint_path=checkpoint_path, engine=engine)
+                   checkpoint_path=checkpoint_path, engine=engine,
+                   sync_every=sync_every, chaos_seed=chaos_seed)
+    if sync_every is None:
+        sync_every = SYNC_EVERY
+    if chaos_seed is None:
+        chaos_seed = 0
     start = time.perf_counter()
     if obs is None and engine is not None:
         obs = getattr(engine, "obs", None)
@@ -627,8 +648,12 @@ def run(num_events: int = 20_000, seed: int = 11,
         if fault_rate > 0.0:
             params.update({"fault_rate": fault_rate,
                            "chaos_seed": chaos_seed,
-                           "strict": strict, "readmit": readmit,
-                           "audit_every": audit_every})
+                           "strict": strict})
+        # Clean runs key these only when set, so their cache keys stay.
+        if readmit or fault_rate > 0.0:
+            params["readmit"] = readmit
+        if audit_every or fault_rate > 0.0:
+            params["audit_every"] = audit_every
         sweep = engine.service_map(params, shards=shards)
         rows = []
         for shard in range(shards):

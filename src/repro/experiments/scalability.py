@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.simulator import simulate
@@ -80,69 +81,38 @@ def run_simulated(benchmark: str = "gcc",
                   trace_length: int = 4000,
                   seed: int = 1,
                   sampling=None,
-                  engine=None,
-                  backend: str = "python") -> Dict[int, float]:
+                  engine=None) -> Dict[int, float]:
     """Cycle-level anchor points for one benchmark.
 
     ``sampling`` (a :class:`~repro.sampling.SamplingConfig`) switches
     the sweep to interval-sampled simulation; ``engine`` routes the
     points through a :class:`~repro.engine.SweepEngine` (cached,
     fanned out), in which case the engine's own ``sampling`` setting
-    applies unless overridden here.  ``backend="batched"`` advances the
-    whole Slice grid in one structure-of-arrays pass (bit-identical
-    points, one trace materialization instead of ``len(slice_grid)``).
+    applies unless overridden here.
     """
     slice_grid = tuple(int(s) for s in slice_grid)
     if engine is not None:
         if sampling is not None and engine.sampling is None:
             engine.sampling = sampling
-        sim_config = None
-        if backend != "python":
-            from repro.core.config import SimConfig
-            sim_config = SimConfig(backend=backend)
         sweep = engine.simulation_map(
             [benchmark], cache_grid=(BASELINE_CACHE_KB,),
             slice_grid=slice_grid, trace_length=trace_length,
-            trace_seed=seed, sim_config=sim_config)
+            trace_seed=seed)
         grid = sweep.grid(benchmark)
         ipcs = {s: grid[(BASELINE_CACHE_KB, s)] for s in slice_grid}
-        base = ipcs[slice_grid[0]]
-        return {s: ipc / base for s, ipc in ipcs.items()}
-    from repro.trace.materialize import get_workload
-    warmup, trace = get_workload(benchmark, trace_length, seed)
-    if backend == "batched":
-        from repro.core.batched import BatchedSimulator
-
-        sim = BatchedSimulator(
-            trace, [(s, BASELINE_CACHE_KB) for s in slice_grid],
-            warmup_addresses=[warmup])
-        if sampling is not None:
-            results = sim.run_sampled(sampling)
-            base = results[0].ipc
-            return {s: r.ipc / base
-                    for s, r in zip(slice_grid, results)}
-        results = sim.run()
-        base = results[0].stats.cycles
-        return {s: base / r.stats.cycles
-                for s, r in zip(slice_grid, results)}
-    if sampling is not None:
+    else:
         from repro.sampling import simulate_sampled
-        results = {
-            s: simulate_sampled(trace, num_slices=s,
-                                l2_cache_kb=BASELINE_CACHE_KB,
-                                sampling=sampling,
-                                warmup_addresses=warmup)
-            for s in slice_grid
-        }
-        base = results[slice_grid[0]].ipc
-        return {s: r.ipc / base for s, r in results.items()}
-    cycles = {
-        s: simulate(trace, num_slices=s, l2_cache_kb=BASELINE_CACHE_KB,
-                    warmup_addresses=warmup).cycles
-        for s in slice_grid
-    }
-    base = cycles[slice_grid[0]]
-    return {s: base / c for s, c in cycles.items()}
+        from repro.trace.materialize import get_workload
+
+        warmup, trace = get_workload(benchmark, trace_length, seed)
+        point = (simulate if sampling is None
+                 else partial(simulate_sampled, sampling=sampling))
+        ipcs = {s: point(trace, num_slices=s,
+                         l2_cache_kb=BASELINE_CACHE_KB,
+                         warmup_addresses=warmup).ipc
+                for s in slice_grid}
+    base = ipcs[slice_grid[0]]
+    return {s: ipc / base for s, ipc in ipcs.items()}
 
 
 def render(result: ScalabilityResult) -> None:

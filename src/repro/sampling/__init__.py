@@ -11,14 +11,13 @@ Public surface:
 
 * :class:`SamplingConfig` / :class:`SamplingPolicy` / :class:`Schedule`
   - plan which trace regions run in detail;
-* :class:`SampledSimulator` / :func:`simulate_sampled` - execute the
-  plan and extrapolate a :class:`~repro.core.simulator.SimResult`;
-* :class:`Checkpoint` - snapshot/restore warmed simulator state;
+* :func:`simulate_sampled` - execute the plan on the structure-of-arrays
+  core (:meth:`~repro.core.batched.BatchedSimulator.run_sampled`) and
+  extrapolate a :class:`~repro.core.simulator.SimResult`;
 * :data:`DEFAULT_SAMPLING` - the default policy used by engine and CLI
   ``--sampling`` flags.
 """
 
-from repro.sampling.checkpoint import Checkpoint
 from repro.sampling.policy import (
     DEFAULT_SAMPLING,
     SamplingConfig,
@@ -26,16 +25,10 @@ from repro.sampling.policy import (
     Schedule,
     Window,
 )
-from repro.sampling.sampled import (
-    SampledSimulator,
-    SamplingSummary,
-    simulate_sampled,
-)
+from repro.sampling.sampled import SamplingSummary, simulate_sampled
 
 __all__ = [
-    "Checkpoint",
     "DEFAULT_SAMPLING",
-    "SampledSimulator",
     "SamplingConfig",
     "SamplingPolicy",
     "SamplingSummary",

@@ -1,11 +1,14 @@
 """Sampled simulation: fast-forward + detailed windows + extrapolation.
 
-:class:`SampledSimulator` wraps one :class:`SharingSimulator` and
+:func:`simulate_sampled` runs one lane of
+:meth:`~repro.core.batched.BatchedSimulator.run_sampled`, which
 alternates between functional fast-forward (caches/predictors/store
 state warm, zero timed cycles) and bounded detailed windows planned by a
 :class:`~repro.sampling.policy.SamplingPolicy`.  Each window's warmup
 prefix re-times the pipeline and is discarded; the measured suffix
-contributes one per-interval CPI observation.
+contributes one per-interval CPI observation.  The same loop on the
+object model, ``tests/oracles/sampled.py``, is the reference every
+sampled result is checked against.
 
 The run reports an extrapolated :class:`SimResult`:
 
@@ -22,22 +25,19 @@ The run reports an extrapolated :class:`SimResult`:
   never reported narrower than that floor).
 
 A schedule that plans too few windows (short traces) degenerates to the
-exact simulator: ``run()`` then returns a plain exact result.
+exact simulator: the run then returns a plain exact result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import SimConfig
-from repro.core.simulator import SharingSimulator, SimResult
+from repro.core.simulator import SimResult, _one_lane, _resolve_config
 from repro.core.stats import SimStats, StallBreakdown
-from repro.obs import Observability
-from repro.sampling.policy import (
-    DEFAULT_SAMPLING, SamplingConfig, SamplingPolicy, Schedule,
-)
+from repro.sampling.policy import DEFAULT_SAMPLING, SamplingConfig, Schedule
 from repro.trace.records import Trace
 
 
@@ -68,106 +68,6 @@ class SamplingSummary:
         if not self.ipc_estimate:
             return 0.0
         return self.ci_halfwidth / self.ipc_estimate
-
-
-class SampledSimulator:
-    """Run one trace under interval sampling on one VCore configuration.
-
-    Accepts the same construction keywords as
-    :class:`~repro.core.simulator.SharingSimulator` plus the sampling
-    policy; ``phase_lengths`` (instruction counts, in order) switches
-    the policy to per-phase stratification.
-    """
-
-    def __init__(self, trace: Trace, config: Optional[SimConfig] = None,
-                 sampling: SamplingConfig = DEFAULT_SAMPLING,
-                 num_slices: Optional[int] = None,
-                 l2_cache_kb: Optional[float] = None,
-                 warmup_trace: Optional[Trace] = None,
-                 warmup_addresses: Optional[Sequence[int]] = None,
-                 timeout: Optional[int] = None,
-                 obs: Optional[Observability] = None,
-                 phase_lengths: Optional[Sequence[int]] = None):
-        self.sim = SharingSimulator(
-            trace, config=config, num_slices=num_slices,
-            l2_cache_kb=l2_cache_kb, warmup_trace=warmup_trace,
-            warmup_addresses=warmup_addresses, timeout=timeout, obs=obs,
-        )
-        self.sampling = sampling
-        policy = SamplingPolicy(sampling)
-        if phase_lengths is not None:
-            self.schedule: Schedule = policy.plan_phases(phase_lengths)
-        else:
-            self.schedule = policy.plan(len(trace))
-
-    def run(self) -> SimResult:
-        sim = self.sim
-        if self.schedule.exact:
-            return sim.run()
-
-        obs = sim.obs
-        if obs.enabled:
-            scope = obs.registry.scope("sampling")
-            schedule = self.schedule
-            scope.info("interval", self.sampling.interval)
-            scope.gauge("windows", lambda: len(schedule.windows))
-            scope.gauge("head_instructions", lambda: schedule.head)
-            scope.gauge("fast_forwarded", lambda: sim.ff_retired)
-            scope.gauge("detailed_committed",
-                        lambda: sim.stats.committed)
-
-        total = len(sim.trace)
-        cpis: List[float] = []
-        position = 0
-        head_cycles = 0
-        head = self.schedule.head
-        if head:
-            # Exhaustively-measured cold-start stratum: its 2-3x CPI
-            # transient would otherwise dominate the estimator's error.
-            sim._fetch_limit = head
-            sim.run_to_commit(head)
-            head_cycles = sim._now
-            position = head
-        for window in self.schedule.windows:
-            if window.start > position:
-                sim.fast_forward(window.start - position)
-            committed_base = sim.stats.committed
-            sim._fetch_limit = window.end
-            # Warmup prefix: detailed, not measured.  Commit can
-            # overshoot the warmup boundary by up to one cycle's commit
-            # width, so measure against the *observed* counts.
-            sim.run_to_commit(committed_base + window.warmup)
-            cycles_0 = sim._now
-            committed_0 = sim.stats.committed
-            sim.run_to_commit(committed_base + len(window))
-            measured = sim.stats.committed - committed_0
-            cpis.append((sim._now - cycles_0) / measured)
-            position = window.end
-        if position < total:
-            sim.fast_forward(total - position)
-
-        sim._harvest_cache_stats()
-        return self._extrapolate(cpis, head_cycles)
-
-    # ------------------------------------------------------------------
-    # estimation
-    # ------------------------------------------------------------------
-
-    def _extrapolate(self, cpis: List[float],
-                     head_cycles: int = 0) -> SimResult:
-        sim = self.sim
-        return extrapolate_sampled(
-            benchmark=sim.trace.metadata.benchmark,
-            num_slices=sim.vcore.num_slices,
-            l2_cache_kb=sim.vcore.l2_cache_kb,
-            total=len(sim.trace),
-            schedule=self.schedule,
-            sampling=self.sampling,
-            stats=sim.stats,
-            ff_retired=sim.ff_retired,
-            cpis=cpis,
-            head_cycles=head_cycles,
-        )
 
 
 def _scaled_stats(measured: SimStats, total: int,
@@ -220,8 +120,9 @@ def extrapolate_sampled(*, benchmark: str, num_slices: int,
     ``total_cycles ~= head_cycles + tail_insts * mean(CPI_i)``; all
     statistical uncertainty lives in the tail term, so the CI is the
     per-window CPI variance propagated through the tail only.  Shared by
-    :class:`SampledSimulator` and the batched backend's ``run_sampled``
-    (same window CPIs in must mean same ``SimResult`` out).
+    ``BatchedSimulator.run_sampled`` and the sampled reference loop in
+    ``tests/oracles/sampled.py`` (same window CPIs in must mean same
+    ``SimResult`` out).
     """
     cfg = sampling
     head = schedule.head
@@ -272,42 +173,22 @@ def extrapolate_sampled(*, benchmark: str, num_slices: int,
     )
 
 
-def simulate_sampled(trace: Trace, num_slices: int = 1,
-                     l2_cache_kb: float = 128.0,
+def simulate_sampled(trace: Trace, num_slices: Optional[int] = None,
+                     l2_cache_kb: Optional[float] = None,
                      sampling: SamplingConfig = DEFAULT_SAMPLING,
                      config: Optional[SimConfig] = None,
                      warmup_trace: Optional[Trace] = None,
                      warmup_addresses: Optional[Sequence[int]] = None,
                      timeout: Optional[int] = None,
-                     obs: Optional[Observability] = None,
-                     phase_lengths: Optional[Sequence[int]] = None,
-                     backend: Optional[str] = None) -> SimResult:
+                     phase_lengths: Optional[Sequence[int]] = None
+                     ) -> SimResult:
     """Sampled counterpart of :func:`repro.core.simulator.simulate`.
 
-    ``backend`` overrides ``config.backend``; ``"batched"`` composes
-    interval sampling with the structure-of-arrays backend (sampled and
-    batched speedups multiply).
+    Takes :func:`~repro.core.simulator.simulate`'s keywords except
+    ``obs`` (no per-cycle instrumentation on sampled runs), plus the
+    sampling policy; ``phase_lengths`` (instruction counts, in order)
+    switches the policy to per-phase stratification.
     """
-    if backend is None:
-        backend = config.backend if config is not None else "python"
-    if backend == "batched":
-        from repro.core.batched import BatchedSimulator
-
-        sim = BatchedSimulator(
-            trace, [(num_slices, l2_cache_kb)], config=config,
-            warmup_traces=([warmup_trace]
-                           if warmup_trace is not None else None),
-            warmup_addresses=([warmup_addresses]
-                              if warmup_addresses is not None else None),
-            timeout=timeout, obs=obs,
-        )
-        return sim.run_sampled(sampling, phase_lengths=phase_lengths)[0]
-    if backend != "python":
-        raise ValueError(
-            f"backend must be 'python' or 'batched', got {backend!r}")
-    return SampledSimulator(
-        trace, config=config, sampling=sampling, num_slices=num_slices,
-        l2_cache_kb=l2_cache_kb, warmup_trace=warmup_trace,
-        warmup_addresses=warmup_addresses, timeout=timeout, obs=obs,
-        phase_lengths=phase_lengths,
-    ).run()
+    cfg = _resolve_config(config, num_slices, l2_cache_kb, timeout)
+    sim = _one_lane(trace, cfg, warmup_trace, warmup_addresses)
+    return sim.run_sampled(sampling, phase_lengths=phase_lengths)[0]

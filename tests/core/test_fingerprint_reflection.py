@@ -5,7 +5,7 @@ engine's on-disk result cache.  A config field that doesn't reach the
 fingerprint silently aliases cache entries: two sweeps differing only in
 that knob would serve each other's results.  These tests enumerate the
 dataclass fields *by reflection* - so a field added tomorrow is covered
-the day it's added - and fail if any field (the ``backend`` selector
+the day it's added - and fail if any field (the inert ``backend`` field
 included) can change without changing the fingerprint.
 """
 

@@ -67,7 +67,22 @@ class TestCLI:
             runner.build_parser().parse_args(["--backend", "numpy"])
         assert info.value.code == 2
 
-    def test_simulate_keeps_simulator_backend_flag(self):
-        args = build_parser().parse_args(
-            ["simulate", "--backend", "batched"])
-        assert args.sim_backend == "batched"
+    def test_simulate_has_no_backend_flag(self):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["simulate", "--backend", "batched"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--obs"], ["--trace", "t.json"], ["--metrics-out", "m.json"],
+    ])
+    def test_simulate_sampling_rejects_obs_flags(self, flags, capsys,
+                                                 tmp_path, monkeypatch):
+        """Sampled runs have no per-cycle instrumentation: asking for it
+        is a one-line error, before any simulation or output file."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--length", "400", "--sampling",
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []

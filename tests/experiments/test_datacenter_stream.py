@@ -27,6 +27,12 @@ REJECTED = {
          "shards": 2},
         ["--checkpoint-every", "100", "--checkpoint-path", "ck.json",
          "--shards", "2"]),
+    "checkpoint-path-without-every": ({"checkpoint_path": "ck.json"},
+                                      ["--checkpoint-path", "ck.json"]),
+    "sync-every-without-couple": ({"sync_every": 300},
+                                  ["--sync-every", "300"]),
+    "chaos-seed-without-faults": ({"chaos_seed": 7},
+                                  ["--chaos-seed", "7"]),
 }
 
 
@@ -168,6 +174,46 @@ class TestRejectedArgs:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert not os.path.exists("ck.json")
+
+
+class TestShardOptions:
+    """Options a sharded run used to drop: ``--jobs`` without shards is
+    rejected, and ``readmit``/``audit_every`` reach every shard of a
+    clean (fault-free) sharded run."""
+
+    def test_jobs_without_shards(self, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="jobs needs shards"):
+            ds.check_run_args(400, jobs=2)
+        assert main(["datacenter-stream", "--events", "400",
+                     "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("option", [{"readmit": True},
+                                        {"audit_every": 5}])
+    def test_clean_sharded_run_forwards(self, option, tmp_path,
+                                        monkeypatch):
+        from repro.engine import ResultCache, SweepEngine
+
+        seen = []
+        drive = ds.drive_stream
+
+        def spying(*args, **kwargs):
+            seen.append(kwargs)
+            return drive(*args, **kwargs)
+
+        monkeypatch.setattr(ds, "drive_stream", spying)
+        engine = SweepEngine(jobs=1,
+                             cache=ResultCache(root=str(tmp_path)))
+        ds.run(num_events=200, seed=4, shards=2, engine=engine,
+               reprice_every=20, **option)
+        (name, value), = option.items()
+        assert len(seen) == 2
+        assert all(kwargs[name] == value for kwargs in seen)
 
 
 class TestCheckpointGeometry:

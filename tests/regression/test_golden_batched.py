@@ -1,21 +1,24 @@
-"""Golden regression: the batched backend vs checked-in seed-run values.
+"""Golden regression: the production SoA core vs checked-in seed-run values.
 
-``fixtures/golden_batched.json`` pins the scalar seed run's simulated
-Figure 12 (Slice scaling at 128 KB) and Figure 13 (cache scaling at 4
-Slices) points for the gcc trace.  The batched backend must reproduce
-every pinned cycle count exactly and every pinned IPC at **0 ulp**
-(``==`` on the float, no tolerance): the backend's contract is
-bit-identity, so "close" is a regression.
+``fixtures/golden_batched.json`` pins the object model's seed run of the
+simulated Figure 12 (Slice scaling at 128 KB) and Figure 13 (cache
+scaling at 4 Slices) points for the gcc trace.  The structure-of-arrays
+core that production ``simulate()`` runs must reproduce every pinned
+cycle count exactly and every pinned IPC at **0 ulp** (``==`` on the
+float, no tolerance): its contract is bit-identity, so "close" is a
+regression.
 
-To regenerate after a *deliberate* simulator change, run the scalar
-backend over the grids named in the fixture and rewrite the JSON - never
-regenerate from the batched backend itself (that would pin the thing
-under test to itself).
+To regenerate after a *deliberate* simulator change, run
+``repro.core.simulator.ReferenceSimulator`` (the object model) over the
+grids named in the fixture and rewrite the JSON - never regenerate from
+``simulate()``, ``SharingSimulator`` or ``BatchedSimulator`` (that would
+pin the thing under test to itself).
 
-The cache-key tests prove the sweep engine can never serve a result
-recorded under one backend to a request for another: the
-``backend`` field reaches the content address through
-``SimConfig.fingerprint()``.
+The cache-key tests prove the sweep engine never serves a result
+recorded under one ``SimConfig.backend`` value to a request for
+another: the field selects no core any more, but it still reaches the
+content address through ``SimConfig.fingerprint()``, so cache keys did
+not change when the choice went.
 """
 
 import json

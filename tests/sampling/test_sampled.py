@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.simulator import simulate
-from repro.sampling import (
-    SampledSimulator, SamplingConfig, simulate_sampled,
-)
+from repro.sampling import SamplingConfig, SamplingPolicy, simulate_sampled
 from repro.trace.materialize import get_workload
+from tests.oracles.sampled import simulate_sampled as oracle_sampled
 
 
 CFG = SamplingConfig(interval=1000, detail=200, warmup=80, head=500,
@@ -80,24 +79,35 @@ class TestMechanics:
         assert result.stats.summary() == exact.stats.summary()
 
     def test_schedule_visible_before_run(self):
+        """The policy plans the schedule a run follows before any
+        simulation: its windows are the run's windows."""
         warmup, trace = _workload()
-        sim = SampledSimulator(trace, num_slices=2, l2_cache_kb=256.0,
-                               sampling=CFG, warmup_addresses=warmup)
-        assert not sim.schedule.exact
-        assert sim.schedule.length == 12_000
+        schedule = SamplingPolicy(CFG).plan(len(trace))
+        assert not schedule.exact
+        assert schedule.length == 12_000
+        result = simulate_sampled(trace, num_slices=2, l2_cache_kb=256.0,
+                                  sampling=CFG, warmup_addresses=warmup)
+        assert result.sampling.windows == len(schedule.windows)
+        assert (result.sampling.measured_instructions
+                == schedule.measured_instructions)
 
 
 class TestPhaseStratification:
     def test_phase_lengths_shape_the_schedule(self):
         warmup, trace = _workload()
-        sim = SampledSimulator(trace, num_slices=2, l2_cache_kb=256.0,
-                               sampling=CFG, warmup_addresses=warmup,
-                               phase_lengths=[6_000, 6_000])
-        starts = [w.start for w in sim.schedule.windows]
+        phases = [6_000, 6_000]
+        schedule = SamplingPolicy(CFG).plan_phases(phases)
+        starts = [w.start for w in schedule.windows]
         assert any(s < 6_000 for s in starts)
         assert any(s >= 6_000 for s in starts)
-        result = sim.run()
+        result = simulate_sampled(trace, num_slices=2, l2_cache_kb=256.0,
+                                  sampling=CFG, warmup_addresses=warmup,
+                                  phase_lengths=phases)
         assert result.sampled
+        assert result.sampling.windows == len(schedule.windows)
+        assert result == oracle_sampled(
+            trace, num_slices=2, l2_cache_kb=256.0, sampling=CFG,
+            warmup_addresses=warmup, phase_lengths=phases)
 
 
 class TestScaling:
