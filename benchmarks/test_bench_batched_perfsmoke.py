@@ -14,8 +14,7 @@ call per grid point on both sides:
   ``tests/core/test_batched_equivalence``).
 
 Pure CPython on both sides: the win is column reuse, flat arrays and
-event-driven wakeup, per configuration (a multi-lane batch saves only
-the shared warmup).  The threshold is set at 3x so a CI-runner
+event-driven wakeup.  The threshold is set at 3x so a CI-runner
 slowdown doesn't flake the job while a real regression (losing the
 event-driven issue path, say) still fails loudly.  Timing JSONs land in
 ``REPRO_PERF_SMOKE_DIR`` (default: the test's ``tmp_path``) for the CI

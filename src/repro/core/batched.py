@@ -1,59 +1,46 @@
 """Structure-of-arrays simulator core: the production SSim.
 
-:class:`~repro.core.simulator.SharingSimulator` runs one lane of a
-:class:`BatchedSimulator` per configuration, and
-:func:`~repro.sampling.simulate_sampled` one lane of
-:meth:`BatchedSimulator.run_sampled`.  A batch can also advance *many
-VCore configurations* over shared, materialized trace columns: the
-configurations form a leading ``lane`` axis, with one structure per
-pipeline resource (ROB/LSQ occupancy in :class:`BatchedROB` /
-:class:`BatchedLSQ`, branch-predictor counter and BTB tables) and flat
-per-lane columns for the per-instruction pipeline state that the object
-model keeps in ``DynInst`` objects.
+:class:`~repro.core.simulator.SharingSimulator` runs
+:meth:`BatchedSimulator.run` and :func:`~repro.sampling.simulate_sampled`
+runs :meth:`BatchedSimulator.run_sampled`.  One instance simulates one
+trace on one VCore configuration, keeping the per-instruction pipeline
+state that the object model holds in ``DynInst`` objects in flat columns
+indexed by sequence number.
 
 The object model :class:`~repro.core.simulator.ReferenceSimulator` is
 the equivalence reference: every statistic in
-:class:`~repro.core.stats.SimStats` is reproduced *bit-for-bit* per
-lane, enforced by ``tests/core/test_batched_equivalence`` and the golden
+:class:`~repro.core.stats.SimStats` is reproduced *bit-for-bit*,
+enforced by ``tests/core/test_batched_equivalence`` and the golden
 fixtures.
 
 Where the speed comes from
 --------------------------
 
-* **Flat workload columns** - every lane of a trace walks one set of
-  precomputed columns (PCs, packed flags, live sources, home/fetch
-  Slice maps, cached on the trace) instead of chasing ``Instruction``
-  property chains.
-* **Shared warmup** - cache-warm state is computed once per
-  (trace, num_slices) group and copied into each lane.
+* **Flat workload columns** - the pipeline walks precomputed columns
+  (PCs, packed flags, live sources, home/fetch Slice maps, cached on
+  the trace) instead of chasing ``Instruction`` property chains.
 * **De-objectified pipeline** - per-instruction state lives in flat
-  per-lane columns indexed by sequence number (epoch counters replace
-  object identity across squash/refetch), and the per-cycle
+  columns indexed by sequence number (epoch counters replace object
+  identity across squash/refetch), and the per-cycle
   ``hierarchy.tick`` is applied lazily: MSHR retirement and store-buffer
   drains are caught up only when a Slice's memory system is next
   observed, which is exact because both are pure functions of the cycle
   number.
 
-The speed is per lane: a multi-lane grid saves only the shared warmup
-(DESIGN.md §12), so production runs one lane per configuration.
+Exact ports
+-----------
 
-Divergence handling
--------------------
-
-Lanes are fully independent (one stalling lane never blocks another):
-each keeps its own ``now`` and the driver advances lanes in bounded
-chunks, so "lockstep" is a scheduling policy rather than a correctness
-constraint.  Two structures are deliberately kept as exact Python ports
-rather than tensors because their *iteration order is observable* in the
-reference: the LRF remote-operand cache (``next(iter(set))`` eviction)
-and the cache LRU lists (dict/list ordering).  Reproducing the same
-operation sequence on the same container types reproduces the same
-victims, which is what bit-identity requires.
+Two structures are deliberately kept as exact Python ports rather than
+arrays because their *iteration order is observable* in the reference:
+the LRF remote-operand cache (``next(iter(set))`` eviction) and the
+cache LRU lists (dict/list ordering).  Reproducing the same operation
+sequence on the same container types reproduces the same victims, which
+is what bit-identity requires.
 
 Restrictions: ``repro.obs`` instrumentation is not supported (run
 :class:`~repro.core.simulator.ReferenceSimulator`, or ``simulate()``
-with an enabled ``obs``, for instrumented runs); lanes always use the
-default ring-packed L2 bank distances, so a config that sets
+with an enabled ``obs``, for instrumented runs); the core always uses
+the default ring-packed L2 bank distances, so a config that sets
 ``VCoreConfig.l2_bank_distances`` is rejected.
 """
 
@@ -61,10 +48,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.l1 import L1_LINE_BYTES
 from repro.cache.l2 import (
@@ -75,7 +59,7 @@ from repro.cache.l2 import (
     L2_LINE_BYTES,
     default_bank_distances,
 )
-from repro.core.config import SimConfig, VCoreConfig
+from repro.core.config import SimConfig
 from repro.core.rename import rename_pipeline_depth
 from repro.core.simulator import SimResult, SimulationTimeout
 from repro.core.stats import SimStats, StallBreakdown
@@ -102,11 +86,11 @@ _L2_SETS = (L2_BANK_BYTES // L2_LINE_BYTES) // L2_ASSOC
 
 
 class _TraceColumns:
-    """Flat per-instruction columns shared by every lane of one trace.
+    """Flat per-instruction columns shared by every run on one trace.
 
     Extends :class:`~repro.trace.materialize.TraceArrays` with the
     rename-visible fields (live sources, destination register) and
-    memoized Slice-assignment maps, so the batched pipeline never touches
+    memoized Slice-assignment maps, so the pipeline never touches
     ``Instruction`` objects.  Built once and cached on the trace.
     """
 
@@ -198,7 +182,7 @@ class _TraceColumns:
 
 
 def trace_columns(trace: Trace) -> _TraceColumns:
-    """The trace's batched columns, built once and cached on it."""
+    """The trace's flat columns, built once and cached on it."""
     cols = getattr(trace, "_soa_columns", None)
     if cols is None or cols.length != len(trace):
         cols = _TraceColumns(trace)
@@ -207,130 +191,8 @@ def trace_columns(trace: Trace) -> _TraceColumns:
 
 
 # ======================================================================
-# SoA pipeline structures (property-tested against rob.py / lsq.py)
+# exact ports of order-sensitive structures
 # ======================================================================
-
-
-class BatchedROB:
-    """Distributed ROB over a lane axis: one occupancy tensor + one
-    program-ordered seq window per lane.
-
-    Mirrors :class:`~repro.core.rob.DistributedROB` exactly: dispatch
-    admission is per-(lane, slice) occupancy against ``per_slice_capacity``,
-    commit pops the per-lane head in program order, and squash walks the
-    tail youngest-first.
-    """
-
-    def __init__(self, num_lanes: int, max_slices: int,
-                 per_slice_capacity: int) -> None:
-        self.per_slice_capacity = per_slice_capacity
-        #: occupancy[lane][slice] - instructions in flight per Slice.
-        #: Plain nested lists on the hot path; ``occupancy_tensor()``
-        #: exports the (lane, slice) numpy view.
-        self.occupancy = [[0] * max_slices for _ in range(num_lanes)]
-        #: per-lane in-flight window, program (seq) order.
-        self.windows: List[deque] = [deque() for _ in range(num_lanes)]
-
-    def occupancy_tensor(self) -> np.ndarray:
-        return np.asarray(self.occupancy, dtype=np.int64)
-
-    def can_dispatch(self, lane: int, slice_id: int) -> bool:
-        return self.occupancy[lane][slice_id] < self.per_slice_capacity
-
-    def dispatch(self, lane: int, slice_id: int, seq: int) -> None:
-        window = self.windows[lane]
-        if window and window[-1] >= seq:
-            raise ValueError("ROB dispatch out of program order")
-        window.append(seq)
-        self.occupancy[lane][slice_id] += 1
-
-    def head(self, lane: int) -> int:
-        window = self.windows[lane]
-        return window[0] if window else -1
-
-    def pop_head(self, lane: int, slice_id: int) -> int:
-        self.occupancy[lane][slice_id] -= 1
-        return self.windows[lane].popleft()
-
-    def squash_younger(self, lane: int, seq: int,
-                       slice_of: Sequence[int]) -> List[int]:
-        """Pop every entry younger than ``seq``; youngest-first list."""
-        window = self.windows[lane]
-        occupancy = self.occupancy[lane]
-        squashed: List[int] = []
-        while window and window[-1] > seq:
-            victim = window.pop()
-            occupancy[slice_of[victim]] -= 1
-            squashed.append(victim)
-        return squashed
-
-    def __len__(self) -> int:  # total in flight, all lanes
-        return sum(map(sum, self.occupancy))
-
-
-class BatchedLSQ:
-    """Address-banked LSQ over a lane axis: occupancy tensor + per-bank
-    entry maps ``seq -> [is_store, line, resolved_cycle, forwarded_from]``
-    (``forwarded_from`` is -1 when unset, standing in for the scalar
-    ``None``).
-
-    Mirrors :class:`~repro.core.lsq.LSQBank` exactly, including the
-    ``force`` over-capacity admission, the max-seq forwarding search and
-    the store-commit violation filter.
-    """
-
-    def __init__(self, num_lanes: int, slice_counts: Sequence[int],
-                 bank_capacity: int) -> None:
-        self.bank_capacity = bank_capacity
-        max_banks = max(slice_counts)
-        self.occupancy = [[0] * max_banks for _ in range(num_lanes)]
-        self.banks: List[List[Dict[int, List[int]]]] = [
-            [{} for _ in range(count)] for count in slice_counts
-        ]
-
-    def occupancy_tensor(self) -> np.ndarray:
-        return np.asarray(self.occupancy, dtype=np.int64)
-
-    def full(self, lane: int, bank: int) -> bool:
-        return len(self.banks[lane][bank]) >= self.bank_capacity
-
-    def insert(self, lane: int, bank: int, seq: int, is_store: bool,
-               line: int, resolved_cycle: int,
-               force: bool = False) -> bool:
-        entries = self.banks[lane][bank]
-        if len(entries) >= self.bank_capacity and not force:
-            return False
-        entries[seq] = [is_store, line, resolved_cycle, -1]
-        self.occupancy[lane][bank] += 1
-        return True
-
-    def find_forwarding_store(self, lane: int, bank: int, load_seq: int,
-                              line: int, before_cycle: int) -> int:
-        """Youngest older same-line store resolved in time, else -1."""
-        best = -1
-        for seq, entry in self.banks[lane][bank].items():
-            if (entry[0] and seq < load_seq and entry[1] == line
-                    and entry[2] <= before_cycle and seq > best):
-                best = seq
-        return best
-
-    def check_store_commit(self, lane: int, bank: int, store_seq: int,
-                           line: int) -> List[int]:
-        """Younger same-line loads that did not forward from this store."""
-        return [seq for seq, entry in self.banks[lane][bank].items()
-                if not entry[0] and seq > store_seq and entry[1] == line
-                and entry[3] < store_seq]
-
-    def remove(self, lane: int, bank: int, seq: int) -> None:
-        if self.banks[lane][bank].pop(seq, None) is not None:
-            self.occupancy[lane][bank] -= 1
-
-    def squash_younger(self, lane: int, seq: int) -> None:
-        for bank, entries in enumerate(self.banks[lane]):
-            victims = [s for s in entries if s > seq]
-            for s in victims:
-                del entries[s]
-            self.occupancy[lane][bank] -= len(victims)
 
 
 class _LRF:
@@ -408,96 +270,35 @@ def _cache_touch(sets: Dict[int, List[int]], num_sets: int, assoc: int,
 
 
 # ======================================================================
-# one lane = one (trace, num_slices, l2_cache_kb) configuration
+# the simulator: one trace on one configuration
 # ======================================================================
 
 
-class _Lane:
-    """All per-configuration state, flat and column-oriented."""
-
-    __slots__ = (
-        "index", "trace_index", "cols", "num_slices", "l2_kb",
-        "sid", "home", "decode_latency", "commit_budget", "precommit",
-        # cycle state
-        "now", "fetch_ptr", "fetch_hw", "fetch_limit", "stall_until",
-        "blocking", "next_seq", "ff_retired", "decode", "buf_count",
-        # per-seq columns
-        "ep", "sq", "comp", "disp", "ccyc", "rdy", "pend", "gdst",
-        "prior", "ren", "pred",
-        # rename / wakeup
-        "rat", "rn_free", "producer_of", "waiters", "buckets",
-        "unresolved", "op_arr", "lrf", "reg_slices",
-        # issue / rob / lsq views
-        "alu_w", "mem_w", "ready_alu", "ready_mem", "act",
-        "rob_w", "rob_c", "lsq_banks", "lsq_c",
-        # predictor views
-        "bp", "btb", "hist",
-        # memory system
-        "l1i_sets", "l1i_last", "l1i_memo", "l1d_sets", "l2_sets",
-        "l2_nb", "l2_lat", "mshr", "sb", "sb_last", "full_banks",
-        # counters (SimStats surface)
-        "fetched", "committed", "squashed_count", "branches",
-        "mispredicts", "l1i_acc", "l1i_miss", "l1d_acc", "l1d_miss",
-        "l2_hits", "l2_misses", "operand_requests", "remote_hops",
-        "lsq_violations", "store_forwards",
-        "st_fetch_icache", "st_fetch_buffer", "st_fetch_redirect",
-        "st_rob_full", "st_window_full", "st_freelist", "st_lrf_full",
-        "st_issue_lsq_full",
-    )
-
-
-LaneSpec = Union[Tuple[int, float], Tuple[int, int, float]]
-
-
 class BatchedSimulator:
-    """Many VCore configurations over shared trace columns.
+    """One trace on one VCore configuration, over flat trace columns.
 
-    ``traces`` is one :class:`Trace` or a sequence of them; ``lanes`` is
-    a sequence of ``(num_slices, l2_cache_kb)`` pairs (single trace) or
-    ``(trace_index, num_slices, l2_cache_kb)`` triples.  All lanes share
-    one :class:`~repro.core.config.SimConfig` (grid sweeps vary only the
-    VCore composition: a lane's Slice count and L2 size come from its
-    spec, not from ``config.vcore``); each lane's results are
-    bit-identical to a :class:`~repro.core.simulator.ReferenceSimulator`
-    run with the same parameters.
+    ``config.vcore`` is the configuration.  ``warmup_addresses``, when
+    given, is replayed through the caches before the timed region, as
+    :class:`~repro.core.simulator.ReferenceSimulator` does.  Results are
+    bit-identical to a ``ReferenceSimulator`` run with the same
+    arguments.
     """
 
-    def __init__(self, traces: Union[Trace, Sequence[Trace]],
-                 lanes: Sequence[LaneSpec],
-                 config: Optional[SimConfig] = None,
-                 warmup_traces: Optional[Sequence[Optional[Trace]]] = None,
-                 warmup_addresses: Optional[
-                     Sequence[Optional[Sequence[int]]]] = None,
-                 timeout: Optional[int] = None,
-                 obs: Any = None) -> None:
-        if obs is not None and getattr(obs, "enabled", False):
+    def __init__(self, trace: Trace, config: SimConfig,
+                 warmup_addresses: Optional[Sequence[int]] = None) -> None:
+        vcore = config.vcore
+        if vcore.l2_bank_distances is not None:
             raise ValueError(
-                "the structure-of-arrays core does not support repro.obs "
-                "instrumentation; run ReferenceSimulator (or simulate() "
-                "with obs) for instrumented runs"
+                "VCoreConfig.l2_bank_distances is not supported: the "
+                "structure-of-arrays core uses the default ring-packed "
+                "bank distances"
             )
-        if isinstance(traces, Trace):
-            traces = [traces]
-        else:
-            traces = list(traces)
-        if not traces:
-            raise ValueError("need at least one trace")
-        if not lanes:
-            raise ValueError("need at least one lane")
-        cfg = config or SimConfig()
-        if cfg.vcore.l2_bank_distances is not None:
-            raise ValueError(
-                "VCoreConfig.l2_bank_distances is not supported: lanes "
-                "use the default ring-packed bank distances"
-            )
-        if timeout is not None:
-            cfg = replace(cfg, max_cycles=timeout)
-        self.config = cfg
-        self.traces = traces
-        self.max_cycles = cfg.max_cycles
+        self.config = config
+        self.trace = trace
+        self.max_cycles = config.max_cycles
 
-        s_cfg = cfg.slice_config
-        c_cfg = cfg.cache_config
+        s_cfg = config.slice_config
+        c_cfg = config.cache_config
         self.fetch_width = s_cfg.fetch_width
         self.buffer_cap = s_cfg.instruction_buffer_size
         self.commit_width = s_cfg.commit_width
@@ -513,270 +314,176 @@ class BatchedSimulator:
         self.btb_entries = s_cfg.btb_entries
         self.gshare = s_cfg.predictor_kind == "gshare"
         self.hist_mask = (1 << 8) - 1  # GSharePredictor history_bits=8
-        self.redirect = cfg.mispredict_redirect
-        self.ordered_lsq = cfg.ordered_lsq
-        self.by_pc = cfg.fetch_assignment == "pc"
+        self.redirect = config.mispredict_redirect
+        self.ordered_lsq = config.ordered_lsq
+        self.by_pc = config.fetch_assignment == "pc"
         self.mem_delay = c_cfg.memory_delay
         self.l1i_line = 2 * 4  # VCore: fetch-width instructions per line
         self.l1i_assoc = c_cfg.l1i.assoc
         self.l1i_sets_n = max(1, int(c_cfg.l1i.size_kb * 1024)
                               // self.l1i_line // self.l1i_assoc)
         self.l1i_hit = c_cfg.l1i.hit_delay
-        # Fixed like the object model's L1D, MSHR and store-buffer lines:
-        # ``CacheLevelConfig.block_bytes`` reaches neither core.
+        # Fixed like the object model's L1D, MSHR and store-buffer lines.
         self.l1d_line = L1_LINE_BYTES
         self.l1d_assoc = c_cfg.l1d.assoc
         self.l1d_sets_n = max(1, int(c_cfg.l1d.size_kb * 1024)
                               // self.l1d_line // self.l1d_assoc)
         self.l1d_hit = c_cfg.l1d.hit_delay
 
-        specs: List[Tuple[int, int, float]] = []
-        for spec in lanes:
-            if len(spec) == 2:
-                tidx, (ns, kb) = 0, spec  # type: ignore[misc]
-            else:
-                tidx, ns, kb = spec  # type: ignore[misc]
-            if not 0 <= tidx < len(traces):
-                raise ValueError(f"trace index {tidx} out of range")
-            # Reuse the scalar path's validation (Equation 3 ranges).
-            VCoreConfig(num_slices=int(ns), l2_cache_kb=float(kb))
-            specs.append((int(tidx), int(ns), float(kb)))
-        num_lanes = len(specs)
-        slice_counts = [ns for _, ns, _ in specs]
-        max_slices = max(slice_counts)
-
-        self.rob = BatchedROB(num_lanes, max_slices, self.rob_cap)
-        self.lsq = BatchedLSQ(num_lanes, slice_counts, self.lsq_cap)
-        self._max_slices = max_slices
-
-        self._cols = [trace_columns(t) for t in traces]
-        self._warm_state: Dict[Tuple[int, int], Tuple[
-            List[Dict[int, List[int]]], List[Dict[int, List[int]]],
-            List[int]]] = {}
-        if warmup_traces is not None and len(warmup_traces) != len(traces):
-            raise ValueError("one warmup trace (or None) per trace")
-        if (warmup_addresses is not None
-                and len(warmup_addresses) != len(traces)):
-            raise ValueError("one warmup address stream (or None) per trace")
-        self._warmup_traces = warmup_traces
-        self._warmup_addresses = warmup_addresses
-
-        self.lanes = [self._make_lane(i, spec)
-                      for i, spec in enumerate(specs)]
-
-    def pred_tensor(self) -> np.ndarray:
-        """(lane, slice, entry) predictor counters; unused Slices pad 1."""
-        out = np.full((len(self.lanes), self._max_slices, self.bp_entries),
-                      1, dtype=np.int8)
-        for i, lane in enumerate(self.lanes):
-            out[i, :lane.num_slices] = lane.bp
-        return out
-
-    def btb_tensor(self) -> np.ndarray:
-        """(lane, slice, entry) BTB targets; -1 = no entry."""
-        out = np.full((len(self.lanes), self._max_slices,
-                       self.btb_entries), -1, dtype=np.int64)
-        for i, lane in enumerate(self.lanes):
-            out[i, :lane.num_slices] = lane.btb
-        return out
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
-    def _warm_group(self, tidx: int, ns: int) -> Tuple[
-            List[Dict[int, List[int]]], List[Dict[int, List[int]]],
-            List[int]]:
-        """Warm L1 state + ordered L2 access stream for (trace, ns).
-
-        Replays the scalar warmup exactly once per group; lanes copy the
-        L1 dictionaries and replay the L2 stream into their own banks
-        (bank count differs per lane, L1 filtering does not).
-        """
-        key = (tidx, ns)
-        cached = self._warm_state.get(key)
-        if cached is not None:
-            return cached
-        l1i: List[Dict[int, List[int]]] = [{} for _ in range(ns)]
-        l1d: List[Dict[int, List[int]]] = [{} for _ in range(ns)]
-        stream: List[int] = []
-        fw = self.fetch_width
-        l1i_n, l1i_a = self.l1i_sets_n, self.l1i_assoc
-        l1d_n, l1d_a = self.l1d_sets_n, self.l1d_assoc
-        l1d_line = self.l1d_line
-        wt = self._warmup_traces[tidx] if self._warmup_traces else None
-        if wt is not None:
-            # _warm_caches: pc-interleaved L1I (misses stop at L1I),
-            # home-slice L1D with misses falling through to L2.
-            for inst in wt:
-                pc = inst.pc
-                sid = (pc // fw) % ns
-                _cache_touch(l1i[sid], l1i_n, l1i_a, (pc * 4) // 8)
-                if inst.mem is not None:
-                    addr = inst.mem.address
-                    home = (addr // _LSQ_LINE) % ns
-                    if not _cache_touch(l1d[home], l1d_n, l1d_a,
-                                        addr // l1d_line):
-                        stream.append(addr)
-        wa = (self._warmup_addresses[tidx]
-              if self._warmup_addresses else None)
-        if wa is not None:
-            # _warm_data_caches: read stream through home L1Ds, then the
-            # timed region's own PC stream through the L1Is; both fall
-            # through to the (shared) L2 on miss.
-            for addr in wa:
-                home = (addr // _LSQ_LINE) % ns
-                if not _cache_touch(l1d[home], l1d_n, l1d_a,
-                                    addr // l1d_line):
-                    stream.append(addr)
-            cols = self._cols[tidx]
-            for pc4 in cols.pc4:
-                sid = (pc4 // 4 // fw) % ns
-                if not _cache_touch(l1i[sid], l1i_n, l1i_a, pc4 // 8):
-                    stream.append(pc4)
-        result = (l1i, l1d, stream)
-        self._warm_state[key] = result
-        return result
-
-    def _make_lane(self, index: int, spec: Tuple[int, int, float]) -> _Lane:
-        tidx, ns, kb = spec
-        cols = self._cols[tidx]
-        lane = _Lane()
-        lane.index = index
-        lane.trace_index = tidx
-        lane.cols = cols
-        lane.num_slices = ns
-        nb = int(round(kb / 64.0))
-        lane.l2_nb = nb
-        lane.l2_kb = nb * L2_BANK_BYTES / 1024
-        lane.l2_lat = [d * L2_CYCLES_PER_DISTANCE + L2_BASE_LATENCY
+        cols = trace_columns(trace)
+        ns = vcore.num_slices
+        nb = vcore.num_l2_banks
+        self.cols = cols
+        self.num_slices = ns
+        self.l2_nb = nb
+        self.l2_kb = nb * L2_BANK_BYTES / 1024
+        self.l2_lat = [d * L2_CYCLES_PER_DISTANCE + L2_BASE_LATENCY
                        for d in default_bank_distances(nb)]
-        lane.sid = cols.sids(ns, self.fetch_width, self.by_pc)
-        lane.home = cols.homes(ns)
-        lane.decode_latency = (self.config.frontend_depth
+        self.sid = cols.sids(ns, self.fetch_width, self.by_pc)
+        self.home = cols.homes(ns)
+        self.decode_latency = (config.frontend_depth
                                + rename_pipeline_depth(
                                    ns,
-                                   global_extra=self.config
-                                   .global_rename_depth))
-        lane.commit_budget = self.commit_width * ns
-        lane.precommit = self.config.precommit_sync if ns > 1 else 0
+                                   global_extra=config.global_rename_depth))
+        self.commit_budget = self.commit_width * ns
+        self.precommit = config.precommit_sync if ns > 1 else 0
 
-        lane.now = 0
-        lane.fetch_ptr = 0
-        lane.fetch_hw = 0
-        lane.fetch_limit = cols.length
-        lane.stall_until = 0
-        lane.blocking = None
-        lane.next_seq = 0
-        lane.ff_retired = 0
-        lane.decode = deque()
-        lane.buf_count = [0] * ns
+        self.now = 0
+        self.fetch_ptr = 0
+        self.fetch_hw = 0
+        self.fetch_limit = cols.length
+        self.stall_until = 0
+        self.blocking = None
+        self.next_seq = 0
+        self.ff_retired = 0
+        self.decode = deque()
+        self.buf_count = [0] * ns
 
         n = cols.length
-        lane.ep = [0] * n
-        lane.sq = bytearray(n)
-        lane.comp = [-1] * n
-        lane.disp = [-1] * n
-        lane.ccyc = [-1] * n
-        lane.rdy = [0] * n
-        lane.pend = [0] * n
-        lane.gdst = [-1] * n
-        lane.prior = [-1] * n
-        lane.ren = [0] * n
-        lane.pred = bytearray(n)
+        self.ep = [0] * n
+        self.sq = bytearray(n)
+        self.comp = [-1] * n
+        self.disp = [-1] * n
+        self.ccyc = [-1] * n
+        self.rdy = [0] * n
+        self.pend = [0] * n
+        self.gdst = [-1] * n
+        self.prior = [-1] * n
+        self.ren = [0] * n
+        self.pred = bytearray(n)
 
         # Rename state as flat arrays (-1 = unmapped / no producer /
         # no cached arrival; None = no consumer-slice record): the key
         # spaces are small and dense, so array indexing replaces the
         # scalar's dict lookups with identical observable behaviour.
-        lane.rat = [-1] * (cols.max_arch + 1)
+        self.rat = [-1] * (cols.max_arch + 1)
         # GlobalRenameState: pops from the tail, so regs allocate 0,1,2...
-        lane.rn_free = list(range(self.num_global - 1, -1, -1))
-        lane.producer_of = [-1] * self.num_global
-        lane.waiters = {}
-        lane.buckets = {}
-        lane.unresolved = set()
-        lane.op_arr = [[-1] * self.num_global for _ in range(ns)]
-        lane.lrf = [_LRF(self.lrf_cap) for _ in range(ns)]
-        lane.reg_slices = [None] * self.num_global
+        self.rn_free = list(range(self.num_global - 1, -1, -1))
+        self.producer_of = [-1] * self.num_global
+        self.waiters = {}
+        self.buckets = {}
+        self.unresolved = set()
+        self.op_arr = [[-1] * self.num_global for _ in range(ns)]
+        self.lrf = [_LRF(self.lrf_cap) for _ in range(ns)]
+        self.reg_slices = [None] * self.num_global
 
-        lane.alu_w = [[] for _ in range(ns)]
-        lane.mem_w = [[] for _ in range(ns)]
+        self.alu_w = [[] for _ in range(ns)]
+        self.mem_w = [[] for _ in range(ns)]
         # Event-driven issue: per-Slice seq-sorted lists of (seq, epoch)
         # entries whose operands are ready (pend == 0, rdy <= now), plus
         # the cycle -> [(seq, epoch)] activation buckets that feed them.
         # Entries are validated against sq/ep on read (like ``buckets``),
         # so squashes filter lazily.
-        lane.ready_alu = [[] for _ in range(ns)]
-        lane.ready_mem = [[] for _ in range(ns)]
-        lane.act = {}
-        lane.rob_w = self.rob.windows[index]
-        lane.rob_c = self.rob.occupancy[index]
-        lane.lsq_banks = self.lsq.banks[index]
-        lane.lsq_c = self.lsq.occupancy[index]
-        # Predictor state per (slice): 2-bit counters init 1 (weak NT)
-        # and BTB targets (-1 = no entry).  Plain lists on the hot path;
-        # ``pred_tensor()`` / ``btb_tensor()`` export the (lane, slice,
-        # entry) numpy views.
-        lane.bp = [[1] * self.bp_entries for _ in range(ns)]
-        lane.btb = [[-1] * self.btb_entries for _ in range(ns)]
-        lane.hist = [0] * ns
+        self.ready_alu = [[] for _ in range(ns)]
+        self.ready_mem = [[] for _ in range(ns)]
+        self.act = {}
+        # Distributed ROB (DistributedROB): the program-ordered in-flight
+        # window plus per-Slice occupancy.  Address-banked LSQ (LSQBank):
+        # per-bank maps ``seq -> [is_store, line, resolved_cycle,
+        # forwarded_from]`` (-1 stands in for the scalar's ``None``).
+        self.rob_w = deque()
+        self.rob_c = [0] * ns
+        self.lsq_banks = [{} for _ in range(ns)]
+        # Predictor state per Slice: 2-bit counters init 1 (weak NT)
+        # and BTB targets (-1 = no entry).
+        self.bp = [[1] * self.bp_entries for _ in range(ns)]
+        self.btb = [[-1] * self.btb_entries for _ in range(ns)]
+        self.hist = [0] * ns
 
-        # Shared warm state: copy L1 dicts, replay the L2 miss stream
-        # into this lane's own banks (uncounted, like the scalar warmup
-        # which resets counters afterwards).
-        l1i, l1d, stream = self._warm_group(tidx, ns)
-        lane.l1i_sets = [{idx: list(ways) for idx, ways in sets.items()}
-                         for sets in l1i]
-        lane.l1d_sets = [{idx: list(ways) for idx, ways in sets.items()}
-                         for sets in l1d]
-        lane.l2_sets = [{} for _ in range(nb)]
+        self.l1i_sets = [{} for _ in range(ns)]
+        self.l1d_sets = [{} for _ in range(ns)]
+        self.l2_sets = [{} for _ in range(nb)]
+        if warmup_addresses is not None:
+            self._warm(warmup_addresses)
+        self.mshr = [{} for _ in range(ns)]
+        self.sb = [deque() for _ in range(ns)]
+        self.sb_last = [-1] * ns
+        self.full_banks = 0
+        self.l1i_last = [-1] * ns
+        # The repeat-pair memo assumes the access line and its prefetch
+        # line (always ``a`` and ``a + ns``) live in different L1I sets,
+        # so a repeat cannot have been evicted by its own prefetch.
+        self.l1i_memo = ns % self.l1i_sets_n != 0
+
+        self.fetched = 0
+        self.committed = 0
+        self.squashed_count = 0
+        self.branches = 0
+        self.mispredicts = 0
+        self.l1i_acc = 0
+        self.l1i_miss = 0
+        self.l1d_acc = 0
+        self.l1d_miss = 0
+        self.l2_hits = 0
+        self.l2_misses = 0
+        self.operand_requests = 0
+        self.remote_hops = 0
+        self.lsq_violations = 0
+        self.store_forwards = 0
+        self.st_fetch_icache = 0
+        self.st_fetch_buffer = 0
+        self.st_fetch_redirect = 0
+        self.st_rob_full = 0
+        self.st_window_full = 0
+        self.st_freelist = 0
+        self.st_lrf_full = 0
+        self.st_issue_lsq_full = 0
+
+    def _warm(self, addresses: Sequence[int]) -> None:
+        """``ReferenceSimulator._warm_data_caches``, uncounted.
+
+        The read stream goes through the home L1Ds, then the timed
+        region's own PC stream through the L1Is; misses of both fall
+        through to the L2, in the same order.
+        """
+        ns = self.num_slices
+        fw = self.fetch_width
+        l1i, l1d = self.l1i_sets, self.l1d_sets
+        l1i_n, l1i_a = self.l1i_sets_n, self.l1i_assoc
+        l1d_n, l1d_a = self.l1d_sets_n, self.l1d_assoc
+        l1d_line = self.l1d_line
+        stream: List[int] = []
+        for addr in addresses:
+            home = (addr // _LSQ_LINE) % ns
+            if not _cache_touch(l1d[home], l1d_n, l1d_a, addr // l1d_line):
+                stream.append(addr)
+        for pc4 in self.cols.pc4:
+            sid = (pc4 // 4 // fw) % ns
+            if not _cache_touch(l1i[sid], l1i_n, l1i_a, pc4 // 8):
+                stream.append(pc4)
+        nb = self.l2_nb
         if nb:
-            l2_sets = lane.l2_sets
+            l2_sets = self.l2_sets
             for addr in stream:
                 line = addr // L2_LINE_BYTES
                 _cache_touch(l2_sets[line % nb], _L2_SETS, L2_ASSOC,
                              line // nb)
-        lane.mshr = [{} for _ in range(ns)]
-        lane.sb = [deque() for _ in range(ns)]
-        lane.sb_last = [-1] * ns
-        lane.full_banks = 0
-        lane.l1i_last = [-1] * ns
-        # The repeat-pair memo assumes the access line and its prefetch
-        # line (always ``a`` and ``a + ns``) live in different L1I sets,
-        # so a repeat cannot have been evicted by its own prefetch.
-        lane.l1i_memo = ns % self.l1i_sets_n != 0
-
-        lane.fetched = 0
-        lane.committed = 0
-        lane.squashed_count = 0
-        lane.branches = 0
-        lane.mispredicts = 0
-        lane.l1i_acc = 0
-        lane.l1i_miss = 0
-        lane.l1d_acc = 0
-        lane.l1d_miss = 0
-        lane.l2_hits = 0
-        lane.l2_misses = 0
-        lane.operand_requests = 0
-        lane.remote_hops = 0
-        lane.lsq_violations = 0
-        lane.store_forwards = 0
-        lane.st_fetch_icache = 0
-        lane.st_fetch_buffer = 0
-        lane.st_fetch_redirect = 0
-        lane.st_rob_full = 0
-        lane.st_window_full = 0
-        lane.st_freelist = 0
-        lane.st_lrf_full = 0
-        lane.st_issue_lsq_full = 0
-        return lane
 
     # ------------------------------------------------------------------
     # lazy memory-system background work
     # ------------------------------------------------------------------
 
-    def _catch_up_ticks(self, lane: _Lane, sid: int, now: int) -> None:
+    def _catch_up_ticks(self, sid: int, now: int) -> None:
         """Apply the store-buffer drains of cycles ``(last, now-1]``.
 
         The scalar model drains at most one buffered store per Slice per
@@ -786,12 +493,12 @@ class BatchedSimulator:
         whenever the Slice's memory system is next observed.
         """
         upto = now - 1
-        last = lane.sb_last[sid]
+        last = self.sb_last[sid]
         if upto <= last:
             return
-        sb = lane.sb[sid]
+        sb = self.sb[sid]
         if sb:
-            sets = lane.l1d_sets[sid]
+            sets = self.l1d_sets[sid]
             n_sets, assoc = self.l1d_sets_n, self.l1d_assoc
             l1d_line = self.l1d_line
             while sb:
@@ -802,27 +509,27 @@ class BatchedSimulator:
                 if t > upto:
                     break
                 sb.popleft()
-                lane.l1d_acc += 1
+                self.l1d_acc += 1
                 if not _cache_touch(sets, n_sets, assoc, addr // l1d_line):
-                    lane.l1d_miss += 1
+                    self.l1d_miss += 1
                 last = t
-        lane.sb_last[sid] = upto
+        self.sb_last[sid] = upto
 
-    def _l2_access(self, lane: _Lane, addr: int) -> Tuple[bool, int]:
-        nb = lane.l2_nb
+    def _l2_access(self, addr: int) -> Tuple[bool, int]:
+        nb = self.l2_nb
         if not nb:
             return False, 0
         line = addr // L2_LINE_BYTES
         bank = line % nb
-        hit = _cache_touch(lane.l2_sets[bank], _L2_SETS, L2_ASSOC,
+        hit = _cache_touch(self.l2_sets[bank], _L2_SETS, L2_ASSOC,
                            line // nb)
         if hit:
-            lane.l2_hits += 1
+            self.l2_hits += 1
         else:
-            lane.l2_misses += 1
-        return hit, lane.l2_lat[bank]
+            self.l2_misses += 1
+        return hit, self.l2_lat[bank]
 
-    def _hier_access(self, lane: _Lane, sid: int, addr: int,
+    def _hier_access(self, sid: int, addr: int,
                      t: int, now: int) -> int:
         """CacheHierarchy.access for a load issued at cycle ``t``.
 
@@ -830,37 +537,37 @@ class BatchedSimulator:
         caught up to it first (MSHR entries with fill < now would have
         been retired; store-buffer drains through now-1 are replayed).
         """
-        self._catch_up_ticks(lane, sid, now)
+        self._catch_up_ticks(sid, now)
         l1d_line = self.l1d_line
-        sb = lane.sb[sid]
+        sb = self.sb[sid]
         if sb:
             line = addr // l1d_line
             for buffered_addr, _ in sb:
                 if buffered_addr // l1d_line == line:
                     return t + self.l1d_hit
-        mshr = lane.mshr[sid]
+        mshr = self.mshr[sid]
         if mshr:
             stale = [l for l, fill in mshr.items() if fill < now]
             for l in stale:
                 del mshr[l]
         mshr_line = addr // _LSQ_LINE
         in_flight = mshr.get(mshr_line)
-        sets = lane.l1d_sets[sid]
+        sets = self.l1d_sets[sid]
         if in_flight is not None:
             # Secondary miss: merge as a waiter; the L1D access still
             # counts and touches LRU state.
-            lane.l1d_acc += 1
+            self.l1d_acc += 1
             if not _cache_touch(sets, self.l1d_sets_n, self.l1d_assoc,
                                 addr // l1d_line):
-                lane.l1d_miss += 1
+                self.l1d_miss += 1
             ready = t + self.l1d_hit
             return in_flight if in_flight > ready else ready
-        lane.l1d_acc += 1
+        self.l1d_acc += 1
         if _cache_touch(sets, self.l1d_sets_n, self.l1d_assoc,
                         addr // l1d_line):
             return t + self.l1d_hit
-        lane.l1d_miss += 1
-        l2_hit, l2_lat = self._l2_access(lane, addr)
+        self.l1d_miss += 1
+        l2_hit, l2_lat = self._l2_access(addr)
         fill = t + self.l1d_hit + l2_lat
         if not l2_hit:
             fill += self.mem_delay
@@ -874,15 +581,15 @@ class BatchedSimulator:
     # pipeline events
     # ------------------------------------------------------------------
 
-    def _operand_arrival(self, lane: _Lane, producer: int, consumer: int,
+    def _operand_arrival(self, producer: int, consumer: int,
                          t: int) -> int:
-        sid = lane.sid
+        sid = self.sid
         p_slice = sid[producer]
         c_slice = sid[consumer]
         if p_slice == c_slice:
             return t
-        reg = lane.gdst[producer]
-        op_arr = lane.op_arr[c_slice]
+        reg = self.gdst[producer]
+        op_arr = self.op_arr[c_slice]
         if reg >= 0:
             cached = op_arr[reg]
             if cached >= 0:
@@ -891,30 +598,30 @@ class BatchedSimulator:
         if hops < 0:
             hops = -hops
         hop_latency = 1 + hops
-        request_arrives = lane.disp[consumer] + hop_latency
+        request_arrives = self.disp[consumer] + hop_latency
         arrival = (t if t >= request_arrives else request_arrives) \
             + hop_latency
-        lane.operand_requests += 1
-        lane.remote_hops += hops
+        self.operand_requests += 1
+        self.remote_hops += hops
         if reg >= 0:
             op_arr[reg] = arrival
             # Remember which slices cached this register so release
             # only touches those (a no-op everywhere else in the scalar).
-            slices = lane.reg_slices[reg]
+            slices = self.reg_slices[reg]
             if slices is None:
-                lane.reg_slices[reg] = [c_slice]
+                self.reg_slices[reg] = [c_slice]
             else:
                 slices.append(c_slice)
-            lane.lrf[c_slice].allocate_remote(reg)
+            self.lrf[c_slice].allocate_remote(reg)
         return arrival
 
-    def _resolve_branch(self, lane: _Lane, seq: int, t: int) -> None:
-        sid = lane.sid[seq]
-        pc = lane.cols.pcs[seq]
-        taken = bool(lane.cols.flags[seq] & F_TAKEN)
-        bp = lane.bp
+    def _resolve_branch(self, seq: int, t: int) -> None:
+        sid = self.sid[seq]
+        pc = self.cols.pcs[seq]
+        taken = bool(self.cols.flags[seq] & F_TAKEN)
+        bp = self.bp
         if self.gshare:
-            index = (pc ^ lane.hist[sid]) % self.bp_entries
+            index = (pc ^ self.hist[sid]) % self.bp_entries
         else:
             index = pc % self.bp_entries
         row = bp[sid]
@@ -925,76 +632,75 @@ class BatchedSimulator:
         elif counter > 0:
             row[index] = counter - 1
         if self.gshare:
-            lane.hist[sid] = (((lane.hist[sid] << 1) | int(taken))
+            self.hist[sid] = (((self.hist[sid] << 1) | int(taken))
                               & self.hist_mask)
-        target = lane.cols.targets[seq]
+        target = self.cols.targets[seq]
         if taken and target >= 0:
-            lane.btb[sid][pc % self.btb_entries] = target
-        if bool(lane.pred[seq]) != taken:
-            lane.mispredicts += 1
-            blocking = lane.blocking
+            self.btb[sid][pc % self.btb_entries] = target
+        if bool(self.pred[seq]) != taken:
+            self.mispredicts += 1
+            blocking = self.blocking
             if (blocking is not None and blocking[0] == seq
-                    and blocking[1] == lane.ep[seq]):
-                lane.blocking = None
+                    and blocking[1] == self.ep[seq]):
+                self.blocking = None
                 redirect = t + self.redirect
-                if redirect > lane.stall_until:
-                    lane.stall_until = redirect
+                if redirect > self.stall_until:
+                    self.stall_until = redirect
 
-    def _predict(self, lane: _Lane, sid: int, pc: int) -> bool:
+    def _predict(self, sid: int, pc: int) -> bool:
         """BranchUnit.predict: direction counter gated by BTB presence."""
         if self.gshare:
-            index = (pc ^ lane.hist[sid]) % self.bp_entries
+            index = (pc ^ self.hist[sid]) % self.bp_entries
         else:
             index = pc % self.bp_entries
-        taken = lane.bp[sid][index] >= 2
-        if taken and lane.btb[sid][pc % self.btb_entries] < 0:
+        taken = self.bp[sid][index] >= 2
+        if taken and self.btb[sid][pc % self.btb_entries] < 0:
             return False
         return taken
 
-    def _commit_store(self, lane: _Lane, seq: int, now: int) -> bool:
-        home = lane.home[seq]
-        line = lane.cols.lines[seq]
-        bank = lane.lsq_banks[home]
+    def _commit_store(self, seq: int, now: int) -> bool:
+        home = self.home[seq]
+        line = self.cols.lines[seq]
+        bank = self.lsq_banks[home]
         violators = [load_seq for load_seq, entry in bank.items()
                      if not entry[0] and load_seq > seq
                      and entry[1] == line and entry[3] < seq
                      and entry[2] <= now]
         if violators:
             oldest = min(violators)
-            lane.lsq_violations += len(violators)
-            self._replay_from(lane, oldest, now)
-        self._catch_up_ticks(lane, home, now)
-        sb = lane.sb[home]
+            self.lsq_violations += len(violators)
+            self._replay_from(oldest, now)
+        self._catch_up_ticks(home, now)
+        sb = self.sb[home]
         if len(sb) >= self.sb_cap:
             return False
-        sb.append((lane.cols.addrs[seq], now))
+        sb.append((self.cols.addrs[seq], now))
         del bank[seq]
-        lane.lsq_c[home] -= 1
         if len(bank) == self.lsq_cap - 1:
-            lane.full_banks -= 1
+            self.full_banks -= 1
         return True
 
-    def _replay_from(self, lane: _Lane, victim: int, now: int) -> None:
+    def _replay_from(self, victim: int, now: int) -> None:
         """Memory-order violation: squash and refetch from ``victim``."""
         limit = victim - 1
-        rob_w = lane.rob_w
-        rob_c = lane.rob_c
-        sid = lane.sid
-        sq = lane.sq
+        rob_w = self.rob_w
+        rob_c = self.rob_c
+        sid = self.sid
+        sq = self.sq
         squashed: List[int] = []
         while rob_w and rob_w[-1] > limit:
             seq = rob_w.pop()
             rob_c[sid[seq]] -= 1
             sq[seq] = 1
             squashed.append(seq)
-        rat = lane.rat
-        free = lane.rn_free
-        producer_of = lane.producer_of
-        gdst = lane.gdst
-        prior = lane.prior
-        dst = lane.cols.dst
-        num_slices = lane.num_slices
-        reg_slices = lane.reg_slices
+        rat = self.rat
+        free = self.rn_free
+        producer_of = self.producer_of
+        gdst = self.gdst
+        prior = self.prior
+        dst = self.cols.dst
+        num_slices = self.num_slices
+        reg_slices = self.reg_slices
         for seq in squashed:
             reg = gdst[seq]
             if reg >= 0:
@@ -1008,49 +714,47 @@ class BatchedSimulator:
                 if slices is not None:
                     reg_slices[reg] = None
                     for s in slices:
-                        lane.op_arr[s][reg] = -1
-                        lane.lrf[s].release(reg)
-                lane.lrf[sid[seq]].release(reg)
+                        self.op_arr[s][reg] = -1
+                        self.lrf[s].release(reg)
+                self.lrf[sid[seq]].release(reg)
         for s in range(num_slices):
-            lane.alu_w[s] = [q for q in lane.alu_w[s] if q <= limit]
-            lane.mem_w[s] = [q for q in lane.mem_w[s] if q <= limit]
-        decode = lane.decode
-        buf_count = lane.buf_count
+            self.alu_w[s] = [q for q in self.alu_w[s] if q <= limit]
+            self.mem_w[s] = [q for q in self.mem_w[s] if q <= limit]
+        decode = self.decode
+        buf_count = self.buf_count
         while decode and decode[-1] >= victim:
             seq = decode.pop()
             sq[seq] = 1
             buf_count[sid[seq]] -= 1
-        lsq_c = lane.lsq_c
         lsq_cap = self.lsq_cap
-        for s, bank in enumerate(lane.lsq_banks):
+        for bank in self.lsq_banks:
             victims = [q for q in bank if q > limit]
             if victims:
                 was_full = len(bank) >= lsq_cap
                 for q in victims:
                     del bank[q]
-                lsq_c[s] -= len(victims)
                 if was_full and len(bank) < lsq_cap:
-                    lane.full_banks -= 1
-        unresolved = lane.unresolved
+                    self.full_banks -= 1
+        unresolved = self.unresolved
         if unresolved:
             stale = [q for q in unresolved if q >= victim]
             for q in stale:
                 unresolved.discard(q)
-        lane.squashed_count += len(squashed)
-        blocking = lane.blocking
+        self.squashed_count += len(squashed)
+        blocking = self.blocking
         if blocking is not None and blocking[0] >= victim:
-            lane.blocking = None
-        lane.fetch_ptr = victim
-        lane.next_seq = victim
+            self.blocking = None
+        self.fetch_ptr = victim
+        self.next_seq = victim
         redirect = now + self.redirect
-        if redirect > lane.stall_until:
-            lane.stall_until = redirect
+        if redirect > self.stall_until:
+            self.stall_until = redirect
 
-    def _unregister_waiters(self, lane: _Lane, seq: int,
+    def _unregister_waiters(self, seq: int,
                             producers: List[int]) -> None:
         """Back out a failed dispatch's wakeup registrations."""
-        epoch = lane.ep[seq]
-        waiters = lane.waiters
+        epoch = self.ep[seq]
+        waiters = self.waiters
         for producer in set(producers):
             waiters[producer] = [
                 entry for entry in waiters[producer]
@@ -1061,77 +765,80 @@ class BatchedSimulator:
     # the cycle loop
     # ------------------------------------------------------------------
 
-    def _advance(self, lane: _Lane, target: int, max_steps: int) -> None:
-        """Run one lane for up to ``max_steps`` cycles or until
-        ``target`` instructions have committed."""
+    def run_to_commit(self, target: int) -> None:
+        """Step the pipeline until ``target`` instructions have committed.
+
+        ``target`` counts detailed commits only (fast-forwarded
+        instructions are excluded); raises
+        :class:`~repro.core.simulator.SimulationTimeout` when the cycle
+        budget runs out first.
+        """
         max_cycles = self.max_cycles
-        cols = lane.cols
+        cols = self.cols
         flags = cols.flags
         pcs = cols.pcs
         pc4s = cols.pc4
-        sid_of = lane.sid
-        comp = lane.comp
-        rdy = lane.rdy
-        pend = lane.pend
-        sq = lane.sq
-        ep = lane.ep
-        buckets = lane.buckets
-        rob_w = lane.rob_w
-        decode = lane.decode
-        buf_count = lane.buf_count
-        num_slices = lane.num_slices
+        sid_of = self.sid
+        comp = self.comp
+        rdy = self.rdy
+        pend = self.pend
+        sq = self.sq
+        ep = self.ep
+        buckets = self.buckets
+        rob_w = self.rob_w
+        decode = self.decode
+        buf_count = self.buf_count
+        num_slices = self.num_slices
         fetch_width = self.fetch_width
         buffer_cap = self.buffer_cap
         mul_latency = self.mul_latency
         lsq_cap = self.lsq_cap
-        precommit = lane.precommit
-        commit_budget = lane.commit_budget
-        decode_latency = lane.decode_latency
+        precommit = self.precommit
+        commit_budget = self.commit_budget
+        decode_latency = self.decode_latency
         ordered = self.ordered_lsq
-        l1i_sets = lane.l1i_sets
+        l1i_sets = self.l1i_sets
         l1i_n = self.l1i_sets_n
         l1i_a = self.l1i_assoc
-        ren = lane.ren
+        ren = self.ren
 
-        ccyc = lane.ccyc
-        gprior = lane.prior
-        home_of = lane.home
-        rob_c = lane.rob_c
-        lsq_banks = lane.lsq_banks
-        lsq_c = lane.lsq_c
-        alu_windows = lane.alu_w
-        mem_windows = lane.mem_w
-        l1i_last = lane.l1i_last
-        l1i_memo = lane.l1i_memo
+        ccyc = self.ccyc
+        gprior = self.prior
+        home_of = self.home
+        rob_c = self.rob_c
+        lsq_banks = self.lsq_banks
+        alu_windows = self.alu_w
+        mem_windows = self.mem_w
+        l1i_last = self.l1i_last
+        l1i_memo = self.l1i_memo
         rob_cap = self.rob_cap
         win_cap = self.win_cap
         lrf_cap = self.lrf_cap
-        rn_free = lane.rn_free
-        rat = lane.rat
-        producer_of = lane.producer_of
-        disp = lane.disp
-        waiters = lane.waiters
+        rn_free = self.rn_free
+        rat = self.rat
+        producer_of = self.producer_of
+        disp = self.disp
+        waiters = self.waiters
         srcs_col = cols.srcs
         dst_col = cols.dst
-        gdst = lane.gdst
-        rdy = lane.rdy
-        lrfs = lane.lrf
-        unresolved_set = lane.unresolved
-        ready_alu = lane.ready_alu
-        ready_mem = lane.ready_mem
-        act = lane.act
-        reg_slices = lane.reg_slices
-        op_arrs = lane.op_arr
+        gdst = self.gdst
+        rdy = self.rdy
+        lrfs = self.lrf
+        unresolved_set = self.unresolved
+        ready_alu = self.ready_alu
+        ready_mem = self.ready_mem
+        act = self.act
+        reg_slices = self.reg_slices
+        op_arrs = self.op_arr
         lines_col = cols.lines
         addrs_col = cols.addrs
 
-        now = lane.now
-        steps = 0
-        while lane.committed < target and steps < max_steps:
+        now = self.now
+        while self.committed < target:
             if now >= max_cycles:
-                lane.now = now
+                self.now = now
                 raise SimulationTimeout(
-                    f"{lane.committed}/{target} committed after "
+                    f"{self.committed}/{target} committed after "
                     f"{now} cycles"
                 )
 
@@ -1139,21 +846,14 @@ class BatchedSimulator:
             # Pipeline drained + fetch stalled on a redirect/miss window:
             # the only per-cycle effect until ``stall_until`` is one
             # fetch-redirect stall count, so those cycles batch.
-            if (not rob_w and not decode and lane.blocking is None
-                    and now < lane.stall_until):
-                skip = lane.stall_until - now
-                budget_left = max_steps - steps
-                if skip > budget_left:
-                    skip = budget_left
+            if (not rob_w and not decode and self.blocking is None
+                    and now < self.stall_until):
+                skip = self.stall_until - now
                 if now + skip > max_cycles:
                     skip = max_cycles - now
-                if skip > 0:
-                    lane.st_fetch_redirect += skip
-                    now += skip
-                    steps += skip
-                    continue
-
-            steps += 1
+                self.st_fetch_redirect += skip
+                now += skip
+                continue
 
             # ---- complete ----
             # (_on_complete inlined: wakeup is a per-instruction event
@@ -1166,7 +866,7 @@ class BatchedSimulator:
                     t = comp[seq]
                     unresolved_set.discard(seq)
                     if flags[seq] & F_BRANCH:
-                        self._resolve_branch(lane, seq, t)
+                        self._resolve_branch(seq, t)
                     waiting = waiters.pop(seq, None)
                     if waiting:
                         p_slice = sid_of[seq]
@@ -1179,7 +879,7 @@ class BatchedSimulator:
                                 arrival = t
                             else:
                                 arrival = self._operand_arrival(
-                                    lane, seq, consumer, t)
+                                    seq, consumer, t)
                             if arrival > rdy[consumer]:
                                 rdy[consumer] = arrival
                             remaining = pend[consumer] - 1
@@ -1225,19 +925,17 @@ class BatchedSimulator:
                         break
                     bits = flags[head]
                     if bits & F_STORE:
-                        if not self._commit_store(lane, head, now):
+                        if not self._commit_store(head, now):
                             break
                     rob_w.popleft()
                     rob_c[sid_of[head]] -= 1
                     ccyc[head] = now
-                    lane.committed += 1
+                    self.committed += 1
                     if bits & F_LOAD:
-                        home = home_of[head]
-                        bank = lsq_banks[home]
+                        bank = lsq_banks[home_of[head]]
                         if bank.pop(head, None) is not None:
-                            lsq_c[home] -= 1
                             if len(bank) == lsq_cap - 1:
-                                lane.full_banks -= 1
+                                self.full_banks -= 1
                     prior = gprior[head]
                     if prior >= 0:
                         # Inlined _release_global: free ``prior`` from
@@ -1295,7 +993,7 @@ class BatchedSimulator:
                 r = ready_mem[sid]
                 if r:
                     pick = -1
-                    if not lane.full_banks and not ordered:
+                    if not self.full_banks and not ordered:
                         # Fast path: the predicate cannot fail, so the
                         # first live entry is the scalar's min-seq pick.
                         while r:
@@ -1320,7 +1018,7 @@ class BatchedSimulator:
                                 continue
                             if (len(lsq_banks[home_of[seq]]) >= lsq_cap
                                     and seq != head_seq):
-                                lane.st_issue_lsq_full += 1
+                                self.st_issue_lsq_full += 1
                                 i += 1
                                 continue
                             if (ordered and flags[seq] & F_LOAD
@@ -1356,9 +1054,8 @@ class BatchedSimulator:
                             bank_entry = [bool(is_store), line,
                                           resolved, -1]
                             bank[pick] = bank_entry
-                            lsq_c[home] += 1
                             if len(bank) == lsq_cap:
-                                lane.full_banks += 1
+                                self.full_banks += 1
                             if is_store:
                                 complete = resolved
                             else:
@@ -1371,11 +1068,11 @@ class BatchedSimulator:
                                         forwarding = store_seq
                                 if forwarding >= 0:
                                     bank_entry[3] = forwarding
-                                    lane.store_forwards += 1
+                                    self.store_forwards += 1
                                     complete = resolved + 1
                                 else:
                                     complete = self._hier_access(
-                                        lane, home, addrs_col[pick],
+                                        home, addrs_col[pick],
                                         resolved, now) + sort_latency
                             comp[pick] = complete
                             # Inline _schedule_completion: complete >=
@@ -1402,17 +1099,17 @@ class BatchedSimulator:
                     if quotas[sid] <= 0:
                         break
                     if rob_c[sid] >= rob_cap:
-                        lane.st_rob_full += 1
+                        self.st_rob_full += 1
                         break
                     bits = flags[seq]
                     window = (mem_windows[sid] if bits & F_MEM
                               else alu_windows[sid])
                     if len(window) >= win_cap:
-                        lane.st_window_full += 1
+                        self.st_window_full += 1
                         break
                     writes = bits & F_WRITES
                     if not rn_free and writes:
-                        lane.st_freelist += 1
+                        self.st_freelist += 1
                         break
                     ready = now + 1
                     pending = 0
@@ -1455,17 +1152,17 @@ class BatchedSimulator:
                         # cached remote or fail, so it must run.
                         if len(lrf.resident) >= lrf_cap:
                             if not lrf.allocate_dst(-1):
-                                lane.st_lrf_full += 1
+                                self.st_lrf_full += 1
                                 if registered:
                                     self._unregister_waiters(
-                                        lane, seq, registered)
+                                        seq, registered)
                                 break
                             lrf.release(-1)
                         if not rn_free:  # RenameStallError parity
-                            lane.st_freelist += 1  # (unreachable)
+                            self.st_freelist += 1  # (unreachable)
                             if registered:
                                 self._unregister_waiters(
-                                    lane, seq, registered)
+                                    seq, registered)
                             break
                         reg = rn_free.pop()
                         arch = dst_col[seq]
@@ -1484,7 +1181,7 @@ class BatchedSimulator:
                     if fixups:
                         for producer in fixups:
                             arrival = self._operand_arrival(
-                                lane, producer, seq, comp[producer])
+                                producer, seq, comp[producer])
                             if arrival > ready:
                                 ready = arrival
                     rdy[seq] = ready
@@ -1504,24 +1201,24 @@ class BatchedSimulator:
                     decode.popleft()
                     buf_count[sid] -= 1
                     quotas[sid] -= 1
-                    lane.next_seq += 1
+                    self.next_seq += 1
 
             # ---- fetch ----
-            if lane.blocking is not None or now < lane.stall_until:
-                lane.st_fetch_redirect += 1
+            if self.blocking is not None or now < self.stall_until:
+                self.st_fetch_redirect += 1
             else:
                 quotas = [fetch_width] * num_slices
-                ptr = lane.fetch_ptr
-                hw = lane.fetch_hw
-                limit = lane.fetch_limit
-                waiters = lane.waiters
+                ptr = self.fetch_ptr
+                hw = self.fetch_hw
+                limit = self.fetch_limit
+                waiters = self.waiters
                 while ptr < limit:
                     seq = ptr
                     sid = sid_of[seq]
                     if quotas[sid] <= 0:
                         break
                     if buf_count[sid] >= buffer_cap:
-                        lane.st_fetch_buffer += 1
+                        self.st_fetch_buffer += 1
                         break
                     # L1I fetch with next-line prefetch.  The access
                     # line and its prefetch line are always ``a`` and
@@ -1529,7 +1226,7 @@ class BatchedSimulator:
                     # re-touches both MRU entries (a state no-op), so
                     # the memoized repeat skips the LRU work entirely.
                     address = pc4s[seq]
-                    lane.l1i_acc += 1
+                    self.l1i_acc += 1
                     line = address // 8
                     if line == l1i_last[sid]:
                         hit = True
@@ -1541,13 +1238,13 @@ class BatchedSimulator:
                         if l1i_memo:
                             l1i_last[sid] = line
                     if not hit:
-                        lane.l1i_miss += 1
-                        l2_hit, l2_lat = self._l2_access(lane, address)
+                        self.l1i_miss += 1
+                        l2_hit, l2_lat = self._l2_access(address)
                         delay = self.l1i_hit + l2_lat
                         if not l2_hit:
                             delay += self.mem_delay
-                        lane.stall_until = now + delay
-                        lane.st_fetch_icache += 1
+                        self.stall_until = now + delay
+                        self.st_fetch_icache += 1
                         break
                     if seq >= hw:
                         # First-ever fetch: every column still holds its
@@ -1561,78 +1258,78 @@ class BatchedSimulator:
                         ep[seq] = epoch
                         sq[seq] = 0
                         comp[seq] = -1
-                        lane.disp[seq] = -1
-                        lane.ccyc[seq] = -1
+                        self.disp[seq] = -1
+                        self.ccyc[seq] = -1
                         pend[seq] = 0
-                        lane.gdst[seq] = -1
-                        lane.prior[seq] = -1
+                        self.gdst[seq] = -1
+                        self.prior[seq] = -1
                         waiters.pop(seq, None)
                     ren[seq] = now + decode_latency
                     decode.append(seq)
                     buf_count[sid] += 1
-                    lane.fetched += 1
+                    self.fetched += 1
                     quotas[sid] -= 1
                     ptr += 1
                     bits = flags[seq]
                     if bits & F_BRANCH:
-                        lane.branches += 1
+                        self.branches += 1
                         pc = pcs[seq]
-                        predicted = self._predict(lane, sid, pc)
-                        lane.pred[seq] = 1 if predicted else 0
+                        predicted = self._predict(sid, pc)
+                        self.pred[seq] = 1 if predicted else 0
                         if predicted != bool(bits & F_TAKEN):
-                            lane.blocking = (seq, epoch)
+                            self.blocking = (seq, epoch)
                             break
-                lane.fetch_ptr = ptr
-                lane.fetch_hw = hw
+                self.fetch_ptr = ptr
+                self.fetch_hw = hw
 
             now += 1
-        lane.now = now
+        self.now = now
 
     # ------------------------------------------------------------------
     # functional fast-forward (sampled composition)
     # ------------------------------------------------------------------
 
-    def _fast_forward(self, lane: _Lane, count: int) -> int:
-        """Scalar ``fast_forward`` on one lane: caches, predictors and
+    def _fast_forward(self, count: int) -> int:
+        """``ReferenceSimulator.fast_forward``: caches, predictors and
         store state stay warm; no cycles elapse; stats untouched except
         the full-trace L1D/L2 counters (which the sampled estimator
         passes through unscaled)."""
-        if (lane.decode or lane.rob_w or lane.unresolved
-                or lane.blocking is not None):
+        if (self.decode or self.rob_w or self.unresolved
+                or self.blocking is not None):
             raise RuntimeError(
                 "cannot fast-forward with instructions in flight; run "
                 "the detailed window to completion first"
             )
-        cols = lane.cols
-        start = lane.fetch_ptr
+        cols = self.cols
+        start = self.fetch_ptr
         stop = min(start + count, cols.length)
         if stop <= start:
             return 0
         # Pending store-buffer drains precede (in cycle order) any L1D
         # touch this fast-forward performs.
-        for sid in range(lane.num_slices):
-            self._catch_up_ticks(lane, sid, lane.now)
+        for sid in range(self.num_slices):
+            self._catch_up_ticks(sid, self.now)
         flags = cols.flags
         pc4s = cols.pc4
         pcs = cols.pcs
         addrs = cols.addrs
         targets = cols.targets
-        sid_of = lane.sid
-        home_of = lane.home
-        l1i_sets = lane.l1i_sets
-        l1d_sets = lane.l1d_sets
+        sid_of = self.sid
+        home_of = self.home
+        l1i_sets = self.l1i_sets
+        l1d_sets = self.l1d_sets
         l1i_n, l1i_a = self.l1i_sets_n, self.l1i_assoc
         l1d_n, l1d_a = self.l1d_sets_n, self.l1d_assoc
         l1d_line = self.l1d_line
         gshare = self.gshare
-        bp = lane.bp
-        btb = lane.btb
+        bp = self.bp
+        btb = self.btb
         bp_entries = self.bp_entries
         btb_entries = self.btb_entries
         hist_mask = self.hist_mask
-        l1i_last = lane.l1i_last
-        l1i_memo = lane.l1i_memo
-        num_slices = lane.num_slices
+        l1i_last = self.l1i_last
+        l1i_memo = self.l1i_memo
+        num_slices = self.num_slices
         for seq in range(start, stop):
             sid = sid_of[seq]
             address = pc4s[seq]
@@ -1643,7 +1340,7 @@ class BatchedSimulator:
             line = address // 8
             if line != l1i_last[sid]:
                 if not _cache_touch(l1i_sets[sid], l1i_n, l1i_a, line):
-                    self._l2_access(lane, address)
+                    self._l2_access(address)
                 _cache_touch(l1i_sets[sid], l1i_n, l1i_a,
                              line + num_slices)
                 if l1i_memo:
@@ -1656,7 +1353,7 @@ class BatchedSimulator:
                     taken = bool(bits & F_TAKEN)
                     pc = pcs[seq]
                     if gshare:
-                        index = (pc ^ lane.hist[sid]) % bp_entries
+                        index = (pc ^ self.hist[sid]) % bp_entries
                     else:
                         index = pc % bp_entries
                     row = bp[sid]
@@ -1667,7 +1364,7 @@ class BatchedSimulator:
                     elif counter > 0:
                         row[index] = counter - 1
                     if gshare:
-                        lane.hist[sid] = (((lane.hist[sid] << 1)
+                        self.hist[sid] = (((self.hist[sid] << 1)
                                            | int(taken)) & hist_mask)
                     target = targets[seq]
                     if taken and target >= 0:
@@ -1675,182 +1372,115 @@ class BatchedSimulator:
                 elif bits & F_MEM:
                     address = addrs[seq]
                     home = home_of[seq]
-                    lane.l1d_acc += 1
+                    self.l1d_acc += 1
                     if not _cache_touch(l1d_sets[home], l1d_n, l1d_a,
                                         address // l1d_line):
-                        lane.l1d_miss += 1
-                        self._l2_access(lane, address)
+                        self.l1d_miss += 1
+                        self._l2_access(address)
         retired = stop - start
-        lane.fetch_ptr = stop
-        lane.next_seq = stop
-        lane.ff_retired += retired
+        self.fetch_ptr = stop
+        self.next_seq = stop
+        self.ff_retired += retired
         return retired
 
     # ------------------------------------------------------------------
     # drivers and results
     # ------------------------------------------------------------------
 
-    #: Cycles one lane runs before the driver rotates to the next; large
-    #: enough to amortize the per-chunk local-variable hoist, small
-    #: enough that lanes progress in near-lockstep.
-    CHUNK_CYCLES = 4096
-
-    def run_to_commit(self, targets: Union[int, Sequence[int]],
-                      lanes: Optional[Sequence[_Lane]] = None) -> None:
-        """Advance lanes until each reaches its absolute commit target."""
-        if lanes is None:
-            lanes = self.lanes
-        if isinstance(targets, int):
-            targets = [targets] * len(lanes)
-        if len(targets) != len(lanes):
-            raise ValueError("one commit target per lane")
-        chunk = self.CHUNK_CYCLES
-        active = [(lane, int(t)) for lane, t in zip(lanes, targets)
-                  if lane.committed < t]
-        while active:
-            still = []
-            for lane, target in active:
-                self._advance(lane, target, chunk)
-                if lane.committed < target:
-                    still.append((lane, target))
-            active = still
-
-    def _lane_stats(self, lane: _Lane) -> SimStats:
-        """This lane's SimStats; applies any outstanding lazy ticks."""
-        for sid in range(lane.num_slices):
-            self._catch_up_ticks(lane, sid, lane.now)
+    def _stats(self) -> SimStats:
+        """The run's SimStats; applies any outstanding lazy ticks."""
+        for sid in range(self.num_slices):
+            self._catch_up_ticks(sid, self.now)
         return SimStats(
-            cycles=lane.now,
-            fetched=lane.fetched,
-            committed=lane.committed,
-            squashed=lane.squashed_count,
-            branches=lane.branches,
-            branch_mispredicts=lane.mispredicts,
-            l1i_accesses=lane.l1i_acc,
-            l1i_misses=lane.l1i_miss,
-            l1d_accesses=lane.l1d_acc,
-            l1d_misses=lane.l1d_miss,
-            l2_accesses=lane.l2_hits + lane.l2_misses,
-            l2_misses=lane.l2_misses,
-            operand_requests=lane.operand_requests,
-            remote_operand_hops=lane.remote_hops,
-            lsq_violations=lane.lsq_violations,
-            store_forwards=lane.store_forwards,
+            cycles=self.now,
+            fetched=self.fetched,
+            committed=self.committed,
+            squashed=self.squashed_count,
+            branches=self.branches,
+            branch_mispredicts=self.mispredicts,
+            l1i_accesses=self.l1i_acc,
+            l1i_misses=self.l1i_miss,
+            l1d_accesses=self.l1d_acc,
+            l1d_misses=self.l1d_miss,
+            l2_accesses=self.l2_hits + self.l2_misses,
+            l2_misses=self.l2_misses,
+            operand_requests=self.operand_requests,
+            remote_operand_hops=self.remote_hops,
+            lsq_violations=self.lsq_violations,
+            store_forwards=self.store_forwards,
             stalls=StallBreakdown(
-                fetch_icache=lane.st_fetch_icache,
-                fetch_buffer_full=lane.st_fetch_buffer,
-                fetch_branch_redirect=lane.st_fetch_redirect,
-                dispatch_rob_full=lane.st_rob_full,
-                dispatch_window_full=lane.st_window_full,
-                dispatch_freelist=lane.st_freelist,
-                dispatch_lrf_full=lane.st_lrf_full,
-                issue_lsq_full=lane.st_issue_lsq_full,
+                fetch_icache=self.st_fetch_icache,
+                fetch_buffer_full=self.st_fetch_buffer,
+                fetch_branch_redirect=self.st_fetch_redirect,
+                dispatch_rob_full=self.st_rob_full,
+                dispatch_window_full=self.st_window_full,
+                dispatch_freelist=self.st_freelist,
+                dispatch_lrf_full=self.st_lrf_full,
+                issue_lsq_full=self.st_issue_lsq_full,
             ),
         )
 
-    def _result(self, lane: _Lane) -> SimResult:
+    def run(self) -> SimResult:
+        """Simulate to the end of the trace; raises
+        :class:`~repro.core.simulator.SimulationTimeout`."""
+        self.run_to_commit(self.cols.length - self.ff_retired)
         return SimResult(
-            benchmark=self.traces[lane.trace_index].metadata.benchmark,
-            num_slices=lane.num_slices,
-            l2_cache_kb=lane.l2_kb,
-            stats=self._lane_stats(lane),
+            benchmark=self.trace.metadata.benchmark,
+            num_slices=self.num_slices,
+            l2_cache_kb=self.l2_kb,
+            stats=self._stats(),
         )
-
-    def run(self) -> List[SimResult]:
-        """Run every lane to the end of its trace; results in lane order."""
-        self.run_to_commit([lane.cols.length - lane.ff_retired
-                            for lane in self.lanes])
-        return [self._result(lane) for lane in self.lanes]
 
     def run_sampled(self, sampling: Any,
                     phase_lengths: Optional[Sequence[int]] = None
-                    ) -> List[SimResult]:
-        """Sampled run: every lane follows the planned schedule - an
-        exhaustively timed head, then fast-forward gaps and detailed
-        windows whose warmup prefix is discarded - and extrapolates with
-        :func:`~repro.sampling.sampled.extrapolate_sampled`.  Lanes of
-        one trace advance window-by-window together.  The sampled
+                    ) -> SimResult:
+        """Sampled run on the planned schedule: an exhaustively timed
+        head, then fast-forward gaps and detailed windows whose warmup
+        prefix is discarded, extrapolated with
+        :func:`~repro.sampling.sampled.extrapolate_sampled`.  The sampled
         reference loop on the object model (``tests/oracles/sampled.py``)
         pins every result.
         """
         from repro.sampling.policy import SamplingPolicy
         from repro.sampling.sampled import extrapolate_sampled
 
-        if phase_lengths is not None and len(self.traces) > 1:
-            raise ValueError(
-                "phase_lengths applies to a single-trace batch")
         policy = SamplingPolicy(sampling)
-        schedules = [
-            (policy.plan_phases(phase_lengths)
-             if phase_lengths is not None else policy.plan(cols.length))
-            for cols in self._cols
-        ]
-        results: List[Optional[SimResult]] = [None] * len(self.lanes)
-        exact_lanes = [lane for lane in self.lanes
-                       if schedules[lane.trace_index].exact]
-        if exact_lanes:
-            self.run_to_commit(
-                [lane.cols.length - lane.ff_retired
-                 for lane in exact_lanes], lanes=exact_lanes)
-            for lane in exact_lanes:
-                results[lane.index] = self._result(lane)
-        groups: Dict[int, List[_Lane]] = {}
-        for lane in self.lanes:
-            if not schedules[lane.trace_index].exact:
-                groups.setdefault(lane.trace_index, []).append(lane)
-        for tidx, group in groups.items():
-            schedule = schedules[tidx]
-            total = self._cols[tidx].length
-            cpis: Dict[int, List[float]] = {lane.index: []
-                                            for lane in group}
-            head_cycles: Dict[int, int] = {lane.index: 0
-                                           for lane in group}
-            position = 0
-            head = schedule.head
-            if head:
-                for lane in group:
-                    lane.fetch_limit = head
-                self.run_to_commit([head] * len(group), lanes=group)
-                for lane in group:
-                    head_cycles[lane.index] = lane.now
-                position = head
-            for window in schedule.windows:
-                if window.start > position:
-                    gap = window.start - position
-                    for lane in group:
-                        self._fast_forward(lane, gap)
-                bases = {lane.index: lane.committed for lane in group}
-                for lane in group:
-                    lane.fetch_limit = window.end
-                self.run_to_commit(
-                    [bases[lane.index] + window.warmup for lane in group],
-                    lanes=group)
-                marks = {lane.index: (lane.now, lane.committed)
-                         for lane in group}
-                self.run_to_commit(
-                    [bases[lane.index] + len(window) for lane in group],
-                    lanes=group)
-                for lane in group:
-                    cycles_0, committed_0 = marks[lane.index]
-                    measured = lane.committed - committed_0
-                    cpis[lane.index].append(
-                        (lane.now - cycles_0) / measured)
-                position = window.end
-            if position < total:
-                gap = total - position
-                for lane in group:
-                    self._fast_forward(lane, gap)
-            for lane in group:
-                results[lane.index] = extrapolate_sampled(
-                    benchmark=self.traces[tidx].metadata.benchmark,
-                    num_slices=lane.num_slices,
-                    l2_cache_kb=lane.l2_kb,
-                    total=total,
-                    schedule=schedule,
-                    sampling=sampling,
-                    stats=self._lane_stats(lane),
-                    ff_retired=lane.ff_retired,
-                    cpis=cpis[lane.index],
-                    head_cycles=head_cycles[lane.index],
-                )
-        return results  # type: ignore[return-value]
+        total = self.cols.length
+        schedule = (policy.plan_phases(phase_lengths)
+                    if phase_lengths is not None else policy.plan(total))
+        if schedule.exact:
+            return self.run()
+        cpis: List[float] = []
+        head_cycles = 0
+        position = 0
+        head = schedule.head
+        if head:
+            self.fetch_limit = head
+            self.run_to_commit(head)
+            head_cycles = self.now
+            position = head
+        for window in schedule.windows:
+            if window.start > position:
+                self._fast_forward(window.start - position)
+            base = self.committed
+            self.fetch_limit = window.end
+            self.run_to_commit(base + window.warmup)
+            cycles_0, committed_0 = self.now, self.committed
+            self.run_to_commit(base + len(window))
+            cpis.append((self.now - cycles_0)
+                        / (self.committed - committed_0))
+            position = window.end
+        if position < total:
+            self._fast_forward(total - position)
+        return extrapolate_sampled(
+            benchmark=self.trace.metadata.benchmark,
+            num_slices=self.num_slices,
+            l2_cache_kb=self.l2_kb,
+            total=total,
+            schedule=schedule,
+            sampling=sampling,
+            stats=self._stats(),
+            ff_retired=self.ff_retired,
+            cpis=cpis,
+            head_cycles=head_cycles,
+        )

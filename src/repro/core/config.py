@@ -3,11 +3,13 @@
 Defaults reproduce the paper's base configuration:
 
 * Table 2 (Base Slice Configuration): issue window 32, load/store queue
-  32, 2 functional units per Slice, ROB 64, 128 global physical registers,
+  32, 2 functional units per Slice (one ALU with the multiplier and one
+  LSU, fixed by construction), ROB 64, 128 global physical registers,
   store buffer 8, 64 local registers per Slice, 8 in-flight loads, and a
   100-cycle memory delay.
 * Table 3 (Base Cache Configurations): 16 KB 2-way L1I/L1D with 3-cycle
-  hits, 64 KB 4-way L2 banks with ``distance * 2 + 4`` hit delay.
+  hits, 64 KB 4-way L2 banks with ``distance * 2 + 4`` hit delay.  Line
+  sizes and the L2 bank geometry are constants of :mod:`repro.cache`.
 
 SSim "is very flexible, allowing all critical micro-architecture
 parameters and latencies to be set from a XML configuration file"
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cache.l2 import default_bank_distances
+from repro.isa.registers import NUM_ARCH_REGS
 
 #: Paper Equation 3: valid Slice counts per VCore.
 MIN_SLICES = 1
@@ -36,7 +39,6 @@ class SliceConfig:
     fetch_width: int = 2
     issue_window_size: int = 32
     lsq_size: int = 32
-    num_functional_units: int = 2  # 1 ALU(+MUL) + 1 LSU
     rob_size: int = 64
     num_local_registers: int = 64
     store_buffer_size: int = 8
@@ -60,7 +62,6 @@ class SliceConfig:
             "fetch_width",
             "issue_window_size",
             "lsq_size",
-            "num_functional_units",
             "rob_size",
             "num_local_registers",
             "store_buffer_size",
@@ -74,6 +75,16 @@ class SliceConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.num_local_registers < NUM_ARCH_REGS:
+            # An LRF entry holds each live value its Slice produced until
+            # the next writer of that register commits.  With fewer
+            # entries than architectural registers a Slice can fill with
+            # such values while their next writers wait behind the
+            # stalled in-order dispatch.
+            raise ValueError(
+                f"num_local_registers must be >= {NUM_ARCH_REGS} (the "
+                f"architectural register count), or dispatch can deadlock"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,14 +92,13 @@ class CacheLevelConfig:
     """One cache level's geometry and timing (paper Table 3 row)."""
 
     size_kb: float
-    block_bytes: int = 64
     assoc: int = 2
     hit_delay: int = 3
 
     def __post_init__(self) -> None:
         if self.size_kb < 0:
             raise ValueError("cache size cannot be negative")
-        if self.block_bytes < 1 or self.assoc < 1 or self.hit_delay < 0:
+        if self.assoc < 1 or self.hit_delay < 0:
             raise ValueError("invalid cache level parameters")
 
 
@@ -102,8 +112,6 @@ class CacheConfig:
     l1d: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig(size_kb=16, assoc=2, hit_delay=3)
     )
-    l2_bank_kb: float = 64.0
-    l2_assoc: int = 4
     memory_delay: int = 100
 
 
@@ -234,48 +242,42 @@ class SimConfig:
 
             <ssim>
               <slice issue_window_size="32" rob_size="64"/>
-              <cache l2_bank_kb="64" memory_delay="100"/>
+              <cache memory_delay="100"/>
               <vcore num_slices="4" l2_cache_kb="512"/>
               <timing global_rename_depth="2" frontend_depth="3"/>
             </ssim>
+
+        An attribute that names no settable field raises ``ValueError``.
         """
         root = ET.fromstring(xml_text)
         if root.tag != "ssim":
             raise ValueError(f"expected <ssim> root, got <{root.tag}>")
 
-        def _typed(dc_cls, elem):
-            if elem is None:
-                return dc_cls()
-            kwargs = {}
-            valid = {f.name: f.type for f in fields(dc_cls)}
-            for key, raw in elem.attrib.items():
-                if key not in valid:
-                    raise ValueError(f"unknown {dc_cls.__name__} field {key!r}")
-                kwargs[key] = float(raw) if "." in raw else int(raw)
-            return dc_cls(**kwargs)
+        def _number(raw: str) -> Any:
+            return float(raw) if "." in raw else int(raw)
 
-        slice_cfg = _typed(SliceConfig, root.find("slice"))
-        vcore_cfg = _typed(VCoreConfig, root.find("vcore"))
+        def _attrs(tag: str, owner: type, names, convert=_number):
+            """``<tag>``'s attributes as keyword arguments of ``owner``."""
+            elem = root.find(tag)
+            attrib = elem.attrib if elem is not None else {}
+            for key in attrib:
+                if key not in names:
+                    raise ValueError(
+                        f"unknown {owner.__name__} field {key!r}")
+            return {key: convert(raw) for key, raw in attrib.items()}
 
-        cache_elem = root.find("cache")
-        cache_kwargs = {}
-        if cache_elem is not None:
-            for key in ("l2_bank_kb", "l2_assoc", "memory_delay"):
-                if key in cache_elem.attrib:
-                    raw = cache_elem.attrib[key]
-                    cache_kwargs[key] = float(raw) if "." in raw else int(raw)
-        cache_cfg = CacheConfig(**cache_kwargs)
+        def _names(dc_cls) -> set:
+            return {f.name for f in fields(dc_cls)}
 
-        timing = root.find("timing")
-        timing_kwargs = {}
-        if timing is not None:
-            for key, raw in timing.attrib.items():
-                timing_kwargs[key] = int(raw)
+        nested = {"slice_config", "cache_config", "vcore"}
         return cls(
-            slice_config=slice_cfg,
-            cache_config=cache_cfg,
-            vcore=vcore_cfg,
-            **timing_kwargs,
+            slice_config=SliceConfig(
+                **_attrs("slice", SliceConfig, _names(SliceConfig))),
+            cache_config=CacheConfig(
+                **_attrs("cache", CacheConfig, {"memory_delay"})),
+            vcore=VCoreConfig(
+                **_attrs("vcore", VCoreConfig, _names(VCoreConfig))),
+            **_attrs("timing", cls, _names(cls) - nested, int),
         )
 
     def to_xml(self) -> str:
@@ -291,7 +293,6 @@ class SimConfig:
         ET.SubElement(
             root,
             "cache",
-            l2_bank_kb=str(self.cache_config.l2_bank_kb),
             memory_delay=str(self.cache_config.memory_delay),
         )
         ET.SubElement(

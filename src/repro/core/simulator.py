@@ -108,56 +108,40 @@ def _resolve_config(config: Optional[SimConfig],
     return cfg
 
 
-def _one_lane(trace: Trace, config: SimConfig,
-              warmup_trace: Optional[Trace],
-              warmup_addresses: Optional[Sequence[int]]):
-    """A one-lane structure-of-arrays core for ``config.vcore``.
-
-    Imported on first use: callers that never simulate (the analytic
-    sweeps) do not load :mod:`repro.core.batched`.
-    """
-    from repro.core.batched import BatchedSimulator
-
-    vcore = config.vcore
-    return BatchedSimulator(
-        trace, [(vcore.num_slices, vcore.l2_cache_kb)], config=config,
-        warmup_traces=[warmup_trace] if warmup_trace is not None else None,
-        warmup_addresses=([warmup_addresses]
-                          if warmup_addresses is not None else None),
-    )
-
-
 class SharingSimulator:
     """Cycle-level simulation of one trace on one VCore configuration.
 
-    The production simulator: :meth:`run` advances one lane of the
-    structure-of-arrays core (:class:`~repro.core.batched.BatchedSimulator`),
-    whose ``SimStats`` equal :class:`ReferenceSimulator`'s bit for bit.
+    The production simulator: :meth:`run` runs the structure-of-arrays
+    core (:class:`~repro.core.batched.BatchedSimulator`), whose
+    ``SimStats`` equal :class:`ReferenceSimulator`'s bit for bit.
 
-    ``warmup_trace``, when given, is replayed *functionally* (cache state
-    only, no timing) before the timed region, so short timed traces see
-    steady-state miss rates rather than a cold-cache compulsory-miss wall.
-    This substitutes for the fast-forward phase of the paper's full-length
-    GEM5 trace runs.  ``warmup_addresses`` replays a read-address stream
-    the same way.  ``timeout`` caps the run at that many cycles.
+    ``warmup_addresses``, when given, is replayed *functionally* through
+    the caches (a read-address stream, then the timed region's own PC
+    stream; cache state only, no timing) before the timed region, so
+    short timed traces see steady-state miss rates rather than a
+    cold-cache compulsory-miss wall.  This substitutes for the
+    fast-forward phase of the paper's full-length GEM5 trace runs.
+    ``timeout`` caps the run at that many cycles.
     """
 
     def __init__(self, trace: Trace, config: Optional[SimConfig] = None,
                  num_slices: Optional[int] = None,
                  l2_cache_kb: Optional[float] = None,
-                 warmup_trace: Optional[Trace] = None,
                  warmup_addresses: Optional[Sequence[int]] = None,
                  timeout: Optional[int] = None):
         self.trace = trace
         self.config = _resolve_config(config, num_slices, l2_cache_kb,
                                       timeout)
-        self.warmup_trace = warmup_trace
         self.warmup_addresses = warmup_addresses
 
     def run(self) -> SimResult:
         """Simulate the whole trace; raises :class:`SimulationTimeout`."""
-        return _one_lane(self.trace, self.config, self.warmup_trace,
-                         self.warmup_addresses).run()[0]
+        # Imported on first use: callers that never simulate (the
+        # analytic sweeps) do not load repro.core.batched.
+        from repro.core.batched import BatchedSimulator
+
+        return BatchedSimulator(self.trace, self.config,
+                                self.warmup_addresses).run()
 
 
 class ReferenceSimulator:
@@ -174,7 +158,6 @@ class ReferenceSimulator:
     def __init__(self, trace: Trace, config: Optional[SimConfig] = None,
                  num_slices: Optional[int] = None,
                  l2_cache_kb: Optional[float] = None,
-                 warmup_trace: Optional[Trace] = None,
                  warmup_addresses: Optional[Sequence[int]] = None,
                  timeout: Optional[int] = None,
                  obs: Optional[Observability] = None):
@@ -183,8 +166,6 @@ class ReferenceSimulator:
                                       timeout)
         self.vcore = VCore(self.config)
         self.stats = SimStats()
-        if warmup_trace is not None:
-            self._warm_caches(warmup_trace)
         if warmup_addresses is not None:
             self._warm_data_caches(warmup_addresses)
 
@@ -242,28 +223,6 @@ class ReferenceSimulator:
                                 + self._rename_depth)
         self._issue_head_seq = -1
         self._mem_can_issue_bound = self._mem_can_issue
-
-    def _warm_caches(self, warmup: Trace) -> None:
-        """Replay a trace through the cache hierarchy without timing."""
-        vcore = self.vcore
-        for inst in warmup:
-            sid = vcore.slice_for_fetch(inst.pc)
-            ctx = vcore.slices[sid]
-            ctx.l1i.access(inst.pc * 4)
-            if inst.mem is not None:
-                home = vcore.lsq.home_slice(inst.mem.address)
-                home_ctx = vcore.slices[home]
-                l1 = home_ctx.hierarchy.l1d
-                result = l1.access(inst.mem.address,
-                                   is_write=inst.is_store)
-                if not result.hit:
-                    vcore.l2.access(inst.mem.address,
-                                    is_write=inst.is_store)
-        for ctx in vcore.slices:
-            ctx.l1i.reset_counters()
-            ctx.hierarchy.l1d.reset_counters()
-        for bank in vcore.l2.banks:
-            bank.reset_counters()
 
     def _warm_data_caches(self, addresses: Sequence[int]) -> None:
         """Replay a read-address stream through L1D + L2 (no timing).
@@ -934,7 +893,6 @@ class ReferenceSimulator:
 def simulate(trace: Trace, num_slices: Optional[int] = None,
              l2_cache_kb: Optional[float] = None,
              config: Optional[SimConfig] = None,
-             warmup_trace: Optional[Trace] = None,
              warmup_addresses: Optional[Sequence[int]] = None,
              timeout: Optional[int] = None,
              obs: Optional[Observability] = None) -> SimResult:
@@ -949,7 +907,7 @@ def simulate(trace: Trace, num_slices: Optional[int] = None,
     cores return identical results.
     """
     kwargs = dict(config=config, num_slices=num_slices,
-                  l2_cache_kb=l2_cache_kb, warmup_trace=warmup_trace,
+                  l2_cache_kb=l2_cache_kb,
                   warmup_addresses=warmup_addresses, timeout=timeout)
     if obs is not None and obs.enabled:
         return ReferenceSimulator(trace, obs=obs, **kwargs).run()

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.simulator import simulate
 from repro.experiments.base import ExperimentResult
 from repro.perfmodel.model import AnalyticModel, CACHE_GRID_KB
-from repro.trace.generator import make_workload
+from repro.trace.materialize import get_workload
 from repro.trace.profiles import all_benchmarks
 
 NAME = "cache_sensitivity"
@@ -76,7 +76,7 @@ def run_simulated(benchmark: str = "omnetpp",
                   trace_length: int = 4000,
                   seed: int = 1) -> Dict[float, float]:
     """Cycle-level anchor points for one benchmark."""
-    warmup, trace = make_workload(benchmark, trace_length, seed=seed)
+    warmup, trace = get_workload(benchmark, trace_length, seed)
     cycles = {
         c: simulate(trace, num_slices=FIXED_SLICES, l2_cache_kb=c,
                     warmup_addresses=warmup).cycles

@@ -80,37 +80,22 @@ def run_simulated(benchmark: str = "gcc",
                   slice_grid: Sequence[int] = (1, 2, 4, 8),
                   trace_length: int = 4000,
                   seed: int = 1,
-                  sampling=None,
-                  engine=None) -> Dict[int, float]:
+                  sampling=None) -> Dict[int, float]:
     """Cycle-level anchor points for one benchmark.
 
     ``sampling`` (a :class:`~repro.sampling.SamplingConfig`) switches
-    the sweep to interval-sampled simulation; ``engine`` routes the
-    points through a :class:`~repro.engine.SweepEngine` (cached,
-    fanned out), in which case the engine's own ``sampling`` setting
-    applies unless overridden here.
+    the sweep to interval-sampled simulation.
     """
-    slice_grid = tuple(int(s) for s in slice_grid)
-    if engine is not None:
-        if sampling is not None and engine.sampling is None:
-            engine.sampling = sampling
-        sweep = engine.simulation_map(
-            [benchmark], cache_grid=(BASELINE_CACHE_KB,),
-            slice_grid=slice_grid, trace_length=trace_length,
-            trace_seed=seed)
-        grid = sweep.grid(benchmark)
-        ipcs = {s: grid[(BASELINE_CACHE_KB, s)] for s in slice_grid}
-    else:
-        from repro.sampling import simulate_sampled
-        from repro.trace.materialize import get_workload
+    from repro.sampling import simulate_sampled
+    from repro.trace.materialize import get_workload
 
-        warmup, trace = get_workload(benchmark, trace_length, seed)
-        point = (simulate if sampling is None
-                 else partial(simulate_sampled, sampling=sampling))
-        ipcs = {s: point(trace, num_slices=s,
-                         l2_cache_kb=BASELINE_CACHE_KB,
-                         warmup_addresses=warmup).ipc
-                for s in slice_grid}
+    slice_grid = tuple(int(s) for s in slice_grid)
+    warmup, trace = get_workload(benchmark, trace_length, seed)
+    point = (simulate if sampling is None
+             else partial(simulate_sampled, sampling=sampling))
+    ipcs = {s: point(trace, num_slices=s, l2_cache_kb=BASELINE_CACHE_KB,
+                     warmup_addresses=warmup).ipc
+            for s in slice_grid}
     base = ipcs[slice_grid[0]]
     return {s: ipc / base for s, ipc in ipcs.items()}
 

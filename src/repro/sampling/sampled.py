@@ -1,6 +1,6 @@
 """Sampled simulation: fast-forward + detailed windows + extrapolation.
 
-:func:`simulate_sampled` runs one lane of
+:func:`simulate_sampled` runs
 :meth:`~repro.core.batched.BatchedSimulator.run_sampled`, which
 alternates between functional fast-forward (caches/predictors/store
 state warm, zero timed cycles) and bounded detailed windows planned by a
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import SimConfig
-from repro.core.simulator import SimResult, _one_lane, _resolve_config
+from repro.core.simulator import SimResult, _resolve_config
 from repro.core.stats import SimStats, StallBreakdown
 from repro.sampling.policy import DEFAULT_SAMPLING, SamplingConfig, Schedule
 from repro.trace.records import Trace
@@ -177,7 +177,6 @@ def simulate_sampled(trace: Trace, num_slices: Optional[int] = None,
                      l2_cache_kb: Optional[float] = None,
                      sampling: SamplingConfig = DEFAULT_SAMPLING,
                      config: Optional[SimConfig] = None,
-                     warmup_trace: Optional[Trace] = None,
                      warmup_addresses: Optional[Sequence[int]] = None,
                      timeout: Optional[int] = None,
                      phase_lengths: Optional[Sequence[int]] = None
@@ -189,6 +188,8 @@ def simulate_sampled(trace: Trace, num_slices: Optional[int] = None,
     sampling policy; ``phase_lengths`` (instruction counts, in order)
     switches the policy to per-phase stratification.
     """
+    from repro.core.batched import BatchedSimulator
+
     cfg = _resolve_config(config, num_slices, l2_cache_kb, timeout)
-    sim = _one_lane(trace, cfg, warmup_trace, warmup_addresses)
-    return sim.run_sampled(sampling, phase_lengths=phase_lengths)[0]
+    return BatchedSimulator(trace, cfg, warmup_addresses).run_sampled(
+        sampling, phase_lengths=phase_lengths)

@@ -4,9 +4,10 @@ Two hot-path services for the simulator and the sweep engine:
 
 * :func:`materialize` flattens a :class:`~repro.trace.records.Trace` into
   :class:`TraceArrays` - compact, preallocated ``array`` columns (PCs,
-  memory addresses, packed flags) that the functional fast-forward loop
-  can walk without touching ``Instruction`` objects or property chains.
-  The arrays are built once per trace and cached on the trace instance.
+  memory addresses, packed flags) that the object model's functional
+  fast-forward (``ReferenceSimulator.fast_forward``) walks without
+  touching ``Instruction`` objects or property chains.  The arrays are
+  built on first use and cached on the trace instance.
 
 * :func:`get_workload` is a process-local LRU over generated workloads,
   keyed by (profile fields, length, seed, warmup multiplier).  Repeated
@@ -168,8 +169,7 @@ def get_workload(profile: ProfileLike, length: int, seed: int = 0,
 
     Generation is identical to
     :func:`repro.trace.generator.make_workload`; only the redundant
-    re-generation is elided.  The trace's :class:`TraceArrays` are built
-    eagerly so every consumer shares them.
+    re-generation is elided.
     """
     global _hits, _misses, _evictions, _generations, _generation_s
     key = workload_key(profile, length, seed, warmup_cold_multiplier)
@@ -188,7 +188,6 @@ def get_workload(profile: ProfileLike, length: int, seed: int = 0,
     generator = SyntheticTraceGenerator(prof, seed=int(seed))
     warmup = generator.warmup_addresses(float(warmup_cold_multiplier))
     trace = generator.generate(int(length))
-    materialize(trace)
     entry = (warmup, trace)
     with _lock:
         _generations += 1

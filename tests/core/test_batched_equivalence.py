@@ -13,10 +13,10 @@ These tests pin that contract against the reference explicitly:
   Figure 13 grid (every nonzero cache size at 4 Slices) for sentinel
   profiles in tier-1, and for **all fifteen** profiles when
   ``REPRO_EQUIVALENCE_FULL=1`` (the CI batched-equiv job sets it), each
-  point run through production ``simulate()`` and through one
-  multi-lane batch;
+  point run through production ``simulate()`` and through
+  ``BatchedSimulator(trace, config).run()``;
 * randomized configurations drawn from ``REPRO_EQUIV_SEED`` (the CI job
-  runs two seed universes), exercising the multi-trace lane axis;
+  runs two seed universes);
 * every ``SimConfig`` knob, one non-default value at a time;
 * sampled runs against the object-model loop in
   ``tests/oracles/sampled.py``;
@@ -68,14 +68,14 @@ def _reference(trace, ns, kb, warmup):
 
 def _check_profile(bench, grid):
     warmup, trace = get_workload(bench, LENGTH, SEED)
-    batched = BatchedSimulator(trace, list(grid),
-                               warmup_addresses=[warmup]).run()
-    for (ns, kb), lane in zip(grid, batched):
+    for ns, kb in grid:
         want = _reference(trace, ns, kb, warmup)
         got = simulate(trace, num_slices=ns, l2_cache_kb=kb,
                        warmup_addresses=warmup)
         assert want == got, _diff(bench, ns, kb, want, got)
-        assert want == lane, _diff(bench, ns, kb, want, lane)
+        core = BatchedSimulator(trace, SimConfig().with_vcore(ns, kb),
+                                warmup).run()
+        assert want == core, _diff(bench, ns, kb, want, core)
 
 
 @pytest.mark.parametrize("bench", SENTINELS)
@@ -98,32 +98,28 @@ def test_full_profile_sweep(bench):
 
 
 def test_randomized_rows_multi_trace():
-    """Seeded random configurations on the shared multi-trace lane axis.
-
-    One BatchedSimulator instance carries lanes over *different* traces
-    (the ``(trace_index, num_slices, l2_cache_kb)`` spec form); every
-    lane must still match its own reference run exactly.
-    """
+    """Seeded random configurations: three benchmarks at random lengths
+    and seeds, two random VCores each, every run checked against its
+    own reference run."""
     rng = random.Random(EQUIV_SEED)
     benches = rng.sample(sorted(all_benchmarks()), 3)
     workloads = [get_workload(b, rng.randrange(2500, 6000), rng.randrange(100))
                  for b in benches]
-    lanes = []
+    points = []
     for tidx in range(len(benches)):
         for _ in range(2):
-            lanes.append((tidx, rng.randrange(1, 9),
-                          float(rng.choice((64, 128, 256, 512, 1024)))))
-    batched = BatchedSimulator(
-        [trace for _, trace in workloads], lanes,
-        warmup_addresses=[warm for warm, _ in workloads]).run()
-    for (tidx, ns, kb), got in zip(lanes, batched):
+            points.append((tidx, rng.randrange(1, 9),
+                           float(rng.choice((64, 128, 256, 512, 1024)))))
+    for tidx, ns, kb in points:
         warm, trace = workloads[tidx]
+        got = BatchedSimulator(trace, SimConfig().with_vcore(ns, kb),
+                               warm).run()
         want = _reference(trace, ns, kb, warm)
         assert want == got, _diff(benches[tidx], ns, kb, want, got)
 
 
 def test_sampled_composition_matches_scalar_sampled():
-    """Production ``simulate_sampled`` (one lane of ``run_sampled``)
+    """Production ``simulate_sampled`` (``BatchedSimulator.run_sampled``)
     must produce the same extrapolated result as the sampled loop on
     the object model."""
     from repro.sampling import SamplingConfig, simulate_sampled
@@ -155,14 +151,13 @@ def test_backend_dispatch_through_simulate():
 
 
 #: One non-default value per result-affecting ``SimConfig`` leaf.  The
-#: VCore fields are the lane spec (``l2_bank_distances`` is rejected,
+#: VCore fields are the grid axes (``l2_bank_distances`` is rejected,
 #: see ``tests/core/test_production_path.py``), ``max_cycles`` is the
 #: timeout and ``backend`` selects nothing.
 KNOBS = {
     ("slice_config", "fetch_width"): 4,
     ("slice_config", "issue_window_size"): 8,
     ("slice_config", "lsq_size"): 8,
-    ("slice_config", "num_functional_units"): 4,
     ("slice_config", "rob_size"): 16,
     ("slice_config", "num_local_registers"): 48,
     ("slice_config", "store_buffer_size"): 2,
@@ -174,15 +169,11 @@ KNOBS = {
     ("slice_config", "btb_entries"): 32,
     ("slice_config", "predictor_kind"): "gshare",
     ("cache_config", "l1i", "size_kb"): 4,
-    ("cache_config", "l1i", "block_bytes"): 32,
     ("cache_config", "l1i", "assoc"): 4,
     ("cache_config", "l1i", "hit_delay"): 1,
     ("cache_config", "l1d", "size_kb"): 4,
-    ("cache_config", "l1d", "block_bytes"): 32,
     ("cache_config", "l1d", "assoc"): 4,
     ("cache_config", "l1d", "hit_delay"): 1,
-    ("cache_config", "l2_bank_kb"): 32.0,
-    ("cache_config", "l2_assoc"): 8,
     ("cache_config", "memory_delay"): 50,
     ("global_rename_depth",): 5,
     ("frontend_depth",): 1,
@@ -228,23 +219,3 @@ def test_every_config_knob_matches_reference(path):
     got = simulate(trace, config=config, warmup_addresses=warmup)
     assert want == got, _diff("gcc", 2, 256.0, want, got)
 
-
-def test_predictor_tensor_exports():
-    """The numpy views of the per-lane predictor/BTB state expose the
-    (lane, slice, entry) layout with construction-value padding for
-    Slices a narrower lane does not have."""
-    warmup, trace = get_workload("gcc", 2000, 5)
-    sim = BatchedSimulator(trace, [(2, 128.0), (4, 128.0)],
-                           warmup_addresses=[warmup])
-    sim.run()
-    pred = sim.pred_tensor()
-    btb = sim.btb_tensor()
-    assert pred.shape == (2, 4, sim.bp_entries)
-    assert btb.shape == (2, 4, sim.btb_entries)
-    # Live entries are 2-bit counters; the trained tables moved off the
-    # all-ones init somewhere.
-    assert pred.min() >= 0 and pred.max() <= 3
-    assert (pred != 1).any() and (btb != -1).any()
-    # Lane 0 has only 2 Slices: rows 2..3 stay at the pad values.
-    assert (pred[0, 2:] == 1).all()
-    assert (btb[0, 2:] == -1).all()

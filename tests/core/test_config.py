@@ -9,6 +9,7 @@ from repro.core.config import (
     SliceConfig,
     VCoreConfig,
 )
+from repro.isa import NUM_ARCH_REGS
 
 
 class TestTableDefaults:
@@ -16,7 +17,6 @@ class TestTableDefaults:
         cfg = SliceConfig()
         assert cfg.issue_window_size == 32
         assert cfg.lsq_size == 32
-        assert cfg.num_functional_units == 2
         assert cfg.rob_size == 64
         assert cfg.num_local_registers == 64
         assert cfg.store_buffer_size == 8
@@ -27,8 +27,15 @@ class TestTableDefaults:
         cfg = CacheConfig()
         assert cfg.l1i.size_kb == 16 and cfg.l1i.assoc == 2
         assert cfg.l1d.hit_delay == 3
-        assert cfg.l2_bank_kb == 64 and cfg.l2_assoc == 4
         assert cfg.memory_delay == 100
+
+    def test_local_registers_cover_architectural_registers(self):
+        """Fewer LRF entries than architectural registers can deadlock
+        dispatch, so the config refuses them."""
+        SliceConfig(num_local_registers=NUM_ARCH_REGS)
+        with pytest.raises(ValueError, match="num_local_registers") as info:
+            SliceConfig(num_local_registers=NUM_ARCH_REGS - 1)
+        assert "\n" not in str(info.value)
 
 
 class TestVCoreConfig:
@@ -86,8 +93,13 @@ class TestXMLInterface:
             SimConfig.from_xml("<simulator/>")
 
     def test_rejects_unknown_field(self):
-        with pytest.raises(ValueError):
-            SimConfig.from_xml('<ssim><slice warp_drive="1"/></ssim>')
+        for xml in ('<ssim><slice warp_drive="1"/></ssim>',
+                    '<ssim><cache l2_bank_kb="32"/></ssim>',
+                    '<ssim><cache memroy_delay="50"/></ssim>',
+                    '<ssim><timing warp="1"/></ssim>'):
+            with pytest.raises(ValueError, match="unknown") as info:
+                SimConfig.from_xml(xml)
+            assert "\n" not in str(info.value), xml
 
     def test_rejects_invalid_cache_level(self):
         with pytest.raises(ValueError):

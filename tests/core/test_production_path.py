@@ -124,8 +124,7 @@ class TestBankDistances:
     def test_soa_core_rejects_bank_distances(self, workload):
         warmup, trace = workload
         with pytest.raises(ValueError) as info:
-            BatchedSimulator(trace, [(2, 256.0)], config=self.CONFIG,
-                             warmup_addresses=[warmup])
+            BatchedSimulator(trace, self.CONFIG, warmup)
         assert "l2_bank_distances" in str(info.value)
         assert "\n" not in str(info.value)
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ walls, single instructions, maximum configurations).
 
 import pytest
 
-from repro.core.simulator import simulate
-from repro.isa import Instruction, MemAccess, Opcode
+from repro.core.config import SimConfig, SliceConfig
+from repro.core.simulator import ReferenceSimulator, simulate
+from repro.isa import NUM_ARCH_REGS, Instruction, MemAccess, Opcode
+from repro.trace.materialize import get_workload
 from repro.trace.records import Trace, TraceMetadata
 
 
@@ -113,3 +115,17 @@ class TestExtremeConfigurations:
         assert result.stats.committed == 60
         # Serial 3-cycle multiplies: at least 3 cycles per instruction.
         assert result.cycles >= 60 * 3
+
+    def test_smallest_local_register_file_completes(self):
+        """One LRF entry per architectural register, the minimum
+        ``SliceConfig`` accepts, leaves dispatch room: gcc runs to
+        completion on one Slice on both cores."""
+        warmup, trace = get_workload("gcc", 1500, 3)
+        config = SimConfig(
+            slice_config=SliceConfig(num_local_registers=NUM_ARCH_REGS),
+            max_cycles=100_000)
+        want = ReferenceSimulator(trace, config,
+                                  warmup_addresses=warmup).run()
+        got = simulate(trace, config=config, warmup_addresses=warmup)
+        assert want.stats.committed == len(trace)
+        assert want == got

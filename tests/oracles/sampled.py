@@ -28,7 +28,6 @@ def simulate_sampled(trace: Trace, num_slices: Optional[int] = None,
                      l2_cache_kb: Optional[float] = None,
                      sampling: SamplingConfig = DEFAULT_SAMPLING,
                      config: Optional[SimConfig] = None,
-                     warmup_trace: Optional[Trace] = None,
                      warmup_addresses: Optional[Sequence[int]] = None,
                      timeout: Optional[int] = None,
                      phase_lengths: Optional[Sequence[int]] = None
@@ -36,8 +35,8 @@ def simulate_sampled(trace: Trace, num_slices: Optional[int] = None,
     """:func:`repro.sampling.simulate_sampled` on the object model."""
     sim = ReferenceSimulator(
         trace, config=config, num_slices=num_slices,
-        l2_cache_kb=l2_cache_kb, warmup_trace=warmup_trace,
-        warmup_addresses=warmup_addresses, timeout=timeout,
+        l2_cache_kb=l2_cache_kb, warmup_addresses=warmup_addresses,
+        timeout=timeout,
     )
     policy = SamplingPolicy(sampling)
     schedule = (policy.plan_phases(phase_lengths)

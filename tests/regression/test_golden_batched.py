@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.batched import BatchedSimulator
+from repro.core.config import SimConfig
 from repro.trace.materialize import get_workload
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_batched.json"
@@ -43,28 +44,28 @@ def workload(golden):
                         golden["trace_seed"])
 
 
+def _run(workload, ns, kb):
+    warmup, trace = workload
+    return BatchedSimulator(trace, SimConfig().with_vcore(ns, kb),
+                            warmup).run()
+
+
 class TestBatchedReproducesGolden:
     def test_fig12_slice_scaling_exact(self, golden, workload):
-        warmup, trace = workload
         points = golden["fig12_128kb"]
-        lanes = [(int(ns), 128.0) for ns in sorted(points, key=int)]
-        results = BatchedSimulator(trace, lanes,
-                                   warmup_addresses=[warmup]).run()
-        for (ns, _), result in zip(lanes, results):
-            want = points[str(ns)]
+        for ns in sorted(points, key=int):
+            result = _run(workload, int(ns), 128.0)
+            want = points[ns]
             assert result.stats.cycles == want["cycles"], ns
             # 0 ulp: the extrapolation-free IPC is cycles-derived, so
             # equality must be exact, not approximate.
             assert result.ipc == want["ipc"], ns
 
     def test_fig13_cache_scaling_exact(self, golden, workload):
-        warmup, trace = workload
         points = golden["fig13_4slices"]
-        lanes = [(4, float(kb)) for kb in sorted(points, key=int)]
-        results = BatchedSimulator(trace, lanes,
-                                   warmup_addresses=[warmup]).run()
-        for (_, kb), result in zip(lanes, results):
-            want = points[str(int(kb))]
+        for kb in sorted(points, key=int):
+            result = _run(workload, 4, float(kb))
+            want = points[kb]
             assert result.stats.cycles == want["cycles"], kb
             assert result.stats.l2_misses == want["l2_misses"], kb
             assert result.ipc == want["ipc"], kb

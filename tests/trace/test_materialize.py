@@ -140,10 +140,6 @@ class TestWorkloadLRU:
         }
         assert len(keys) == 5
 
-    def test_trace_arrives_materialized(self):
-        _, trace = get_workload("gcc", 400, 1)
-        assert getattr(trace, "_materialized", None) is not None
-
 
 class TestObsIntegration:
     def test_gauges_track_counters(self):
