@@ -272,11 +272,15 @@ class AllocationService:
         self._price_epoch = 0
         self._flat_cost_epoch = -1
         self._flat_cost = None
-        #: Per-VCore Slice and bank counts over the grid, shaped to
-        #: broadcast into a ``(cache, slice)`` cost matrix.
-        self._slices_row = np.asarray(self.slice_grid, dtype=float)[None, :]
-        self._banks_row = (np.asarray(self.cache_grid, dtype=float)
-                           / BANK_KB)[:, None]
+        #: Per-VCore Slice and bank counts of every configuration, flat
+        #: in the kernel's cache-major order: one ``(2, C*S)``
+        #: C-contiguous array, so a round gathers both resources of
+        #: every tenant's choice at once (rows: Slices, banks).
+        slices = np.asarray(self.slice_grid, dtype=float)
+        banks = np.asarray(self.cache_grid, dtype=float) / BANK_KB
+        self._resources = np.stack((np.tile(slices, len(banks)),
+                                    np.repeat(banks, len(slices))))
+        self._flat_slices, self._flat_banks = self._resources
         self._spot_market: Optional[Market] = None
 
         # --- self-healing state -----------------------------------
@@ -1001,12 +1005,16 @@ class AllocationService:
     def _flat_cost_row(self):
         """Flat per-VCore cost over the grid at the current prices."""
         if self._flat_cost_epoch != self._price_epoch:
-            cost = (self.bank_price * self._banks_row
-                    + self.slice_price * self._slices_row
-                    + self.fixed_cost)
-            self._flat_cost = cost.reshape(-1)
+            self._flat_cost = self._cost(self.slice_price,
+                                         self.bank_price)
             self._flat_cost_epoch = self._price_epoch
         return self._flat_cost
+
+    def _cost(self, slice_price: float, bank_price: float):
+        """Per-VCore cost of every configuration at these prices: the
+        one cost formula admission and repricing share."""
+        return (bank_price * self._flat_banks
+                + slice_price * self._flat_slices + self.fixed_cost)
 
     def _set_prices(self, slice_price: float, bank_price: float) -> None:
         if (slice_price != self.slice_price
@@ -1033,60 +1041,18 @@ class AllocationService:
     # internals: tatonnement (shared with the batch auction)
     # ------------------------------------------------------------------
 
-    def _numpy_state(self) -> dict:
-        """Round tensors over the roster, in arrival order.
-
-        Served from the incremental arena's contiguous active view -
-        zero stacking, zero copies.  Values are bit-identical to
-        ``SpotMarket._prepare_numpy``: every view row is a float64
-        copy of the memoized ``P^k`` row ``np.stack`` would have
-        copied, in the same (arrival) order, and a row-prefix of a
-        C-contiguous array is itself contiguous, so every later
-        reduction runs over identical bytes in identical order.
-        """
-        state = self._arena.active_view()
-        state["slices_row"] = self._slices_row
-        state["banks_row"] = self._banks_row
-        state["n_slices"] = len(self.slice_grid)
-        return state
-
-    def _round_numpy(self, state: dict, slice_price: float,
-                     bank_price: float):
-        """One vectorized best-response round (the old auction's,
-        verbatim, over the incrementally maintained stack)."""
-        cost = (bank_price * state["banks_row"]
-                + slice_price * state["slices_row"] + self.fixed_cost)
-        flat_cost = cost.reshape(1, -1)
-        vcores = state["budgets"] / flat_cost
-        utility = (vcores ** state["inv_k"]) * state["perf_k"]
-        winner = np.argmax(utility, axis=1)
-        rows = np.arange(utility.shape[0])
-        v_best = vcores[rows, winner]
-        ci, si = np.divmod(winner, state["n_slices"])
-        slices_per = state["slices_row"][0, si]
-        banks_per = state["banks_row"][ci, 0]
-        slice_demand = float(np.sum(v_best * slices_per))
-        bank_demand = float(np.sum(v_best * banks_per))
-        choices = {
-            "winner": winner,
-            "vcores": v_best,
-            "utility": utility[rows, winner],
-            "ci": ci,
-            "si": si,
-        }
-        return choices, slice_demand, bank_demand
-
-    def _allocations_from(self, choices: dict) -> List[Allocation]:
-        return [
-            Allocation(
-                bidder=state.request.name,
-                cache_kb=self.cache_grid[int(choices["ci"][i])],
-                slices=self.slice_grid[int(choices["si"][i])],
-                vcores=float(choices["vcores"][i]),
-                utility=float(choices["utility"][i]),
-            )
-            for i, state in enumerate(self._roster)
-        ]
+    def _allocations(self, winner, v_best, utility) -> List[Allocation]:
+        """The roster's allocations from one round's arrays."""
+        n_slices = len(self.slice_grid)
+        best = utility[np.arange(len(winner)), winner]
+        allocations = []
+        for state, w, v, u in zip(self._roster, winner.tolist(),
+                                  v_best.tolist(), best.tolist()):
+            ci, si = divmod(w, n_slices)
+            allocations.append(Allocation(
+                bidder=state.request.name, cache_kb=self.cache_grid[ci],
+                slices=self.slice_grid[si], vcores=v, utility=u))
+        return allocations
 
     def _tatonnement(self, slice_price: float, bank_price: float,
                      min_rounds: int,
@@ -1097,32 +1063,56 @@ class AllocationService:
         contract (never accept the arbitrary initial prices unseen);
         ``min_rounds=1`` is the warm-start mode, where converging on
         the very first round leaves prices untouched.
+
+        Each round is one vectorized best response over the arena's
+        contiguous active view (tenants in arrival order): cost, every
+        tenant's utility over the grid, the row argmax, the chosen
+        VCore count and both demands.  Everything that does not depend
+        on the prices is read once, before the first round.  The
+        arithmetic is pinned bit for bit (DESIGN.md §10, "Lean
+        rounds"): ``v_best`` is the same division that produced the
+        winning utility's VCore count, and each demand is a contiguous
+        row of one ``(2, n)`` array, so ``sum(axis=1)`` reduces it
+        pairwise like ``np.sum`` of a 1-D product (an ``(n, 2)`` array
+        summed over ``axis=0`` would add sequentially and round
+        differently).
         """
-        state = self._numpy_state()
-        allocations: List[Allocation] = []
-        choices: Optional[dict] = None
+        view = self._arena.active_view()
+        perf_k, inv_k, budgets = (view["perf_k"], view["inv_k"],
+                                  view["budgets"])
+        budget_col = budgets[:, 0]
+        resources = self._resources
+        slice_supply = self.slice_supply
+        bank_supply = self.bank_supply
+        tolerance = self.tolerance
+        rate = self.adjustment_rate
+        floor = 0.01
+        at_floor_price = floor * 1.01
+        winner = v_best = utility = None
         converged = False
         rationed = False
         stable_rounds = 0
         last_demand = (None, None)
         rounds = 0
         for rounds in range(1, self.max_rounds + 1):
-            choices, slice_demand, bank_demand = self._round_numpy(
-                state, slice_price, bank_price
-            )
-            slice_excess = slice_demand / self.slice_supply - 1.0
-            bank_excess = bank_demand / self.bank_supply - 1.0
+            cost = self._cost(slice_price, bank_price)
+            utility = (budgets / cost) ** inv_k * perf_k
+            winner = utility.argmax(axis=1)
+            v_best = budget_col / cost.take(winner)
+            slice_demand, bank_demand = (
+                resources.take(winner, axis=1) * v_best).sum(
+                    axis=1).tolist()
+            slice_excess = slice_demand / slice_supply - 1.0
+            bank_excess = bank_demand / bank_supply - 1.0
             # Cleared: no over-demand on either resource (free
             # disposal; see the auction module for the rationale).
-            floor = 0.01
-            no_overdemand = (slice_excess <= self.tolerance
-                             and bank_excess <= self.tolerance)
-            at_floor = (slice_price <= floor * 1.01
-                        and bank_price <= floor * 1.01)
+            no_overdemand = (slice_excess <= tolerance
+                             and bank_excess <= tolerance)
             if rounds >= min_rounds and no_overdemand and (
-                slice_excess >= -self.tolerance
-                or bank_excess >= -self.tolerance
-                or at_floor
+                slice_excess >= -tolerance
+                or bank_excess >= -tolerance
+                or (slice_price <= at_floor_price
+                    and bank_price <= at_floor_price)
             ):
                 converged = True
                 break
@@ -1135,16 +1125,17 @@ class AllocationService:
                 converged = True
                 rationed = not no_overdemand
                 break
-            k = self.adjustment_rate / (1.0 + rounds / 40.0)
+            k = rate / (1.0 + rounds / 40.0)
             slice_price = max(
                 floor, slice_price * math.exp(k * _clamp(slice_excess)))
             bank_price = max(
                 floor, bank_price * math.exp(k * _clamp(bank_excess)))
         self._arena.note_rounds(rounds)
-        if choices is not None and want_allocations:
+        allocations: List[Allocation] = []
+        if want_allocations and winner is not None:
             # Warm steps discard allocations (StepResult carries only
             # prices), so they skip this construction.
-            allocations = self._allocations_from(choices)
+            allocations = self._allocations(winner, v_best, utility)
         return {
             "slice_price": slice_price,
             "bank_price": bank_price,

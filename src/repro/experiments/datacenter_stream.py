@@ -583,8 +583,10 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
     if jobs != 1 and shards <= 1:
         raise ValueError("jobs needs shards > 1: only sharded runs fan "
                          "out to workers")
-    if checkpoint_every and (couple > 1
-                             or (shards > 1 and engine is not None)):
+    if shards > 1 and engine is None:
+        raise ValueError("shards > 1 needs an engine: shards run as "
+                         "engine work units")
+    if checkpoint_every and (couple > 1 or shards > 1):
         raise ValueError("checkpoint_every needs shards=1 and couple=1: "
                          "only the single stream writes checkpoints")
 
@@ -603,7 +605,7 @@ def run(num_events: int = 20_000, seed: int = 11,
         engine=None, obs=None) -> DatacenterStreamResult:
     """Drive one continuous stream, reported in ``segments`` rows.
 
-    With ``shards > 1`` and an engine, independent shards fan out as
+    ``shards > 1`` needs an engine: independent shards fan out as
     ``kind="service"`` work units instead (one row per shard).
     ``couple > 1`` makes each unit a *coupled group* of that many
     shard services trading against one shared global price vector,
@@ -636,7 +638,7 @@ def run(num_events: int = 20_000, seed: int = 11,
     if strict is None:
         strict = fault_rate == 0.0
 
-    if shards > 1 and engine is not None:
+    if shards > 1:
         params = {"num_events": num_events // shards, "seed": seed,
                   "admission_floor": admission_floor,
                   "active_target": active_target,

@@ -35,6 +35,12 @@ REJECTED = {
                                   ["--chaos-seed", "7"]),
 }
 
+#: Rejected by ``run()`` only: the CLI always builds an engine for
+#: ``--shards > 1``, so these have no command line.
+REJECTED_API = {
+    "shards-without-engine": {"shards": 2},
+}
+
 
 class TestDriveStream:
     def test_seeded_stream_is_deterministic(self):
@@ -163,6 +169,13 @@ class TestRejectedArgs:
             ds.run(seed=4, **kwargs)
         assert "\n" not in str(info.value)
         assert not os.path.exists("ck.json")
+
+    @pytest.mark.parametrize("case", REJECTED_API)
+    def test_run_raises_api_only(self, case):
+        with pytest.raises(ValueError) as info:
+            ds.run(num_events=200, seed=4, reprice_every=20,
+                   **REJECTED_API[case])
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("case", REJECTED)
     def test_cli_exits_2(self, case, capsys):
