@@ -72,8 +72,6 @@ def test_bench_stream_perf_smoke(perf_smoke_dump):
         "compactions": stats["compactions"],
         "final_fragmentation": stats["final_fragmentation"],
         "arena_grows": arena.n_grows,
-        "arena_slot_reuse": arena.n_slot_reuse,
-        "arena_rounds_no_rebuild": arena.n_rounds_no_rebuild,
     })
     print(f"\nstream-perf-smoke: {NUM_EVENTS} events in {wall_s:.1f}s "
           f"-> {events_per_s:.0f} ev/s, p50 {p50_ms:.3f} ms, "
@@ -84,10 +82,6 @@ def test_bench_stream_perf_smoke(perf_smoke_dump):
     assert stats["departures"] > 0
     assert stats["resizes"] > 0
     assert stats["reprice_rounds"] > 0
-    # The arena actually ran incrementally: slots recycled, rounds
-    # served without a rebuild.
-    assert arena.n_slot_reuse > 0
-    assert arena.n_rounds_no_rebuild > 0
     # Throughput floor and latency ceiling.
     assert events_per_s >= MIN_EVENTS_PER_S, (
         f"stream throughput {events_per_s:.0f} ev/s below the "

@@ -2,48 +2,44 @@
 
 The rebuild-on-invalidate stack re-``np.stack``-ed every per-tenant
 utility row whenever the roster changed - an O(active) rebuild per
-event.  :class:`TensorArena` replaces it with preallocated
-``(capacity, cache * slice)`` arrays that grow by amortized doubling,
-a LIFO free-slot list recycling departed tenants' rows, in-place row
-writes on submit/resize, and a slot<->tenant index.  Tatonnement
-rounds read a *contiguous active view*: separate prefix arrays kept in
-roster (arrival) order, updated incrementally - append on submit,
-shift-down on depart, in-place budget write on resize - so the view's
+event.  :class:`TensorArena` replaces it with one contiguous table:
+preallocated ``perf_k`` / ``inv_k`` / ``budgets`` arrays whose first
+``n_active`` rows hold the roster in arrival order.  Capacity grows by
+amortized doubling; submit appends a row, depart shifts the suffix
+down one row, and resize writes one budget cell, so the table's
 contents are always bit-identical to ``np.stack`` over the roster and
-no per-step stacking ever happens.
+no per-step stacking ever happens.  The arena keeps no tenant names:
+the service's roster is the only index, and row ``i`` belongs to
+roster tenant ``i``.
 
-Bit-identity argument: every view row is a float64 copy of the exact
+Bit-identity argument: every row is a float64 copy of the exact
 memoized ``P^k`` row ``np.stack`` would have copied, rows sit in the
 same (arrival) order, and a row-prefix of a C-contiguous array is
 itself C-contiguous - so every downstream reduction (`argmax`, `sum`)
 runs over identical bytes in identical order.
-
-Slot storage (where rows live) is invisible to the rounds; it exists
-so the arena can be compacted off the hot path and so checkpoints can
-round-trip the exact layout.  :meth:`compact` re-packs slots into
-roster order and empties the free list; the service piggybacks it on
-the existing fragmentation-driven compaction cadence.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-#: Initial slot capacity; doubling from here amortizes growth to O(1)
+import numpy as np
+
+#: Initial row capacity; doubling from here amortizes growth to O(1)
 #: row copies per admission.
 INITIAL_CAPACITY = 64
 
 
 class TensorArena:
-    """Preallocated per-tenant round tensors with an incremental
-    contiguous active view.
+    """Preallocated per-tenant round tensors, one row per roster
+    tenant in arrival order.
 
     Parameters
     ----------
     row_width:
         Flattened configuration-grid width (``cache * slice``).
     capacity:
-        Initial slot capacity (grows by doubling).
+        Initial row capacity (grows by doubling).
     scope:
         An obs scope (e.g. ``cloud.service``); the arena registers its
         instruments under ``<scope>.arena.*``.
@@ -51,215 +47,83 @@ class TensorArena:
 
     def __init__(self, row_width: int, capacity: int = INITIAL_CAPACITY,
                  scope=None):
-        import numpy as np
-
-        self._np = np
         self.row_width = int(row_width)
         self.capacity = max(1, int(capacity))
-        # Slot storage: rows live wherever their slot is.
+        # Rounds read [:n_active]; the column shape of inv_k/budgets is
+        # what broadcasts them against the (n, row_width) utility.
         self.perf_k = np.zeros((self.capacity, self.row_width))
-        self.inv_k = np.zeros(self.capacity)
-        self.budgets = np.zeros(self.capacity)
-        #: LIFO recycling of departed tenants' slots.
-        self.free_slots: List[int] = []
-        #: slot <-> tenant index.
-        self.slot_of: Dict[str, int] = {}
-        self.tenant_of: Dict[int, str] = {}
-        self._next_slot = 0
-        # Contiguous active view, roster order; rounds read [:n_active].
-        self.view_perf_k = np.zeros((self.capacity, self.row_width))
-        self.view_inv_k = np.zeros((self.capacity, 1))
-        self.view_budgets = np.zeros((self.capacity, 1))
-        #: Tenant names in view (== roster) order.
-        self.order: List[str] = []
+        self.inv_k = np.zeros((self.capacity, 1))
+        self.budgets = np.zeros((self.capacity, 1))
         self.n_active = 0
 
         from repro.obs import NULL_SCOPE
 
         scope = scope if scope is not None else NULL_SCOPE
         self._c_grows = scope.counter("arena.grows")
-        self._c_slot_reuse = scope.counter("arena.slot_reuse")
-        self._c_rounds_no_rebuild = scope.counter(
-            "arena.rounds_no_rebuild")
         scope.gauge("arena.active_view", lambda: self.n_active)
         scope.gauge("arena.capacity", lambda: self.capacity)
-        # Mirrored plain tallies (obs may be off).
+        #: Mirrored plain tally (obs may be off).
         self.n_grows = 0
-        self.n_slot_reuse = 0
-        self.n_rounds_no_rebuild = 0
-
-    # ------------------------------------------------------------------
-    # hot-path mutations
-    # ------------------------------------------------------------------
 
     def _grow(self, need: int) -> None:
-        np = self._np
         capacity = self.capacity
         while capacity < need:
             capacity *= 2
-        grown = np.zeros((capacity, self.row_width))
-        grown[:self.capacity] = self.perf_k
-        self.perf_k = grown
-        grown = np.zeros(capacity)
-        grown[:self.capacity] = self.inv_k
-        self.inv_k = grown
-        grown = np.zeros(capacity)
-        grown[:self.capacity] = self.budgets
-        self.budgets = grown
-        grown = np.zeros((capacity, self.row_width))
-        grown[:self.capacity] = self.view_perf_k
-        self.view_perf_k = grown
-        grown = np.zeros((capacity, 1))
-        grown[:self.capacity] = self.view_inv_k
-        self.view_inv_k = grown
-        grown = np.zeros((capacity, 1))
-        grown[:self.capacity] = self.view_budgets
-        self.view_budgets = grown
+        n = self.n_active
+        for attr in ("perf_k", "inv_k", "budgets"):
+            old = getattr(self, attr)
+            grown = np.zeros((capacity, old.shape[1]))
+            grown[:n] = old[:n]
+            setattr(self, attr, grown)
         self.capacity = capacity
         self._c_grows.inc()
         self.n_grows += 1
 
-    def submit(self, name: str, perf_k_row, inv_k: float,
-               budget: float) -> int:
-        """Add one tenant: in-place row write into a (possibly
-        recycled) slot plus an append to the active view.  Returns the
-        slot."""
-        if name in self.slot_of:
-            raise ValueError(f"tenant {name!r} already in arena")
-        if self.free_slots:
-            slot = self.free_slots.pop()
-            self._c_slot_reuse.inc()
-            self.n_slot_reuse += 1
-        else:
-            if self._next_slot >= self.capacity:
-                self._grow(self._next_slot + 1)
-            slot = self._next_slot
-            self._next_slot += 1
-        self.perf_k[slot] = perf_k_row
-        self.inv_k[slot] = inv_k
-        self.budgets[slot] = budget
-        self.slot_of[name] = slot
-        self.tenant_of[slot] = name
-        n = self.n_active
-        if n >= self.capacity:  # pragma: no cover - slots grow first
-            self._grow(n + 1)
-        self.view_perf_k[n] = perf_k_row
-        self.view_inv_k[n, 0] = inv_k
-        self.view_budgets[n, 0] = budget
-        self.order.append(name)
-        self.n_active = n + 1
-        return slot
+    def _check(self, index: int) -> None:
+        if not 0 <= index < self.n_active:
+            raise IndexError(f"arena row {index} out of range for "
+                             f"{self.n_active} rows")
 
-    def depart(self, name: str, index: int) -> None:
-        """Remove the tenant at roster position ``index``: recycle the
-        slot, shift the view suffix down one row (contents stay equal
-        to a fresh stack of the shrunken roster)."""
-        slot = self.slot_of.pop(name, None)
-        if slot is None or self.order[index] != name:
-            raise ValueError(
-                f"tenant {name!r} not at arena position {index}")
-        del self.tenant_of[slot]
-        self.free_slots.append(slot)
+    def submit(self, perf_k_row, inv_k: float, budget: float) -> None:
+        """Append one tenant's row (the roster's newest arrival)."""
+        n = self.n_active
+        if n >= self.capacity:
+            self._grow(n + 1)
+        self.perf_k[n] = perf_k_row
+        self.inv_k[n, 0] = inv_k
+        self.budgets[n, 0] = budget
+        self.n_active = n + 1
+
+    def depart(self, index: int) -> None:
+        """Remove row ``index`` by shifting the suffix down one row, so
+        the table stays equal to a fresh stack of the shrunken roster."""
+        self._check(index)
         n = self.n_active
         if index < n - 1:
-            self.view_perf_k[index:n - 1] = self.view_perf_k[
-                index + 1:n]
-            self.view_inv_k[index:n - 1] = self.view_inv_k[index + 1:n]
-            self.view_budgets[index:n - 1] = self.view_budgets[
-                index + 1:n]
-        del self.order[index]
+            self.perf_k[index:n - 1] = self.perf_k[index + 1:n]
+            self.inv_k[index:n - 1] = self.inv_k[index + 1:n]
+            self.budgets[index:n - 1] = self.budgets[index + 1:n]
         self.n_active = n - 1
 
-    def set_budget(self, name: str, index: int, budget: float) -> None:
-        """In-place budget write (resize); the utility row is
+    def set_budget(self, index: int, budget: float) -> None:
+        """Write one budget cell (resize); the utility row is
         budget-independent so nothing else moves."""
-        slot = self.slot_of.get(name)
-        if slot is None or self.order[index] != name:
-            raise ValueError(
-                f"tenant {name!r} not at arena position {index}")
-        self.budgets[slot] = budget
-        self.view_budgets[index, 0] = budget
-
-    # ------------------------------------------------------------------
-    # round access
-    # ------------------------------------------------------------------
+        self._check(index)
+        self.budgets[index, 0] = budget
 
     def active_view(self) -> Dict[str, Any]:
         """The contiguous round tensors - zero stacking, zero copies."""
         n = self.n_active
         return {
-            "perf_k": self.view_perf_k[:n],
-            "inv_k": self.view_inv_k[:n],
-            "budgets": self.view_budgets[:n],
+            "perf_k": self.perf_k[:n],
+            "inv_k": self.inv_k[:n],
+            "budgets": self.budgets[:n],
         }
-
-    def note_rounds(self, rounds: int) -> None:
-        """Tally tatonnement rounds served without any stack rebuild."""
-        self._c_rounds_no_rebuild.inc(rounds)
-        self.n_rounds_no_rebuild += rounds
-
-    # ------------------------------------------------------------------
-    # off-hot-path maintenance
-    # ------------------------------------------------------------------
 
     def compact(self) -> None:
-        """Re-pack slot storage into roster order; empties the free
-        list.  The active view is already contiguous, so this only
-        tidies slot space - it runs on the service's opportunistic
-        compaction cadence, never per event."""
-        n = self.n_active
-        self.perf_k[:n] = self.view_perf_k[:n]
-        self.inv_k[:n] = self.view_inv_k[:n, 0]
-        self.budgets[:n] = self.view_budgets[:n, 0]
-        self.slot_of = {name: i for i, name in enumerate(self.order)}
-        self.tenant_of = {i: name for i, name in enumerate(self.order)}
-        self.free_slots = []
-        self._next_slot = n
-
-    def layout(self) -> Dict[str, Any]:
-        """JSON-stable arena layout for checkpoints.
-
-        Rows are *not* serialized: they are pure functions of the
-        tenant's profile and utility exponent, recomputed bit-exactly
-        from the memoized kernel on restore.
-        """
-        return {
-            "capacity": self.capacity,
-            "next_slot": self._next_slot,
-            "free_slots": list(self.free_slots),
-            "slots": {name: self.slot_of[name] for name in self.order},
-        }
-
-    def adopt_layout(self, layout: Dict[str, Any]) -> None:
-        """Re-shape slot storage to a checkpointed :meth:`layout`.
-
-        The active view (and therefore every round result) is
-        unaffected; this restores the slot/free-list bookkeeping so a
-        resumed service recycles the same slots the original would.
-        """
-        slots = {str(k): int(v) for k, v in layout["slots"].items()}
-        if set(slots) != set(self.order):
-            raise ValueError("arena layout names do not match roster")
-        need = int(layout["capacity"])
-        if need > self.capacity:
-            self._grow(need)
-        self._next_slot = int(layout["next_slot"])
-        self.free_slots = [int(s) for s in layout["free_slots"]]
-        self.slot_of = {}
-        self.tenant_of = {}
-        for index, name in enumerate(self.order):
-            slot = slots[name]
-            self.perf_k[slot] = self.view_perf_k[index]
-            self.inv_k[slot] = self.view_inv_k[index, 0]
-            self.budgets[slot] = self.view_budgets[index, 0]
-            self.slot_of[name] = slot
-            self.tenant_of[slot] = name
+        """No-op: the table is always packed in roster order.  Kept
+        only because ``perfbench/spans.py`` wraps it by name."""
 
     def clear(self) -> None:
         """Forget every tenant (restore() rebuilds from a snapshot)."""
-        self.free_slots = []
-        self.slot_of = {}
-        self.tenant_of = {}
-        self._next_slot = 0
-        self.order = []
         self.n_active = 0

@@ -19,8 +19,9 @@ simply dying.  This module makes all of those *reproducible*:
   :class:`~repro.cloud.errors.SimulatedCrash` for the
   checkpoint/restore machinery to absorb.
 * :func:`verify_invariants` - the auditor: fabric tile conservation,
-  placement/roster agreement, positive finite prices, stacked-tensor
-  coherence.  Cheap enough to run every N events of a chaos stream.
+  placement/roster agreement, positive finite prices, arena rows equal
+  to what the roster says the rounds read.  Cheap enough to run every
+  N events of a chaos stream.
 * checkpoint helpers - atomic JSON save/load plus ``random.Random``
   state (de)serialization, shared by the stream driver's
   crash/resume path.
@@ -34,6 +35,8 @@ import os
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cloud.errors import InvariantViolation, SimulatedCrash
 from repro.cloud.fabric import TileKind
@@ -272,10 +275,10 @@ def verify_invariants(service: AllocationService) -> None:
     violation found.
 
     Checks, in order: positive finite prices; roster/name-index
-    agreement; tensor-arena coherence (active view in roster order,
-    budgets matching the roster, slot index and free list consistent);
-    fabric tile conservation (free counts + owned counts cover every
-    tile exactly once); and per-tenant placement shape
+    agreement; tensor-arena coherence (row ``i`` holds roster tenant
+    ``i``'s memoized ``P^k`` row, ``1/k`` and budget - exactly what the
+    rounds read); fabric tile conservation (free counts + owned counts
+    cover every tile exactly once); and per-tenant placement shape
     (``vcores * slices`` slice tiles, ``vcores * banks_per`` bank
     tiles, no foreign owners).
     """
@@ -304,25 +307,20 @@ def verify_invariants(service: AllocationService) -> None:
         problems.append(
             f"tensor arena has {arena.n_active} active rows for "
             f"{len(service._roster)} tenants")
-    elif arena.order != roster_names:
-        problems.append("arena active view not in roster order")
     else:
-        budgets = [float(b)
-                   for b in arena.view_budgets[:arena.n_active, 0]]
-        expect = [t.request.budget for t in service._roster]
-        if budgets != expect:
-            problems.append("arena budgets diverge from roster "
-                            "budgets")
-    if set(arena.slot_of) != set(roster_names):
-        problems.append("arena slot index disagrees with roster")
-    used = set(arena.slot_of.values())
-    if len(used) != len(arena.slot_of):
-        problems.append("two tenants share one arena slot")
-    free = set(arena.free_slots)
-    if free & used:
-        problems.append("arena free list overlaps used slots")
-    if any(s >= arena.capacity for s in used | free):
-        problems.append("arena slot beyond capacity")
+        view = arena.active_view()
+        diverged = []
+        for i, state in enumerate(service._roster):
+            request = state.request
+            k = request.utility.perf_exponent
+            row = service.kernel.perf_pow_row(request.benchmark, k)
+            if (not np.array_equal(view["perf_k"][i], row)
+                    or view["inv_k"][i, 0] != 1.0 / k
+                    or view["budgets"][i, 0] != request.budget):
+                diverged.append(request.name)
+        if diverged:
+            problems.append("arena rows diverge from roster tenants: "
+                            + ", ".join(diverged[:5]))
 
     fabric = service.fabric
     if fabric is not None:

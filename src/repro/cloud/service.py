@@ -173,20 +173,17 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 class _TenantState:
-    """Internal per-tenant record (economics row + placement)."""
+    """Internal per-tenant record (request + placement shape); the
+    tenant's round row lives in the arena at its roster index."""
 
-    __slots__ = ("request", "cache_kb", "slices", "vcores",
-                 "perf_k_flat", "inv_k")
+    __slots__ = ("request", "cache_kb", "slices", "vcores")
 
     def __init__(self, request: TenantRequest, cache_kb: float = 0.0,
-                 slices: int = 0, vcores: int = 0,
-                 perf_k_flat=None, inv_k: float = 1.0):
+                 slices: int = 0, vcores: int = 0):
         self.request = request
         self.cache_kb = cache_kb
         self.slices = slices
         self.vcores = vcores
-        self.perf_k_flat = perf_k_flat  # (C*S,) memoized P^k row
-        self.inv_k = inv_k
 
 
 class AllocationService:
@@ -323,8 +320,8 @@ class AllocationService:
         self._t_resize = scope.timer("resize_s")
         self._t_step = scope.timer("step_s")
         scope.gauge("active_tenants", lambda: len(self._roster))
-        #: Incremental tensor arena: preallocated per-tenant round
-        #: tensors with a contiguous active view, so no event ever
+        #: Incremental tensor arena: one contiguous table of round
+        #: tensors, row ``i`` = ``_roster[i]``, so no event ever
         #: triggers a stack rebuild.
         self._arena = TensorArena(
             len(self.cache_grid) * len(self.slice_grid), scope=scope)
@@ -441,7 +438,7 @@ class AllocationService:
                     f"unknown tenant {tenant_id!r}", tenant=tenant_id)
             index = self._roster.index(state)
             del self._roster[index]
-            self._arena.depart(tenant_id, index)
+            self._arena.depart(index)
             self._c_departures.inc()
             self._n_departures += 1
             if self.fabric is not None:
@@ -496,8 +493,7 @@ class AllocationService:
             )
             state.vcores = vcores
             if budget != old_budget:
-                self._arena.set_budget(tenant_id,
-                                       self._roster.index(state),
+                self._arena.set_budget(self._roster.index(state),
                                        budget)
             self._c_resizes.inc()
             self._n_resizes += 1
@@ -803,16 +799,14 @@ class AllocationService:
         ``json.dumps`` of the snapshot round-trips bit-exactly: Python
         serializes floats via ``repr`` (shortest round-trip form).
 
-        Version 2 carries the arena slot layout (capacity, free list,
-        slot map); the rows themselves are recomputed from the
-        memoized kernel on restore - they are pure functions of each
-        tenant's profile and utility exponent.  ``"config"`` holds the
+        The arena's rows are not serialized: they are pure functions of
+        each tenant's profile and utility exponent, recomputed from the
+        memoized kernel on restore.  ``"config"`` holds the
         construction shape :meth:`restore` checks, fabric geometry
         included.
         """
         return {
             "version": 2,
-            "arena": self._arena.layout(),
             "config": self._config(),
             "prices": {"slice": self.slice_price,
                        "bank": self.bank_price},
@@ -882,16 +876,13 @@ class AllocationService:
 
     def _check_snapshot(self, state: Dict[str, Any]) -> None:
         """Raise :class:`ValueError` unless :meth:`restore` can take
-        ``state``: version 2 with an arena layout, taken from a service
-        of this one's shape.  Touches no state."""
+        ``state``: version 2, taken from a service of this one's shape.
+        Touches no state."""
         version = state.get("version")
         if version != 2:
             raise ValueError(
                 f"unsupported service snapshot version {version!r}; "
                 "restore accepts version 2")
-        if state.get("arena") is None:
-            raise ValueError(
-                "service snapshot version 2 has no arena layout")
         config = state.get("config", {})
         for key, ours in self._config().items():
             theirs = config.get(key, ours)
@@ -903,13 +894,14 @@ class AllocationService:
     def restore(self, state: Dict[str, Any]) -> None:
         """Reset this service to a :meth:`snapshot` - bit-exact resume.
 
-        The snapshot must be version 2 with an arena layout, and the
-        service must have been constructed with the same shape
-        (supplies, fixed cost, fabric width, height and bank columns)
-        as the snapshotting one; anything else raises
-        :class:`ValueError` before any state is touched.  A restored
-        run continues exactly as the uninterrupted one would (proven
-        by the crash/resume equivalence suite).
+        The snapshot must be version 2, and the service must have been
+        constructed with the same shape (supplies, fixed cost, fabric
+        width, height and bank columns) as the snapshotting one;
+        anything else raises :class:`ValueError` before any state is
+        touched.  A restored run continues exactly as the uninterrupted
+        one would (proven by the crash/resume equivalence suite).  An
+        ``"arena"`` key, which older version-2 snapshots carry, is
+        ignored.
         """
         from repro.economics.utility import UtilityFunction
 
@@ -928,7 +920,6 @@ class AllocationService:
             )
             self._register(request, cache_kb=row["cache_kb"],
                            slices=row["slices"], vcores=row["vcores"])
-        self._arena.adopt_layout(state["arena"])
         self.slice_price = state["prices"]["slice"]
         self.bank_price = state["prices"]["bank"]
         self._price_epoch = state["price_epoch"]
@@ -1025,17 +1016,15 @@ class AllocationService:
 
     def _register(self, tenant: TenantRequest, cache_kb: float = 0.0,
                   slices: int = 0, vcores: int = 0) -> None:
-        # The kernel memoizes P^k per (profile, exponent): the rows the
-        # arena copies in place.
+        # The kernel memoizes P^k per (profile, exponent): the row the
+        # arena copies.
         k = tenant.utility.perf_exponent
-        state = _TenantState(
-            tenant, cache_kb=cache_kb, slices=slices, vcores=vcores,
-            perf_k_flat=self.kernel.perf_pow_row(tenant.benchmark, k),
-            inv_k=1.0 / k)
+        row = self.kernel.perf_pow_row(tenant.benchmark, k)
+        state = _TenantState(tenant, cache_kb=cache_kb, slices=slices,
+                             vcores=vcores)
         self._roster.append(state)
         self._by_name[tenant.name] = state
-        self._arena.submit(tenant.name, state.perf_k_flat, state.inv_k,
-                           tenant.budget)
+        self._arena.submit(row, 1.0 / k, tenant.budget)
 
     # ------------------------------------------------------------------
     # internals: tatonnement (shared with the batch auction)
@@ -1130,7 +1119,6 @@ class AllocationService:
                 floor, slice_price * math.exp(k * _clamp(slice_excess)))
             bank_price = max(
                 floor, bank_price * math.exp(k * _clamp(bank_excess)))
-        self._arena.note_rounds(rounds)
         allocations: List[Allocation] = []
         if want_allocations and winner is not None:
             # Warm steps discard allocations (StepResult carries only
@@ -1198,8 +1186,5 @@ class AllocationService:
                     if nodes:
                         self.fabric.claim(nodes, name)
                 return
-        # Piggyback arena slot re-packing on the same
-        # fragmentation-driven cadence - never on the hot path.
-        self._arena.compact()
         self._c_compactions.inc()
         self._n_compactions += 1

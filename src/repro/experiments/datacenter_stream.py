@@ -32,7 +32,12 @@ from repro.cloud.resilience import (
     rng_state_from_json,
     rng_state_to_json,
 )
-from repro.cloud.service import AllocationService, Event, TenantRequest
+from repro.cloud.service import (
+    AllocationService,
+    Event,
+    TenantRequest,
+    _percentile,
+)
 from repro.cloud.shards import CoupledShards
 from repro.economics.utility import STANDARD_UTILITIES
 from repro.experiments.base import ExperimentResult
@@ -343,11 +348,7 @@ def drive_coupled_stream(group: CoupledShards, num_events: int,
                          *,
                          strict: bool = True,
                          readmit: bool = False,
-                         audit_every: int = 0,
-                         checkpoint_every: int = 0,
-                         on_checkpoint: Optional[
-                             Callable[[int, Dict[str, Any]], None]] = None,
-                         resume: Optional[Dict[str, Any]] = None
+                         audit_every: int = 0
                          ) -> Tuple[Dict[str, float], List[float]]:
     """Drive ``num_events`` total events through a coupled shard group.
 
@@ -357,9 +358,8 @@ def drive_coupled_stream(group: CoupledShards, num_events: int,
     advance in fixed round-robin order, ``group.sync_every`` events
     per shard per round, with a global price averaging/broadcast after
     every round - fully deterministic, so a coupled run is exactly
-    reproducible and resumable (``resume`` takes the ``"stream"``
-    section of a coupled checkpoint; the caller restores the group
-    itself first, see :func:`resume_coupled_stream`).
+    reproducible (but not checkpointable: only :func:`drive_stream`
+    writes checkpoints).
 
     Returns ``(stats, pooled_latencies)`` with the same keys as
     :func:`drive_stream` plus ``price_syncs``.
@@ -367,27 +367,14 @@ def drive_coupled_stream(group: CoupledShards, num_events: int,
     n = len(group.services)
     quota = [num_events // n + (1 if j < num_events % n else 0)
              for j in range(n)]
-    if resume is None:
-        rngs = [random.Random(seed * 1000 + j) for j in range(n)]
-        actives: List[List[str]] = [[] for _ in range(n)]
-        serials = [0] * n
-        done = [0] * n
-    else:
-        rngs = []
-        for state_json in resume["rng_states"]:
-            rng = random.Random()
-            rng.setstate(rng_state_from_json(state_json))
-            rngs.append(rng)
-        actives = [list(a) for a in resume["actives"]]
-        serials = [int(s) for s in resume["serials"]]
-        done = [int(d) for d in resume["done"]]
+    rngs = [random.Random(seed * 1000 + j) for j in range(n)]
+    actives: List[List[str]] = [[] for _ in range(n)]
+    serials = [0] * n
+    done = [0] * n
     totals: Optional[Dict[str, float]] = None
     latencies: List[float] = []
     wall = 0.0
     syncs_before = group.n_syncs
-    next_cp = 0
-    if checkpoint_every:
-        next_cp = (sum(done) // checkpoint_every + 1) * checkpoint_every
     while any(done[j] < quota[j] for j in range(n)):
         for j, service in enumerate(group.services):
             end = min(quota[j], done[j] + group.sync_every)
@@ -416,14 +403,6 @@ def drive_coupled_stream(group: CoupledShards, num_events: int,
                         "readmitted"):
                 totals[key] += stats[key]
         group.sync()
-        total_done = sum(done)
-        if (checkpoint_every and on_checkpoint is not None
-                and total_done >= next_cp
-                and total_done < num_events):
-            on_checkpoint(total_done, make_coupled_checkpoint(
-                group, rngs, actives, serials, done, seed))
-            next_cp = ((total_done // checkpoint_every + 1)
-                       * checkpoint_every)
     assert totals is not None, "coupled stream drove zero events"
     slice_price, bank_price = group.prices()
     totals["active_tenants"] = float(sum(
@@ -440,44 +419,6 @@ def drive_coupled_stream(group: CoupledShards, num_events: int,
     totals["latency_p99_ms"] = _percentile(ordered, 0.99) * 1e3
     totals["price_syncs"] = float(group.n_syncs - syncs_before)
     return totals, latencies
-
-
-def make_coupled_checkpoint(group: CoupledShards,
-                            rngs: List[random.Random],
-                            actives: List[List[str]],
-                            serials: List[int], done: List[int],
-                            seed: int) -> Dict[str, Any]:
-    """A resumable coupled-stream checkpoint: the group snapshot
-    (every shard's service state + sync counter) plus the driver's
-    per-shard RNGs, active views, serials, and progress."""
-    return {
-        "group": group.snapshot(),
-        "stream": {
-            "rng_states": [rng_state_to_json(r.getstate())
-                           for r in rngs],
-            "actives": [list(a) for a in actives],
-            "serials": list(serials),
-            "done": list(done),
-            "seed": seed,
-        },
-    }
-
-
-def resume_coupled_stream(group: CoupledShards,
-                          checkpoint: Dict[str, Any], num_events: int,
-                          **drive_kwargs
-                          ) -> Tuple[Dict[str, float], List[float]]:
-    """Resume a killed coupled run, bit-equal to never dying.
-
-    ``group`` must be a freshly built group of the same shape
-    (:func:`build_coupled_group` with the same knobs); its state is
-    replaced by the checkpoint's and every shard stream continues at
-    its next event index.  Stats cover the resumed segment only.
-    """
-    group.restore(checkpoint["group"])
-    return drive_coupled_stream(
-        group, num_events, seed=checkpoint["stream"]["seed"],
-        resume=checkpoint["stream"], **drive_kwargs)
 
 
 def evaluate_shard(params: Dict[str, object]) -> List[List[float]]:
@@ -546,14 +487,6 @@ def evaluate_shard(params: Dict[str, object]) -> List[List[float]]:
             for i, name in enumerate(STREAM_METRICS)]
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1,
-              max(0, int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[idx]
-
-
 def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
                    fault_rate: float = 0.0, checkpoint_every: int = 0,
                    checkpoint_path: Optional[str] = None,
@@ -567,6 +500,10 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
     count for sharded runs."""
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
+    if shards > 1 and num_events % shards:
+        raise ValueError(f"num_events={num_events} must be a multiple "
+                         f"of shards={shards}: each shard drives "
+                         "num_events / shards events")
     if fault_rate > 0.0 and couple > 1:
         raise ValueError("fault injection needs couple=1: coupled shard "
                          "groups run without a fault injector")

@@ -1,4 +1,4 @@
-"""The incremental tensor arena: slots, active view, layout."""
+"""The incremental tensor arena: one contiguous table in roster order."""
 
 import numpy as np
 import pytest
@@ -11,20 +11,20 @@ def row(seed, width=6):
     return rng.random(width)
 
 
-def fresh_stack(arena, rows):
+def fresh_stack(rows):
     """What ``np.stack`` over the roster would build."""
-    names = arena.order
-    return (np.stack([rows[n][0] for n in names]),
-            np.array([[rows[n][1]] for n in names]),
-            np.array([[rows[n][2]] for n in names]))
+    return (np.stack([r[0] for r in rows]),
+            np.array([[r[1]] for r in rows]),
+            np.array([[r[2]] for r in rows]))
 
 
 def assert_view_matches(arena, rows):
+    """``rows`` is the roster's ``(perf_k, inv_k, budget)`` in order."""
     view = arena.active_view()
-    if not arena.order:
+    if not rows:
         assert view["perf_k"].shape[0] == 0
         return
-    perf, inv, budgets = fresh_stack(arena, rows)
+    perf, inv, budgets = fresh_stack(rows)
     assert np.array_equal(view["perf_k"], perf)
     assert np.array_equal(view["inv_k"], inv)
     assert np.array_equal(view["budgets"], budgets)
@@ -33,117 +33,76 @@ def assert_view_matches(arena, rows):
 class TestSubmitDepart:
     def test_view_tracks_roster_order(self):
         arena = TensorArena(6, capacity=2)
-        rows = {}
-        for i, name in enumerate("abcd"):
-            rows[name] = (row(i), 1.0 + i, 10.0 * (i + 1))
-            arena.submit(name, *rows[name])
+        rows = []
+        for i in range(4):
+            rows.append((row(i), 1.0 + i, 10.0 * (i + 1)))
+            arena.submit(*rows[-1])
             assert_view_matches(arena, rows)
-        arena.depart("b", 1)
-        del rows["b"]
-        assert arena.order == ["a", "c", "d"]
+        arena.depart(1)
+        del rows[1]
         assert_view_matches(arena, rows)
-        arena.depart("d", 2)
-        del rows["d"]
+        arena.depart(2)
+        del rows[2]
         assert_view_matches(arena, rows)
-
-    def test_duplicate_submit_raises(self):
-        arena = TensorArena(4)
-        arena.submit("a", row(0, 4), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            arena.submit("a", row(1, 4), 1.0, 1.0)
+        arena.depart(0)
+        del rows[0]
+        assert_view_matches(arena, rows)
 
     def test_depart_validates_position(self):
         arena = TensorArena(4)
-        arena.submit("a", row(0, 4), 1.0, 1.0)
-        arena.submit("b", row(1, 4), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            arena.depart("a", 1)
-        with pytest.raises(ValueError):
-            arena.depart("ghost", 0)
-
-    def test_slot_reuse_is_lifo(self):
-        arena = TensorArena(4)
-        for name in "abc":
-            arena.submit(name, row(ord(name), 4), 1.0, 1.0)
-        arena.depart("a", 0)
-        arena.depart("c", 1)
-        assert arena.free_slots == [0, 2]
-        assert arena.submit("d", row(5, 4), 1.0, 1.0) == 2
-        assert arena.submit("e", row(6, 4), 1.0, 1.0) == 0
-        assert arena.n_slot_reuse == 2
+        arena.submit(row(0, 4), 1.0, 1.0)
+        arena.submit(row(1, 4), 1.0, 1.0)
+        for index in (2, -1):
+            with pytest.raises(IndexError):
+                arena.depart(index)
+        assert arena.n_active == 2
 
     def test_grow_doubles(self):
         arena = TensorArena(3, capacity=2)
-        for i in range(5):
-            arena.submit(f"t{i}", row(i, 3), 1.0, 1.0)
+        rows = [(row(i, 3), 1.0, 1.0) for i in range(5)]
+        for r in rows:
+            arena.submit(*r)
         assert arena.capacity == 8
-        assert arena.n_grows >= 1
-        rows = {f"t{i}": (row(i, 3), 1.0, 1.0) for i in range(5)}
+        assert arena.n_grows == 2
         assert_view_matches(arena, rows)
 
 
 class TestResize:
     def test_budget_write_in_place(self):
         arena = TensorArena(4)
-        arena.submit("a", row(0, 4), 1.0, 5.0)
-        arena.submit("b", row(1, 4), 1.0, 6.0)
-        arena.set_budget("b", 1, 60.0)
-        assert arena.active_view()["budgets"][1, 0] == 60.0
-        assert arena.budgets[arena.slot_of["b"]] == 60.0
-        with pytest.raises(ValueError):
-            arena.set_budget("b", 0, 1.0)
+        arena.submit(row(0, 4), 1.0, 5.0)
+        arena.submit(row(1, 4), 1.0, 6.0)
+        before = arena.active_view()["perf_k"].copy()
+        arena.set_budget(1, 60.0)
+        view = arena.active_view()
+        assert view["budgets"][:, 0].tolist() == [5.0, 60.0]
+        assert np.array_equal(view["perf_k"], before)
+        with pytest.raises(IndexError):
+            arena.set_budget(2, 1.0)
 
 
 class TestMaintenance:
     def make_fragmented(self):
         arena = TensorArena(4)
-        rows = {}
-        for i, name in enumerate("abcde"):
-            rows[name] = (row(i, 4), 1.0 + i, float(i))
-            arena.submit(name, *rows[name])
-        arena.depart("b", 1)
-        arena.depart("d", 2)
-        del rows["b"], rows["d"]
+        rows = []
+        for i in range(5):
+            rows.append((row(i, 4), 1.0 + i, float(i)))
+            arena.submit(*rows[-1])
+        for index in (1, 2):
+            arena.depart(index)
+            del rows[index]
         return arena, rows
 
     def test_compact_packs_roster_order(self):
         arena, rows = self.make_fragmented()
         arena.compact()
-        assert arena.free_slots == []
-        assert [arena.slot_of[n] for n in arena.order] == [0, 1, 2]
         assert_view_matches(arena, rows)
-        # Slot storage now mirrors the view.
-        for index, name in enumerate(arena.order):
-            assert np.array_equal(arena.perf_k[index], rows[name][0])
-
-    def test_layout_round_trip(self):
-        arena, rows = self.make_fragmented()
-        layout = arena.layout()
-        twin = TensorArena(4)
-        for name in arena.order:
-            twin.submit(name, *rows[name])
-        twin.adopt_layout(layout)
-        assert twin.slot_of == arena.slot_of
-        assert twin.free_slots == arena.free_slots
-        assert twin._next_slot == arena._next_slot
-        assert twin.capacity >= arena.capacity
-        assert_view_matches(twin, rows)
-        # The restored arena recycles the same slots the original would.
-        arena.submit("x", row(9, 4), 1.0, 1.0)
-        twin.submit("x", row(9, 4), 1.0, 1.0)
-        assert arena.slot_of["x"] == twin.slot_of["x"]
-
-    def test_adopt_layout_rejects_wrong_names(self):
-        arena, rows = self.make_fragmented()
-        layout = arena.layout()
-        twin = TensorArena(4)
-        twin.submit("zz", row(1, 4), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            twin.adopt_layout(layout)
+        # Storage is the table itself: rows sit at their roster index.
+        for index, r in enumerate(rows):
+            assert np.array_equal(arena.perf_k[index], r[0])
 
     def test_clear(self):
         arena, _ = self.make_fragmented()
         arena.clear()
-        assert arena.order == [] and arena.n_active == 0
-        assert arena.slot_of == {} and arena.free_slots == []
+        assert arena.n_active == 0
         assert arena.active_view()["perf_k"].shape[0] == 0

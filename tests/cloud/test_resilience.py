@@ -288,6 +288,17 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             verify_invariants(service)
 
+    def test_detects_arena_row_divergence(self):
+        service = rack_service()
+        for i in range(2):
+            service.submit(tenant(f"t{i}", budget=20.0 + i))
+        assert service.active_tenants == ["t0", "t1"]
+        verify_invariants(service)
+        service._arena.perf_k[0, 5] += 1.0
+        with pytest.raises(InvariantViolation) as exc:
+            verify_invariants(service)
+        assert "t0" in str(exc.value) and "t1" not in str(exc.value)
+
     def test_detects_bad_prices(self):
         service = rack_service()
         service.slice_price = -1.0
@@ -374,12 +385,25 @@ class TestServiceSnapshot:
         target.submit(tenant("resident", budget=30.0))
         self._rejects_untouched(target, snap, f"version {version!r}")
 
-    def test_restore_rejects_snapshot_without_arena(self):
-        snap = json.loads(json.dumps(self.build().snapshot()))
-        snap["arena"] = None
-        target = rack_service()
-        target.submit(tenant("resident", budget=30.0))
-        self._rejects_untouched(target, snap, "no arena layout")
+    def test_restore_accepts_snapshot_with_arena_layout(self):
+        """Older version-2 snapshots also carry the arena's slot
+        layout; restore ignores it."""
+        service = self.build()
+        snap = json.loads(json.dumps(service.snapshot()))
+        names = [row["name"] for row in snap["roster"]]
+        snap["arena"] = {
+            "capacity": 64, "next_slot": len(names) + 1,
+            "free_slots": [0],
+            "slots": {name: i + 1 for i, name in enumerate(names)},
+        }
+        clone = rack_service()
+        clone.restore(snap)
+        assert "arena" not in clone.snapshot()
+        assert clone.snapshot() == service.snapshot()
+        for svc in (service, clone):
+            svc.submit(tenant("next", budget=21.0))
+            svc.step()
+        assert clone.snapshot() == service.snapshot()
 
     @pytest.mark.parametrize("fabric", [
         lambda: Fabric(8, 16),

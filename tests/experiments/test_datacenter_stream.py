@@ -33,6 +33,12 @@ REJECTED = {
                                   ["--sync-every", "300"]),
     "chaos-seed-without-faults": ({"chaos_seed": 7},
                                   ["--chaos-seed", "7"]),
+    "events-not-multiple-of-shards": (
+        {"num_events": 10, "shards": 3},
+        ["--events", "10", "--shards", "3"]),
+    "fewer-events-than-shards": (
+        {"num_events": 2, "shards": 3, "couple": 2},
+        ["--events", "2", "--shards", "3", "--couple", "2"]),
 }
 
 #: Rejected by ``run()`` only: the CLI always builds an engine for
