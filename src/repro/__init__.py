@@ -31,13 +31,15 @@ Quickstart::
     choice = optimizer.best("gcc", UTILITY2, MARKET2)
     print(choice.cache_kb, choice.slices, choice.vcores)
 
-Sweep-engine quickstart (parallel fan-out + on-disk result cache)::
+Sweep-engine quickstart (cycle-level grids with parallel fan-out and
+an on-disk result cache)::
 
-    from repro import SweepEngine, SweepSpec
+    from repro import SweepEngine
 
-    engine = SweepEngine(jobs=4)
-    sweep = engine.run(SweepSpec(benchmarks=("gcc", "bzip")))
-    print(sweep.grid("gcc")[(512.0, 4)], sweep.cache_hits)
+    engine = SweepEngine(jobs=2)
+    sweep = engine.simulation_map(["gcc", "bzip"], cache_grid=(128.0,),
+                                  slice_grid=(1, 2), trace_length=2000)
+    print(sweep.grid("gcc")[(128.0, 2)], sweep.cache_hits)
 """
 
 from repro.area import AreaModel
@@ -58,7 +60,6 @@ from repro.economics import (
     UtilityOptimizer,
 )
 from repro.engine import (
-    GridModel,
     ResultCache,
     RunMetrics,
     SweepEngine,
@@ -103,7 +104,6 @@ __all__ = [
     "SLICE_GRID",
     "Experiment",
     "ExperimentResult",
-    "GridModel",
     "ResultCache",
     "RunMetrics",
     "SweepEngine",

@@ -68,15 +68,14 @@ class MarketEfficiencyComparison:
     def __init__(self, benchmarks: Sequence[str],
                  utilities: Sequence[UtilityFunction] = STANDARD_UTILITIES,
                  market: Market = MARKET2,
-                 optimizer: Optional[UtilityOptimizer] = None,
-                 engine=None):
+                 optimizer: Optional[UtilityOptimizer] = None):
         if not benchmarks:
             raise ValueError("need at least one benchmark")
         self.benchmarks = list(benchmarks)
         self.utilities = list(utilities)
         self.market = market
         self.optimizer = (optimizer if optimizer is not None
-                          else UtilityOptimizer(engine=engine))
+                          else UtilityOptimizer())
         #: Grid points in flat (cache outer, slice inner) order - the
         #: column order of the utility matrix.
         self._configs: List[Tuple[float, int]] = [

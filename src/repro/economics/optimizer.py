@@ -54,35 +54,27 @@ class OptimalChoice:
 class UtilityOptimizer:
     """Maximises customer utility over the configuration grid.
 
-    When an :class:`~repro.engine.core.SweepEngine` is supplied (and no
-    explicit ``model``), performance grids are sourced through the
-    engine's :class:`~repro.engine.core.GridModel` - same numbers, but
-    batch-evaluated with cache-and-fan-out semantics.
-
     ``model`` reaches :meth:`best`, :meth:`table6` and
     :meth:`utility_surface` through the market kernel, which reads only
     its ``comm_tolerance`` and ``mlp_per_slice`` and never calls an
     overridden ``performance`` (see :mod:`repro.economics.tensor`,
     "Model contract").  :meth:`utility_at` does call
-    ``model.performance``.
+    ``model.performance``.  ``obs`` (an
+    :class:`~repro.obs.Observability`) receives the optimizer's and the
+    kernel's counters.
     """
 
     def __init__(self, model: Optional[AnalyticModel] = None,
                  budget: float = DEFAULT_BUDGET,
                  cache_grid: Sequence[float] = CACHE_GRID_KB,
                  slice_grid: Sequence[int] = SLICE_GRID,
-                 engine=None, obs=None):
+                 obs=None):
         if budget <= 0:
             raise ValueError("budget must be positive")
         self.cache_grid = tuple(cache_grid)
         self.slice_grid = tuple(slice_grid)
-        if model is None and engine is not None:
-            model = engine.grid_model(cache_grid=self.cache_grid,
-                                      slice_grid=self.slice_grid)
         self.model = model or AnalyticModel()
         self.budget = budget
-        if obs is None and engine is not None:
-            obs = getattr(engine, "obs", None)
         from repro.obs import OBS_OFF
 
         self._obs = obs or OBS_OFF
@@ -98,15 +90,8 @@ class UtilityOptimizer:
         )
 
     def prime(self, benchmarks: Sequence[ProfileLike]) -> None:
-        """Batch-evaluate the grid for ``benchmarks`` ahead of queries.
-
-        Engine-backed :class:`~repro.engine.core.GridModel`\\ s fill
-        their table in one fan-out; the kernel builds all performance
-        rows in one broadcasted pass.
-        """
-        prime = getattr(self.model, "prime", None)
-        if prime is not None:
-            prime(benchmarks)
+        """Build the kernel's performance rows for ``benchmarks`` in one
+        broadcasted pass, ahead of queries."""
         self.kernel.prime(benchmarks)
 
     # ------------------------------------------------------------------

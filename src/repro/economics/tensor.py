@@ -11,9 +11,9 @@ tables, the auction and the allocation service all evaluate through it.
 * :func:`performance_tensor` - ``P[bench, cache, slice]`` evaluated in
   one broadcasted pass that mirrors
   :class:`~repro.perfmodel.model.AnalyticModel` operation for
-  operation (same order of arithmetic, so values agree with the scalar
-  model to the last few ulps - see DESIGN.md "Vectorized market kernel"
-  for the fp-tolerance policy);
+  operation, so every cell equals the scalar model's bit for bit (the
+  L2 miss fraction and the mean L2 latency come from the scalar
+  model's own helpers);
 * :func:`cost_matrix` / :func:`vcores_matrix` - Equation 2 over the
   grid for one market;
 * :class:`MarketKernel` - per-profile performance rows memoized once
@@ -26,11 +26,11 @@ Model contract
 :func:`performance_tensor` re-derives ``P(c, s)`` from the profile's
 fields and the model's ``comm_tolerance`` and ``mlp_per_slice``; it
 never calls :meth:`AnalyticModel.performance`.  A model subclass that
-overrides ``performance`` therefore changes nothing on this path.  (The
-engine's :class:`~repro.engine.core.GridModel` overrides it only to
-serve cached values of the same pipeline, so nothing is lost there.)
-To give the kernel a different performance surface, pass different
-profiles or model parameters.
+overrides ``performance`` therefore changes nothing on this path.  To
+give the kernel a different performance surface, pass different
+profiles or model parameters.  Grids the scalar model would reject (a
+Slice count below one, a negative cache size) raise its one-line
+``ValueError`` here too.
 
 Market binding
 --------------
@@ -67,6 +67,7 @@ from repro.perfmodel.model import (
     SLICE_GRID,
     AnalyticModel,
     ProfileLike,
+    _check_config,
     _resolve,
     l2_mean_latency,
 )
@@ -79,9 +80,15 @@ from repro.perfmodel.model import (
 #: Profile fields the analytic model reads, gathered into broadcast
 #: arrays of shape (B, 1, 1).
 _PROFILE_FIELDS = (
-    "ilp", "comm_sens", "br_mpki", "l1_mpki", "l2_ws_kb", "l2_floor",
-    "mlp", "frac_load", "thread_cap",
+    "ilp", "comm_sens", "br_mpki", "l1_mpki", "mlp", "frac_load",
+    "thread_cap",
 )
+
+
+def _check_grid(cache_grid: Sequence[float],
+                slice_grid: Sequence[int]) -> None:
+    """The scalar model's argument checks, over whole grid axes."""
+    _check_config(min(cache_grid, default=0.0), min(slice_grid, default=1))
 
 
 def performance_tensor(profiles: Sequence[ProfileLike],
@@ -95,6 +102,7 @@ def performance_tensor(profiles: Sequence[ProfileLike],
     Reads only the profiles' fields and ``model.comm_tolerance`` /
     ``model.mlp_per_slice`` (see "Model contract" above).
     """
+    _check_grid(cache_grid, slice_grid)
     model = model or AnalyticModel()
     profs = [_resolve(p) for p in profiles]
     fields = {
@@ -102,28 +110,31 @@ def performance_tensor(profiles: Sequence[ProfileLike],
                        dtype=np.float64).reshape(-1, 1, 1)
         for name in _PROFILE_FIELDS
     }
-    cache = np.asarray(cache_grid, dtype=np.float64).reshape(1, -1, 1)
     slices = np.asarray(slice_grid, dtype=np.float64).reshape(1, 1, -1)
-    #: Mean L2 hit latency is a pure function of the cache axis; the
-    #: ring-packing loop stays scalar (9 values), exactly as computed by
-    #: :func:`l2_mean_latency`.
+    #: The mean L2 hit latency (a ring-packing loop) and the L2 miss
+    #: fraction (an ``exp``, which numpy and libm may round differently
+    #: in the last bit) come from the scalar model's own helpers, one
+    #: value per cache size and per (profile, cache size).
     l2_lat = np.array([l2_mean_latency(c) for c in cache_grid],
                       dtype=np.float64).reshape(1, -1, 1)
+    miss = np.array([[p.l2_miss_fraction(c) for c in cache_grid]
+                     for p in profs],
+                    dtype=np.float64).reshape(len(profs), -1, 1)
 
-    ipc = _ipc(model, fields, cache, slices, l2_lat)
+    ipc = _ipc(model, fields, slices, l2_lat, miss)
     cap = fields["thread_cap"]
     if np.any(cap > 0):
         # Paper Section 5.3: PARSEC speedup over one Slice is bounded.
-        base = _ipc(model, fields, cache,
-                    np.ones((1, 1, 1), dtype=np.float64), l2_lat)
+        base = _ipc(model, fields, np.ones((1, 1, 1), dtype=np.float64),
+                    l2_lat, miss)
         capped = np.minimum(ipc, cap * base)
         ipc = np.where((cap > 0) & (slices > 1), capped, ipc)
     return ipc
 
 
 def _ipc(model: AnalyticModel, f: Dict[str, "np.ndarray"],
-         cache: "np.ndarray", slices: "np.ndarray",
-         l2_lat: "np.ndarray") -> "np.ndarray":
+         slices: "np.ndarray", l2_lat: "np.ndarray",
+         miss: "np.ndarray") -> "np.ndarray":
     """Broadcasted CPI pipeline; every line matches the scalar model."""
     # --- core CPI (dependence-limited issue rate) ---
     cross_fraction = f["comm_sens"] * (1.0 - 1.0 / slices)
@@ -138,15 +149,13 @@ def _ipc(model: AnalyticModel, f: Dict[str, "np.ndarray"],
     # --- branch CPI (mispredict refill depth) ---
     br_penalty = np.where(
         slices > 1,
-        BRANCH_PENALTY_BASE + BRANCH_PENALTY_MULTISLICE + (slices + 1) / 3.0,
+        BRANCH_PENALTY_BASE + (BRANCH_PENALTY_MULTISLICE
+                               + (slices + 1) / 3.0),
         BRANCH_PENALTY_BASE,
     )
     branch = (f["br_mpki"] / 1000.0) * br_penalty
 
     # --- memory CPI (L1 misses through the distance-priced L2) ---
-    decay = np.exp(-cache / f["l2_ws_kb"])
-    miss = np.where(cache <= 0, 1.0,
-                    f["l2_floor"] + (1.0 - f["l2_floor"]) * decay)
     avg = l2_lat + miss * MEMORY_DELAY
     mlp = f["mlp"] * (
         1.0 + model.mlp_per_slice * (f["mlp"] - 1.0)
@@ -231,6 +240,7 @@ class MarketKernel:
                  cache_grid: Sequence[float] = CACHE_GRID_KB,
                  slice_grid: Sequence[int] = SLICE_GRID,
                  obs=None, market=None):
+        _check_grid(cache_grid, slice_grid)
         self.model = model or AnalyticModel()
         self.cache_grid = tuple(float(c) for c in cache_grid)
         self.slice_grid = tuple(int(s) for s in slice_grid)

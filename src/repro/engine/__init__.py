@@ -1,16 +1,14 @@
 """Parallel sweep engine with a persistent, content-addressed cache.
 
-Quickstart::
+Quickstart (a four-point cycle-level sweep; a warm rerun is served
+from the cache)::
 
-    from repro.engine import SweepEngine, SweepSpec
+    from repro.engine import SweepEngine
 
-    engine = SweepEngine(jobs=4)
-    sweep = engine.performance_map(["gcc", "bzip"])
-    print(sweep.grid("gcc")[(512.0, 4)])
-
-    # Drop-in model for any API taking ``model=``:
-    model = engine.grid_model(profiles=["gcc"])
-    print(model.speedup("gcc", 128.0, 4))
+    engine = SweepEngine(jobs=2)
+    sweep = engine.simulation_map(["gcc", "bzip"], cache_grid=(128.0,),
+                                  slice_grid=(1, 2), trace_length=2000)
+    print(sweep.grid("gcc")[(128.0, 2)], sweep.cache_hits)
 
 See DESIGN.md ("The sweep engine") for the sweep-spec -> work-unit ->
 pool -> cache pipeline and cache-invalidation rules.
@@ -19,7 +17,6 @@ pool -> cache pipeline and cache-invalidation rules.
 from repro.engine.cache import CACHE_VERSION, DEFAULT_CACHE_DIR, ResultCache
 from repro.engine.core import (
     DEFAULT_PARALLEL_THRESHOLD,
-    GridModel,
     SweepEngine,
     SweepResult,
     SweepSpec,
@@ -27,7 +24,6 @@ from repro.engine.core import (
     WorkUnit,
     WorkUnitError,
     evaluate_unit,
-    model_calibration,
 )
 from repro.engine.metrics import (
     EngineMetrics,
@@ -41,7 +37,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_PARALLEL_THRESHOLD",
     "EngineMetrics",
-    "GridModel",
     "ResultCache",
     "RunMetrics",
     "SweepEngine",
@@ -53,5 +48,4 @@ __all__ = [
     "WorkUnit",
     "WorkUnitError",
     "evaluate_unit",
-    "model_calibration",
 ]

@@ -2,18 +2,20 @@
 
 Every cache entry is keyed by the SHA-256 of a canonical JSON encoding
 of *everything the result depends on*: the cache schema version, the
-evaluation kind, the analytic model's calibration constants, the
-benchmark profile's field values, and the configuration tuple (grids,
-utility, market, budget).  Change any of those - including a calibration
-constant in :mod:`repro.perfmodel.model` - and the key changes, so stale
-entries are never served; they are simply orphaned under the old key.
+evaluation kind, the benchmark profile's field values, the grids, the
+trace length and seed, the simulator config's fingerprint, the sampling
+config and the service parameters.  Change any of those and the key
+changes, so stale entries are never served; they are simply orphaned
+under the old key.
 
 Entries live under ``.repro_cache/v<N>/<kk>/<key>.json`` (override the
 root with ``REPRO_CACHE_DIR`` or the runner's ``--cache-dir``).  Writes
 are atomic (temp file + ``os.replace``) so concurrent worker processes
 and runs never observe torn entries; a lookup opens the entry file, a
 missing file is a miss, and corrupt or unreadable entries are counted
-(``counters()["corrupt"]``), unlinked, and treated as misses.
+(``counters()["corrupt"]``), unlinked, and treated as misses.  An entry
+that parses but holds the wrong shape for its unit is treated the same
+way once the engine :meth:`~ResultCache.reject`\\ s it.
 
 ``python -m repro.experiments.runner --no-cache`` bypasses the cache
 entirely; delete the directory (or call :meth:`ResultCache.clear`) to
@@ -99,17 +101,30 @@ class ResultCache:
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError):
-            # Poison entry: quarantine it so the recompute can repair
-            # the cache instead of tripping on it forever.
-            self.corrupt += 1
-            self.misses += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self._quarantine(path)
             return None
         self.hits += 1
         return value
+
+    def reject(self, key: str) -> None:
+        """Take back the hit :meth:`get` just served for ``key``.
+
+        For a caller whose value parses but has the wrong shape: the
+        entry is counted and unlinked like any corrupt one, and the hit
+        becomes a miss.
+        """
+        self.hits -= 1
+        self._quarantine(self._path_for(key))
+
+    def _quarantine(self, path: Path) -> None:
+        """Count a poison entry and unlink it, so the recompute can
+        repair the cache instead of tripping on it forever."""
+        self.corrupt += 1
+        self.misses += 1
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
     def put(self, key: str, value: Any,
             key_fields: Optional[Mapping[str, Any]] = None) -> None:

@@ -1,12 +1,13 @@
 """The sweep engine: grid expansion, parallel fan-out, cached results.
 
-The paper's evaluation is an exhaustive sweep machine: every figure and
-table re-evaluates ``P(c, s)`` (and utilities on top of it) over the
-Equation 3 grid.  :class:`SweepEngine` centralises that:
+The engine runs the sweeps that cost enough to pay for a process pool
+and an on-disk cache: cycle-level simulation grids (~0.2 s per grid
+point) and streaming-service shards.  :class:`SweepEngine` centralises
+them:
 
-1. a :class:`SweepSpec` names the axes - benchmarks x cache_kb x slices,
-   optionally x utility x market - and expands into :class:`WorkUnit`\\ s,
-   one per (benchmark[, utility, market]) chunk over the config grid;
+1. a :class:`SweepSpec` names the axes - benchmarks x cache_kb x slices
+   for a simulation sweep, or one service config x shards - and expands
+   into :class:`WorkUnit`\\ s, one per benchmark (or shard);
 2. work units are grouped into workload-affinity batches that fan
    across a ``concurrent.futures.ProcessPoolExecutor``, falling back to
    in-process serial evaluation for small grids (pool startup costs more
@@ -17,11 +18,9 @@ Equation 3 grid.  :class:`SweepEngine` centralises that:
 4. every sweep is recorded in :class:`~repro.engine.metrics.EngineMetrics`
    (units, points, hits/misses, wall time, workers).
 
-Experiments usually do not call :meth:`SweepEngine.run` directly; they
-take a :class:`GridModel` from :meth:`SweepEngine.grid_model` - an
-:class:`~repro.perfmodel.model.AnalyticModel` drop-in whose
-``performance()`` serves from an engine-filled table - and pass it down
-existing ``model=`` parameters.
+The analytic ``P(c, s)`` is not an engine unit: the market kernel
+(:mod:`repro.economics.tensor`) computes a whole Equation 3 grid in well
+under a millisecond, so experiments call the model directly.
 """
 
 from __future__ import annotations
@@ -37,17 +36,15 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import ResultCache
 from repro.engine.metrics import EngineMetrics, SweepRecord, UnitStat
 from repro.obs import OBS_OFF, Observability, now_us
 from repro.perfmodel.model import (
-    AnalyticModel,
     CACHE_GRID_KB,
     ProfileLike,
     SLICE_GRID,
-    calibration_constants,
     profile_key,
 )
 from repro.trace.profiles import BenchmarkProfile
@@ -97,22 +94,11 @@ class SweepTimeoutError(RuntimeError):
         self.pending_units = pending_units
 
 
-def _norm_utility(utility: Any) -> Tuple[str, float]:
-    """(name, perf_exponent) from a UtilityFunction-like object."""
-    return (str(utility.name), float(utility.perf_exponent))
-
-
-def _norm_market(market: Any) -> Tuple[str, float, float, float]:
-    """(name, slice_price, bank_price, fixed_cost) from a Market-like."""
-    return (str(market.name), float(market.slice_price),
-            float(market.bank_price), float(market.fixed_cost))
-
-
 @dataclass(frozen=True)
 class WorkUnit:
     """One schedulable evaluation: a config grid for one benchmark
-    (optionally under one utility function in one market, or through
-    the cycle-level simulator for ``kind="simulation"``).
+    through the cycle-level simulator (``kind="simulation"``), or one
+    shard of a streaming-service run (``kind="service"``).
 
     All fields are primitives (plus the frozen, picklable
     :class:`~repro.core.config.SimConfig` for simulation units), so
@@ -120,15 +106,11 @@ class WorkUnit:
     cache keys.
     """
 
-    kind: str  # "performance" | "utility" | "simulation" | "service"
+    kind: str  # "simulation" | "service"
     profile_fields: Tuple[Tuple[str, Any], ...]
     cache_grid: Tuple[float, ...]
     slice_grid: Tuple[int, ...]
-    calibration: Tuple[Tuple[str, float], ...]
-    utility: Optional[Tuple[str, float]] = None
-    market: Optional[Tuple[str, float, float, float]] = None
-    budget: float = 0.0
-    #: Simulation-unit parameters; inert for analytic kinds.
+    #: Simulation-unit parameters; inert for service units.
     trace_length: int = 0
     trace_seed: int = 1
     sim_config: Any = None  # Optional[SimConfig]
@@ -137,7 +119,7 @@ class WorkUnit:
     #: can never alias.
     sampling: Optional[Tuple[Tuple[str, Any], ...]] = None
     #: Streaming-service shard parameters as a sorted item tuple
-    #: (``kind="service"``); inert ``None`` for grid kinds.
+    #: (``kind="service"``); inert ``None`` for simulation units.
     service: Optional[Tuple[Tuple[str, Any], ...]] = None
     #: Which shard of the sharded stream this unit drives.
     shard: int = 0
@@ -157,15 +139,13 @@ class WorkUnit:
 
     def result_key(self) -> KindKey:
         """How this unit's grid is addressed in a :class:`SweepResult`."""
-        if self.kind in ("performance", "simulation", "service"):
-            return (self.benchmark,)
-        return (self.benchmark, self.utility[0], self.market[0])
+        return (self.benchmark,)
 
     def key_fields(self) -> Dict[str, Any]:
         """The full content-address basis for the on-disk cache.
 
         Every result-affecting field is present *unconditionally* (the
-        simulation fields hold inert defaults for analytic kinds), and
+        simulation fields hold inert defaults for service units), and
         the :class:`SimConfig` enters via :meth:`SimConfig.fingerprint`
         - a recursive walk over its dataclass fields - so a config knob
         added later cannot silently alias cache entries.
@@ -180,10 +160,6 @@ class WorkUnit:
             "profile": list(self.profile_fields),
             "cache_grid": list(self.cache_grid),
             "slice_grid": list(self.slice_grid),
-            "calibration": list(self.calibration),
-            "utility": list(self.utility) if self.utility else None,
-            "market": list(self.market) if self.market else None,
-            "budget": self.budget,
             "trace_length": self.trace_length,
             "trace_seed": self.trace_seed,
             "sim_config": (sim_config.fingerprint()
@@ -201,20 +177,14 @@ class WorkUnit:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes of one sweep: benchmarks x cache_kb x slices [x utility x
-    market].  ``benchmarks`` accepts names or raw profiles; utilities
-    and markets are duck-typed (any object carrying the paper's fields).
+    """Axes of one sweep: benchmarks x cache_kb x slices, simulated
+    cycle by cycle on a ``trace_length``-instruction trace per
+    benchmark.  ``benchmarks`` accepts names or raw profiles.
     """
 
     benchmarks: Tuple[Any, ...]
     cache_grid: Tuple[float, ...] = CACHE_GRID_KB
     slice_grid: Tuple[int, ...] = SLICE_GRID
-    utilities: Tuple[Any, ...] = ()
-    markets: Tuple[Any, ...] = ()
-    budget: float = 0.0
-    #: Evaluate through the cycle-level simulator instead of the
-    #: analytic model ("simulation" work units).
-    simulate: bool = False
     trace_length: int = 4000
     trace_seed: int = 1
     sim_config: Any = None  # Optional[SimConfig]
@@ -230,8 +200,7 @@ class SweepSpec:
     service: Optional[Dict[str, Any]] = None
     shards: int = 1
 
-    def expand(self, model: Optional[AnalyticModel] = None
-               ) -> List[WorkUnit]:
+    def expand(self) -> List[WorkUnit]:
         """The spec's work units, in deterministic axis order."""
         if self.service is not None:
             base = dict(self.service)
@@ -246,62 +215,24 @@ class SweepSpec:
                     profile_fields=(("name", f"stream/shard{shard}"),),
                     cache_grid=(),
                     slice_grid=(),
-                    calibration=(),
                     service=tuple(sorted(params.items())),
                     shard=shard,
                 ))
             return units
-        calibration = model_calibration(model or AnalyticModel())
         cache_grid = tuple(float(c) for c in self.cache_grid)
         slice_grid = tuple(int(s) for s in self.slice_grid)
-        units: List[WorkUnit] = []
-        for bench in self.benchmarks:
-            fields = profile_key(bench)
-            if self.simulate:
-                # Analytic calibration cannot affect a simulation; keep
-                # it out of the key so model tweaks don't cold the cache.
-                units.append(WorkUnit(
-                    kind="simulation",
-                    profile_fields=fields,
-                    cache_grid=cache_grid,
-                    slice_grid=slice_grid,
-                    calibration=(),
-                    trace_length=int(self.trace_length),
-                    trace_seed=int(self.trace_seed),
-                    sim_config=self.sim_config,
-                ))
-                continue
-            if not self.utilities and not self.markets:
-                units.append(WorkUnit(
-                    kind="performance",
-                    profile_fields=fields,
-                    cache_grid=cache_grid,
-                    slice_grid=slice_grid,
-                    calibration=calibration,
-                ))
-                continue
-            for utility in self.utilities:
-                for market in self.markets:
-                    units.append(WorkUnit(
-                        kind="utility",
-                        profile_fields=fields,
-                        cache_grid=cache_grid,
-                        slice_grid=slice_grid,
-                        calibration=calibration,
-                        utility=_norm_utility(utility),
-                        market=_norm_market(market),
-                        budget=float(self.budget),
-                    ))
-        return units
-
-
-def model_calibration(model: AnalyticModel
-                      ) -> Tuple[Tuple[str, float], ...]:
-    """Calibration fingerprint: module constants + instance parameters."""
-    constants = dict(calibration_constants())
-    constants["comm_tolerance"] = float(model.comm_tolerance)
-    constants["mlp_per_slice"] = float(model.mlp_per_slice)
-    return tuple(sorted(constants.items()))
+        return [
+            WorkUnit(
+                kind="simulation",
+                profile_fields=profile_key(bench),
+                cache_grid=cache_grid,
+                slice_grid=slice_grid,
+                trace_length=int(self.trace_length),
+                trace_seed=int(self.trace_seed),
+                sim_config=self.sim_config,
+            )
+            for bench in self.benchmarks
+        ]
 
 
 def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
@@ -317,32 +248,13 @@ def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
 
         return evaluate_shard(dict(unit.service or ()))
 
-    fields = dict(unit.profile_fields)
-    profile = BenchmarkProfile(**fields)
-
-    def _model() -> AnalyticModel:
-        # Simulation units carry an empty calibration on purpose (the
-        # analytic model cannot affect them); only analytic kinds may
-        # build the model from it.
-        calibration = dict(unit.calibration)
-        return AnalyticModel(
-            comm_tolerance=calibration["comm_tolerance"],
-            mlp_per_slice=calibration["mlp_per_slice"],
-        )
-
-    if unit.kind == "performance":
-        model = _model()
-        return [
-            [c, s, model.performance(profile, c, s)]
-            for c in unit.cache_grid
-            for s in unit.slice_grid
-        ]
     if unit.kind == "simulation":
-        # Lazy imports: analytic sweeps must not pay for the simulator.
+        # Lazy imports: a service sweep must not pay for the simulator.
         from repro.core.simulator import simulate
         from repro.sampling import SamplingConfig, simulate_sampled
         from repro.trace.materialize import get_workload
 
+        profile = BenchmarkProfile(**dict(unit.profile_fields))
         sampling = (SamplingConfig(**dict(unit.sampling))
                     if unit.sampling is not None else None)
         rows = []
@@ -364,33 +276,23 @@ def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
                         config=unit.sim_config, warmup_addresses=warmup)
                 rows.append([c, s, result.ipc])
         return rows
-    if unit.kind == "utility":
-        # Import lazily so the engine has no load-time economics
-        # dependency (economics imports the engine).
-        from repro.economics.market import Market
-        from repro.economics.tensor import (
-            performance_tensor,
-            utility_matrix,
-            vcores_matrix,
-        )
-        from repro.economics.utility import UtilityFunction
-
-        uname, exponent = unit.utility
-        mname, slice_price, bank_price, fixed_cost = unit.market
-        utility = UtilityFunction(name=uname, perf_exponent=exponent)
-        market = Market(name=mname, slice_price=slice_price,
-                        bank_price=bank_price, fixed_cost=fixed_cost)
-        perf = performance_tensor([profile], unit.cache_grid,
-                                  unit.slice_grid, model=_model())[0]
-        vcores = vcores_matrix(market, unit.budget, unit.cache_grid,
-                               unit.slice_grid)
-        util = utility_matrix(perf, vcores, utility)
-        return [
-            [c, s, float(util[ci, si])]
-            for ci, c in enumerate(unit.cache_grid)
-            for si, s in enumerate(unit.slice_grid)
-        ]
     raise ValueError(f"unknown work-unit kind {unit.kind!r}")
+
+
+def _fits(unit: WorkUnit, value: Any) -> bool:
+    """Whether a cached value has the shape :func:`evaluate_unit`
+    returns for ``unit``: a list of ``[number, number, number]`` rows
+    that, for a simulation unit, covers its grid exactly once."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == 3
+            and all(type(x) in (int, float) for x in row)
+            for row in value):
+        return False
+    if unit.kind != "simulation":
+        return True
+    cells = [(c, s) for c, s, _ in value]
+    return len(cells) == unit.points and set(cells) == {
+        (c, s) for c in unit.cache_grid for s in unit.slice_grid}
 
 
 def _affinity_key(unit: "WorkUnit") -> Tuple[Any, ...]:
@@ -399,15 +301,13 @@ def _affinity_key(unit: "WorkUnit") -> Tuple[Any, ...]:
     Simulation units are keyed by their generated workload (profile,
     length, seed) - NOT by grid/sampling/config - so every unit that
     would regenerate the same trace lands on one worker and reuses its
-    process-local LRU entry.  Analytic kinds key by profile; service
-    shards are independent streams and never batch together.
+    process-local LRU entry.  Service shards are independent streams
+    and never batch together.
     """
-    if unit.kind == "simulation":
-        return ("workload", unit.profile_fields, unit.trace_length,
-                unit.trace_seed)
     if unit.kind == "service":
         return ("service", unit.shard, unit.service)
-    return ("profile", unit.profile_fields)
+    return ("workload", unit.profile_fields, unit.trace_length,
+            unit.trace_seed)
 
 
 def _make_batches(pending: Sequence["WorkUnit"],
@@ -521,16 +421,12 @@ class SweepResult:
     #: started after a worker died.
     sched_stats: Dict[str, float] = field(default_factory=dict)
 
-    def grid(self, benchmark: ProfileLike, utility: Any = None,
-             market: Any = None) -> Dict[Tuple[float, int], float]:
+    def grid(self, benchmark: ProfileLike
+             ) -> Dict[Tuple[float, int], float]:
         """One benchmark's ``{(cache_kb, slices): value}`` grid."""
         name = benchmark.name if isinstance(benchmark, BenchmarkProfile) \
             else str(benchmark)
-        if utility is None and market is None:
-            return self.values[(name,)]
-        uname = utility if isinstance(utility, str) else utility.name
-        mname = market if isinstance(market, str) else market.name
-        return self.values[(name, uname, mname)]
+        return self.values[(name,)]
 
 
 class SweepEngine:
@@ -553,8 +449,8 @@ class SweepEngine:
         if timeout_s is not None and not timeout_s > 0:
             raise ValueError(
                 f"timeout_s must be > 0 (None disables it), got {timeout_s}")
-        # Utility units always run on the market kernel; the keyword
-        # stays for callers that pass backend="numpy".
+        # No unit reads an economics backend; the keyword stays for
+        # callers that pass backend="numpy".
         from repro.economics.backend import resolve_backend
 
         resolve_backend(backend)
@@ -597,8 +493,7 @@ class SweepEngine:
     # core scheduling
     # ------------------------------------------------------------------
 
-    def run(self, spec: SweepSpec,
-            model: Optional[AnalyticModel] = None) -> SweepResult:
+    def run(self, spec: SweepSpec) -> SweepResult:
         """Evaluate a spec: expand, consult the cache, fan out the rest.
 
         Raises :class:`WorkUnitError` when a unit fails (its result never
@@ -609,7 +504,7 @@ class SweepEngine:
         """
         start = time.perf_counter()
         sweep_start_us = now_us()
-        units = spec.expand(model)
+        units = spec.expand()
         if self.sampling is not None:
             sampling_key = tuple(sorted(self.sampling.key_fields().items()))
             units = [
@@ -623,7 +518,12 @@ class SweepEngine:
         stats: List[UnitStat] = []
         hits = 0
         for unit in units:
-            cached = self.cache.get(unit.cache_key())
+            key = unit.cache_key()
+            cached = self.cache.get(key)
+            if cached is not None and not _fits(unit, cached):
+                # The entry parses but is not this unit's rows.
+                self.cache.reject(key)
+                cached = None
             if cached is not None:
                 results[unit] = cached
                 stats.append(UnitStat(
@@ -898,40 +798,6 @@ class SweepEngine:
     # convenience maps
     # ------------------------------------------------------------------
 
-    def performance_map(self, benchmarks: Sequence[ProfileLike],
-                        cache_grid: Sequence[float] = CACHE_GRID_KB,
-                        slice_grid: Sequence[int] = SLICE_GRID,
-                        model: Optional[AnalyticModel] = None
-                        ) -> SweepResult:
-        """``P(c, s)`` grids for several benchmarks in one fan-out."""
-        return self.run(
-            SweepSpec(
-                benchmarks=tuple(benchmarks),
-                cache_grid=tuple(cache_grid),
-                slice_grid=tuple(slice_grid),
-            ),
-            model=model,
-        )
-
-    def utility_map(self, benchmarks: Sequence[ProfileLike],
-                    utilities: Sequence[Any], markets: Sequence[Any],
-                    budget: float,
-                    cache_grid: Sequence[float] = CACHE_GRID_KB,
-                    slice_grid: Sequence[int] = SLICE_GRID,
-                    model: Optional[AnalyticModel] = None) -> SweepResult:
-        """Utility grids for benchmark x utility x market in one fan-out."""
-        return self.run(
-            SweepSpec(
-                benchmarks=tuple(benchmarks),
-                cache_grid=tuple(cache_grid),
-                slice_grid=tuple(slice_grid),
-                utilities=tuple(utilities),
-                markets=tuple(markets),
-                budget=budget,
-            ),
-            model=model,
-        )
-
     def simulation_map(self, benchmarks: Sequence[ProfileLike],
                        cache_grid: Sequence[float],
                        slice_grid: Sequence[int],
@@ -939,16 +805,14 @@ class SweepEngine:
                        sim_config: Any = None) -> SweepResult:
         """Cycle-level ``IPC(c, s)`` grids for several benchmarks.
 
-        Runs the simulator (sampled when the engine was built with
-        ``sampling=...``, exact otherwise) per grid point, cached and
-        fanned out exactly like analytic sweeps.
+        Runs the simulator per grid point: sampled when the engine was
+        built with ``sampling=...``, exact otherwise.
         """
         return self.run(
             SweepSpec(
                 benchmarks=tuple(benchmarks),
                 cache_grid=tuple(cache_grid),
                 slice_grid=tuple(slice_grid),
-                simulate=True,
                 trace_length=trace_length,
                 trace_seed=trace_seed,
                 sim_config=sim_config,
@@ -971,75 +835,3 @@ class SweepEngine:
             service=dict(params),
             shards=shards,
         ))
-
-    def grid_model(self, cache_grid: Sequence[float] = CACHE_GRID_KB,
-                   slice_grid: Sequence[int] = SLICE_GRID,
-                   model: Optional[AnalyticModel] = None,
-                   profiles: Optional[Iterable[ProfileLike]] = None
-                   ) -> "GridModel":
-        """An AnalyticModel drop-in backed by this engine's sweeps."""
-        grid = GridModel(self, cache_grid=cache_grid,
-                         slice_grid=slice_grid, base=model)
-        if profiles is not None:
-            grid.prime(list(profiles))
-        return grid
-
-
-class GridModel(AnalyticModel):
-    """An :class:`AnalyticModel` whose ``performance()`` serves from an
-    engine-filled (cached, fan-out-evaluated) table.
-
-    Off-grid configurations and non-performance queries (``breakdown``)
-    fall back to the plain analytic pipeline, so this is a transparent
-    drop-in anywhere a model is accepted.  Priming batches benchmarks
-    into one engine sweep; unprimed benchmarks are fetched on first use.
-    """
-
-    def __init__(self, engine: SweepEngine,
-                 cache_grid: Sequence[float] = CACHE_GRID_KB,
-                 slice_grid: Sequence[int] = SLICE_GRID,
-                 base: Optional[AnalyticModel] = None):
-        base = base or AnalyticModel()
-        super().__init__(comm_tolerance=base.comm_tolerance,
-                         mlp_per_slice=base.mlp_per_slice)
-        self._engine = engine
-        self._cache_grid = tuple(float(c) for c in cache_grid)
-        self._slice_grid = tuple(int(s) for s in slice_grid)
-        self._table: Dict[Tuple[BenchmarkProfile, float, int], float] = {}
-        self._primed: set = set()
-
-    def prime(self, profiles: Sequence[ProfileLike]) -> None:
-        """Fill the table for ``profiles`` in one engine sweep."""
-        from repro.perfmodel.model import _resolve
-
-        fresh = []
-        for profile in profiles:
-            prof = _resolve(profile)
-            if prof not in self._primed:
-                fresh.append(prof)
-        if not fresh:
-            return
-        sweep = self._engine.performance_map(
-            fresh, self._cache_grid, self._slice_grid, model=self
-        )
-        for prof in fresh:
-            for (c, s), value in sweep.grid(prof).items():
-                self._table[(prof, c, s)] = value
-            self._primed.add(prof)
-
-    def performance(self, profile: ProfileLike, cache_kb: float,
-                    slices: int) -> float:
-        from repro.perfmodel.model import _resolve
-
-        prof = _resolve(profile)
-        key = (prof, float(cache_kb), int(slices))
-        value = self._table.get(key)
-        if value is not None:
-            return value
-        if prof not in self._primed:
-            self.prime([prof])
-            value = self._table.get(key)
-            if value is not None:
-                return value
-        # Off-grid point: compute through the plain analytic pipeline.
-        return super().performance(prof, cache_kb, slices)

@@ -4,8 +4,8 @@ Each module follows the :mod:`repro.experiments.base` protocol: ``NAME``,
 a pure ``run(..., engine=None)`` returning a frozen
 :class:`~repro.experiments.base.ExperimentResult` subclass, a
 ``render(result)`` printer and a thin ``main()``.  Passing a
-:class:`~repro.engine.core.SweepEngine` sources grids through the
-parallel, cache-backed sweep path; the numbers are identical either way.
+:class:`~repro.engine.core.SweepEngine` changes no number: the analytic
+artefacts read the model directly and take only the engine's ``obs``.
 The benchmark suite in ``benchmarks/`` wraps these runners with
 pytest-benchmark so every artefact is regenerated and timed by
 ``pytest benchmarks/ --benchmark-only``.

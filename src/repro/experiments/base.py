@@ -5,10 +5,10 @@ Every experiment module follows one protocol:
 * ``NAME`` - the runner-facing identifier (``--only <NAME>``);
 * ``run(..., engine=None) -> <frozen dataclass result>`` - pure (no
   printing), returns a module-specific :class:`ExperimentResult`
-  subclass; when an :class:`~repro.engine.core.SweepEngine` is passed,
-  grids are sourced through it (parallel fan-out + persistent cache),
-  otherwise the evaluation is plain and serial - the numbers are
-  identical either way (regression-tested);
+  subclass.  The analytic artefacts read the model directly and take
+  only ``engine.obs`` from an :class:`~repro.engine.core.SweepEngine`,
+  so the numbers are identical with or without one (regression-tested);
+  ``datacenter_stream(shards>1)`` fans its shards out through it;
 * ``render(result)`` - prints a result the way the paper presents it;
 * ``main()`` - ``render(run())``, the CLI entry point.
 

@@ -38,14 +38,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
     start = time.perf_counter()
     benchmarks = list(benchmarks or all_benchmarks())
     cache_grid = tuple(float(c) for c in cache_grid)
-    if model is None:
-        if engine is not None:
-            grid = tuple(sorted({*cache_grid, 0.0}))
-            model = engine.grid_model(cache_grid=grid,
-                                      slice_grid=(FIXED_SLICES,),
-                                      profiles=benchmarks)
-        else:
-            model = AnalyticModel()
+    model = model or AnalyticModel()
     series = {
         bench: tuple(
             model.speedup(bench, c, FIXED_SLICES,

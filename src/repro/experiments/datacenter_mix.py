@@ -13,12 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.baselines.heterogeneous import (
-    BIG_CORE,
-    SMALL_CORE,
-    HeterogeneousDatacenter,
-    MixPoint,
-)
+from repro.baselines.heterogeneous import HeterogeneousDatacenter, MixPoint
 from repro.experiments.base import ExperimentResult
 
 NAME = "datacenter_mix"
@@ -44,15 +39,7 @@ def run(app_a: str = "hmmer", app_b: str = "gobmk",
     """Figure 17 as a frozen result."""
     start = time.perf_counter()
     if datacenter is None:
-        model = None
-        if engine is not None:
-            grids = sorted({BIG_CORE.cache_kb, SMALL_CORE.cache_kb})
-            slices = sorted({BIG_CORE.slices, SMALL_CORE.slices})
-            model = engine.grid_model(cache_grid=tuple(grids),
-                                     slice_grid=tuple(slices),
-                                     profiles=[app_a, app_b])
-        datacenter = HeterogeneousDatacenter(app_a=app_a, app_b=app_b,
-                                             model=model)
+        datacenter = HeterogeneousDatacenter(app_a=app_a, app_b=app_b)
     surfaces = {
         app_frac: tuple(points)
         for app_frac, points in datacenter.sweep(

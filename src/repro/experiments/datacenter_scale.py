@@ -112,7 +112,7 @@ def run(num_tenants: int = 10_000, seed: int = 7,
     c_placed = scope.counter("tenants_placed")
     c_rejected = scope.counter("tenants_rejected")
 
-    optimizer = UtilityOptimizer(engine=engine, obs=obs)
+    optimizer = UtilityOptimizer(obs=obs)
     utilities = {u.name: u for u in STANDARD_UTILITIES}
     benchmarks = sorted(PROFILES)
 

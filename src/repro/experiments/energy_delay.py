@@ -40,10 +40,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
     """The Energy*Delay^n study as a frozen result."""
     start = time.perf_counter()
     benchmarks = list(benchmarks or all_benchmarks())
-    if model is None:
-        perf_model = (engine.grid_model(profiles=benchmarks)
-                      if engine is not None else None)
-        model = EnergyModel(perf_model=perf_model)
+    model = model or EnergyModel()
     table: EnergyTable = {
         n: {
             bench: model.best_config(bench, delay_exponent=n)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.economics.comparison import MarketEfficiencyComparison, PairGain
+from repro.economics.optimizer import UtilityOptimizer
 from repro.experiments.base import ExperimentResult
 from repro.trace.profiles import all_benchmarks
 
@@ -34,7 +35,8 @@ def run(benchmarks: Optional[Sequence[str]] = None,
     """Figure 16 as a frozen result."""
     start = time.perf_counter()
     comparison = comparison or MarketEfficiencyComparison(
-        list(benchmarks or all_benchmarks()), engine=engine)
+        list(benchmarks or all_benchmarks()),
+        optimizer=UtilityOptimizer(obs=getattr(engine, "obs", None)))
     gains = tuple(comparison.gains_vs_heterogeneous())
     per_utility = {
         u.name: comparison.best_config_for_utility(u)

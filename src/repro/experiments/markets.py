@@ -38,7 +38,8 @@ def run(benchmarks: Optional[Sequence[str]] = None,
         engine=None) -> MarketsResult:
     """Table 6 as a frozen result."""
     start = time.perf_counter()
-    optimizer = optimizer or UtilityOptimizer(engine=engine)
+    optimizer = optimizer or UtilityOptimizer(
+        obs=getattr(engine, "obs", None))
     benchmarks = list(benchmarks or all_benchmarks())
     raw = optimizer.table6(benchmarks, utilities, markets)
     table: MarketTable = {

@@ -41,13 +41,12 @@ def run(benchmarks: Optional[Sequence[str]] = None,
     """Table 4 as a frozen result."""
     start = time.perf_counter()
     benchmarks = list(benchmarks or all_benchmarks())
-    model = engine.grid_model(profiles=benchmarks) if engine else None
     area_model = AreaModel()
     table: OptimaTable = {
         metric.name: {
             bench: (
                 (score := optimal_configuration(
-                    bench, metric, model=model, area_model=area_model,
+                    bench, metric, area_model=area_model,
                 )).cache_kb,
                 score.slices,
             )

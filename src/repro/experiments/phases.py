@@ -33,13 +33,8 @@ def run(phased: Optional[PhasedProfile] = None,
     """Table 7 as a frozen result."""
     start = time.perf_counter()
     phased = phased or gcc_phases()
-    model = None
-    if engine is not None:
-        model = engine.grid_model(
-            profiles=[phase.profile for phase in phased]
-        )
     schedules = {
-        metric.name: analyze_phases(phased, metric, model=model)
+        metric.name: analyze_phases(phased, metric)
         for metric in metrics
     }
     rows = tuple(

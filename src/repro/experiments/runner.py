@@ -26,7 +26,10 @@ parser inherits :func:`build_parser` and hands the parsed namespace to
 Every experiment goes through the same path: ``module.run(engine=...)``
 returns a frozen :class:`~repro.experiments.base.ExperimentResult`,
 ``module.render(result)`` prints it, and the engine records per-sweep
-cache/fan-out metrics that land in the JSON export.
+cache/fan-out metrics that land in the JSON export.  No artefact sends
+a work unit to the engine today (the analytic ones read the model
+directly, and ``datacenter_stream`` runs one shard in-process), so the
+engine flags change no result and ``metrics.engine`` reads zero.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ PARSEC benchmarks run 4 threads on 4 equally configured VCores, so the
 per-VCore speedup is what varies (and is bounded by ~2, Section 5.3).
 
 ``run()`` uses the analytic model (the sweep source for the paper-shaped
-curves), through the sweep engine when one is given; ``run_simulated()``
-drives the cycle-level simulator on a short trace for anchor validation.
+curves); ``run_simulated()`` drives the cycle-level simulator on a short
+trace for anchor validation.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ def run(benchmarks: Optional[Sequence[str]] = None,
     start = time.perf_counter()
     benchmarks = list(benchmarks or all_benchmarks())
     slice_grid = tuple(int(s) for s in slice_grid)
-    if model is None:
-        if engine is not None:
-            grid = tuple(sorted({*slice_grid, 1}))
-            model = engine.grid_model(cache_grid=(BASELINE_CACHE_KB,),
-                                      slice_grid=grid,
-                                      profiles=benchmarks)
-        else:
-            model = AnalyticModel()
+    model = model or AnalyticModel()
     series = {
         bench: tuple(
             model.speedup(bench, BASELINE_CACHE_KB, s,

@@ -44,7 +44,8 @@ def run(market: Market = MARKET2,
         engine=None) -> UtilitySurfacesResult:
     """Figure 14 as a frozen result."""
     start = time.perf_counter()
-    optimizer = optimizer or UtilityOptimizer(engine=engine)
+    optimizer = optimizer or UtilityOptimizer(
+        obs=getattr(engine, "obs", None))
     surfaces: Dict[SurfaceKey, Surface] = {}
     peaks: Dict[SurfaceKey, Tuple[float, int]] = {}
     for bench, utility in PANELS:

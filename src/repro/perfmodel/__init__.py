@@ -16,9 +16,7 @@ quantitative reproduction of Tables 4-7 and Figures 12-17.
 from repro.perfmodel.model import (
     AnalyticModel,
     CACHE_GRID_KB,
-    CALIBRATION_CONSTANTS,
     SLICE_GRID,
-    calibration_constants,
     performance,
     performance_grid,
     profile_key,
@@ -27,9 +25,7 @@ from repro.perfmodel.model import (
 __all__ = [
     "AnalyticModel",
     "CACHE_GRID_KB",
-    "CALIBRATION_CONSTANTS",
     "SLICE_GRID",
-    "calibration_constants",
     "performance",
     "performance_grid",
     "profile_key",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.trace.profiles import BenchmarkProfile, get_profile
 
@@ -66,22 +66,6 @@ L1_EXPOSED = 0.35
 #: L1 hit latency (paper Table 3).
 L1_LATENCY = 3.0
 
-#: The module-level calibration surface by name.  The engine's on-disk
-#: result cache folds these values into every key, so editing a constant
-#: invalidates stale cached sweeps automatically.
-CALIBRATION_CONSTANTS: Tuple[str, ...] = (
-    "ALU_PATH_FRACTION",
-    "COMM_TOLERANCE",
-    "BRANCH_PENALTY_BASE",
-    "BRANCH_PENALTY_MULTISLICE",
-    "MLP_PER_SLICE",
-    "L2_LAT_BASE",
-    "L2_LAT_PER_DISTANCE",
-    "MEMORY_DELAY",
-    "L1_EXPOSED",
-    "L1_LATENCY",
-)
-
 ProfileLike = Union[str, BenchmarkProfile]
 
 
@@ -91,20 +75,20 @@ def _resolve(profile: ProfileLike) -> BenchmarkProfile:
     return get_profile(profile)
 
 
-def calibration_constants() -> Dict[str, float]:
-    """Current values of the calibration surface, by constant name."""
-    import sys
-
-    module = sys.modules[__name__]
-    return {name: getattr(module, name) for name in CALIBRATION_CONSTANTS}
+def _check_config(cache_kb: float, slices: int) -> None:
+    """The model's domain: at least one Slice, no negative cache."""
+    if slices < 1:
+        raise ValueError("a VCore has at least one Slice")
+    if cache_kb < 0:
+        raise ValueError("cache size cannot be negative")
 
 
 def profile_key(profile: ProfileLike) -> Tuple[Tuple[str, object], ...]:
     """Canonical hashable identity of a profile: its fields, sorted.
 
-    Both the in-process memo and the engine's on-disk cache key off this,
-    so ``performance("gcc", ...)`` and
-    ``performance(get_profile("gcc"), ...)`` share entries.
+    The engine's on-disk cache keys simulation units off this, so a
+    sweep over ``"gcc"`` and one over ``get_profile("gcc")`` share
+    entries.
     """
     return tuple(sorted(asdict(_resolve(profile)).items()))
 
@@ -213,10 +197,7 @@ class AnalyticModel:
                   slices: int) -> CPIBreakdown:
         """CPI decomposition for one configuration."""
         prof = _resolve(profile)
-        if slices < 1:
-            raise ValueError("a VCore has at least one Slice")
-        if cache_kb < 0:
-            raise ValueError("cache size cannot be negative")
+        _check_config(cache_kb, slices)
         return CPIBreakdown(
             core=self._core_cpi(prof, slices),
             branch=self._branch_cpi(prof, slices),
@@ -278,9 +259,8 @@ def performance(benchmark: ProfileLike, cache_kb: float,
                 slices: int) -> float:
     """Memoised ``P(c, s)`` through the default model.
 
-    Accepts a benchmark name or a :class:`BenchmarkProfile`; both paths
-    are memoised (and engine-cache-keyed) identically via the profile's
-    field values (:func:`profile_key`).
+    Accepts a benchmark name or a :class:`BenchmarkProfile`; both are
+    memoised on the profile's field values, so they share entries.
     """
     return _performance_memo(_resolve(benchmark), cache_kb, slices)
 

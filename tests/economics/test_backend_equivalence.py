@@ -138,25 +138,3 @@ class TestAuction:
                 b.bidder, b.cache_kb, b.slices)
             assert b.vcores == pytest.approx(a.vcores, rel=VALUE_RTOL)
             assert b.utility == pytest.approx(a.utility, rel=VALUE_RTOL)
-
-
-class TestEngineUnits:
-    def test_engine_utility_map_values_equivalent(self, tmp_path):
-        from repro.engine import ResultCache, SweepEngine
-
-        engine = SweepEngine(jobs=1, cache=ResultCache(root=str(tmp_path)))
-        utilities = STANDARD_UTILITIES[:2]
-        g_np = engine.utility_map(["gcc", "bzip"], utilities, [MARKET2],
-                                  24.0).values
-        g_py = {
-            (bench, u.name, MARKET2.name): oracle.utility_surface(
-                bench, u, MARKET2, 24.0)
-            for bench in ("gcc", "bzip")
-            for u in utilities
-        }
-        assert g_py.keys() == g_np.keys()
-        for key in g_py:
-            assert g_py[key].keys() == g_np[key].keys()
-            for cfg, want in g_py[key].items():
-                assert g_np[key][cfg] == pytest.approx(want,
-                                                       rel=VALUE_RTOL)

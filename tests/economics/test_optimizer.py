@@ -79,3 +79,11 @@ class TestUtilitySurface:
     def test_validation(self):
         with pytest.raises(ValueError):
             UtilityOptimizer(budget=0)
+        # Grids the scalar model rejects fail at construction, with the
+        # scalar model's one-line errors.
+        with pytest.raises(ValueError,
+                           match="^a VCore has at least one Slice$"):
+            UtilityOptimizer(slice_grid=(0, 1, 2))
+        with pytest.raises(ValueError,
+                           match="^cache size cannot be negative$"):
+            UtilityOptimizer(cache_grid=(-64.0, 128.0))

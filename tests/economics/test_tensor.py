@@ -45,19 +45,32 @@ class TestBackendSelection:
 
 class TestPerformanceTensor:
     def test_matches_scalar_model_to_fp_noise(self):
+        """Every cell of the tensor equals the scalar model bit for
+        bit, on all 15 profiles over the Equation 3 grid."""
         model = AnalyticModel()
         tensor = performance_tensor(BENCHES, CACHE_GRID_KB, SLICE_GRID,
                                     model=model)
+        assert len(BENCHES) == 15
         assert tensor.shape == (len(BENCHES), len(CACHE_GRID_KB),
                                 len(SLICE_GRID))
-        worst = 0.0
-        for bi, bench in enumerate(BENCHES):
-            for ci, c in enumerate(CACHE_GRID_KB):
-                for si, s in enumerate(SLICE_GRID):
-                    want = model.performance(bench, c, s)
-                    got = float(tensor[bi, ci, si])
-                    worst = max(worst, abs(got - want) / want)
-        assert worst < 1e-12
+        differ = [
+            (bench, c, s)
+            for bi, bench in enumerate(BENCHES)
+            for ci, c in enumerate(CACHE_GRID_KB)
+            for si, s in enumerate(SLICE_GRID)
+            if float(tensor[bi, ci, si]) != model.performance(bench, c, s)
+        ]
+        assert differ == []
+
+    @pytest.mark.parametrize("grids, message", [
+        (dict(slice_grid=(0, 1, 2)), "a VCore has at least one Slice"),
+        (dict(cache_grid=(-64.0, 128.0)), "cache size cannot be negative"),
+    ])
+    def test_rejects_grids_the_scalar_model_rejects(self, grids, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            performance_tensor(["gcc"], **grids)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarketKernel(**grids)
 
     def test_thread_cap_respected(self):
         # dedup has thread_cap 4: multi-slice perf is capped.

@@ -11,12 +11,14 @@ import pytest
 
 from repro.engine import core as engine_core
 from repro.engine.cache import CACHE_VERSION, ResultCache, canonical_key
-from repro.engine.core import SweepEngine, SweepSpec, model_calibration
-from repro.perfmodel.model import AnalyticModel
+from repro.engine.core import SweepEngine, SweepSpec
 
 #: The only files a cache root may hold: ``v<N>/<kk>/<key>.json``.
 ENTRY_PATH = re.compile(
     rf"v{CACHE_VERSION}/([0-9a-f]{{2}})/\1[0-9a-f]{{62}}\.json")
+
+#: Tiny simulation units: ~15-35 ms per grid point.
+TINY = dict(cache_grid=(64.0, 128.0), slice_grid=(1, 2), trace_length=200)
 
 
 @pytest.fixture
@@ -26,7 +28,7 @@ def cache(tmp_path):
 
 class TestKeying:
     def test_key_is_deterministic(self):
-        payload = {"kind": "performance", "grid": [0.0, 64.0]}
+        payload = {"kind": "simulation", "grid": [0.0, 64.0]}
         assert canonical_key(payload) == canonical_key(dict(payload))
 
     def test_key_order_independent(self):
@@ -35,9 +37,9 @@ class TestKeying:
         )
 
     def test_key_depends_on_every_field(self):
-        base = {"kind": "performance", "budget": 24.0}
+        base = {"kind": "simulation", "trace_length": 200}
         assert canonical_key(base) != canonical_key(
-            {**base, "budget": 25.0}
+            {**base, "trace_length": 201}
         )
 
     def test_key_folds_cache_version(self):
@@ -56,7 +58,7 @@ class TestKeying:
         import os
         import repro
 
-        payload = {"kind": "performance", "profile": [["name", "gcc"]]}
+        payload = {"kind": "simulation", "profile": [["name", "gcc"]]}
         script = (
             "from repro.engine.cache import canonical_key; "
             f"print(canonical_key({payload!r}))"
@@ -141,25 +143,8 @@ class TestStore:
 
 
 class TestInvalidation:
-    def test_calibration_change_invalidates(self, tmp_path, monkeypatch):
-        """Editing a calibration constant must change every unit key."""
-        spec = SweepSpec(benchmarks=("gcc",), cache_grid=(0.0, 128.0),
-                         slice_grid=(1, 2))
-        before = [u.cache_key() for u in spec.expand()]
-
-        import repro.perfmodel.model as model_mod
-        monkeypatch.setattr(model_mod, "MEMORY_DELAY", 120.0)
-        after = [u.cache_key() for u in spec.expand()]
-        assert set(before).isdisjoint(after)
-
-    def test_model_parameters_in_fingerprint(self):
-        default = model_calibration(AnalyticModel())
-        tuned = model_calibration(AnalyticModel(comm_tolerance=5.0))
-        assert default != tuned
-
     def test_warm_engine_serves_hits(self, tmp_path):
-        spec = SweepSpec(benchmarks=("gcc", "bzip"),
-                         cache_grid=(0.0, 256.0), slice_grid=(1, 4))
+        spec = SweepSpec(benchmarks=("astar", "hmmer"), **TINY)
         cache_root = tmp_path / "cache"
         cold = SweepEngine(jobs=1, cache=ResultCache(root=cache_root))
         first = cold.run(spec)
@@ -174,8 +159,7 @@ class TestInvalidation:
 class TestOnDiskLayout:
     def test_sweep_leaves_only_entry_files(self, tmp_path):
         root = tmp_path / "cache"
-        spec = SweepSpec(benchmarks=("gcc", "bzip"),
-                         cache_grid=(0.0, 128.0), slice_grid=(1, 2))
+        spec = SweepSpec(benchmarks=("astar", "hmmer"), **TINY)
         SweepEngine(jobs=1, cache=ResultCache(root=root)).run(spec)
         assert [p.name for p in root.iterdir()] == [f"v{CACHE_VERSION}"]
         files = sorted(p.relative_to(root).as_posix()
@@ -196,8 +180,9 @@ class TestConcurrentSweeps:
             return real(unit)
 
         monkeypatch.setattr(engine_core, "evaluate_unit", slow)
-        spec = SweepSpec(benchmarks=("gcc", "bzip", "mcf"),
-                         cache_grid=(0.0, 128.0), slice_grid=(1, 2))
+        spec = SweepSpec(benchmarks=("astar", "hmmer", "bzip"),
+                         cache_grid=(128.0,), slice_grid=(1, 2),
+                         trace_length=200)
         cache_root = tmp_path / "cache"
         sweeps = {}
 
@@ -221,3 +206,40 @@ class TestConcurrentSweeps:
             assert entry["key"] == unit.cache_key()
             assert reader.get(unit.cache_key()) == entry["value"]
         assert reader.counters()["corrupt"] == 0
+
+
+#: Entry values that parse but are not a two-point simulation unit's
+#: rows, built from the unit's real rows.
+MALFORMED = {
+    "scalar": lambda rows: 5,
+    "short_row": lambda rows: [[0.0, 1]],
+    "missing_row": lambda rows: rows[:1],
+}
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize("bad", sorted(MALFORMED))
+    def test_wrong_shape_is_corrupt_and_recomputed(self, tmp_path, bad):
+        """An entry that parses but does not hold its unit's rows is
+        counted corrupt, unlinked and recomputed, never served."""
+        root = tmp_path / "cache"
+        grid = dict(cache_grid=(128.0,), slice_grid=(1, 2),
+                    trace_length=200)
+        cold = SweepEngine(jobs=1, cache=ResultCache(root=root)
+                           ).simulation_map(["astar"], **grid)
+        (path,) = root.rglob("*.json")
+        rows = json.loads(path.read_text(encoding="utf-8"))["value"]
+        assert len(rows) == 2
+        path.write_text(json.dumps({"value": MALFORMED[bad](rows)}),
+                        encoding="utf-8")
+
+        engine = SweepEngine(jobs=1, cache=ResultCache(root=root))
+        sweep = engine.simulation_map(["astar"], **grid)
+        assert sweep.values == cold.values
+        assert (sweep.cache_hits, sweep.cache_misses) == (0, 1)
+        assert engine.cache.counters() == {"hits": 0, "misses": 1,
+                                           "puts": 1, "corrupt": 1}
+        warm = SweepEngine(jobs=1, cache=ResultCache(root=root)
+                           ).simulation_map(["astar"], **grid)
+        assert warm.cache_hits == 1
+        assert warm.values == cold.values

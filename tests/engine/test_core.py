@@ -1,23 +1,21 @@
 """Tests for the sweep engine: expansion, fan-out, grids, metrics."""
 
+import json
+
 import pytest
 
-from repro.economics.market import MARKET2, STANDARD_MARKETS
-from repro.economics.utility import STANDARD_UTILITIES, UTILITY2
 from repro.engine import (
-    GridModel,
     ResultCache,
     RunMetrics,
     SweepEngine,
     SweepSpec,
     evaluate_unit,
 )
-from repro.perfmodel.model import (
-    AnalyticModel,
-    CACHE_GRID_KB,
-    SLICE_GRID,
-)
+from repro.obs import Observability
 from repro.trace.profiles import get_profile
+
+#: Tiny simulation units: ~15-35 ms per grid point.
+TINY = dict(cache_grid=(128.0,), slice_grid=(1, 2), trace_length=200)
 
 
 @pytest.fixture
@@ -26,23 +24,6 @@ def engine(tmp_path):
 
 
 class TestExpansion:
-    def test_performance_units(self):
-        spec = SweepSpec(benchmarks=("gcc", "bzip"))
-        units = spec.expand()
-        assert len(units) == 2
-        assert {u.kind for u in units} == {"performance"}
-        assert [u.benchmark for u in units] == ["gcc", "bzip"]
-        assert units[0].points == len(CACHE_GRID_KB) * len(SLICE_GRID)
-
-    def test_utility_units(self):
-        spec = SweepSpec(benchmarks=("gcc",),
-                         utilities=tuple(STANDARD_UTILITIES),
-                         markets=tuple(STANDARD_MARKETS),
-                         budget=24.0)
-        units = spec.expand()
-        assert len(units) == 9
-        assert {u.kind for u in units} == {"utility"}
-
     def test_profile_objects_accepted(self):
         spec = SweepSpec(benchmarks=(get_profile("gcc"),))
         (unit,) = spec.expand()
@@ -57,27 +38,9 @@ class TestExpansion:
 
 
 class TestEvaluation:
-    def test_performance_matches_model(self, engine):
-        model = AnalyticModel()
-        sweep = engine.performance_map(["gcc"], (0.0, 512.0), (1, 4))
-        grid = sweep.grid("gcc")
-        for (c, s), value in grid.items():
-            assert value == model.performance("gcc", c, s)
-
-    def test_utility_matches_serial_path(self, engine):
-        sweep = engine.utility_map(["gcc"], [UTILITY2], [MARKET2],
-                                   budget=24.0,
-                                   cache_grid=(0.0, 256.0),
-                                   slice_grid=(1, 2))
-        model = AnalyticModel()
-        grid = sweep.grid("gcc", UTILITY2, MARKET2)
-        for (c, s), value in grid.items():
-            perf = model.performance("gcc", c, s)
-            vcores = MARKET2.vcores_affordable(24.0, c, s)
-            assert value == UTILITY2.value(perf, vcores)
-
     def test_parallel_equals_serial(self, tmp_path):
-        spec = SweepSpec(benchmarks=("gcc", "bzip", "hmmer", "omnetpp"))
+        spec = SweepSpec(benchmarks=("gcc", "bzip", "astar", "hmmer"),
+                         **TINY)
         serial = SweepEngine(
             jobs=1, cache=ResultCache(root=tmp_path / "a")
         ).run(spec)
@@ -92,46 +55,19 @@ class TestEvaluation:
     def test_small_sweeps_stay_serial(self, tmp_path):
         engine = SweepEngine(jobs=8,
                              cache=ResultCache(root=tmp_path / "c"))
-        sweep = engine.run(SweepSpec(benchmarks=("gcc",),
-                                     cache_grid=(0.0,), slice_grid=(1,)))
+        sweep = engine.run(SweepSpec(benchmarks=("astar",),
+                                     cache_grid=(128.0,), slice_grid=(1,),
+                                     trace_length=200))
         assert not sweep.parallel
         assert sweep.workers == 1
 
 
-class TestGridModel:
-    def test_drop_in_equality(self, engine):
-        plain = AnalyticModel()
-        grid = engine.grid_model(profiles=["gcc", "bzip"])
-        assert isinstance(grid, GridModel)
-        for c in CACHE_GRID_KB:
-            for s in SLICE_GRID:
-                assert grid.performance("gcc", c, s) == \
-                    plain.performance("gcc", c, s)
-
-    def test_off_grid_falls_back(self, engine):
-        grid = engine.grid_model(cache_grid=(0.0, 128.0),
-                                 slice_grid=(1, 2),
-                                 profiles=["gcc"])
-        plain = AnalyticModel()
-        assert grid.performance("gcc", 96.0, 3) == \
-            plain.performance("gcc", 96.0, 3)
-
-    def test_unprimed_benchmark_autoprimes(self, engine):
-        grid = engine.grid_model(cache_grid=(0.0, 128.0),
-                                 slice_grid=(1, 2))
-        value = grid.performance("hmmer", 128.0, 2)
-        assert value == AnalyticModel().performance("hmmer", 128.0, 2)
-
-    def test_priming_batches_one_sweep(self, engine):
-        engine.grid_model(profiles=["gcc", "bzip", "hmmer"])
-        assert len(engine.metrics.records) == 1
-        assert engine.metrics.records[0].units == 3
-
-
 class TestMetrics:
     def test_sweep_accounting(self, engine):
-        engine.performance_map(["gcc", "bzip"], (0.0, 64.0), (1, 2))
-        engine.performance_map(["gcc", "bzip"], (0.0, 64.0), (1, 2))
+        grid = dict(cache_grid=(64.0, 128.0), slice_grid=(1, 2),
+                    trace_length=200)
+        engine.simulation_map(["astar", "hmmer"], **grid)
+        engine.simulation_map(["astar", "hmmer"], **grid)
         totals = engine.metrics.totals()
         assert totals["sweeps"] == 2
         assert totals["units"] == 4
@@ -141,13 +77,32 @@ class TestMetrics:
         assert totals["evaluated_points"] == 8
         assert totals["cache_hit_rate"] == 0.5
 
-    def test_run_metrics_attribution(self, engine):
-        run_metrics = RunMetrics(engine=engine)
+    def test_run_metrics_attribution(self, tmp_path):
+        """``RunMetrics`` around a traced two-point simulation sweep:
+        the sweep is attributed to its experiment, the trace holds
+        ``engine`` spans next to the ``runner`` span, and the export
+        carries the per-unit latency distributions."""
+        obs = Observability(trace=True)
+        engine = SweepEngine(jobs=1, obs=obs,
+                             cache=ResultCache(root=tmp_path / "cache"))
+        run_metrics = RunMetrics(engine=engine, obs=obs)
         with run_metrics.measure("demo"):
-            engine.performance_map(["gcc"], (0.0,), (1,))
+            engine.simulation_map(["gcc"], **TINY)
         exported = run_metrics.to_dict()
         (entry,) = exported["experiments"]
         assert entry["name"] == "demo"
         assert entry["engine"]["sweeps"] == 1
         assert exported["engine"]["jobs"] == engine.jobs
         assert run_metrics.to_json()
+
+        trace_path = tmp_path / "run.trace.json"
+        obs.export_trace(str(trace_path))
+        doc = json.loads(trace_path.read_text())
+        cats = {e.get("cat") for e in doc["traceEvents"]
+                if e.get("ph") != "M"}
+        assert {"engine", "runner"} <= cats
+
+        dist = exported["engine"]["unit_distributions"]
+        assert dist["evaluated_units"] + dist["cached_units"] > 0
+        assert set(dist["eval_s"]) == {"count", "mean", "min", "p50",
+                                       "p90", "p99", "max"}

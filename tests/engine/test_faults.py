@@ -28,7 +28,8 @@ from repro.engine.cache import CACHE_VERSION
 IS_FORK = multiprocessing.get_start_method() == "fork"
 
 BENCHES = ("gcc", "bzip")
-GRID = dict(cache_grid=(0.0, 128.0), slice_grid=(1, 2, 4))
+#: Tiny simulation units: ~30 ms per grid point for gcc or bzip.
+GRID = dict(cache_grid=(128.0,), slice_grid=(1, 2), trace_length=200)
 
 
 def _engine(tmp_path, **kwargs):
@@ -219,8 +220,8 @@ class TestWorkerDeath:
 
     @pytest.mark.parametrize("backend", ["python", "fortran"])
     def test_backend_validation(self, tmp_path, backend):
-        """Utility units always run on the market kernel; ``backend``
-        takes only None or "numpy"."""
+        """No unit reads an economics backend; ``backend`` takes only
+        None or "numpy"."""
         assert _engine(tmp_path, backend="numpy") is not None
         with pytest.raises(ValueError, match="economics backend") as info:
             _engine(tmp_path, backend=backend)

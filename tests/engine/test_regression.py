@@ -1,5 +1,6 @@
-"""Engine-backed experiments must equal the pre-engine serial path
-bit-for-bit - same floats, same argmax tie-breaks, warm cache included."""
+"""Experiments handed an engine must equal plain runs bit-for-bit -
+same floats, same argmax tie-breaks - and a warm cache must serve a
+simulation sweep's exact values."""
 
 import pytest
 
@@ -55,7 +56,7 @@ class TestBitForBit:
     def test_optimizer_best_choice(self, cache_root):
         serial = UtilityOptimizer().best("gcc", UTILITY2, MARKET2)
         engine = fresh_engine(cache_root)
-        backed = UtilityOptimizer(engine=engine).best(
+        backed = UtilityOptimizer(obs=engine.obs).best(
             "gcc", UTILITY2, MARKET2
         )
         assert backed == serial
@@ -63,14 +64,17 @@ class TestBitForBit:
 
 class TestWarmCache:
     def test_second_engine_serves_hits_identically(self, cache_root):
+        def sweep(engine):
+            return engine.simulation_map(["astar", "hmmer"], (128.0,),
+                                         (1, 2), trace_length=200)
+
         cold = fresh_engine(cache_root)
-        first = scalability.run(engine=cold)
+        first = sweep(cold)
         assert cold.cache.hits == 0
 
         warm = fresh_engine(cache_root)
-        second = scalability.run(engine=warm)
+        second = sweep(warm)
         assert warm.cache.hits > 0
+        assert warm.cache.misses == 0
         assert warm.cache.puts == 0
-        assert second.series == first.series
-        assert second.to_dict(include_elapsed=False) == \
-            first.to_dict(include_elapsed=False)
+        assert second.values == first.values

@@ -20,29 +20,20 @@ pytestmark = pytest.mark.skipif(
     not IS_FORK, reason="scheduler tests monkeypatch via fork")
 
 
-class _Utility:
-    def __init__(self, name, perf_exponent=1.0):
-        self.name = name
-        self.perf_exponent = perf_exponent
+#: Tiny simulation units: ~15-35 ms per grid point.
+TINY = dict(cache_grid=(128.0,), slice_grid=(1, 2), trace_length=200)
 
 
-class _Market:
-    def __init__(self, name):
-        self.name = name
-        self.slice_price = 1.0
-        self.bank_price = 0.004
-        self.fixed_cost = 2.0
-
-
-def _utility_spec():
-    return SweepSpec(
-        benchmarks=("gcc", "bzip"),
-        cache_grid=(0.0, 128.0, 512.0),
-        slice_grid=(1, 2, 4, 8),
-        utilities=(_Utility("U1"), _Utility("U2", 0.5)),
-        markets=(_Market("M"),),
-        budget=24.0,
-    )
+def _shared_workload_units():
+    """Four units over two workloads: each of gcc's and bzip's traces
+    at two cache sizes.  A spec yields one unit per benchmark, so units
+    sharing a workload come from separate specs."""
+    return [unit
+            for cache_kb in (64.0, 256.0)
+            for unit in SweepSpec(benchmarks=("gcc", "bzip"),
+                                  cache_grid=(cache_kb,),
+                                  slice_grid=(1, 2),
+                                  trace_length=200).expand()]
 
 
 def _entry_keys(cache):
@@ -58,9 +49,8 @@ class TestEquivalence:
     def test_scheduler_matches_serial(self, tmp_path):
         """jobs=2 + affinity scheduling == serial: same values AND the
         same set of cache entries on disk."""
-        spec = SweepSpec(benchmarks=("gcc", "bzip", "mcf", "astar"),
-                         cache_grid=(0.0, 64.0, 256.0),
-                         slice_grid=(1, 2, 4))
+        spec = SweepSpec(benchmarks=("gcc", "bzip", "astar", "hmmer"),
+                         **TINY)
         serial_cache = ResultCache(root=tmp_path / "serial")
         serial = SweepEngine(jobs=1, cache=serial_cache).run(spec)
 
@@ -74,7 +64,7 @@ class TestEquivalence:
         assert len(_entry_keys(serial_cache)) == 4
 
     def test_pooled_simulation_sweep_bit_identical(self, tmp_path):
-        spec = SweepSpec(benchmarks=("gcc", "bzip"), simulate=True,
+        spec = SweepSpec(benchmarks=("gcc", "bzip"),
                          cache_grid=(64.0, 256.0), slice_grid=(1, 2),
                          trace_length=800)
         serial = SweepEngine(jobs=1,
@@ -88,7 +78,7 @@ class TestEquivalence:
         assert pooled.values == serial.values
 
     def test_workload_stats_surface_in_result(self, tmp_path):
-        spec = SweepSpec(benchmarks=("gcc",), simulate=True,
+        spec = SweepSpec(benchmarks=("gcc",),
                          cache_grid=(64.0,), slice_grid=(1, 2),
                          trace_length=600)
         sweep = SweepEngine(jobs=1,
@@ -104,34 +94,39 @@ class TestEquivalence:
 
 class TestAffinity:
     def test_units_sharing_a_workload_share_a_batch(self):
-        spec = _utility_spec()
-        units = spec.expand()
+        units = _shared_workload_units()
         keys = {_affinity_key(u) for u in units}
-        # 4 units (2 benchmarks x 2 utilities), 2 affinity groups.
+        # 4 units (2 benchmarks x 2 cache sizes), 2 affinity groups.
         assert len(units) == 4 and len(keys) == 2
+        batches = _make_batches(units, workers=2)
+        assert sorted([u.benchmark for u in b] for b in batches) == [
+            ["bzip", "bzip"], ["gcc", "gcc"]]
 
     def test_simulation_affinity_ignores_grid(self):
-        a = SweepSpec(benchmarks=("gcc",), simulate=True,
+        a = SweepSpec(benchmarks=("gcc",),
                       cache_grid=(64.0,), slice_grid=(1,),
                       trace_length=500).expand()[0]
-        b = SweepSpec(benchmarks=("gcc",), simulate=True,
+        b = SweepSpec(benchmarks=("gcc",),
                       cache_grid=(256.0,), slice_grid=(4,),
                       trace_length=500).expand()[0]
         assert _affinity_key(a) == _affinity_key(b)
-        c = SweepSpec(benchmarks=("gcc",), simulate=True,
+        c = SweepSpec(benchmarks=("gcc",),
                       cache_grid=(64.0,), slice_grid=(1,),
                       trace_length=600).expand()[0]
         assert _affinity_key(a) != _affinity_key(c)
 
     def test_same_benchmark_units_land_on_one_worker(self, tmp_path):
+        # Within one sweep only a repeated benchmark shares a workload.
         sweep = SweepEngine(
             jobs=2, parallel_threshold=1,
             cache=ResultCache(root=tmp_path / "c"),
-        ).run(_utility_spec())
+        ).run(SweepSpec(benchmarks=("gcc", "gcc", "bzip", "bzip"),
+                        **TINY))
         pids = {}
         for stat in sweep.unit_stats:
             pids.setdefault(stat.benchmark, set()).add(stat.worker_pid)
-        # Both utility units of one benchmark evaluated in one process.
+        # Both units of one benchmark evaluated in one process.
+        assert len(sweep.unit_stats) == 4
         assert all(len(p) == 1 for p in pids.values())
         assert sweep.sched_stats["batches"] == 2
 
@@ -140,15 +135,8 @@ class TestAffinity:
         # split rather than serializing the sweep on one worker.
         engine = SweepEngine(jobs=4, parallel_threshold=1,
                              cache=ResultCache(root=tmp_path / "c"))
-        spec = SweepSpec(
-            benchmarks=("gcc",),
-            cache_grid=(0.0, 128.0),
-            slice_grid=(1, 2),
-            utilities=(_Utility("U1"), _Utility("U2", 0.5),
-                       _Utility("U3", 2.0), _Utility("U4", 0.25)),
-            markets=(_Market("M"),),
-            budget=24.0,
-        )
+        spec = SweepSpec(benchmarks=("astar",) * 4, cache_grid=(128.0,),
+                         slice_grid=(1,), trace_length=200)
         sweep = engine.run(spec)
         assert sweep.sched_stats["batches"] == 4
         assert sweep.units == 4

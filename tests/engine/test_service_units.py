@@ -26,7 +26,6 @@ def _service_unit(**overrides):
         profile_fields=(("name", f"stream/shard{shard}"),),
         cache_grid=(),
         slice_grid=(),
-        calibration=(),
         service=tuple(sorted(params.items())),
         shard=shard,
     )
@@ -68,18 +67,17 @@ class TestCacheKeys:
         assert len(keys) == len(distinct)
 
     def test_grid_units_unaffected_by_service_fields(self):
-        # The new unconditional key fields must hold inert defaults for
-        # grid kinds, so they perturb every key uniformly (one cold
-        # restart) rather than aliasing anything.
+        # The unconditional service key fields must hold inert defaults
+        # for simulation units, so they perturb every key uniformly (one
+        # cold restart) rather than aliasing anything.
         from repro.perfmodel.model import profile_key
 
         unit = WorkUnit(
-            kind="performance",
+            kind="simulation",
             profile_fields=profile_key("gcc"),
             cache_grid=(256.0,),
             slice_grid=(2,),
-            calibration=(("comm_tolerance", 0.9),
-                         ("mlp_per_slice", 1.0)),
+            trace_length=3_000,
         )
         fields = unit.key_fields()
         assert fields["service"] is None

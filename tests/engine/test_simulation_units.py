@@ -27,7 +27,6 @@ def _sim_unit(**overrides):
         profile_fields=profile_key("gcc"),
         cache_grid=(256.0,),
         slice_grid=(2,),
-        calibration=(),
         trace_length=3_000,
         trace_seed=1,
     )
@@ -38,14 +37,11 @@ def _sim_unit(**overrides):
 class TestExpansion:
     def test_simulate_spec_yields_simulation_units(self):
         spec = SweepSpec(benchmarks=("gcc", "mcf"), cache_grid=(256.0,),
-                         slice_grid=(1, 2), simulate=True,
+                         slice_grid=(1, 2),
                          trace_length=2_000, trace_seed=3)
         units = spec.expand()
         assert [u.kind for u in units] == ["simulation", "simulation"]
         for unit in units:
-            # Analytic calibration cannot affect a simulation; it must
-            # stay out of the key so model tweaks don't cold the cache.
-            assert unit.calibration == ()
             assert unit.trace_length == 2_000
             assert unit.trace_seed == 3
 
@@ -92,8 +88,7 @@ class TestEvaluation:
         # engine stamped its config in, so the cached entry must be
         # keyed as sampled (a later exact run misses, never aliases).
         spec = SweepSpec(benchmarks=("gcc",), cache_grid=(256.0,),
-                         slice_grid=(1,), simulate=True,
-                         trace_length=2_000)
+                         slice_grid=(1,), trace_length=2_000)
         exact_unit = spec.expand()[0]
         assert engine.cache.get(exact_unit.cache_key()) is None
 
@@ -111,7 +106,7 @@ class TestKeyPerturbation:
                 profile_fields=profile_key("mcf")).cache_key(),
             "cache_grid": _sim_unit(cache_grid=(128.0,)).cache_key(),
             "slice_grid": _sim_unit(slice_grid=(4,)).cache_key(),
-            "kind": _sim_unit(kind="performance").cache_key(),
+            "kind": _sim_unit(kind="service").cache_key(),
         }
         assert len(set(keys.values())) == len(keys)
 

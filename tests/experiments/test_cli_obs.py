@@ -71,20 +71,20 @@ class TestRunnerFlags:
             tmp_path, "--trace", str(trace_path),
             "--metrics-out", str(metrics_path))) == 0
 
+        # No artefact sends a unit to the engine; the engine's spans
+        # and unit distributions are checked on a traced simulation
+        # sweep in tests/engine/test_core.py::TestMetrics::
+        # test_run_metrics_attribution.
         doc = json.load(open(trace_path))
         cats = {e.get("cat") for e in doc["traceEvents"]
                 if e.get("ph") != "M"}
-        assert {"engine", "runner"} <= cats
+        assert "runner" in cats
 
         metrics = json.load(open(metrics_path))
         assert metrics["schema"] == EXPORT_SCHEMA
         inner = metrics["metrics"]
         assert set(inner) >= {"total_wall_s", "experiments", "engine",
                               "obs"}
-        dist = inner["engine"]["unit_distributions"]
-        assert dist["evaluated_units"] + dist["cached_units"] > 0
-        assert set(dist["eval_s"]) == {"count", "mean", "min", "p50",
-                                       "p90", "p99", "max"}
 
     def test_metrics_out_without_obs_omits_snapshot(self, tmp_path,
                                                     capsys):

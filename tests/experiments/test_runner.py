@@ -44,6 +44,9 @@ class TestRun:
         assert metrics["engine"]["cache_dir"] == str(tmp_path / "cache")
 
     def test_warm_rerun_identical_results(self, tmp_path, capsys):
+        # The runner's artefacts send no unit to the engine; its
+        # cold/warm cache counts are checked on a simulation sweep in
+        # tests/engine/test_regression.py::TestWarmCache.
         argv = ["--only", "scalability", "--cache-dir",
                 str(tmp_path / "cache")]
         cold_path, warm_path = tmp_path / "cold.json", tmp_path / "warm.json"
@@ -53,5 +56,3 @@ class TestRun:
         cold = json.loads(cold_path.read_text())
         warm = json.loads(warm_path.read_text())
         assert cold["results"] == warm["results"]
-        assert warm["metrics"]["engine"]["cache"]["hits"] > 0
-        assert cold["metrics"]["engine"]["cache"]["hits"] == 0

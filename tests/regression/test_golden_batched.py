@@ -79,7 +79,7 @@ class TestEngineCacheKeysSeeBackend:
         return WorkUnit(kind="simulation",
                         profile_fields=profile_key("gcc"),
                         cache_grid=(128.0,), slice_grid=(1, 4),
-                        calibration=(), trace_length=4000, trace_seed=1,
+                        trace_length=4000, trace_seed=1,
                         sim_config=sim_config)
 
     def test_backend_perturbation_changes_cache_key(self):
