@@ -133,21 +133,22 @@ def _cmd_datacenter_stream(args) -> int:
 
     from repro.experiments import datacenter_stream
 
-    engine = None
-    if args.shards > 1:
-        from repro.engine import SweepEngine
-        engine = SweepEngine(jobs=args.jobs)
     try:
         datacenter_stream.check_run_args(
             args.events, shards=args.shards, couple=args.couple,
             fault_rate=args.faults,
             checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint_path, engine=engine,
+            checkpoint_path=args.checkpoint_path,
             sync_every=args.sync_every, chaos_seed=args.chaos_seed,
-            jobs=args.jobs)
+            jobs=args.jobs, reprice_every=args.reprice_every,
+            audit_every=args.audit_every)
     except ValueError as exc:
         print(f"repro datacenter-stream: error: {exc}", file=sys.stderr)
         return 2
+    engine = None
+    if args.shards > 1:
+        from repro.engine import SweepEngine
+        engine = SweepEngine(jobs=args.jobs)
     floor = (args.admission_floor if args.admission_floor is not None
              else datacenter_stream.ADMISSION_FLOOR)
     strict = True if args.strict else None

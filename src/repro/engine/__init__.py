@@ -16,7 +16,6 @@ pool -> cache pipeline and cache-invalidation rules.
 
 from repro.engine.cache import CACHE_VERSION, DEFAULT_CACHE_DIR, ResultCache
 from repro.engine.core import (
-    DEFAULT_PARALLEL_THRESHOLD,
     SweepEngine,
     SweepResult,
     SweepSpec,
@@ -35,7 +34,6 @@ from repro.engine.metrics import (
 __all__ = [
     "CACHE_VERSION",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_PARALLEL_THRESHOLD",
     "EngineMetrics",
     "ResultCache",
     "RunMetrics",

@@ -182,13 +182,6 @@ class ResultCache:
         return {"hits": self.hits, "misses": self.misses,
                 "puts": self.puts, "corrupt": self.corrupt}
 
-    def attach_obs(self, scope) -> None:
-        """Register the cache counters on a ``repro.obs`` scope."""
-        scope.gauge("hits", lambda: self.hits)
-        scope.gauge("misses", lambda: self.misses)
-        scope.gauge("puts", lambda: self.puts)
-        scope.gauge("corrupt", lambda: self.corrupt)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "on" if self.enabled else "off"
         return (f"ResultCache({str(self.root)!r}, {state}, "

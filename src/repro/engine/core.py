@@ -8,10 +8,10 @@ them:
 1. a :class:`SweepSpec` names the axes - benchmarks x cache_kb x slices
    for a simulation sweep, or one service config x shards - and expands
    into :class:`WorkUnit`\\ s, one per benchmark (or shard);
-2. work units are grouped into workload-affinity batches that fan
-   across a ``concurrent.futures.ProcessPoolExecutor``, falling back to
-   in-process serial evaluation for small grids (pool startup costs more
-   than tiny sweeps);
+2. pending work units fan across a
+   ``concurrent.futures.ProcessPoolExecutor``, one future per unit,
+   whenever the sweep has two of them and two workers; otherwise they
+   evaluate in-process;
 3. every unit is backed by the content-addressed on-disk
    :class:`~repro.engine.cache.ResultCache` - warm runs skip evaluation
    entirely;
@@ -48,10 +48,6 @@ from repro.perfmodel.model import (
     profile_key,
 )
 from repro.trace.profiles import BenchmarkProfile
-
-#: Below this many pending grid points a sweep runs serially in-process;
-#: process-pool startup dwarfs the evaluation for small grids.
-DEFAULT_PARALLEL_THRESHOLD = 1024
 
 #: How many fresh pools a sweep tries after a worker process dies
 #: (``BrokenProcessPool``) before giving up on the remaining units.
@@ -132,8 +128,7 @@ class WorkUnit:
     def points(self) -> int:
         if self.kind == "service":
             # Events, not grid cells, are the unit of work for a
-            # stream shard - this is what the parallel threshold and
-            # the metrics ledger should count.
+            # stream shard - this is what the metrics ledger counts.
             return int(dict(self.service or ()).get("num_events", 1))
         return len(self.cache_grid) * len(self.slice_grid)
 
@@ -295,54 +290,6 @@ def _fits(unit: WorkUnit, value: Any) -> bool:
         (c, s) for c in unit.cache_grid for s in unit.slice_grid}
 
 
-def _affinity_key(unit: "WorkUnit") -> Tuple[Any, ...]:
-    """Which workload a unit touches; units sharing it share a batch.
-
-    Simulation units are keyed by their generated workload (profile,
-    length, seed) - NOT by grid/sampling/config - so every unit that
-    would regenerate the same trace lands on one worker and reuses its
-    process-local LRU entry.  Service shards are independent streams
-    and never batch together.
-    """
-    if unit.kind == "service":
-        return ("service", unit.shard, unit.service)
-    return ("workload", unit.profile_fields, unit.trace_length,
-            unit.trace_seed)
-
-
-def _make_batches(pending: Sequence["WorkUnit"],
-                  workers: int) -> List[List["WorkUnit"]]:
-    """Group units into affinity batches, split for parallelism,
-    ordered most-points-first.
-
-    Units sharing an :func:`_affinity_key` (same generated workload)
-    start in one batch so a single worker generates the trace once and
-    its siblings ride the process LRU.  The largest batches are then
-    halved until there are at least ``min(workers, len(pending))`` of
-    them - affinity never idles a worker, at the price of the split
-    batch's second half regenerating the workload in its own worker.
-    A sweep's units are all of one kind, so a batch's point count is
-    its cost: sorting by it starts the longest work first (LPT
-    scheduling).
-    """
-    groups: Dict[Tuple[Any, ...], List[WorkUnit]] = {}
-    for unit in pending:
-        groups.setdefault(_affinity_key(unit), []).append(unit)
-    batches = list(groups.values())
-    target = min(workers, len(pending))
-    while len(batches) < target:
-        largest = max(batches, key=len)
-        if len(largest) < 2:
-            break
-        batches.remove(largest)
-        half = len(largest) // 2
-        batches.append(largest[:half])
-        batches.append(largest[half:])
-    batches.sort(key=lambda batch: sum(u.points for u in batch),
-                 reverse=True)
-    return batches
-
-
 def _workload_counters() -> Dict[str, float]:
     """Snapshot of this process's workload LRU and generator counters."""
     from repro.trace.materialize import cache_stats
@@ -356,47 +303,41 @@ def _workload_counters() -> Dict[str, float]:
     }
 
 
-def _evaluate_batch_tracked(
-        payload: Tuple[Tuple["WorkUnit", ...], float]
-) -> List[Dict[str, Any]]:
-    """Worker-side evaluation of one affinity batch.
+def _evaluate_tracked(unit: "WorkUnit", submitted: float
+                      ) -> Dict[str, Any]:
+    """Worker-side evaluation of one unit.
 
-    Evaluates every unit of the batch in order (a failing unit is
-    recorded and does not abort its siblings), measuring per-unit queue
-    wait (submit-to-start on the shared ``CLOCK_MONOTONIC``, so worker
-    timestamps line up with the parent's) and eval time, plus the deltas
-    of the workload LRU/generator counters so the parent can attribute
-    where each unit's trace came from.  An exception becomes a
+    Measures the unit's queue wait (submit-to-start on the shared
+    ``CLOCK_MONOTONIC``, so worker timestamps line up with the
+    parent's), its ``time.monotonic()`` start and eval time, plus the
+    deltas of the workload LRU/generator counters so the parent can
+    attribute where the unit's trace came from.  An exception becomes a
     structured failure record; the parent re-raises it as a one-line
     :class:`WorkUnitError` instead of a pickled remote traceback.
     """
-    units, submitted = payload
-    pid = os.getpid()
-    outcomes: List[Dict[str, Any]] = []
-    for unit in units:
-        started = time.monotonic()
-        base: Dict[str, Any] = {
-            "pid": pid,
-            "queue_wait_s": max(0.0, started - submitted),
-        }
-        before = _workload_counters()
-        try:
-            rows = evaluate_unit(unit)
-        except Exception as exc:
-            base.update({
-                "ok": False,
-                "eval_s": time.monotonic() - started,
-                "error_type": type(exc).__name__,
-                "error_msg": str(exc),
-                "traceback": _traceback.format_exc(),
-            })
-        else:
-            base.update({"ok": True, "rows": rows,
-                         "eval_s": time.monotonic() - started})
-        after = _workload_counters()
-        base["workload"] = {k: after[k] - before[k] for k in after}
-        outcomes.append(base)
-    return outcomes
+    started = time.monotonic()
+    outcome: Dict[str, Any] = {
+        "pid": os.getpid(),
+        "started": started,
+        "queue_wait_s": max(0.0, started - submitted),
+    }
+    before = _workload_counters()
+    try:
+        rows = evaluate_unit(unit)
+    except Exception as exc:
+        outcome.update({
+            "ok": False,
+            "eval_s": time.monotonic() - started,
+            "error_type": type(exc).__name__,
+            "error_msg": str(exc),
+            "traceback": _traceback.format_exc(),
+        })
+    else:
+        outcome.update({"ok": True, "rows": rows,
+                        "eval_s": time.monotonic() - started})
+    after = _workload_counters()
+    outcome["workload"] = {k: after[k] - before[k] for k in after}
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -417,8 +358,7 @@ class SweepResult:
     #: (lru_hits, lru_misses, generations, generation_s); empty for
     #: fully-cached sweeps.
     workload_stats: Dict[str, float] = field(default_factory=dict)
-    #: Scheduler accounting: affinity batches formed and fresh pools
-    #: started after a worker died.
+    #: Scheduler accounting: fresh pools started after a worker died.
     sched_stats: Dict[str, float] = field(default_factory=dict)
 
     def grid(self, benchmark: ProfileLike
@@ -434,7 +374,6 @@ class SweepEngine:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
                  metrics: Optional[EngineMetrics] = None,
                  obs: Optional[Observability] = None,
                  timeout_s: Optional[float] = None,
@@ -462,7 +401,6 @@ class SweepEngine:
                 "workloads on an LRU miss (pass None)")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache if cache is not None else ResultCache()
-        self.parallel_threshold = parallel_threshold
         self.metrics = metrics if metrics is not None else EngineMetrics()
         self.obs = obs if obs is not None else OBS_OFF
         self.timeout_s = timeout_s
@@ -473,8 +411,6 @@ class SweepEngine:
         #: Transient worker deaths tolerated per sweep before the
         #: remaining units are surfaced as a :class:`WorkUnitError`.
         self.pool_retries = pool_retries
-        # Units served from a worker's workload LRU, exported as a gauge.
-        self._affinity_hits = 0
         # Pre-bound instruments: null objects when obs is off, so the
         # hot scheduling loop never branches on enablement.
         scope = self.obs.scope("engine")
@@ -486,7 +422,6 @@ class SweepEngine:
         self._h_eval = scope.histogram("unit_eval_s")
         self._h_queue = scope.histogram("unit_queue_wait_s")
         self._t_sweep = scope.timer("sweep_s")
-        scope.gauge("sched.affinity_hits", lambda: self._affinity_hits)
         scope.gauge("cache.corrupt", lambda: self.cache.corrupt)
 
     # ------------------------------------------------------------------
@@ -513,6 +448,8 @@ class SweepEngine:
                 else unit
                 for unit in units
             ]
+        # A benchmark named twice is one unit: one evaluation, one grid.
+        units = list(dict.fromkeys(units))
         results: Dict[WorkUnit, List[List[float]]] = {}
         pending: List[WorkUnit] = []
         stats: List[UnitStat] = []
@@ -535,19 +472,16 @@ class SweepEngine:
                 pending.append(unit)
 
         pending_points = sum(u.points for u in pending)
-        workers = min(self.jobs, len(pending)) if pending else 0
-        parallel = (workers > 1
-                    and pending_points >= self.parallel_threshold)
+        workers = min(self.jobs, len(pending))
+        parallel = workers > 1
         outcomes_by_unit: Dict[WorkUnit, Dict[str, Any]] = {}
-        sched: Dict[str, float] = {"batches": 0, "pool_retries": 0}
+        sched: Dict[str, float] = {"pool_retries": 0}
         if parallel:
             outcomes_by_unit = self._run_parallel(pending, workers, sched)
         else:
-            workers = 1 if pending else 0
             for unit in pending:
-                outcomes = _evaluate_batch_tracked(
-                    ((unit,), time.monotonic()))
-                self._collect((unit,), outcomes, outcomes_by_unit)
+                self._collect(unit, _evaluate_tracked(
+                    unit, time.monotonic()), outcomes_by_unit)
 
         failure: Optional[Tuple[WorkUnit, Dict[str, Any]]] = None
         workload_totals: Dict[str, float] = {}
@@ -577,7 +511,6 @@ class SweepEngine:
                 results[unit] = outcome["rows"]
             elif failure is None:
                 failure = (unit, outcome)
-        self._affinity_hits += int(workload_totals.get("lru_hits", 0))
         self.metrics.record_units(stats)
         if failure is not None:
             unit, outcome = failure
@@ -641,29 +574,24 @@ class SweepEngine:
                       ) -> Dict["WorkUnit", Dict[str, Any]]:
         """Fan pending units across a process pool, tracked and bounded.
 
-        Units are grouped into workload-affinity batches
-        (:func:`_make_batches`) so every unit sharing a generated trace
-        lands in one worker's LRU, submitted most-points-first as
-        independent futures, and harvested as they complete - a
-        completed unit is cached *immediately*, so a later crash or
-        timeout never loses finished work.  Between completions the
-        loop blocks in ``wait(FIRST_COMPLETED)``, bounded by the sweep
-        deadline when ``timeout_s`` is set.
+        Every unit is its own future, submitted in expansion order and
+        harvested as it completes - a completed unit is cached
+        *immediately*, so a later crash or timeout never loses finished
+        work.  Between completions the loop blocks in
+        ``wait(FIRST_COMPLETED)``, bounded by the sweep deadline when
+        ``timeout_s`` is set.
 
         On timeout the pool is abandoned without waiting (queued futures
         cancelled, worker processes terminated) so a hung unit cannot
         wedge the sweep's caller.
 
         A dying worker (``BrokenProcessPool``) is treated as transient:
-        completed batches are kept, and the un-run remainder is retried
+        completed units are kept, and the un-run remainder is retried
         on a fresh pool up to ``pool_retries`` times with capped
         exponential backoff.  If the deaths persist, the first un-run
         unit is surfaced as a failed outcome.
         """
         outcomes_by_unit: Dict["WorkUnit", Dict[str, Any]] = {}
-        batches = _make_batches(pending, workers)
-        sched["batches"] = len(batches)
-        remaining = set(range(len(batches)))
         deadline = (time.monotonic() + self.timeout_s
                     if self.timeout_s is not None else None)
         attempt = 0
@@ -671,11 +599,10 @@ class SweepEngine:
             pool = ProcessPoolExecutor(max_workers=workers)
             crashed = False
             try:
-                # Indices ascend in most-points-first batch order (LPT).
                 futures = {
-                    pool.submit(_evaluate_batch_tracked,
-                                (tuple(batches[idx]), time.monotonic())): idx
-                    for idx in sorted(remaining)
+                    pool.submit(_evaluate_tracked, unit,
+                                time.monotonic()): unit
+                    for unit in pending if unit not in outcomes_by_unit
                 }
                 while futures and not crashed:
                     timeout = None
@@ -686,8 +613,8 @@ class SweepEngine:
                     done, _ = futures_wait(futures, timeout=timeout,
                                            return_when=FIRST_COMPLETED)
                     if not done:
-                        stuck = tuple(u for i in sorted(remaining)
-                                      for u in batches[i])
+                        stuck = tuple(u for u in pending
+                                      if u not in outcomes_by_unit)
                         names = ", ".join(
                             u.benchmark for u in stuck[:5]
                         ) + ("..." if len(stuck) > 5 else "")
@@ -698,23 +625,20 @@ class SweepEngine:
                             pending_units=stuck,
                         )
                     for fut in done:
-                        idx = futures.pop(fut)
+                        unit = futures.pop(fut)
                         try:
-                            batch_outcomes = fut.result()
+                            outcome = fut.result()
                         except BrokenProcessPool:
                             crashed = True
                             continue
-                        self._collect(batches[idx], batch_outcomes,
-                                      outcomes_by_unit)
-                        remaining.discard(idx)
+                        self._collect(unit, outcome, outcomes_by_unit)
                 if crashed:
-                    # A worker died.  Batches that completed around the
+                    # A worker died.  Units that completed around the
                     # crash hold good results; keep them.
-                    for fut, idx in futures.items():
+                    for fut, unit in futures.items():
                         if fut.done() and fut.exception() is None:
-                            self._collect(batches[idx], fut.result(),
+                            self._collect(unit, fut.result(),
                                           outcomes_by_unit)
-                            remaining.discard(idx)
             except BaseException:
                 self._abandon_pool(pool)
                 raise
@@ -724,12 +648,14 @@ class SweepEngine:
             # Retry the un-run remainder on a fresh pool; give up after
             # ``pool_retries``.
             self._abandon_pool(pool)
+            remaining = [u for u in pending if u not in outcomes_by_unit]
             if not remaining:
                 return outcomes_by_unit
             if attempt >= self.pool_retries:
-                first = batches[min(remaining)][0]
+                first = remaining[0]
                 outcomes_by_unit[first] = {
                     "pid": 0,
+                    "started": time.monotonic(),
                     "queue_wait_s": 0.0,
                     "eval_s": 0.0,
                     "ok": False,
@@ -747,18 +673,15 @@ class SweepEngine:
                         POOL_RETRY_BACKOFF_S * (2 ** (attempt - 1)))
             time.sleep(delay)
 
-    def _collect(self, units: Sequence["WorkUnit"],
-                 outcomes: Sequence[Dict[str, Any]],
+    def _collect(self, unit: "WorkUnit", outcome: Dict[str, Any],
                  outcomes_by_unit: Dict["WorkUnit", Dict[str, Any]]
                  ) -> None:
-        """Record a finished batch and cache each unit the moment it
-        lands (success only - a failed unit must never poison the
-        cache)."""
-        for unit, outcome in zip(units, outcomes):
-            outcomes_by_unit[unit] = outcome
-            if outcome["ok"]:
-                self.cache.put(unit.cache_key(), outcome["rows"],
-                               key_fields=unit.key_fields())
+        """Record a finished unit and cache it the moment it lands
+        (success only - a failed unit must never poison the cache)."""
+        outcomes_by_unit[unit] = outcome
+        if outcome["ok"]:
+            self.cache.put(unit.cache_key(), outcome["rows"],
+                           key_fields=unit.key_fields())
 
     @staticmethod
     def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -783,10 +706,9 @@ class SweepEngine:
             return
         from repro.obs.profiling import _ORIGIN
 
-        start_s = (time.monotonic() - _ORIGIN
-                   - outcome["eval_s"])
         self.obs.tracer.complete(
-            f"unit.{unit.benchmark}", ts=start_s * 1e6,
+            f"unit.{unit.benchmark}",
+            ts=(outcome["started"] - _ORIGIN) * 1e6,
             dur=outcome["eval_s"] * 1e6, cat="engine",
             tid=outcome["pid"],
             args={"kind": unit.kind, "points": unit.points,

@@ -490,9 +490,10 @@ def evaluate_shard(params: Dict[str, object]) -> List[List[float]]:
 def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
                    fault_rate: float = 0.0, checkpoint_every: int = 0,
                    checkpoint_path: Optional[str] = None,
-                   engine=None, sync_every: Optional[int] = None,
+                   sync_every: Optional[int] = None,
                    chaos_seed: Optional[int] = None,
-                   jobs: int = 1) -> None:
+                   jobs: int = 1, reprice_every: int = 1,
+                   audit_every: int = 0) -> None:
     """Raise the one-line ``ValueError`` :func:`run` raises for these
     arguments, if any: a run drives exactly ``num_events`` events and
     acts on every option it is given.  ``None`` means "not given" for
@@ -500,6 +501,16 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
     count for sharded runs."""
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
+    for name, count in (("shards", shards), ("couple", couple),
+                        ("jobs", jobs), ("sync_every", sync_every)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    for name, interval in (("reprice_every", reprice_every),
+                           ("audit_every", audit_every),
+                           ("checkpoint_every", checkpoint_every)):
+        if interval < 0:
+            raise ValueError(f"{name} must be >= 0 (0 disables it), "
+                             f"got {interval}")
     if shards > 1 and num_events % shards:
         raise ValueError(f"num_events={num_events} must be a multiple "
                          f"of shards={shards}: each shard drives "
@@ -520,9 +531,6 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
     if jobs != 1 and shards <= 1:
         raise ValueError("jobs needs shards > 1: only sharded runs fan "
                          "out to workers")
-    if shards > 1 and engine is None:
-        raise ValueError("shards > 1 needs an engine: shards run as "
-                         "engine work units")
     if checkpoint_every and (couple > 1 or shards > 1):
         raise ValueError("checkpoint_every needs shards=1 and couple=1: "
                          "only the single stream writes checkpoints")
@@ -563,8 +571,12 @@ def run(num_events: int = 20_000, seed: int = 11,
     check_run_args(num_events, shards=shards, couple=couple,
                    fault_rate=fault_rate,
                    checkpoint_every=checkpoint_every,
-                   checkpoint_path=checkpoint_path, engine=engine,
-                   sync_every=sync_every, chaos_seed=chaos_seed)
+                   checkpoint_path=checkpoint_path,
+                   sync_every=sync_every, chaos_seed=chaos_seed,
+                   reprice_every=reprice_every, audit_every=audit_every)
+    if shards > 1 and engine is None:
+        raise ValueError("shards > 1 needs an engine: shards run as "
+                         "engine work units")
     if sync_every is None:
         sync_every = SYNC_EVERY
     if chaos_seed is None:

@@ -46,7 +46,6 @@ class TestEvaluation:
         ).run(spec)
         fanned = SweepEngine(
             jobs=2, cache=ResultCache(root=tmp_path / "b"),
-            parallel_threshold=1,
         ).run(spec)
         assert fanned.parallel
         assert not serial.parallel
@@ -60,6 +59,14 @@ class TestEvaluation:
                                      trace_length=200))
         assert not sweep.parallel
         assert sweep.workers == 1
+
+    def test_repeated_benchmark_evaluates_once(self, engine):
+        sweep = engine.run(SweepSpec(benchmarks=("gcc", "gcc", "bzip"),
+                                     **TINY))
+        assert sweep.units == len(sweep.values) == 2
+        assert [s.benchmark for s in sweep.unit_stats] == ["gcc", "bzip"]
+        assert engine.cache.puts == 2
+        assert sweep.points == 4
 
 
 class TestMetrics:
@@ -106,3 +113,21 @@ class TestMetrics:
         assert dist["evaluated_units"] + dist["cached_units"] > 0
         assert set(dist["eval_s"]) == {"count", "mean", "min", "p50",
                                        "p90", "p99", "max"}
+
+    def test_unit_spans_sit_where_the_units_ran(self, tmp_path):
+        """A traced serial sweep draws its units one after another, in
+        expansion order, inside the sweep's own span."""
+        obs = Observability(trace=True)
+        engine = SweepEngine(jobs=1, obs=obs,
+                             cache=ResultCache(root=tmp_path / "cache"))
+        engine.simulation_map(["gcc", "bzip", "astar"], **TINY)
+        events = obs.tracer.events()
+        (sweep,) = [e for e in events if e["name"] == "sweep.simulation"]
+        units = [e for e in events if e["name"].startswith("unit.")]
+        assert [e["name"] for e in units] == [
+            "unit.gcc", "unit.bzip", "unit.astar"]
+        assert sweep["ts"] <= units[0]["ts"]
+        for before, after in zip(units, units[1:]):
+            assert before["ts"] + before["dur"] <= after["ts"]
+        assert (units[-1]["ts"] + units[-1]["dur"]
+                <= sweep["ts"] + sweep["dur"])

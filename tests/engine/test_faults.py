@@ -106,7 +106,7 @@ class TestFailingUnit:
     def test_parallel_failure_raises_clear_error(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.setattr(engine_core, "evaluate_unit", _boom)
-        engine = _engine(tmp_path, jobs=2, parallel_threshold=1)
+        engine = _engine(tmp_path, jobs=2)
         with pytest.raises(WorkUnitError) as excinfo:
             engine.run(_spec())
         assert "ValueError" in str(excinfo.value)
@@ -120,8 +120,7 @@ class TestHungWorker:
     def test_timeout_raises_and_names_pending_units(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.setattr(engine_core, "evaluate_unit", _hang)
-        engine = _engine(tmp_path, jobs=2, parallel_threshold=1,
-                         timeout_s=1.0)
+        engine = _engine(tmp_path, jobs=2, timeout_s=1.0)
         start = time.perf_counter()
         with pytest.raises(SweepTimeoutError) as excinfo:
             engine.run(_spec())
@@ -133,13 +132,12 @@ class TestHungWorker:
     def test_infinite_timeout_never_fires(self, tmp_path):
         # The pool loop's blocking wait must clamp an unbounded deadline
         # rather than overflow the lock timeout.
-        engine = _engine(tmp_path, jobs=2, parallel_threshold=1,
-                         timeout_s=float("inf"))
+        engine = _engine(tmp_path, jobs=2, timeout_s=float("inf"))
         sweep = engine.run(_spec())
         assert sweep.parallel and sweep.units == 2
 
     def test_serial_runs_ignore_timeout(self, tmp_path):
-        # timeout applies to pool fan-outs; small sweeps stay serial
+        # timeout applies to pool fan-outs; in-process sweeps ignore it
         engine = _engine(tmp_path, jobs=1, timeout_s=0.000001)
         sweep = engine.run(_spec("gcc"))
         assert sweep.units == 1
@@ -178,7 +176,7 @@ class TestWorkerDeath:
         sentinel = tmp_path / "died_once"
         monkeypatch.setattr(engine_core, "evaluate_unit",
                             self._die_on_bzip(sentinel, once=True))
-        engine = _engine(tmp_path, jobs=2, parallel_threshold=1)
+        engine = _engine(tmp_path, jobs=2)
         spec = _spec()
         sweep = engine.run(spec)
         assert sentinel.exists()  # the crash really happened
@@ -193,8 +191,7 @@ class TestWorkerDeath:
         sentinel = tmp_path / "unused"
         monkeypatch.setattr(engine_core, "evaluate_unit",
                             self._die_on_bzip(sentinel, once=False))
-        engine = _engine(tmp_path, jobs=2, parallel_threshold=1,
-                         pool_retries=1)
+        engine = _engine(tmp_path, jobs=2, pool_retries=1)
         spec = _spec()
         keys = {u.benchmark: u.cache_key() for u in spec.expand()}
         with pytest.raises(WorkUnitError) as excinfo:
@@ -309,8 +306,7 @@ class TestDeathAndSharedState:
         monkeypatch.setattr(
             engine_core, "evaluate_unit",
             TestWorkerDeath._die_on_bzip(sentinel, once=False))
-        engine = _engine(tmp_path, jobs=2, parallel_threshold=1,
-                         pool_retries=0)
+        engine = _engine(tmp_path, jobs=2, pool_retries=0)
         spec = _spec()
         keys = {u.benchmark: u.cache_key() for u in spec.expand()}
         with pytest.raises(WorkUnitError):
@@ -332,8 +328,7 @@ class TestDeathAndSharedState:
         monkeypatch.setattr(
             engine_core, "evaluate_unit",
             TestWorkerDeath._die_on_bzip(sentinel, once=False))
-        engine = _engine(tmp_path, jobs=2, parallel_threshold=1,
-                         pool_retries=0)
+        engine = _engine(tmp_path, jobs=2, pool_retries=0)
         spec = _spec()
         with pytest.raises(WorkUnitError):
             engine.run(spec)

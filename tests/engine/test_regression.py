@@ -23,7 +23,6 @@ def cache_root(tmp_path):
 
 def fresh_engine(cache_root, **kwargs):
     kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("parallel_threshold", 1)
     return SweepEngine(cache=ResultCache(root=cache_root), **kwargs)
 
 

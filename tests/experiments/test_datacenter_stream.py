@@ -39,6 +39,21 @@ REJECTED = {
     "fewer-events-than-shards": (
         {"num_events": 2, "shards": 3, "couple": 2},
         ["--events", "2", "--shards", "3", "--couple", "2"]),
+    "zero-shards": ({"shards": 0}, ["--shards", "0"]),
+    "zero-couple": ({"couple": 0}, ["--couple", "0"]),
+    "negative-couple": ({"couple": -3}, ["--couple", "-3"]),
+    # ``run()`` takes its worker count through the engine it is handed.
+    "zero-jobs": ({"shards": 2, "jobs": 0},
+                  ["--shards", "2", "--jobs", "0"]),
+    "zero-sync-every": ({"couple": 2, "sync_every": 0},
+                        ["--couple", "2", "--sync-every", "0"]),
+    "negative-reprice-every": ({"reprice_every": -1},
+                               ["--reprice-every", "-1"]),
+    "negative-audit-every": ({"audit_every": -1},
+                             ["--audit-every", "-1"]),
+    "negative-checkpoint-every": (
+        {"checkpoint_every": -1, "checkpoint_path": "ck.json"},
+        ["--checkpoint-every", "-1", "--checkpoint-path", "ck.json"]),
 }
 
 #: Rejected by ``run()`` only: the CLI always builds an engine for
@@ -169,9 +184,10 @@ class TestRejectedArgs:
 
         kwargs = {"num_events": 400, "reprice_every": 50,
                   **REJECTED[case][0]}
-        if kwargs.get("shards", 1) > 1:
-            kwargs["engine"] = SweepEngine(jobs=1)
+        jobs = kwargs.pop("jobs", 1)
         with pytest.raises(ValueError) as info:
+            if kwargs.get("shards", 1) > 1:
+                kwargs["engine"] = SweepEngine(jobs=jobs)
             ds.run(seed=4, **kwargs)
         assert "\n" not in str(info.value)
         assert not os.path.exists("ck.json")
