@@ -15,15 +15,22 @@ Energies are in nanojoules; absolute values are representative of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.area.cacti import CactiLite
+import numpy as np
+
 from repro.area.model import AreaModel
-from repro.perfmodel.model import AnalyticModel, l2_mean_latency
-from repro.trace.profiles import BenchmarkProfile, get_profile
-
-ProfileLike = Union[str, BenchmarkProfile]
+from repro.economics.tensor import performance_tensor
+from repro.perfmodel.model import (
+    CACHE_GRID_KB,
+    SLICE_GRID,
+    AnalyticModel,
+    ProfileLike,
+    _resolve,
+    l2_mean_latency,
+)
+from repro.trace.profiles import BenchmarkProfile
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,13 @@ class EnergyBreakdown:
 
 
 class EnergyModel:
-    """Energy per instruction and energy-delay metrics for VCores."""
+    """Energy per instruction and energy-delay metrics for VCores.
+
+    The grid searches take ``P`` from
+    :func:`~repro.economics.tensor.performance_tensor`, so they read
+    ``perf_model`` only through the kernel's model contract; the
+    one-point methods call ``perf_model.performance``.
+    """
 
     def __init__(self, params: Optional[EnergyParameters] = None,
                  area_model: Optional[AreaModel] = None,
@@ -80,51 +93,66 @@ class EnergyModel:
         self.cacti = self.area_model.cacti
 
     # ------------------------------------------------------------------
-    # energy per instruction
+    # energy terms: per profile, per (profile, Slices), per (profile,
+    # cache) and per (cache, Slices)
     # ------------------------------------------------------------------
 
-    def energy_per_instruction(self, profile: ProfileLike, cache_kb: float,
-                               slices: int) -> EnergyBreakdown:
-        """Average energy per committed instruction (nJ)."""
-        prof = profile if isinstance(profile, BenchmarkProfile) \
-            else get_profile(profile)
-        if slices < 1 or cache_kb < 0:
-            raise ValueError("invalid configuration")
+    def _core_l1_nj(self, prof: BenchmarkProfile) -> Tuple[float, float]:
         p = self.params
-
-        mem_frac = prof.frac_load + prof.frac_store
         # Core: execute + rename (two stages) + wakeup + register traffic.
         core = (p.alu_op_nj + 2 * p.rename_nj + p.issue_wakeup_nj
                 + 2 * p.register_access_nj)
+        # L1: every memory op plus every fetch pair touches an L1 array.
+        mem_frac = prof.frac_load + prof.frac_store
+        l1_access = self.cacti.access_energy_nj(16)
+        l1 = mem_frac * l1_access + 0.5 * l1_access  # data + instruction
+        return core, l1
+
+    def _network_nj(self, prof: BenchmarkProfile, slices: int) -> float:
         # Multi-Slice VCores pay the rename broadcast and remote operand
         # traffic per crossing dependence edge.
         cross_fraction = (prof.comm_sens * (1.0 - 1.0 / slices)
                           if slices > 1 else 0.0)
         mean_hops = (slices + 1) / 3.0 if slices > 1 else 0.0
-        network = cross_fraction * mean_hops * p.network_hop_nj * 2
+        return cross_fraction * mean_hops * self.params.network_hop_nj * 2
 
-        # L1: every memory op plus every fetch pair touches an L1 array.
-        l1_access = self.cacti.access_energy_nj(16)
-        l1 = mem_frac * l1_access + 0.5 * l1_access  # data + instruction
-
+    def _l2_memory_nj(self, prof: BenchmarkProfile,
+                      cache_kb: float) -> Tuple[float, float]:
+        p = self.params
         # L2: L1 misses travel hops to the home bank and read it.
         l1_miss_rate = prof.l1_mpki / 1000.0
         bank_access = self.cacti.access_energy_nj(64)
         l2_hops = max(0.0, (l2_mean_latency(cache_kb) - 4.0) / 2.0)
         l2 = l1_miss_rate * (bank_access + l2_hops * p.network_hop_nj) \
             if cache_kb > 0 else 0.0
-
         # DRAM: L2 misses (or everything, with no L2).
         miss = prof.l2_miss_fraction(cache_kb)
         memory = l1_miss_rate * miss * p.dram_access_nj
+        return l2, memory
 
-        # Leakage: area burns every cycle; amortise by IPC.
+    def _leakage_nj(self, area, ipc):
+        """Leakage: area burns every cycle; amortise by IPC.  ``area``
+        and ``ipc`` are floats or equal-shape arrays."""
+        return (area * self.params.leakage_nj_per_mm2_cycle
+                / np.maximum(ipc, 1e-9))
+
+    # ------------------------------------------------------------------
+    # energy per instruction
+    # ------------------------------------------------------------------
+
+    def energy_per_instruction(self, profile: ProfileLike, cache_kb: float,
+                               slices: int) -> EnergyBreakdown:
+        """Average energy per committed instruction (nJ)."""
+        prof = _resolve(profile)
+        if slices < 1 or cache_kb < 0:
+            raise ValueError("invalid configuration")
+        core, l1 = self._core_l1_nj(prof)
+        l2, memory = self._l2_memory_nj(prof, cache_kb)
         ipc = self.perf_model.performance(prof, cache_kb, slices)
         area = self.area_model.vcore_area(cache_kb, slices)
-        leakage = area * p.leakage_nj_per_mm2_cycle / max(ipc, 1e-9)
-
         return EnergyBreakdown(core=core, l1=l1, l2=l2, memory=memory,
-                               network=network, leakage=leakage)
+                               network=self._network_nj(prof, slices),
+                               leakage=float(self._leakage_nj(area, ipc)))
 
     # ------------------------------------------------------------------
     # energy-delay metrics
@@ -144,15 +172,66 @@ class EnergyModel:
         delay = 1.0 / ipc
         return energy * (delay ** delay_exponent)
 
+    def energy_delay_grid(self, profile: ProfileLike,
+                          delay_exponents: Sequence[int],
+                          cache_grid: Sequence[float] = CACHE_GRID_KB,
+                          slice_grid: Sequence[int] = SLICE_GRID
+                          ) -> Dict[int, "np.ndarray"]:
+        """``{n: E * D^n}`` over the ``(cache, slices)`` grid.
+
+        One pass per profile: ``P`` from one
+        :func:`~repro.economics.tensor.performance_tensor` call, the
+        energy terms hoisted to the axes they vary on, and every
+        exponent's ``E * D^n`` from that one ``(E, 1/P)`` pair.  Each
+        cell equals :meth:`energy_delay` at that configuration bit for
+        bit (for a ``perf_model`` that does not override
+        ``performance``): same term arithmetic, same summation order,
+        and ``D ** n`` is Python's ``float ** int`` (libm ``pow``), as
+        there; numpy's ``power`` rounds some cells differently.
+        """
+        if any(n < 0 for n in delay_exponents):
+            raise ValueError("delay exponent cannot be negative")
+        prof = _resolve(profile)
+        perf = performance_tensor([prof], cache_grid, slice_grid,
+                                  model=self.perf_model)[0]
+        area = np.array([[self.area_model.vcore_area(c, s)
+                          for s in slice_grid] for c in cache_grid])
+        core, l1 = self._core_l1_nj(prof)
+        l2_memory = np.array([self._l2_memory_nj(prof, c)
+                              for c in cache_grid])
+        l2, memory = l2_memory[:, :1], l2_memory[:, 1:]
+        network = np.array([self._network_nj(prof, s)
+                            for s in slice_grid]).reshape(1, -1)
+        # EnergyBreakdown.total's summation order.
+        energy = (core + l1 + l2 + memory + network
+                  + self._leakage_nj(area, perf)).ravel().tolist()
+        delay = (1.0 / perf).ravel().tolist()
+        return {
+            n: np.array([e * (d ** n) for e, d in zip(energy, delay)])
+            .reshape(perf.shape)
+            for n in delay_exponents
+        }
+
+    def best_configs(self, profile: ProfileLike,
+                     delay_exponents: Sequence[int],
+                     cache_grid=None, slice_grid=None
+                     ) -> Dict[int, Tuple[float, int]]:
+        """``{n: the E*D^n-minimising configuration}`` from one grid pass.
+
+        Ties go to the first minimum in (cache outer, slice inner) order.
+        """
+        cache_grid = cache_grid or CACHE_GRID_KB
+        slice_grid = slice_grid or SLICE_GRID
+        grids = self.energy_delay_grid(profile, delay_exponents,
+                                       cache_grid, slice_grid)
+        best = {}
+        for n, values in grids.items():
+            ci, si = divmod(int(np.argmin(values)), len(slice_grid))
+            best[n] = (cache_grid[ci], slice_grid[si])
+        return best
+
     def best_config(self, profile: ProfileLike, delay_exponent: int = 2,
                     cache_grid=None, slice_grid=None):
         """The ``E*D^n``-minimising configuration on the standard grid."""
-        from repro.perfmodel.model import CACHE_GRID_KB, SLICE_GRID
-        cache_grid = cache_grid or CACHE_GRID_KB
-        slice_grid = slice_grid or SLICE_GRID
-        return min(
-            ((c, s) for c in cache_grid for s in slice_grid),
-            key=lambda cfg: self.energy_delay(
-                profile, cfg[0], cfg[1], delay_exponent
-            ),
-        )
+        return self.best_configs(profile, (delay_exponent,), cache_grid,
+                                 slice_grid)[delay_exponent]

@@ -62,9 +62,12 @@ class HeterogeneousDatacenter:
         self.total_cores = total_cores
         self.model = model or AnalyticModel()
         self.area_model = area_model or AreaModel()
-
-    def _perf(self, app: str, core: CoreType) -> float:
-        return self.model.performance(app, core.cache_kb, core.slices)
+        #: ``P`` of each (app, core type), the four values every mix uses.
+        self._perf: Dict[Tuple[str, CoreType], float] = {
+            (app, core): self.model.performance(app, core.cache_kb,
+                                                core.slices)
+            for app in (app_a, app_b) for core in (big, small)
+        }
 
     def evaluate(self, big_fraction: float, app_a_fraction: float) -> MixPoint:
         """Throughput-per-area of one core mix serving one app mix.
@@ -81,11 +84,11 @@ class HeterogeneousDatacenter:
 
         # Assign the app with the larger big-core *advantage* to big cores
         # first; the remainder spills onto the other type.
-        adv_a = self._perf(self.app_a, self.big) / max(
-            self._perf(self.app_a, self.small), 1e-12
+        adv_a = self._perf[self.app_a, self.big] / max(
+            self._perf[self.app_a, self.small], 1e-12
         )
-        adv_b = self._perf(self.app_b, self.big) / max(
-            self._perf(self.app_b, self.small), 1e-12
+        adv_b = self._perf[self.app_b, self.big] / max(
+            self._perf[self.app_b, self.small], 1e-12
         )
         first, n_first, second, n_second = (
             (self.app_a, n_a, self.app_b, n_b)
@@ -101,8 +104,8 @@ class HeterogeneousDatacenter:
             big_left -= on_big
             on_small = min(count - on_big, small_left)
             small_left -= on_small
-            total_perf += on_big * self._perf(app, self.big)
-            total_perf += on_small * self._perf(app, self.small)
+            total_perf += on_big * self._perf[app, self.big]
+            total_perf += on_small * self._perf[app, self.small]
             if on_big:
                 assignment.append((app, self.big.name))
             if on_small:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.area.model import AreaModel
 from repro.core.reconfig import ReconfigurationEngine
-from repro.economics.efficiency import EfficiencyMetric
+from repro.economics.efficiency import EfficiencyMetric, area_matrix
+from repro.economics.tensor import performance_tensor
 from repro.perfmodel.model import AnalyticModel, CACHE_GRID_KB, SLICE_GRID
 from repro.trace.phases import PhasedProfile
 
@@ -61,56 +62,47 @@ def analyze_phases(
     ``performance^k / area`` (matching the paper's GME aggregation);
     the dynamic score is discounted by the reconfiguration overhead as a
     fraction of total execution cycles, mirroring Table 7's accounting.
+
+    ``P`` for every phase comes from one
+    :func:`~repro.economics.tensor.performance_tensor` call, which reads
+    ``model`` only through its ``comm_tolerance`` and ``mlp_per_slice``
+    (the kernel's model contract).  Each (phase, configuration) metric
+    value is computed once, by ``metric.value``, and serves both the
+    per-phase and the static optimum; ties go to the first maximum in
+    (cache outer, slice inner) order.
     """
-    model = model or AnalyticModel()
-    area_model = area_model or AreaModel()
     reconfig = reconfig or ReconfigurationEngine()
-
     configs = [(c, s) for c in cache_grid for s in slice_grid]
-
-    def metric_at(profile, cfg: Tuple[float, int]) -> float:
-        cache_kb, slices = cfg
-        perf = model.performance(profile, cache_kb, slices)
-        return metric.value(
-            perf,
-            area_model.vcore_area(cache_kb, slices, include_uncore=True),
-        )
+    perf = performance_tensor([phase.profile for phase in phased],
+                              cache_grid, slice_grid,
+                              model=model).reshape(len(phased), -1).tolist()
+    area = area_matrix(area_model, cache_grid, slice_grid).ravel().tolist()
+    values = [[metric.value(p, a) for p, a in zip(row, area)]
+              for row in perf]
 
     # --- dynamic schedule: per-phase optimum ---
-    per_phase = [
-        max(configs, key=lambda cfg: metric_at(phase.profile, cfg))
-        for phase in phased
-    ]
-    dynamic_scores = [
-        metric_at(phase.profile, cfg) for phase, cfg in zip(phased, per_phase)
-    ]
+    best = [row.index(max(row)) for row in values]
+    per_phase = [configs[j] for j in best]
+    dynamic_scores = [row[j] for row, j in zip(values, best)]
 
     # --- reconfiguration overhead as a cycle fraction ---
     reconfig_cycles = reconfig.schedule_cost(per_phase)
     total_cycles = 0.0
-    for phase, cfg in zip(phased, per_phase):
-        perf = model.performance(phase.profile, cfg[0], cfg[1])
-        total_cycles += phase.instructions / perf
+    for phase, row, j in zip(phased, perf, best):
+        total_cycles += phase.instructions / row[j]
     overhead_factor = total_cycles / (total_cycles + reconfig_cycles)
 
     dynamic_score = _geometric_mean(dynamic_scores) * overhead_factor
 
     # --- best static configuration across all phases ---
-    static_cfg = max(
-        configs,
-        key=lambda cfg: _geometric_mean(
-            [metric_at(phase.profile, cfg) for phase in phased]
-        ),
-    )
-    static_score = _geometric_mean(
-        [metric_at(phase.profile, static_cfg) for phase in phased]
-    )
+    static = [_geometric_mean(column) for column in zip(*values)]
+    j = static.index(max(static))
 
     return PhaseScheduleResult(
         metric_name=metric.name,
         per_phase_configs=tuple(per_phase),
-        static_config=static_cfg,
+        static_config=configs[j],
         dynamic_score=dynamic_score,
-        static_score=static_score,
+        static_score=static[j],
         reconfig_cycles=reconfig_cycles,
     )

@@ -493,7 +493,7 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
                    sync_every: Optional[int] = None,
                    chaos_seed: Optional[int] = None,
                    jobs: int = 1, reprice_every: int = 1,
-                   audit_every: int = 0) -> None:
+                   audit_every: int = 0, segments: int = 1) -> None:
     """Raise the one-line ``ValueError`` :func:`run` raises for these
     arguments, if any: a run drives exactly ``num_events`` events and
     acts on every option it is given.  ``None`` means "not given" for
@@ -502,7 +502,8 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
     for name, count in (("shards", shards), ("couple", couple),
-                        ("jobs", jobs), ("sync_every", sync_every)):
+                        ("jobs", jobs), ("sync_every", sync_every),
+                        ("segments", segments)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
     for name, interval in (("reprice_every", reprice_every),
@@ -548,7 +549,9 @@ def run(num_events: int = 20_000, seed: int = 11,
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str] = None,
         engine=None, obs=None) -> DatacenterStreamResult:
-    """Drive one continuous stream, reported in ``segments`` rows.
+    """Drive one continuous stream, reported in ``segments`` rows
+    (at least one; more segments than events are clamped to
+    ``num_events``, so every row drives at least one event).
 
     ``shards > 1`` needs an engine: independent shards fan out as
     ``kind="service"`` work units instead (one row per shard).
@@ -573,7 +576,8 @@ def run(num_events: int = 20_000, seed: int = 11,
                    checkpoint_every=checkpoint_every,
                    checkpoint_path=checkpoint_path,
                    sync_every=sync_every, chaos_seed=chaos_seed,
-                   reprice_every=reprice_every, audit_every=audit_every)
+                   reprice_every=reprice_every, audit_every=audit_every,
+                   segments=segments)
     if shards > 1 and engine is None:
         raise ValueError("shards > 1 needs an engine: shards run as "
                          "engine work units")
@@ -652,7 +656,7 @@ def run(num_events: int = 20_000, seed: int = 11,
         active: List[str] = []
         serial = 0
         # Never more segments than events: every segment drives >= 1.
-        segments = max(1, min(segments, num_events))
+        segments = min(segments, num_events)
         per_segment = num_events // segments
         done = 0
         for segment in range(segments):

@@ -41,11 +41,11 @@ def run(benchmarks: Optional[Sequence[str]] = None,
     start = time.perf_counter()
     benchmarks = list(benchmarks or all_benchmarks())
     model = model or EnergyModel()
+    # One grid pass per benchmark serves every exponent.
+    best = {bench: model.best_configs(bench, DELAY_EXPONENTS)
+            for bench in benchmarks}
     table: EnergyTable = {
-        n: {
-            bench: model.best_config(bench, delay_exponent=n)
-            for bench in benchmarks
-        }
+        n: {bench: best[bench][n] for bench in benchmarks}
         for n in DELAY_EXPONENTS
     }
     rows = tuple(

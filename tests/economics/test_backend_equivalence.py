@@ -6,13 +6,17 @@ scalar loops in ``tests/oracles/economics.py`` are its reference:
 * tab4/tab6 optimal *configurations* must be bit-identical - both
   search the grid in (cache outer, slice inner) order and keep the
   first strict maximum, so the winners agree exactly;
+* tab7 (per-phase and static configurations, scores, gains) and the
+  ``E*D^n`` optima and grid values must be bit-identical, floats
+  included (``==``): both evaluate each value with the scalar
+  arithmetic on a ``P`` that equals the scalar model's;
 * fig14/fig15/fig16 utility *values* agree within the documented fp
   tolerance (DESIGN.md "Vectorized market kernel"): the kernel mirrors
   the scalar arithmetic op for op, so differences are a few ulps;
 * the auction must take the same rounds to the same prices.
 
-``REPRO_EQUIV_SEED`` varies the randomized populations; CI runs this
-module under two seeds.
+``REPRO_EQUIV_SEED`` varies the randomized populations and the
+perturbed phase modifiers; CI runs this module under two seeds.
 """
 
 import os
@@ -20,13 +24,21 @@ import random
 
 import pytest
 
+from repro.area.energy import EnergyModel
 from repro.economics.auction import Bidder, SpotMarket
 from repro.economics.comparison import MarketEfficiencyComparison
-from repro.economics.efficiency import efficiency_table
+from repro.economics.efficiency import STANDARD_METRICS, efficiency_table
 from repro.economics.market import STANDARD_MARKETS, MARKET2
 from repro.economics.optimizer import UtilityOptimizer
+from repro.economics.phases_analysis import analyze_phases
 from repro.economics.utility import STANDARD_UTILITIES
-from repro.trace.profiles import PROFILES
+from repro.trace.phases import (
+    _GCC_PHASE_MODIFIERS,
+    Phase,
+    PhasedProfile,
+    gcc_phases,
+)
+from repro.trace.profiles import PROFILES, get_profile
 from tests.oracles import economics as oracle
 
 #: fp tolerance for utility values between kernel and oracle (see
@@ -61,6 +73,58 @@ class TestTable4:
                 a, b = t_py[metric][bench], t_np[metric][bench]
                 assert (a.cache_kb, a.slices) == (b.cache_kb, b.slices)
                 assert b.score == pytest.approx(a.score, rel=VALUE_RTOL)
+
+
+def _perturbed_gcc_phases(seed: int) -> PhasedProfile:
+    """gcc's 10 phases with every modifier scaled by a seeded factor
+    in [0.7, 1.4], built the way :func:`gcc_phases` builds its own."""
+    rng = random.Random(seed + 200)
+    base = get_profile("gcc")
+    phases = []
+    for idx, modifiers in enumerate(_GCC_PHASE_MODIFIERS):
+        ilp_s, ws_s, mpki_s, comm_s = (m * rng.uniform(0.7, 1.4)
+                                       for m in modifiers)
+        variant = base.with_overrides(
+            name=f"gcc.phase{idx + 1}",
+            ilp=max(1.0, base.ilp * ilp_s),
+            l2_ws_kb=base.l2_ws_kb * ws_s,
+            l1_mpki=base.l1_mpki * mpki_s,
+            comm_sens=min(1.0, base.comm_sens * comm_s),
+        )
+        phases.append(Phase(index=idx, profile=variant,
+                            instructions=2_000_000))
+    return PhasedProfile("gcc", phases)
+
+
+class TestTable7:
+    @pytest.mark.parametrize("perturbed", [False, True],
+                             ids=["gcc", "perturbed"])
+    @pytest.mark.parametrize("metric", STANDARD_METRICS,
+                             ids=lambda m: m.name)
+    def test_schedules_bit_identical(self, metric, perturbed):
+        phased = (_perturbed_gcc_phases(SEED) if perturbed
+                  else gcc_phases())
+        want = oracle.analyze_phases(phased, metric)
+        got = analyze_phases(phased, metric)
+        # Dataclass equality: configs, scores and cycles all ``==``.
+        assert got == want
+        assert got.gain == want.gain
+
+
+class TestEnergyDelay:
+    EXPONENTS = (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("bench", BENCHES)
+    def test_grid_and_optima_bit_identical(self, bench):
+        model = EnergyModel()
+        grids = model.energy_delay_grid(bench, self.EXPONENTS)
+        best = model.best_configs(bench, self.EXPONENTS)
+        for n in self.EXPONENTS:
+            surface = oracle.energy_delay_surface(bench, n)
+            assert grids[n].ravel().tolist() == [surface[cfg]
+                                                 for cfg in oracle.GRID]
+            assert best[n] == oracle.energy_best_config(bench, n)
+            assert model.best_config(bench, n) == best[n]
 
 
 class TestFig14:

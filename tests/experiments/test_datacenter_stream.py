@@ -57,9 +57,12 @@ REJECTED = {
 }
 
 #: Rejected by ``run()`` only: the CLI always builds an engine for
-#: ``--shards > 1``, so these have no command line.
+#: ``--shards > 1`` and always drives four segments, so these have no
+#: command line.
 REJECTED_API = {
     "shards-without-engine": {"shards": 2},
+    "zero-segments": {"segments": 0},
+    "negative-segments": {"segments": -3},
 }
 
 

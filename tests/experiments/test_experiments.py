@@ -6,6 +6,7 @@ from repro.experiments import (
     area_decomposition,
     cache_sensitivity,
     datacenter_mix,
+    energy_delay,
     hetero_comparison,
     markets,
     optima,
@@ -16,7 +17,7 @@ from repro.experiments import (
     utility_surfaces,
 )
 from repro.experiments.base import Experiment, ExperimentResult
-from repro.perfmodel.model import CACHE_GRID_KB, SLICE_GRID
+from repro.perfmodel.model import CACHE_GRID_KB, SLICE_GRID, AnalyticModel
 
 
 class TestProtocol:
@@ -135,6 +136,27 @@ class TestPhasesExperiment:
         gains = [r.gain for r in schedules.values()]
         assert gains == sorted(gains)
         assert gains[-1] > 0.05
+
+
+class TestScalarPCalls:
+    """Grid searches take ``P`` from the tensor kernel: Tab 7 and the
+    E*D^n optima make no scalar ``AnalyticModel.performance`` call, and
+    Fig 17 makes one per (app, core type)."""
+
+    @pytest.mark.parametrize("experiment, limit", [
+        (energy_delay, 0), (phases, 0), (datacenter_mix, 4),
+    ], ids=lambda value: getattr(value, "NAME", value))
+    def test_scalar_calls(self, experiment, limit, monkeypatch):
+        calls = []
+        performance = AnalyticModel.performance
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return performance(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalyticModel, "performance", counting)
+        experiment.run()
+        assert len(calls) <= limit
 
 
 class TestTaxonomyExperiment:

@@ -3,9 +3,11 @@
 Production evaluates every Equation 3 search on the numpy market kernel
 (:mod:`repro.economics.tensor`).  These loops walk the same grid one
 configuration at a time through :meth:`AnalyticModel.performance`,
-:meth:`Market.vcores_affordable` and :meth:`UtilityFunction.value`,
+:meth:`Market.vcores_affordable`, :meth:`UtilityFunction.value`,
+:meth:`EfficiencyMetric.value` and :meth:`EnergyModel.energy_delay`,
 keeping the *first strictly greater* value in (cache outer, slice
-inner) order - the winner ``np.argmax`` must also pick.
+inner) order - the winner ``np.argmax`` must also pick (the first
+strictly smaller for ``E*D^n``, like ``np.argmin``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
+from repro.area.energy import EnergyModel
 from repro.area.model import AreaModel
+from repro.core.reconfig import ReconfigurationEngine
 from repro.economics.auction import Allocation, Bidder, ClearingResult
 from repro.economics.comparison import (
     Customer,
@@ -27,6 +31,10 @@ from repro.economics.efficiency import (
 )
 from repro.economics.market import MARKET2, Market
 from repro.economics.optimizer import DEFAULT_BUDGET, OptimalChoice
+from repro.economics.phases_analysis import (
+    PhaseScheduleResult,
+    _geometric_mean,
+)
 from repro.economics.utility import STANDARD_UTILITIES, UtilityFunction
 from repro.perfmodel.model import (
     CACHE_GRID_KB,
@@ -35,6 +43,7 @@ from repro.perfmodel.model import (
     ProfileLike,
     _resolve,
 )
+from repro.trace.phases import PhasedProfile
 
 Config = Tuple[float, int]
 GRID: List[Config] = [(c, s) for c in CACHE_GRID_KB for s in SLICE_GRID]
@@ -93,6 +102,59 @@ def efficiency_table(benchmarks: Sequence[str],
                     row[bench] = ConfigurationScore(cache_kb, slices,
                                                     perf, area, score)
     return table
+
+
+def analyze_phases(phased: PhasedProfile,
+                   metric: EfficiencyMetric) -> PhaseScheduleResult:
+    """Table 7: per-phase optima against the best static configuration,
+    mirroring :func:`repro.economics.phases_analysis.analyze_phases`
+    with its default model, area model and reconfiguration costs."""
+    model, area_model = AnalyticModel(), AreaModel()
+
+    def metric_at(profile, cfg: Config) -> float:
+        cache_kb, slices = cfg
+        perf = model.performance(profile, cache_kb, slices)
+        return metric.value(
+            perf,
+            area_model.vcore_area(cache_kb, slices, include_uncore=True),
+        )
+
+    per_phase = [max(GRID, key=lambda cfg: metric_at(phase.profile, cfg))
+                 for phase in phased]
+    dynamic_scores = [metric_at(phase.profile, cfg)
+                      for phase, cfg in zip(phased, per_phase)]
+    reconfig_cycles = ReconfigurationEngine().schedule_cost(per_phase)
+    total_cycles = 0.0
+    for phase, cfg in zip(phased, per_phase):
+        perf = model.performance(phase.profile, cfg[0], cfg[1])
+        total_cycles += phase.instructions / perf
+    overhead_factor = total_cycles / (total_cycles + reconfig_cycles)
+    static_cfg = max(GRID, key=lambda cfg: _geometric_mean(
+        [metric_at(phase.profile, cfg) for phase in phased]))
+    return PhaseScheduleResult(
+        metric_name=metric.name,
+        per_phase_configs=tuple(per_phase),
+        static_config=static_cfg,
+        dynamic_score=_geometric_mean(dynamic_scores) * overhead_factor,
+        static_score=_geometric_mean(
+            [metric_at(phase.profile, static_cfg) for phase in phased]),
+        reconfig_cycles=reconfig_cycles,
+    )
+
+
+def energy_delay_surface(benchmark: ProfileLike,
+                         delay_exponent: int) -> Dict[Config, float]:
+    """``{(cache_kb, slices): E * D^n}`` over the grid."""
+    model = EnergyModel()
+    return {(c, s): model.energy_delay(benchmark, c, s, delay_exponent)
+            for c, s in GRID}
+
+
+def energy_best_config(benchmark: ProfileLike,
+                       delay_exponent: int) -> Config:
+    """The ``E * D^n``-minimising configuration (the first on ties)."""
+    surface = energy_delay_surface(benchmark, delay_exponent)
+    return min(GRID, key=surface.get)
 
 
 class Comparison:
