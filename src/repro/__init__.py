@@ -20,6 +20,10 @@ A full reproduction of Zhou & Wentzlaff, ASPLOS 2014.  The package layers:
   result cache and run metrics;
 * :mod:`repro.experiments` - one runner per paper table and figure.
 
+Every package attribute (these layers and the names below) is imported
+the first time it is read, so ``import repro`` loads no layer and a run
+pays only for the layers it uses (see :mod:`repro._lazy`).
+
 Quickstart::
 
     from repro import AnalyticModel, UtilityOptimizer, MARKET2, UTILITY2
@@ -42,79 +46,60 @@ an on-disk result cache)::
     print(sweep.grid("gcc")[(128.0, 2)], sweep.cache_hits)
 """
 
-from repro.area import AreaModel
-from repro.core import SharingSimulator, SimConfig, SimResult, VCore
-from repro.core.simulator import simulate
-from repro.economics import (
-    MARKET1,
-    MARKET2,
-    MARKET3,
-    STANDARD_MARKETS,
-    STANDARD_UTILITIES,
-    UTILITY1,
-    UTILITY2,
-    UTILITY3,
-    Market,
-    MarketEfficiencyComparison,
-    UtilityFunction,
-    UtilityOptimizer,
-)
-from repro.engine import (
-    ResultCache,
-    RunMetrics,
-    SweepEngine,
-    SweepResult,
-    SweepSpec,
-)
-from repro.experiments.base import Experiment, ExperimentResult
-from repro.perfmodel import AnalyticModel, CACHE_GRID_KB, SLICE_GRID
-from repro.trace import (
-    BenchmarkProfile,
-    SyntheticTraceGenerator,
-    Trace,
-    all_benchmarks,
-    generate_trace,
-    get_profile,
-)
-from repro.trace.generator import make_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AreaModel",
-    "SharingSimulator",
-    "SimConfig",
-    "SimResult",
-    "VCore",
-    "simulate",
-    "MARKET1",
-    "MARKET2",
-    "MARKET3",
-    "STANDARD_MARKETS",
-    "STANDARD_UTILITIES",
-    "UTILITY1",
-    "UTILITY2",
-    "UTILITY3",
-    "Market",
-    "MarketEfficiencyComparison",
-    "UtilityFunction",
-    "UtilityOptimizer",
-    "AnalyticModel",
-    "CACHE_GRID_KB",
-    "SLICE_GRID",
-    "Experiment",
-    "ExperimentResult",
-    "ResultCache",
-    "RunMetrics",
-    "SweepEngine",
-    "SweepResult",
-    "SweepSpec",
-    "BenchmarkProfile",
-    "SyntheticTraceGenerator",
-    "Trace",
-    "all_benchmarks",
-    "generate_trace",
-    "get_profile",
-    "make_workload",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AreaModel": ".area.model",
+    "SharingSimulator": ".core.simulator",
+    "SimConfig": ".core.config",
+    "SimResult": ".core.simulator",
+    "VCore": ".core.vcore",
+    "simulate": ".core.simulator",
+    "MARKET1": ".economics.market",
+    "MARKET2": ".economics.market",
+    "MARKET3": ".economics.market",
+    "STANDARD_MARKETS": ".economics.market",
+    "STANDARD_UTILITIES": ".economics.utility",
+    "UTILITY1": ".economics.utility",
+    "UTILITY2": ".economics.utility",
+    "UTILITY3": ".economics.utility",
+    "Market": ".economics.market",
+    "MarketEfficiencyComparison": ".economics.comparison",
+    "UtilityFunction": ".economics.utility",
+    "UtilityOptimizer": ".economics.optimizer",
+    "AnalyticModel": ".perfmodel.model",
+    "CACHE_GRID_KB": ".perfmodel.model",
+    "SLICE_GRID": ".perfmodel.model",
+    "Experiment": ".experiments.base",
+    "ExperimentResult": ".experiments.base",
+    "ResultCache": ".engine.cache",
+    "RunMetrics": ".engine.metrics",
+    "SweepEngine": ".engine.core",
+    "SweepResult": ".engine.core",
+    "SweepSpec": ".engine.core",
+    "BenchmarkProfile": ".trace.profiles",
+    "SyntheticTraceGenerator": ".trace.generator",
+    "Trace": ".trace.records",
+    "all_benchmarks": ".trace.profiles",
+    "generate_trace": ".trace.generator",
+    "get_profile": ".trace.profiles",
+    "make_workload": ".trace.generator",
+    # subpackages
+    "area": ".area",
+    "baselines": ".baselines",
+    "cache": ".cache",
+    "cloud": ".cloud",
+    "core": ".core",
+    "economics": ".economics",
+    "engine": ".engine",
+    "experiments": ".experiments",
+    "isa": ".isa",
+    "network": ".network",
+    "obs": ".obs",
+    "perfmodel": ".perfmodel",
+    "sampling": ".sampling",
+    "trace": ".trace",
+})
+__all__.append("__version__")

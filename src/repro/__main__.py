@@ -8,19 +8,16 @@ Commands
 ``optimize``               one customer's utility-maximising purchase
 ``datacenter-stream``      drive the streaming allocation service
 ``list``                   benchmarks, utilities, markets, experiments
+
+Each command imports the modules it runs when it runs, so ``list``,
+``--help`` and ``simulate`` never load numpy or the market kernel.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-from repro.core.simulator import simulate
-from repro.economics.market import STANDARD_MARKETS
-from repro.economics.optimizer import UtilityOptimizer
-from repro.economics.utility import STANDARD_UTILITIES
-from repro.trace import all_benchmarks
-from repro.trace.generator import make_workload
 
 _EXPERIMENTS = {
     "fig10": "area_decomposition",
@@ -55,10 +52,43 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _slices(text: str) -> int:
+    from repro.core.config import MAX_SLICES, MIN_SLICES
+
+    value = int(text)
+    if not MIN_SLICES <= value <= MAX_SLICES:
+        raise argparse.ArgumentTypeError(
+            f"a VCore has {MIN_SLICES}-{MAX_SLICES} Slices, got {value}")
+    return value
+
+
+def _cache_kb(text: str) -> float:
+    from repro.cache.l2 import L2_BANK_BYTES
+    from repro.core.config import MAX_CACHE_KB
+
+    value = float(text)
+    bank_kb = L2_BANK_BYTES // 1024
+    if not (0 <= value <= MAX_CACHE_KB and value % bank_kb == 0):
+        raise argparse.ArgumentTypeError(
+            f"L2 is a whole number of {bank_kb} KB banks in "
+            f"0-{MAX_CACHE_KB:g} KB, got {text}")
+    return value
+
+
+def _budget(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"budget must be a positive, finite number, got {text}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     import json
 
+    from repro.core.simulator import simulate
     from repro.obs import Observability
+    from repro.trace.generator import make_workload
 
     obs = None
     if args.obs or args.trace or args.metrics_out:
@@ -114,6 +144,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from repro.economics.market import STANDARD_MARKETS
+    from repro.economics.optimizer import UtilityOptimizer
+    from repro.economics.utility import STANDARD_UTILITIES
+
     utilities = {u.name: u for u in STANDARD_UTILITIES}
     markets = {m.name: m for m in STANDARD_MARKETS}
     optimizer = UtilityOptimizer(budget=args.budget)
@@ -191,6 +225,10 @@ def _cmd_datacenter_stream(args) -> int:
 
 
 def _cmd_list(_args) -> int:
+    from repro.economics.market import STANDARD_MARKETS
+    from repro.economics.utility import STANDARD_UTILITIES
+    from repro.trace.profiles import all_benchmarks
+
     print("benchmarks :", ", ".join(all_benchmarks()))
     print("utilities  :", ", ".join(u.name for u in STANDARD_UTILITIES))
     print("markets    :", ", ".join(m.name for m in STANDARD_MARKETS))
@@ -199,13 +237,17 @@ def _cmd_list(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The vocabularies the parser offers as choices; none loads numpy.
+    from repro.economics.market import STANDARD_MARKETS
+    from repro.economics.utility import STANDARD_UTILITIES
+    from repro.experiments import runner
+    from repro.trace.profiles import all_benchmarks
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="The Sharing Architecture (ASPLOS 2014) reproduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    from repro.experiments import runner
 
     exp = sub.add_parser("experiments", help="run every table/figure",
                          parents=[runner.build_parser(add_help=False)])
@@ -218,9 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="one SSim run")
     sim.add_argument("--benchmark", default="gcc",
                      choices=all_benchmarks())
-    sim.add_argument("--slices", type=int, default=2)
-    sim.add_argument("--cache-kb", type=float, default=256.0)
-    sim.add_argument("--length", type=int, default=3000)
+    sim.add_argument("--slices", type=_slices, default=2,
+                     help="Slices in the VCore, 1-8 (default 2)")
+    sim.add_argument("--cache-kb", type=_cache_kb, default=256.0,
+                     help="L2 size in KB: a multiple of 64 from 0 to "
+                          "8192 (default 256)")
+    sim.add_argument("--length", type=runner._positive_int, default=3000,
+                     help="trace length in instructions, >= 1 "
+                          "(default 3000)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--obs", action="store_true",
                      help="attach the instrument registry (runs the "
@@ -245,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[u.name for u in STANDARD_UTILITIES])
     opt.add_argument("--market", default="Market2",
                      choices=[m.name for m in STANDARD_MARKETS])
-    opt.add_argument("--budget", type=float, default=24.0)
+    opt.add_argument("--budget", type=_budget, default=24.0,
+                     help="hourly budget, > 0 (default 24)")
     opt.set_defaults(func=_cmd_optimize)
 
     stream = sub.add_parser(

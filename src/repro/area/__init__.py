@@ -10,18 +10,17 @@ consume only the *relative* areas, which is exactly what the paper's
 Figures 10-11 provide.
 """
 
-from repro.area.components import (
-    SliceComponent,
-    SHARING_OVERHEAD_COMPONENTS,
-    FIG10_PERCENTAGES,
-)
-from repro.area.cacti import CactiLite
-from repro.area.model import AreaModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SliceComponent",
-    "SHARING_OVERHEAD_COMPONENTS",
-    "FIG10_PERCENTAGES",
-    "CactiLite",
-    "AreaModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SliceComponent": ".components",
+    "SHARING_OVERHEAD_COMPONENTS": ".components",
+    "FIG10_PERCENTAGES": ".components",
+    "CactiLite": ".cacti",
+    "AreaModel": ".model",
+    # submodules
+    "cacti": ".cacti",
+    "components": ".components",
+    "energy": ".energy",
+    "model": ".model",
+})

@@ -6,20 +6,16 @@ utility function (Figure 16), and (c) a datacenter built from a static
 mix of big and small cores (Figure 17, following Guevara et al. [18]).
 """
 
-from repro.baselines.static import StaticFixedArchitecture
-from repro.baselines.heterogeneous import (
-    CoreType,
-    HeterogeneousDatacenter,
-    MixPoint,
-    BIG_CORE,
-    SMALL_CORE,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StaticFixedArchitecture",
-    "CoreType",
-    "HeterogeneousDatacenter",
-    "MixPoint",
-    "BIG_CORE",
-    "SMALL_CORE",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "StaticFixedArchitecture": ".static",
+    "CoreType": ".heterogeneous",
+    "HeterogeneousDatacenter": ".heterogeneous",
+    "MixPoint": ".heterogeneous",
+    "BIG_CORE": ".heterogeneous",
+    "SMALL_CORE": ".heterogeneous",
+    # submodules
+    "heterogeneous": ".heterogeneous",
+    "static": ".static",
+})

@@ -8,27 +8,29 @@ banks, non-blocking misses, a small store buffer per Slice, and an MSI
 directory at the L2 for inter-VCore coherence.
 """
 
-from repro.cache.setassoc import SetAssociativeCache, AccessResult
-from repro.cache.l1 import L1Cache, L1_HIT_LATENCY
-from repro.cache.l2 import L2Bank, BankedL2, l2_hit_latency
-from repro.cache.storebuffer import StoreBuffer
-from repro.cache.mshr import MSHRFile
-from repro.cache.coherence import Directory, CoherenceState, CoherenceStats
-from repro.cache.hierarchy import CacheHierarchy, MemoryAccessOutcome
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SetAssociativeCache",
-    "AccessResult",
-    "L1Cache",
-    "L1_HIT_LATENCY",
-    "L2Bank",
-    "BankedL2",
-    "l2_hit_latency",
-    "StoreBuffer",
-    "MSHRFile",
-    "Directory",
-    "CoherenceState",
-    "CoherenceStats",
-    "CacheHierarchy",
-    "MemoryAccessOutcome",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SetAssociativeCache": ".setassoc",
+    "AccessResult": ".setassoc",
+    "L1Cache": ".l1",
+    "L1_HIT_LATENCY": ".l1",
+    "L2Bank": ".l2",
+    "BankedL2": ".l2",
+    "l2_hit_latency": ".l2",
+    "StoreBuffer": ".storebuffer",
+    "MSHRFile": ".mshr",
+    "Directory": ".coherence",
+    "CoherenceState": ".coherence",
+    "CoherenceStats": ".coherence",
+    "CacheHierarchy": ".hierarchy",
+    "MemoryAccessOutcome": ".hierarchy",
+    # submodules
+    "coherence": ".coherence",
+    "hierarchy": ".hierarchy",
+    "l1": ".l1",
+    "l2": ".l2",
+    "mshr": ".mshr",
+    "setassoc": ".setassoc",
+    "storebuffer": ".storebuffer",
+})

@@ -6,64 +6,49 @@ Cloud management software schedules customer VMs onto Slices and Cache
 Banks; customers steer their purchases with meta-programs or auto-tuners.
 """
 
-from repro.cloud.errors import (
-    DuplicateTenantError,
-    EventValidationError,
-    InvariantViolation,
-    ServiceError,
-    SimulatedCrash,
-    UnknownTenantError,
-)
-from repro.cloud.fabric import Fabric, TileKind, AllocationError
-from repro.cloud.resilience import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    verify_invariants,
-)
-from repro.cloud.vm import VCoreSpec, VMSpec, VMInstance
-from repro.cloud.hypervisor import Hypervisor
-from repro.cloud.scheduler import CloudScheduler, CustomerRequest, Placement
-from repro.cloud.autotuner import AutoTuner, TuningResult
-from repro.cloud.metaprogram import MetaProgram, PriceQuote
-from repro.cloud.service import (
-    AdmissionResult,
-    AllocationService,
-    Event,
-    StepResult,
-    StreamSummary,
-    TenantRequest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Fabric",
-    "TileKind",
-    "AllocationError",
-    "ServiceError",
-    "UnknownTenantError",
-    "DuplicateTenantError",
-    "EventValidationError",
-    "InvariantViolation",
-    "SimulatedCrash",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "verify_invariants",
-    "AllocationService",
-    "TenantRequest",
-    "Event",
-    "AdmissionResult",
-    "StepResult",
-    "StreamSummary",
-    "VCoreSpec",
-    "VMSpec",
-    "VMInstance",
-    "Hypervisor",
-    "CloudScheduler",
-    "CustomerRequest",
-    "Placement",
-    "AutoTuner",
-    "TuningResult",
-    "MetaProgram",
-    "PriceQuote",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Fabric": ".fabric",
+    "TileKind": ".fabric",
+    "AllocationError": ".fabric",
+    "ServiceError": ".errors",
+    "UnknownTenantError": ".errors",
+    "DuplicateTenantError": ".errors",
+    "EventValidationError": ".errors",
+    "InvariantViolation": ".errors",
+    "SimulatedCrash": ".errors",
+    "FaultEvent": ".resilience",
+    "FaultInjector": ".resilience",
+    "FaultPlan": ".resilience",
+    "verify_invariants": ".resilience",
+    "AllocationService": ".service",
+    "TenantRequest": ".service",
+    "Event": ".service",
+    "AdmissionResult": ".service",
+    "StepResult": ".service",
+    "StreamSummary": ".service",
+    "VCoreSpec": ".vm",
+    "VMSpec": ".vm",
+    "VMInstance": ".vm",
+    "Hypervisor": ".hypervisor",
+    "CloudScheduler": ".scheduler",
+    "CustomerRequest": ".scheduler",
+    "Placement": ".scheduler",
+    "AutoTuner": ".autotuner",
+    "TuningResult": ".autotuner",
+    "MetaProgram": ".metaprogram",
+    "PriceQuote": ".metaprogram",
+    # submodules
+    "arena": ".arena",
+    "autotuner": ".autotuner",
+    "errors": ".errors",
+    "fabric": ".fabric",
+    "hypervisor": ".hypervisor",
+    "metaprogram": ".metaprogram",
+    "resilience": ".resilience",
+    "scheduler": ".scheduler",
+    "service": ".service",
+    "shards": ".shards",
+    "vm": ".vm",
+})

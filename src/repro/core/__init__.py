@@ -8,40 +8,39 @@ every subsystem - fetch, two-stage rename, issue, execution, memory,
 commit, and the three on-chip networks.
 """
 
-from repro.core.config import (
-    SliceConfig,
-    CacheLevelConfig,
-    CacheConfig,
-    VCoreConfig,
-    SimConfig,
-)
-from repro.core.structures import (
-    StructurePolicy,
-    STRUCTURE_POLICIES,
-    replicated_structures,
-    partitioned_structures,
-)
-from repro.core.branch import BimodalPredictor, BranchTargetBuffer, BranchUnit
-from repro.core.vcore import VCore
-from repro.core.simulator import SharingSimulator, SimResult
-from repro.core.reconfig import ReconfigurationEngine, ReconfigCost
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SliceConfig",
-    "CacheLevelConfig",
-    "CacheConfig",
-    "VCoreConfig",
-    "SimConfig",
-    "StructurePolicy",
-    "STRUCTURE_POLICIES",
-    "replicated_structures",
-    "partitioned_structures",
-    "BimodalPredictor",
-    "BranchTargetBuffer",
-    "BranchUnit",
-    "VCore",
-    "SharingSimulator",
-    "SimResult",
-    "ReconfigurationEngine",
-    "ReconfigCost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SliceConfig": ".config",
+    "CacheLevelConfig": ".config",
+    "CacheConfig": ".config",
+    "VCoreConfig": ".config",
+    "SimConfig": ".config",
+    "StructurePolicy": ".structures",
+    "STRUCTURE_POLICIES": ".structures",
+    "replicated_structures": ".structures",
+    "partitioned_structures": ".structures",
+    "BimodalPredictor": ".branch",
+    "BranchTargetBuffer": ".branch",
+    "BranchUnit": ".branch",
+    "VCore": ".vcore",
+    "SharingSimulator": ".simulator",
+    "SimResult": ".simulator",
+    "ReconfigurationEngine": ".reconfig",
+    "ReconfigCost": ".reconfig",
+    # submodules
+    "batched": ".batched",
+    "branch": ".branch",
+    "config": ".config",
+    "dyninst": ".dyninst",
+    "issue": ".issue",
+    "lsq": ".lsq",
+    "multivcore": ".multivcore",
+    "reconfig": ".reconfig",
+    "rename": ".rename",
+    "rob": ".rob",
+    "simulator": ".simulator",
+    "stats": ".stats",
+    "structures": ".structures",
+    "vcore": ".vcore",
+})

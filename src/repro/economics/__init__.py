@@ -24,54 +24,41 @@ test oracles; see DESIGN.md's "Vectorized market kernel" section for
 the tie-breaking and fp-tolerance policy the kernel is held to.
 """
 
-from repro.economics.utility import (
-    UtilityFunction,
-    UTILITY1,
-    UTILITY2,
-    UTILITY3,
-    STANDARD_UTILITIES,
-)
-from repro.economics.market import Market, MARKET1, MARKET2, MARKET3, STANDARD_MARKETS
-from repro.economics.optimizer import UtilityOptimizer, OptimalChoice
-from repro.economics.efficiency import (
-    EfficiencyMetric,
-    PERF_PER_AREA,
-    PERF2_PER_AREA,
-    PERF3_PER_AREA,
-    STANDARD_METRICS,
-    optimal_configuration,
-)
-from repro.economics.comparison import (
-    MarketEfficiencyComparison,
-    PairGain,
-)
-from repro.economics.phases_analysis import PhaseScheduleResult, analyze_phases
-from repro.economics.backend import resolve_backend
-from repro.economics.tensor import MarketKernel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "UtilityFunction",
-    "UTILITY1",
-    "UTILITY2",
-    "UTILITY3",
-    "STANDARD_UTILITIES",
-    "Market",
-    "MARKET1",
-    "MARKET2",
-    "MARKET3",
-    "STANDARD_MARKETS",
-    "UtilityOptimizer",
-    "OptimalChoice",
-    "EfficiencyMetric",
-    "PERF_PER_AREA",
-    "PERF2_PER_AREA",
-    "PERF3_PER_AREA",
-    "STANDARD_METRICS",
-    "optimal_configuration",
-    "MarketEfficiencyComparison",
-    "PairGain",
-    "PhaseScheduleResult",
-    "analyze_phases",
-    "MarketKernel",
-    "resolve_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "UtilityFunction": ".utility",
+    "UTILITY1": ".utility",
+    "UTILITY2": ".utility",
+    "UTILITY3": ".utility",
+    "STANDARD_UTILITIES": ".comparison",
+    "Market": ".market",
+    "MARKET1": ".market",
+    "MARKET2": ".market",
+    "MARKET3": ".market",
+    "STANDARD_MARKETS": ".market",
+    "UtilityOptimizer": ".optimizer",
+    "OptimalChoice": ".optimizer",
+    "EfficiencyMetric": ".efficiency",
+    "PERF_PER_AREA": ".efficiency",
+    "PERF2_PER_AREA": ".efficiency",
+    "PERF3_PER_AREA": ".efficiency",
+    "STANDARD_METRICS": ".efficiency",
+    "optimal_configuration": ".efficiency",
+    "MarketEfficiencyComparison": ".comparison",
+    "PairGain": ".comparison",
+    "PhaseScheduleResult": ".phases_analysis",
+    "analyze_phases": ".phases_analysis",
+    "MarketKernel": ".tensor",
+    "resolve_backend": ".backend",
+    # submodules
+    "auction": ".auction",
+    "backend": ".backend",
+    "comparison": ".comparison",
+    "efficiency": ".efficiency",
+    "market": ".market",
+    "optimizer": ".optimizer",
+    "phases_analysis": ".phases_analysis",
+    "tensor": ".tensor",
+    "utility": ".utility",
+})

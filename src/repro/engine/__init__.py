@@ -14,36 +14,25 @@ See DESIGN.md ("The sweep engine") for the sweep-spec -> work-unit ->
 pool -> cache pipeline and cache-invalidation rules.
 """
 
-from repro.engine.cache import CACHE_VERSION, DEFAULT_CACHE_DIR, ResultCache
-from repro.engine.core import (
-    SweepEngine,
-    SweepResult,
-    SweepSpec,
-    SweepTimeoutError,
-    WorkUnit,
-    WorkUnitError,
-    evaluate_unit,
-)
-from repro.engine.metrics import (
-    EngineMetrics,
-    RunMetrics,
-    SweepRecord,
-    UnitStat,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "EngineMetrics",
-    "ResultCache",
-    "RunMetrics",
-    "SweepEngine",
-    "SweepRecord",
-    "SweepResult",
-    "SweepSpec",
-    "SweepTimeoutError",
-    "UnitStat",
-    "WorkUnit",
-    "WorkUnitError",
-    "evaluate_unit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CACHE_VERSION": ".cache",
+    "DEFAULT_CACHE_DIR": ".cache",
+    "EngineMetrics": ".metrics",
+    "ResultCache": ".cache",
+    "RunMetrics": ".metrics",
+    "SweepEngine": ".core",
+    "SweepRecord": ".metrics",
+    "SweepResult": ".core",
+    "SweepSpec": ".core",
+    "SweepTimeoutError": ".core",
+    "UnitStat": ".metrics",
+    "WorkUnit": ".core",
+    "WorkUnitError": ".core",
+    "evaluate_unit": ".core",
+    # submodules
+    "cache": ".cache",
+    "core": ".core",
+    "metrics": ".metrics",
+})

@@ -11,7 +11,8 @@ them:
 2. pending work units fan across a
    ``concurrent.futures.ProcessPoolExecutor``, one future per unit,
    whenever the sweep has two of them and two workers; otherwise they
-   evaluate in-process;
+   evaluate in-process.  ``timeout_s`` bounds the sweep either way (the
+   pool module is imported only when a pool is built);
 3. every unit is backed by the content-addressed on-disk
    :class:`~repro.engine.cache.ResultCache` - warm runs skip evaluation
    entirely;
@@ -29,12 +30,6 @@ import os
 import threading
 import time
 import traceback as _traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -78,10 +73,14 @@ class WorkUnitError(RuntimeError):
 
 
 class SweepTimeoutError(RuntimeError):
-    """A parallel sweep did not finish inside ``timeout_s``.
+    """A sweep did not finish inside ``timeout_s``.
 
-    The engine cancels queued units and terminates the stuck worker
+    A pool sweep cancels queued units and terminates the stuck worker
     processes before raising, so a hung unit cannot wedge the caller.
+    An in-process sweep checks the deadline before each unit: the unit
+    running when it passes finishes, and the rest are not started.
+    Either way ``pending_units`` names the units that did not run, and
+    every unit that finished is already cached.
     """
 
     def __init__(self, message: str,
@@ -434,8 +433,8 @@ class SweepEngine:
         Raises :class:`WorkUnitError` when a unit fails (its result never
         reaches the cache; other completed units are still cached), and
         :class:`SweepTimeoutError` when ``timeout_s`` expires with units
-        outstanding (stuck workers are terminated, queued units
-        cancelled).
+        outstanding, in a pool (stuck workers are terminated, queued
+        units cancelled) or in-process (checked before each unit).
         """
         start = time.perf_counter()
         sweep_start_us = now_us()
@@ -479,7 +478,10 @@ class SweepEngine:
         if parallel:
             outcomes_by_unit = self._run_parallel(pending, workers, sched)
         else:
-            for unit in pending:
+            deadline = self._deadline()
+            for index, unit in enumerate(pending):
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise self._timed_out(pending[index:], len(pending))
                 self._collect(unit, _evaluate_tracked(
                     unit, time.monotonic()), outcomes_by_unit)
 
@@ -591,9 +593,16 @@ class SweepEngine:
         exponential backoff.  If the deaths persist, the first un-run
         unit is surfaced as a failed outcome.
         """
+        # Imported here: the pool machinery costs ~25 ms to import, and
+        # an in-process sweep never needs it.
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import (
+            BrokenProcessPool,
+            ProcessPoolExecutor,
+        )
+
         outcomes_by_unit: Dict["WorkUnit", Dict[str, Any]] = {}
-        deadline = (time.monotonic() + self.timeout_s
-                    if self.timeout_s is not None else None)
+        deadline = self._deadline()
         attempt = 0
         while True:
             pool = ProcessPoolExecutor(max_workers=workers)
@@ -610,20 +619,12 @@ class SweepEngine:
                         # wait() overflows past TIMEOUT_MAX (timeout_s=inf).
                         timeout = min(max(0.0, deadline - time.monotonic()),
                                       threading.TIMEOUT_MAX)
-                    done, _ = futures_wait(futures, timeout=timeout,
-                                           return_when=FIRST_COMPLETED)
+                    done, _ = wait(futures, timeout=timeout,
+                                   return_when=FIRST_COMPLETED)
                     if not done:
-                        stuck = tuple(u for u in pending
-                                      if u not in outcomes_by_unit)
-                        names = ", ".join(
-                            u.benchmark for u in stuck[:5]
-                        ) + ("..." if len(stuck) > 5 else "")
-                        raise SweepTimeoutError(
-                            f"sweep timed out after {self.timeout_s:g}s "
-                            f"with {len(stuck)} of {len(pending)} units "
-                            f"outstanding ({names})",
-                            pending_units=stuck,
-                        )
+                        raise self._timed_out(
+                            [u for u in pending
+                             if u not in outcomes_by_unit], len(pending))
                     for fut in done:
                         unit = futures.pop(fut)
                         try:
@@ -673,6 +674,22 @@ class SweepEngine:
                         POOL_RETRY_BACKOFF_S * (2 ** (attempt - 1)))
             time.sleep(delay)
 
+    def _deadline(self) -> Optional[float]:
+        """``time.monotonic()`` by which the sweep must end, if bounded."""
+        if self.timeout_s is None:
+            return None
+        return time.monotonic() + self.timeout_s
+
+    def _timed_out(self, stuck: Sequence["WorkUnit"],
+                   total: int) -> SweepTimeoutError:
+        names = ", ".join(u.benchmark for u in stuck[:5]) + (
+            "..." if len(stuck) > 5 else "")
+        return SweepTimeoutError(
+            f"sweep timed out after {self.timeout_s:g}s with "
+            f"{len(stuck)} of {total} units outstanding ({names})",
+            pending_units=tuple(stuck),
+        )
+
     def _collect(self, unit: "WorkUnit", outcome: Dict[str, Any],
                  outcomes_by_unit: Dict["WorkUnit", Dict[str, Any]]
                  ) -> None:
@@ -684,9 +701,9 @@ class SweepEngine:
                            key_fields=unit.key_fields())
 
     @staticmethod
-    def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on its (possibly hung)
-        workers."""
+    def _abandon_pool(pool: Any) -> None:
+        """Tear a ``ProcessPoolExecutor`` down without waiting on its
+        (possibly hung) workers."""
         pool.shutdown(wait=False, cancel_futures=True)
         try:
             processes = list((pool._processes or {}).values())

@@ -31,21 +31,25 @@ stream     event-driven streaming allocation service (extension)
 =========  ==================================================
 """
 
-from repro.experiments import (  # noqa: F401
-    base,
-    area_decomposition,
-    scalability,
-    cache_sensitivity,
-    optima,
-    utility_surfaces,
-    markets,
-    static_comparison,
-    hetero_comparison,
-    datacenter_mix,
-    datacenter_scale,
-    datacenter_stream,
-    phases,
-    taxonomy,
-    parsec_multivcore,
-    energy_delay,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ablation_son": ".ablation_son",
+    "area_decomposition": ".area_decomposition",
+    "base": ".base",
+    "cache_sensitivity": ".cache_sensitivity",
+    "datacenter_mix": ".datacenter_mix",
+    "datacenter_scale": ".datacenter_scale",
+    "datacenter_stream": ".datacenter_stream",
+    "energy_delay": ".energy_delay",
+    "hetero_comparison": ".hetero_comparison",
+    "markets": ".markets",
+    "optima": ".optima",
+    "parsec_multivcore": ".parsec_multivcore",
+    "phases": ".phases",
+    "runner": ".runner",
+    "scalability": ".scalability",
+    "static_comparison": ".static_comparison",
+    "taxonomy": ".taxonomy",
+    "utility_surfaces": ".utility_surfaces",
+})

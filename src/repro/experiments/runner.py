@@ -12,7 +12,8 @@ paper's presentation order.  Flags:
 ``--trace PATH``      write a Chrome trace_event JSON of the run
                       (implies ``--obs``; open in ui.perfetto.dev)
 ``--metrics-out PATH``  write run metrics (+ obs snapshot) as JSON
-``--timeout S``       per-sweep wall-clock bound for pool fan-outs
+``--timeout S``       per-sweep wall-clock bound (checked before each
+                      in-process unit; hung pool workers are killed)
 ``--sampling``        interval-sampled simulation for simulation sweeps
                       (``--exact``, the default, keeps golden paths
                       bit-identical)
@@ -35,51 +36,34 @@ engine flags change no result and ``metrics.engine`` reads zero.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import Optional, Sequence
 
-from repro.engine import ResultCache, RunMetrics, SweepEngine
-from repro.obs import OBS_OFF, Observability
-from repro.experiments import (
-    area_decomposition,
-    cache_sensitivity,
-    datacenter_mix,
-    datacenter_scale,
-    datacenter_stream,
-    energy_delay,
-    hetero_comparison,
-    markets,
-    optima,
-    phases,
-    scalability,
-    static_comparison,
-    taxonomy,
-    utility_surfaces,
-)
-
-#: (title, module) in the paper's presentation order.  The SON ablation
-#: is omitted here because it drives the cycle-level simulator (minutes);
-#: run it directly via ``python -m repro.experiments.ablation_son``.
+#: (title, module name) in the paper's presentation order; a module is
+#: imported only when it runs.  The SON ablation is omitted here because
+#: it drives the cycle-level simulator (minutes); run it directly via
+#: ``python -m repro.experiments.ablation_son``.
 EXPERIMENTS = (
-    ("Figures 10-11 (area)", area_decomposition),
-    ("Figure 12 (scalability)", scalability),
-    ("Figure 13 (cache sensitivity)", cache_sensitivity),
-    ("Table 4 (efficiency optima)", optima),
-    ("Figure 14 (utility surfaces)", utility_surfaces),
-    ("Table 6 (markets)", markets),
-    ("Figure 15 (vs static fixed)", static_comparison),
-    ("Figure 16 (vs heterogeneous)", hetero_comparison),
-    ("Figure 17 (datacenter mix)", datacenter_mix),
-    ("Table 7 (dynamic phases)", phases),
-    ("Table 8 (taxonomy)", taxonomy),
-    ("Extension: Energy*Delay^n optima", energy_delay),
-    ("Extension: datacenter-scale allocation", datacenter_scale),
-    ("Extension: streaming allocation service", datacenter_stream),
+    ("Figures 10-11 (area)", "area_decomposition"),
+    ("Figure 12 (scalability)", "scalability"),
+    ("Figure 13 (cache sensitivity)", "cache_sensitivity"),
+    ("Table 4 (efficiency optima)", "optima"),
+    ("Figure 14 (utility surfaces)", "utility_surfaces"),
+    ("Table 6 (markets)", "markets"),
+    ("Figure 15 (vs static fixed)", "static_comparison"),
+    ("Figure 16 (vs heterogeneous)", "hetero_comparison"),
+    ("Figure 17 (datacenter mix)", "datacenter_mix"),
+    ("Table 7 (dynamic phases)", "phases"),
+    ("Table 8 (taxonomy)", "taxonomy"),
+    ("Extension: Energy*Delay^n optima", "energy_delay"),
+    ("Extension: datacenter-scale allocation", "datacenter_scale"),
+    ("Extension: streaming allocation service", "datacenter_stream"),
 )
 
-#: ``--only`` vocabulary, in run order.
-NAMES = tuple(module.NAME for _, module in EXPERIMENTS)
+#: ``--only`` vocabulary, in run order: each artefact module's ``NAME``.
+NAMES = tuple(name for _, name in EXPERIMENTS)
 
 #: JSON export format version.
 EXPORT_SCHEMA = 1
@@ -129,8 +113,7 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
                              "instrument snapshot) as JSON")
     parser.add_argument("--timeout", type=_positive_float, default=None,
                         metavar="S",
-                        help="per-sweep wall-clock bound for parallel "
-                             "fan-outs (seconds)")
+                        help="per-sweep wall-clock bound (seconds)")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--sampling", action="store_true",
                       help="interval-sampled simulation for simulation "
@@ -183,6 +166,9 @@ def run_parsed(args: argparse.Namespace) -> int:
 
 
 def _run(args) -> int:
+    from repro.engine import ResultCache, RunMetrics, SweepEngine
+    from repro.obs import OBS_OFF, Observability
+
     cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
     obs = (Observability(trace=args.trace is not None)
            if (args.obs or args.trace is not None) else OBS_OFF)
@@ -198,9 +184,9 @@ def _run(args) -> int:
     run_metrics = RunMetrics(engine=engine, obs=obs)
 
     selected = [
-        (title, module)
-        for title, module in EXPERIMENTS
-        if args.only is None or module.NAME in args.only
+        (title, importlib.import_module(f"repro.experiments.{name}"))
+        for title, name in EXPERIMENTS
+        if args.only is None or name in args.only
     ]
     results = []
     for title, module in selected:

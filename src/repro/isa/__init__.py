@@ -5,25 +5,22 @@ equivalent abstract RISC instruction record that our synthetic trace
 generator emits and the cycle-level simulator (:mod:`repro.core`) consumes.
 """
 
-from repro.isa.opcodes import OpClass, Opcode, OPCODE_CLASS, EXEC_LATENCY
-from repro.isa.registers import (
-    NUM_ARCH_REGS,
-    ZERO_REG,
-    ArchReg,
-    RegisterFileSpec,
-)
-from repro.isa.instructions import Instruction, MemAccess, nop
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OpClass",
-    "Opcode",
-    "OPCODE_CLASS",
-    "EXEC_LATENCY",
-    "NUM_ARCH_REGS",
-    "ZERO_REG",
-    "ArchReg",
-    "RegisterFileSpec",
-    "Instruction",
-    "MemAccess",
-    "nop",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "OpClass": ".opcodes",
+    "Opcode": ".opcodes",
+    "OPCODE_CLASS": ".instructions",
+    "EXEC_LATENCY": ".opcodes",
+    "NUM_ARCH_REGS": ".registers",
+    "ZERO_REG": ".instructions",
+    "ArchReg": ".registers",
+    "RegisterFileSpec": ".registers",
+    "Instruction": ".instructions",
+    "MemAccess": ".instructions",
+    "nop": ".instructions",
+    # submodules
+    "instructions": ".instructions",
+    "opcodes": ".opcodes",
+    "registers": ".registers",
+})

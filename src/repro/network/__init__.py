@@ -8,32 +8,24 @@ adopts (Section 3.4): two cycles between nearest-neighbour Slices plus one
 cycle for each additional hop.
 """
 
-from repro.network.topology import Mesh2D, Coord
-from repro.network.messages import (
-    Message,
-    MessageKind,
-    OperandRequest,
-    OperandReply,
-    WakeupSignal,
-    RenameBroadcast,
-    MemSortMessage,
-    CacheRequest,
-    CacheReply,
-)
-from repro.network.switched import SwitchedNetwork, NetworkStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Mesh2D",
-    "Coord",
-    "Message",
-    "MessageKind",
-    "OperandRequest",
-    "OperandReply",
-    "WakeupSignal",
-    "RenameBroadcast",
-    "MemSortMessage",
-    "CacheRequest",
-    "CacheReply",
-    "SwitchedNetwork",
-    "NetworkStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Mesh2D": ".topology",
+    "Coord": ".topology",
+    "Message": ".messages",
+    "MessageKind": ".messages",
+    "OperandRequest": ".messages",
+    "OperandReply": ".messages",
+    "WakeupSignal": ".messages",
+    "RenameBroadcast": ".messages",
+    "MemSortMessage": ".messages",
+    "CacheRequest": ".messages",
+    "CacheReply": ".messages",
+    "SwitchedNetwork": ".switched",
+    "NetworkStats": ".switched",
+    # submodules
+    "messages": ".messages",
+    "switched": ".switched",
+    "topology": ".topology",
+})

@@ -10,11 +10,12 @@ Three pieces (see DESIGN.md "Observability"):
   Perfetto;
 * :mod:`repro.obs.profiling` - wall-clock span helpers feeding both.
 
-:class:`Observability` bundles one registry and one tracer and is what
-flows through constructor ``obs=`` parameters.  :data:`OBS_OFF` is the
-disabled singleton: all its instruments are module-level null objects,
-so un-instrumented runs pay (at most) one no-op call per hook and are
-bit-identical to pre-observability behaviour.
+:class:`Observability` (:mod:`repro.obs.bundle`) bundles one registry and
+one tracer and is what flows through constructor ``obs=`` parameters.
+:data:`OBS_OFF` is the disabled singleton: all its instruments are
+module-level null objects, so un-instrumented runs pay (at most) one
+no-op call per hook and are bit-identical to pre-observability
+behaviour.
 
 Quickstart::
 
@@ -26,81 +27,32 @@ Quickstart::
     print(obs.snapshot()["sim.core.rob.dispatched"])
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from typing import Any, Dict, Optional
-
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    NULL_REGISTRY,
-    NULL_SCOPE,
-    NullRegistry,
-    NullScope,
-    Registry,
-    Scope,
-    Timer,
-    summarize,
-)
-from repro.obs.tracer import (
-    DEFAULT_CAPACITY,
-    EventTracer,
-    NULL_TRACER,
-    NullTracer,
-)
-from repro.obs.profiling import now_us, profiled, span
-
-
-class Observability:
-    """One registry + one tracer, threaded through ``obs=`` parameters."""
-
-    def __init__(self, enabled: bool = True, trace: bool = False,
-                 trace_capacity: int = DEFAULT_CAPACITY):
-        self.enabled = enabled
-        self.registry = Registry() if enabled else NULL_REGISTRY
-        self.tracer = (EventTracer(capacity=trace_capacity)
-                       if enabled and trace else NULL_TRACER)
-
-    @property
-    def tracing(self) -> bool:
-        return self.tracer.enabled
-
-    def scope(self, prefix: str = ""):
-        return self.registry.scope(prefix)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Flat ``{dotted.path: instrument snapshot}`` of the registry."""
-        return self.registry.snapshot()
-
-    def export_trace(self, path, process_name: str = "repro") -> None:
-        """Write the tracer's Chrome trace_event JSON to ``path``."""
-        self.tracer.export(path, process_name=process_name)
-
-
-#: The disabled singleton: what components see when nobody asked for
-#: observability.  Shared, immutable, and free to hold.
-OBS_OFF = Observability(enabled=False)
-
-__all__ = [
-    "Counter",
-    "DEFAULT_CAPACITY",
-    "EventTracer",
-    "Gauge",
-    "Histogram",
-    "NULL_REGISTRY",
-    "NULL_SCOPE",
-    "NULL_TRACER",
-    "NullRegistry",
-    "NullScope",
-    "NullTracer",
-    "OBS_OFF",
-    "Observability",
-    "Registry",
-    "Scope",
-    "Timer",
-    "now_us",
-    "profiled",
-    "span",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Counter": ".registry",
+    "DEFAULT_CAPACITY": ".tracer",
+    "EventTracer": ".tracer",
+    "Gauge": ".registry",
+    "Histogram": ".registry",
+    "NULL_REGISTRY": ".registry",
+    "NULL_SCOPE": ".registry",
+    "NULL_TRACER": ".tracer",
+    "NullRegistry": ".registry",
+    "NullScope": ".registry",
+    "NullTracer": ".tracer",
+    "OBS_OFF": ".bundle",
+    "Observability": ".bundle",
+    "Registry": ".registry",
+    "Scope": ".registry",
+    "Timer": ".registry",
+    "now_us": ".profiling",
+    "profiled": ".profiling",
+    "span": ".profiling",
+    "summarize": ".registry",
+    # submodules
+    "bundle": ".bundle",
+    "profiling": ".profiling",
+    "registry": ".registry",
+    "tracer": ".tracer",
+})

@@ -13,20 +13,15 @@ All economics (utility, markets, efficiency comparisons) consume only
 quantitative reproduction of Tables 4-7 and Figures 12-17.
 """
 
-from repro.perfmodel.model import (
-    AnalyticModel,
-    CACHE_GRID_KB,
-    SLICE_GRID,
-    performance,
-    performance_grid,
-    profile_key,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalyticModel",
-    "CACHE_GRID_KB",
-    "SLICE_GRID",
-    "performance",
-    "performance_grid",
-    "profile_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AnalyticModel": ".model",
+    "CACHE_GRID_KB": ".model",
+    "SLICE_GRID": ".model",
+    "performance": ".model",
+    "performance_grid": ".model",
+    "profile_key": ".model",
+    # submodules
+    "model": ".model",
+})

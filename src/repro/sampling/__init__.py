@@ -18,21 +18,17 @@ Public surface:
   ``--sampling`` flags.
 """
 
-from repro.sampling.policy import (
-    DEFAULT_SAMPLING,
-    SamplingConfig,
-    SamplingPolicy,
-    Schedule,
-    Window,
-)
-from repro.sampling.sampled import SamplingSummary, simulate_sampled
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SAMPLING",
-    "SamplingConfig",
-    "SamplingPolicy",
-    "SamplingSummary",
-    "Schedule",
-    "Window",
-    "simulate_sampled",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_SAMPLING": ".policy",
+    "SamplingConfig": ".policy",
+    "SamplingPolicy": ".policy",
+    "SamplingSummary": ".sampled",
+    "Schedule": ".policy",
+    "Window": ".policy",
+    "simulate_sampled": ".sampled",
+    # submodules
+    "policy": ".policy",
+    "sampled": ".sampled",
+})

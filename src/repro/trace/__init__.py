@@ -10,42 +10,31 @@ memory reuse) are calibrated to reproduce each benchmark's published
 micro-architectural response (Figures 12 and 13).
 """
 
-from repro.trace.records import Trace, TraceMetadata
-from repro.trace.profiles import (
-    BenchmarkProfile,
-    PROFILES,
-    all_benchmarks,
-    get_profile,
-    parsec_benchmarks,
-    spec_benchmarks,
-)
-from repro.trace.generator import SyntheticTraceGenerator, generate_trace
-# NOTE: the ``materialize`` *function* stays in its submodule
-# (``repro.trace.materialize.materialize``) - re-exporting it here would
-# shadow the submodule of the same name in this package's namespace.
-from repro.trace.materialize import (
-    TraceArrays,
-    get_workload,
-    workload_key,
-)
-from repro.trace.materialize import cache_stats as workload_cache_stats
-from repro.trace.phases import PhasedProfile, gcc_phases
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Trace",
-    "TraceMetadata",
-    "BenchmarkProfile",
-    "PROFILES",
-    "all_benchmarks",
-    "get_profile",
-    "spec_benchmarks",
-    "parsec_benchmarks",
-    "SyntheticTraceGenerator",
-    "generate_trace",
-    "PhasedProfile",
-    "gcc_phases",
-    "TraceArrays",
-    "get_workload",
-    "workload_key",
-    "workload_cache_stats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Trace": ".records",
+    "TraceMetadata": ".records",
+    "BenchmarkProfile": ".profiles",
+    "PROFILES": ".profiles",
+    "all_benchmarks": ".profiles",
+    "get_profile": ".profiles",
+    "spec_benchmarks": ".profiles",
+    "parsec_benchmarks": ".profiles",
+    "SyntheticTraceGenerator": ".generator",
+    "generate_trace": ".generator",
+    "PhasedProfile": ".phases",
+    "gcc_phases": ".phases",
+    "TraceArrays": ".materialize",
+    "get_workload": ".materialize",
+    "workload_key": ".materialize",
+    "workload_cache_stats": ".materialize:cache_stats",
+    # submodules
+    "generator": ".generator",
+    # The submodule: re-exporting its ``materialize()`` function would
+    # shadow it.
+    "materialize": ".materialize",
+    "phases": ".phases",
+    "profiles": ".profiles",
+    "records": ".records",
+})

@@ -139,19 +139,75 @@ class TestBankDistances:
         assert far.cycles > near.cycles
 
 
-def test_batched_core_is_imported_lazily():
-    """Importing the simulator API does not load the SoA core: the
-    analytic sweeps import ``simulate`` and never simulate."""
+#: Code that exercises the simulation path: the simulator API, an
+#: in-process engine and one exact run.
+_EXACT_RUN = """
+import repro.core.simulator
+from repro import engine
+from repro.core.simulator import SharingSimulator
+from repro.trace.generator import make_workload
+
+engine.SweepEngine(jobs=1)
+warmup, trace = make_workload("gcc", 200, seed=1)
+SharingSimulator(trace, num_slices=2, l2_cache_kb=128.0,
+                 warmup_addresses=warmup).run()
+"""
+
+#: What a pure-Python path must not import: numpy, the market kernel,
+#: the cloud layer and the process-pool machinery.
+_HEAVY = ("numpy", "repro.cloud", "repro.economics.tensor",
+          "concurrent.futures.process")
+
+
+def _cli(*argv):
+    """Code that runs ``python -m repro *argv``."""
+    return ("import runpy, sys\n"
+            f"sys.argv = {['repro', *argv]!r}\n"
+            "runpy.run_module('repro', run_name='__main__', alter_sys=True)")
+
+
+def _repro_layers():
+    import pkgutil
+
+    import repro
+
+    return tuple(f"repro.{m.name}" for m in pkgutil.iter_modules(
+        repro.__path__) if m.name != "_lazy")
+
+
+@pytest.mark.parametrize("code, forbidden", [
+    pytest.param("import repro", ("numpy",) + _repro_layers(),
+                 id="import-repro"),
+    # The analytic sweeps import ``simulate`` and never simulate, so
+    # the simulator API must not load the SoA core.
+    pytest.param("import repro.core.simulator, repro.sampling",
+                 ("repro.core.batched",), id="simulator-api"),
+    pytest.param(_EXACT_RUN, _HEAVY, id="exact-run"),
+    pytest.param(_cli("list"), ("numpy",), id="cli-list"),
+    pytest.param(_cli("simulate", "--help"), ("numpy",),
+                 id="cli-simulate-help"),
+])
+def test_import_footprint(code, forbidden, tmp_path):
+    """A fresh interpreter imports only what it runs (DESIGN.md §3):
+    ``sys.modules`` at exit holds none of ``forbidden``."""
+    import json
     import os
     import subprocess
     import sys
 
     import repro
 
-    code = ("import sys, repro.core.simulator, repro.sampling; "
-            "print('repro.core.batched' in sys.modules)")
+    dump = tmp_path / "modules.json"
+    prelude = ("import atexit, json, sys\n"
+               "def _dump():\n"
+               f"    with open({str(dump)!r}, 'w') as fh:\n"
+               "        json.dump(sorted(sys.modules), fh)\n"
+               "atexit.register(_dump)\n")
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    subprocess.run([sys.executable, "-c", prelude + code], check=True,
+                   capture_output=True, cwd=tmp_path,
+                   env={**os.environ, "PYTHONPATH": src})
+    loaded = set(json.loads(dump.read_text()))
+    assert "repro" in loaded
+    assert not {name for name in loaded for prefix in forbidden
+                if name == prefix or name.startswith(prefix + ".")}

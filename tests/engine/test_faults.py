@@ -136,11 +136,25 @@ class TestHungWorker:
         sweep = engine.run(_spec())
         assert sweep.parallel and sweep.units == 2
 
-    def test_serial_runs_ignore_timeout(self, tmp_path):
-        # timeout applies to pool fan-outs; in-process sweeps ignore it
-        engine = _engine(tmp_path, jobs=1, timeout_s=0.000001)
-        sweep = engine.run(_spec("gcc"))
-        assert sweep.units == 1
+    def test_serial_sweep_stops_at_deadline(self, tmp_path, monkeypatch):
+        # In-process sweeps check the deadline before each unit: the
+        # first unit outlives it, so the second is never started.
+        real = engine_core.evaluate_unit
+
+        def slow(unit):
+            time.sleep(0.3)
+            return real(unit)
+
+        monkeypatch.setattr(engine_core, "evaluate_unit", slow)
+        engine = _engine(tmp_path, jobs=1, timeout_s=0.1)
+        spec = _spec("gcc", "bzip")
+        keys = {u.benchmark: u.cache_key() for u in spec.expand()}
+        with pytest.raises(SweepTimeoutError) as excinfo:
+            engine.run(spec)
+        assert [u.benchmark for u in excinfo.value.pending_units] == ["bzip"]
+        assert "1 of 2 units outstanding (bzip)" in str(excinfo.value)
+        assert engine.cache.get(keys["gcc"]) is not None
+        assert engine.cache.get(keys["bzip"]) is None
 
 
 class TestWorkerDeath:

@@ -86,3 +86,37 @@ class TestCLI:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--slices", "0"],
+        ["simulate", "--slices", "9"],
+        ["simulate", "--length", "0"],
+        ["simulate", "--cache-kb", "-64"],
+        # 100 KB used to run 2 banks (128 KB) and 20 KB none at all
+        ["simulate", "--cache-kb", "100"],
+        ["simulate", "--cache-kb", "20"],
+        ["simulate", "--cache-kb", "8256"],
+        ["optimize", "--budget", "0"],
+        ["optimize", "--budget", "-3"],
+    ], ids=" ".join)
+    def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
+        """Each bad value exits 2 at parse time, before any trace is
+        generated, with one error line naming the flag."""
+        command, flag, _ = argv
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith(
+            f"repro {command}: error: argument {flag}: ")
+
+    def test_boundary_values_parse(self):
+        args = build_parser().parse_args(
+            ["simulate", "--slices", "8", "--cache-kb", "0",
+             "--length", "1"])
+        assert (args.slices, args.cache_kb, args.length) == (8, 0.0, 1)
+        args = build_parser().parse_args(
+            ["simulate", "--slices", "1", "--cache-kb", "8192"])
+        assert (args.slices, args.cache_kb) == (1, 8192.0)
