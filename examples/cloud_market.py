@@ -3,8 +3,11 @@
 The scenario the paper's introduction motivates: a provider with one
 fabric serves a mixed population of customers - web servers that want
 throughput, OLDI services that want single-stream latency, batch jobs in
-between.  Each customer's meta-program picks a configuration at current
-prices; the scheduler places VMs and adjusts prices with demand.
+between.  Customers arrive one at a time at the provider's
+:class:`~repro.cloud.AllocationService`: each buys the configuration
+that maximises their utility at the current prices, the service places
+their VCores on the fabric, and prices move with demand after every
+arrival.
 
 The same population is then forced onto a static fixed multicore and the
 total achieved utility (the market-efficiency quantity of paper Section
@@ -17,10 +20,16 @@ Run with::
 
 import random
 
-from repro import MARKET2, UTILITY1, UTILITY2, UTILITY3, all_benchmarks
-from repro.baselines import StaticFixedArchitecture
-from repro.cloud import CloudScheduler, CustomerRequest, Fabric, Hypervisor
-from repro.economics import STANDARD_UTILITIES, UtilityOptimizer
+from repro import (
+    MARKET2,
+    UTILITY1,
+    UTILITY2,
+    UTILITY3,
+    MarketEfficiencyComparison,
+    UtilityOptimizer,
+    all_benchmarks,
+)
+from repro.cloud import AllocationService, Fabric, TenantRequest
 
 
 def build_customer_population(seed: int = 7, count: int = 24):
@@ -28,12 +37,13 @@ def build_customer_population(seed: int = 7, count: int = 24):
     rng = random.Random(seed)
     utilities = [UTILITY1, UTILITY1, UTILITY2, UTILITY3]  # skew: throughput
     return [
-        CustomerRequest(
+        TenantRequest(
+            name=f"customer{i}",
             benchmark=rng.choice(all_benchmarks()),
             utility=rng.choice(utilities),
             budget=rng.choice([12.0, 24.0, 48.0]),
         )
-        for _ in range(count)
+        for i in range(count)
     ]
 
 
@@ -41,44 +51,50 @@ def main() -> None:
     customers = build_customer_population()
 
     # --- the Sharing Architecture provider ---
-    scheduler = CloudScheduler(
-        hypervisor=Hypervisor(Fabric(width=32, height=16))
-    )
-    placements = scheduler.submit_all(customers)
+    service = AllocationService(fabric=Fabric(width=32, height=16))
+    admitted = []
+    revenue = 0.0
+    for customer in customers:
+        market = service.spot_market()
+        result = service.submit(customer)
+        if result.admitted:
+            admitted.append(result)
+            revenue += result.vcores * market.cost(result.cache_kb,
+                                                   result.slices)
+        service.step()
+    slice_price, bank_price = service.prices()
     print("=== Sharing Architecture provider ===")
-    print(f"placed {len(placements)}/{len(customers)} customers, "
-          f"fabric utilisation {scheduler.utilization():.0%}")
-    print(f"total utility  : {scheduler.total_utility():10.2f}")
-    print(f"total revenue  : {scheduler.total_revenue():10.2f}")
-    print(f"final prices   : Slice {scheduler.slice_price:.2f}, "
-          f"bank {scheduler.bank_price:.2f}")
+    print(f"placed {len(admitted)}/{len(customers)} customers, "
+          f"fabric utilisation {service.fabric.utilization():.0%}")
+    print(f"total utility  : {sum(r.utility for r in admitted):10.2f}")
+    print(f"total revenue  : {revenue:10.2f}")
+    print(f"final prices   : Slice {slice_price:.2f}, bank {bank_price:.2f}")
 
     shapes = {}
-    for p in placements:
-        key = (int(p.cache_kb), p.slices)
+    for r in admitted:
+        key = (int(r.cache_kb), r.slices)
         shapes[key] = shapes.get(key, 0) + 1
     print("VCore shapes sold:")
     for (cache_kb, slices), n in sorted(shapes.items()):
         print(f"  {slices} Slices + {cache_kb:5d} KB  x{n}")
 
-    # --- the static fixed competitor ---
-    static = StaticFixedArchitecture.best_across(
-        all_benchmarks(), STANDARD_UTILITIES
-    )
-    optimizer = UtilityOptimizer()
+    # --- the static fixed competitor (Figure 15's reference config) ---
+    static_cache_kb, static_slices = MarketEfficiencyComparison(
+        all_benchmarks()).best_static_config()
+    optimizers = {c.budget: UtilityOptimizer(budget=c.budget)
+                  for c in customers}
     static_utility = sum(
-        static.utility_for(c.benchmark, c.utility,
-                           optimizer=UtilityOptimizer(budget=c.budget))
+        optimizers[c.budget].utility_at(c.benchmark, c.utility, MARKET2,
+                                        static_cache_kb, static_slices)
         for c in customers
     )
     sharing_utility = sum(
-        UtilityOptimizer(budget=c.budget)
-        .best(c.benchmark, c.utility, MARKET2).utility
+        optimizers[c.budget].best(c.benchmark, c.utility, MARKET2).utility
         for c in customers
     )
     print("\n=== vs the best static fixed multicore ===")
-    print(f"static config  : {static.slices} Slices + "
-          f"{static.cache_kb:.0f} KB for everyone")
+    print(f"static config  : {static_slices} Slices + "
+          f"{static_cache_kb:.0f} KB for everyone")
     print(f"static utility : {static_utility:10.2f}")
     print(f"sharing utility: {sharing_utility:10.2f}")
     print(f"market-efficiency gain: "

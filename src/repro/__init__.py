@@ -13,9 +13,10 @@ A full reproduction of Zhou & Wentzlaff, ASPLOS 2014.  The package layers:
   evaluation sweeps;
 * :mod:`repro.economics` - utility functions, markets, optimisers and
   market-efficiency comparisons;
-* :mod:`repro.cloud` - fabric, hypervisor, scheduler, meta-programs and
-  auto-tuner;
-* :mod:`repro.baselines` - static fixed and heterogeneous baselines;
+* :mod:`repro.cloud` - fabric, hypervisor and the allocation service
+  (the Section 4 market loop);
+* :mod:`repro.baselines` - the heterogeneous big/small datacenter
+  baseline;
 * :mod:`repro.engine` - the parallel sweep engine with its persistent
   result cache and run metrics;
 * :mod:`repro.experiments` - one runner per paper table and figure.

@@ -21,7 +21,6 @@ from typing import Dict
 from repro.area.cacti import CactiLite
 from repro.area.components import (
     SHARING_OVERHEAD_COMPONENTS,
-    SliceComponent,
     normalized_fractions,
 )
 
@@ -56,18 +55,6 @@ class AreaModel:
         if self.use_market_equivalence:
             return self.slice_area_mm2 * (L2_BANK_KB / SLICE_EQUIVALENT_L2_KB)
         return self.cacti.area_mm2(L2_BANK_KB, assoc=4)
-
-    def slice_component_areas(self) -> Dict[SliceComponent, float]:
-        """Per-component absolute areas of one Slice (mm^2)."""
-        return {
-            c: frac * self.slice_area_mm2
-            for c, frac in normalized_fractions().items()
-        }
-
-    def sharing_overhead_mm2(self) -> float:
-        """Absolute area spent on composition support in one Slice."""
-        areas = self.slice_component_areas()
-        return sum(areas[c] for c in SHARING_OVERHEAD_COMPONENTS)
 
     def vcore_area(self, cache_kb: float, slices: int,
                    include_uncore: bool = False) -> float:

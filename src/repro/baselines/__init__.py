@@ -4,12 +4,13 @@ The paper evaluates the Sharing Architecture against (a) the best static
 fixed multicore (Figure 15), (b) a heterogeneous multicore tuned per
 utility function (Figure 16), and (c) a datacenter built from a static
 mix of big and small cores (Figure 17, following Guevara et al. [18]).
+This package holds (c); the reference configurations of (a) and (b) come
+from :class:`repro.economics.comparison.MarketEfficiencyComparison`.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "StaticFixedArchitecture": ".static",
     "CoreType": ".heterogeneous",
     "HeterogeneousDatacenter": ".heterogeneous",
     "MixPoint": ".heterogeneous",
@@ -17,5 +18,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SMALL_CORE": ".heterogeneous",
     # submodules
     "heterogeneous": ".heterogeneous",
-    "static": ".static",
 })

@@ -31,11 +31,6 @@ class L1Cache(SetAssociativeCache):
             raise ValueError("hit latency must be >= 1 cycle")
         self.hit_latency = hit_latency
 
-    def access_timed(self, address: int, is_write: bool = False):
-        """Access returning ``(AccessResult, latency_if_hit)``."""
-        result = self.access(address, is_write=is_write)
-        return result, self.hit_latency
-
     def attach_obs(self, scope) -> None:
         """Attach counters plus the L1's timing configuration."""
         super().attach_obs(scope)

@@ -1,9 +1,12 @@
-"""IaaS cloud layer: fabric, hypervisor, scheduler, and customer tooling.
+"""IaaS cloud layer: fabric, hypervisor, and the market loop.
 
 The Sharing Architecture targets IaaS providers (paper Sections 1-2, 4):
-a hypervisor running on single-Slice VCores reconfigures the fabric;
-Cloud management software schedules customer VMs onto Slices and Cache
-Banks; customers steer their purchases with meta-programs or auto-tuners.
+a hypervisor running on single-Slice VCores reconfigures the fabric, and
+the cloud management software is one loop, :class:`AllocationService`.
+It prices Slices and Cache Banks, admits each customer with the
+configuration that maximises their utility at the current prices (the
+choice a Section 4 meta-program makes), places their VCores on the
+fabric, and reprices after events.
 """
 
 from repro._lazy import lazy_exports
@@ -32,22 +35,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "VMSpec": ".vm",
     "VMInstance": ".vm",
     "Hypervisor": ".hypervisor",
-    "CloudScheduler": ".scheduler",
-    "CustomerRequest": ".scheduler",
-    "Placement": ".scheduler",
-    "AutoTuner": ".autotuner",
-    "TuningResult": ".autotuner",
-    "MetaProgram": ".metaprogram",
-    "PriceQuote": ".metaprogram",
     # submodules
     "arena": ".arena",
-    "autotuner": ".autotuner",
     "errors": ".errors",
     "fabric": ".fabric",
     "hypervisor": ".hypervisor",
-    "metaprogram": ".metaprogram",
     "resilience": ".resilience",
-    "scheduler": ".scheduler",
     "service": ".service",
     "shards": ".shards",
     "vm": ".vm",

@@ -30,7 +30,6 @@ row, leftmost run; nearest banks with ties broken by ascending node id.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -45,13 +44,6 @@ class TileKind(enum.Enum):
 
 class AllocationError(RuntimeError):
     """The fabric cannot satisfy an allocation request."""
-
-
-@dataclass(frozen=True)
-class TileAssignment:
-    """Who owns a tile."""
-
-    owner: str  # VCore id
 
 
 def _max_run(row: bytearray) -> int:
@@ -208,9 +200,6 @@ class Fabric:
         bank = kind is TileKind.BANK
         return [n for n, b in enumerate(self._is_bank) if b is bank]
 
-    def free_tiles(self, kind: TileKind) -> List[int]:
-        return [n for n in self.tiles(kind) if self.is_free(n)]
-
     def free_count(self, kind: TileKind) -> int:
         """How many tiles of ``kind`` are free - O(1)."""
         if kind is TileKind.BANK:
@@ -359,12 +348,3 @@ class Fabric:
         """
         return {owner: list(nodes)
                 for owner, nodes in self._owner_nodes.items()}
-
-    def defragment_candidates(self, count: int) -> bool:
-        """Would ``count`` Slices fit after rescheduling (total capacity)?
-
-        Paper Section 3: "fixing fragmentation problems is as simple as
-        rescheduling Slices to VCores" - all Slices are interchangeable,
-        so capacity, not layout, is the real constraint.
-        """
-        return self._free_slices >= count

@@ -64,9 +64,15 @@ class TenantRequest:
     budget: float
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise EventValidationError("budget must be positive",
-                                       tenant=self.name)
+        _check_budget(self.budget, self.name)
+
+
+def _check_budget(budget: float, tenant: str) -> None:
+    """A budget is a positive, finite number of currency units."""
+    if not (0 < budget < math.inf):
+        raise EventValidationError(
+            f"budget must be a positive, finite number, got {budget!r}",
+            tenant=tenant)
 
 
 @dataclass(frozen=True)
@@ -457,9 +463,7 @@ class AllocationService:
         with the new VCore count.  A resize the fabric cannot absorb is
         rejected and the old placement restored exactly.
         """
-        if budget <= 0:
-            raise EventValidationError("budget must be positive",
-                                       tenant=tenant_id)
+        _check_budget(budget, tenant_id)
         with self._t_resize:
             state = self._by_name.get(tenant_id)
             if state is None:

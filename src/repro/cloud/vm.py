@@ -75,12 +75,5 @@ class VMInstance:
     def num_vcores(self) -> int:
         return len(self.spec.vcores)
 
-    def all_tiles(self) -> List[int]:
-        tiles: List[int] = []
-        for slices, banks in self.placements:
-            tiles.extend(slices)
-            tiles.extend(banks)
-        return tiles
-
     def vcore_owner_tag(self, index: int) -> str:
         return f"{self.vm_id}/vcore{index}"

@@ -16,10 +16,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CacheConfig": ".config",
     "VCoreConfig": ".config",
     "SimConfig": ".config",
-    "StructurePolicy": ".structures",
-    "STRUCTURE_POLICIES": ".structures",
-    "replicated_structures": ".structures",
-    "partitioned_structures": ".structures",
     "BimodalPredictor": ".branch",
     "BranchTargetBuffer": ".branch",
     "BranchUnit": ".branch",
@@ -41,6 +37,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "rob": ".rob",
     "simulator": ".simulator",
     "stats": ".stats",
-    "structures": ".structures",
     "vcore": ".vcore",
 })

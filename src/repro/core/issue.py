@@ -62,11 +62,6 @@ class IssueWindow:
             self._slots.remove(best)
         return best
 
-    def remove_squashed(self) -> int:
-        before = len(self._slots)
-        self._slots = [d for d in self._slots if not d.squashed]
-        return before - len(self._slots)
-
     def squash_younger(self, seq: int) -> int:
         before = len(self._slots)
         self._slots = [d for d in self._slots if d.seq <= seq]

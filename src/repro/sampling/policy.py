@@ -137,10 +137,6 @@ class Window:
     detail: int
 
     @property
-    def measure_start(self) -> int:
-        return self.start + self.warmup
-
-    @property
     def end(self) -> int:
         return self.start + self.warmup + self.detail
 

@@ -1,4 +1,4 @@
-"""Tests for the static and heterogeneous baselines."""
+"""Tests for the heterogeneous datacenter baseline."""
 
 import pytest
 
@@ -8,48 +8,6 @@ from repro.baselines.heterogeneous import (
     CoreType,
     HeterogeneousDatacenter,
 )
-from repro.baselines.static import StaticFixedArchitecture
-from repro.economics.optimizer import UtilityOptimizer
-from repro.economics.utility import STANDARD_UTILITIES, UTILITY1
-
-
-class TestStaticFixed:
-    def test_utility_matches_optimizer_cell(self):
-        arch = StaticFixedArchitecture(cache_kb=256, slices=2)
-        optimizer = UtilityOptimizer()
-        from repro.economics.market import MARKET2
-        assert arch.utility_for("gcc", UTILITY1) == pytest.approx(
-            optimizer.utility_at("gcc", UTILITY1, MARKET2, 256, 2)
-        )
-
-    def test_best_across_is_on_grid(self):
-        best = StaticFixedArchitecture.best_across(
-            ["gcc", "bzip", "hmmer"], STANDARD_UTILITIES
-        )
-        optimizer = UtilityOptimizer()
-        assert best.cache_kb in optimizer.cache_grid
-        assert best.slices in optimizer.slice_grid
-
-    def test_best_across_maximises_gme(self):
-        import math
-        benchmarks = ["gcc", "hmmer"]
-        best = StaticFixedArchitecture.best_across(
-            benchmarks, STANDARD_UTILITIES
-        )
-        rival = StaticFixedArchitecture(cache_kb=8192, slices=8)
-
-        def gme(arch):
-            values = [
-                arch.utility_for(b, u)
-                for b in benchmarks for u in STANDARD_UTILITIES
-            ]
-            return math.prod(values) ** (1 / len(values))
-
-        assert gme(best) >= gme(rival)
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            StaticFixedArchitecture(cache_kb=-1, slices=1)
 
 
 class TestHeterogeneousDatacenter:

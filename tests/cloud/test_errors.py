@@ -1,5 +1,7 @@
 """The typed service-error taxonomy and its backward compatibility."""
 
+import math
+
 import pytest
 
 from repro.cloud.errors import (
@@ -76,17 +78,30 @@ class TestBackwardCompat:
             Event(kind="arrive")
         with pytest.raises(EventValidationError):
             Event(kind="submit")
-        with pytest.raises(ValueError):
-            TenantRequest(name="a", benchmark="gcc",
-                          utility=UTILITY2, budget=-1.0)
+        for budget in (-1.0, math.nan, math.inf):
+            with pytest.raises(EventValidationError):
+                TenantRequest(name="a", benchmark="gcc",
+                              utility=UTILITY2, budget=budget)
 
     def test_bad_resize_is_valueerror(self):
         svc = service()
         svc.submit(tenant("a"))
         with pytest.raises(ValueError):
             svc.resize("a", -5.0)
-        with pytest.raises(EventValidationError):
-            svc.resize("a", 0.0)
+        for budget in (0.0, math.nan, math.inf):
+            with pytest.raises(EventValidationError):
+                svc.resize("a", budget)
+
+    def test_lenient_stream_dead_letters_nan_resize(self):
+        svc = service()
+        summary = svc.run([
+            Event(kind="submit", tenant=tenant("a")),
+            Event(kind="resize", tenant_id="a", budget=math.nan),
+            Event(kind="submit", tenant=tenant("b")),
+        ], strict=False)
+        assert summary.events == 3 and summary.admitted == 2
+        assert svc.dead_letter_counts == {"invalid_event": 1}
+        assert svc.tenant("a").budget == 24.0
 
 
 class TestEventSubject:

@@ -73,11 +73,6 @@ class TestAllocation:
         fabric.claim(run, owner="x")
         assert fabric.utilization() == pytest.approx(0.25)
 
-    def test_defragment_capacity_check(self):
-        fabric = Fabric(width=4, height=1)
-        assert fabric.defragment_candidates(2)
-        assert not fabric.defragment_candidates(3)
-
 
 def state(fabric):
     """Everything a claim may change, through the public API."""

@@ -32,16 +32,3 @@ class TestEnergyExperiment:
         ed3 = table[3]["gcc"]
         assert ed3[1] >= ed1[1]
 
-
-class TestExampleSmoke:
-    def test_quickstart_runs(self, capsys):
-        import importlib.util
-        import pathlib
-        path = (pathlib.Path(__file__).resolve().parents[2]
-                / "examples" / "quickstart.py")
-        spec = importlib.util.spec_from_file_location("quickstart", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.main()
-        out = capsys.readouterr().out
-        assert "SSim" in out and "IPC" in out

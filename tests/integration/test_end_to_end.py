@@ -8,86 +8,83 @@ from repro import (
     UTILITY2,
     UTILITY3,
     AnalyticModel,
+    Market,
     UtilityOptimizer,
     all_benchmarks,
     simulate,
 )
-from repro.cloud import (
-    CloudScheduler,
-    CustomerRequest,
-    Fabric,
-    Hypervisor,
-    MetaProgram,
-    PriceQuote,
-)
+from repro.cloud import AllocationService, Fabric, Hypervisor, TenantRequest
+from repro.cloud.vm import VCoreSpec, VMSpec
 from repro.trace.generator import make_workload
 
 
 class TestCustomerJourney:
-    """A customer profiles, decides via meta-program, and is placed."""
+    """A customer is admitted at the spot price, placed, and simulated."""
 
     def test_full_flow(self):
-        # 1. The customer's meta-program decides at quoted prices.
-        meta = MetaProgram("gcc", UTILITY2, budget=24.0)
-        decision = meta.decide(PriceQuote(slice_price=2.0, bank_price=1.0))
+        service = AllocationService(fabric=Fabric(width=16, height=8))
+        # 1. The customer's choice at the quoted spot prices.
+        choice = UtilityOptimizer(budget=24.0).best(
+            "gcc", UTILITY2, service.spot_market())
 
-        # 2. The provider's scheduler places the VM on the fabric.
-        scheduler = CloudScheduler(
-            hypervisor=Hypervisor(Fabric(width=16, height=8))
-        )
-        placement = scheduler.submit(
-            CustomerRequest("gcc", UTILITY2, budget=24.0)
-        )
-        assert placement is not None
-        assert placement.slices == decision.slices
-        assert placement.cache_kb == decision.cache_kb
+        # 2. The service admits that shape and places it on the fabric.
+        result = service.submit(TenantRequest("a", "gcc", UTILITY2, 24.0))
+        assert result.admitted
+        assert (result.cache_kb, result.slices) == (choice.cache_kb,
+                                                    choice.slices)
+        assert service.fabric.owned_by("a")
 
         # 3. The placed configuration actually runs on the simulator.
         warmup, trace = make_workload("gcc", 1200, seed=9)
-        result = simulate(trace, num_slices=placement.slices,
-                          l2_cache_kb=placement.cache_kb,
-                          warmup_addresses=warmup)
-        assert result.stats.committed == 1200
+        sim = simulate(trace, num_slices=result.slices,
+                       l2_cache_kb=result.cache_kb,
+                       warmup_addresses=warmup)
+        assert sim.stats.committed == 1200
 
     def test_reconfiguration_journey(self):
-        """Prices move; the meta-program reconfigures through the
-        hypervisor at the paper's costs."""
+        """Slice prices spike; the customer re-optimises and the
+        hypervisor resizes the VCore at the paper's costs."""
+        service = AllocationService(fabric=Fabric(width=16, height=8))
+        result = service.submit(TenantRequest("a", "gcc", UTILITY3, 24.0))
+        assert result.admitted
         hv = Hypervisor(Fabric(width=16, height=8))
-        scheduler = CloudScheduler(hypervisor=hv)
-        placement = scheduler.submit(
-            CustomerRequest("gcc", UTILITY3, budget=24.0)
+        vm = hv.place(VMSpec.uniform(1, slices_per_vcore=result.slices,
+                                     cache_kb_per_vcore=result.cache_kb))
+        assert vm is not None
+        spike = Market(name="spike", slice_price=16.0, bank_price=1.0)
+        new = UtilityOptimizer(budget=24.0).best("gcc", UTILITY3, spike)
+        assert new.slices <= result.slices
+        cost = hv.resize_vcore(
+            vm.vm_id, 0,
+            VCoreSpec(num_slices=new.slices, l2_cache_kb=new.cache_kb),
         )
-        assert placement is not None
-        meta = MetaProgram("gcc", UTILITY3, budget=24.0)
-        spike = PriceQuote(slice_price=16.0, bank_price=1.0)
-        if meta.would_reconfigure(
-            (placement.cache_kb, placement.slices), spike
-        ):
-            new = meta.decide(spike)
-            from repro.cloud.vm import VCoreSpec
-            cost = hv.resize_vcore(
-                placement.vm_id, 0,
-                VCoreSpec(num_slices=new.slices,
-                          l2_cache_kb=new.cache_kb),
-            )
-            assert cost.cycles in (0, 500, 10_000)
+        assert cost.cycles in (0, 500, 10_000)
 
 
 class TestProviderEconomics:
     def test_sharing_revenue_with_mixed_customers(self):
-        scheduler = CloudScheduler(
-            hypervisor=Hypervisor(Fabric(width=24, height=8))
-        )
-        requests = [
-            CustomerRequest(bench, utility, budget=24.0)
-            for bench in all_benchmarks()[:6]
-            for utility in (UTILITY1, UTILITY3)
-        ]
-        placements = scheduler.submit_all(requests)
-        assert len(placements) >= 6
+        service = AllocationService(fabric=Fabric(width=24, height=8))
+        results = []
+        revenue = 0.0
+        for bench in all_benchmarks()[:6]:
+            for utility in (UTILITY1, UTILITY3):
+                market = service.spot_market()
+                result = service.submit(TenantRequest(
+                    f"{bench}-{utility.name}", bench, utility, 24.0))
+                results.append(result)
+                if result.admitted:
+                    revenue += result.vcores * market.cost(
+                        result.cache_kb, result.slices)
+                service.step()
+        admitted = [r for r in results if r.admitted]
+        assert service.active_tenants == [r.tenant for r in admitted]
+        assert revenue > 0
+        # Without an admission floor only a full fabric turns anyone away.
+        assert {r.reason for r in results} <= {"admitted",
+                                               "rejected_capacity"}
+        assert service.fabric.utilization() > 0.5
         # Different customers received different shapes.
-        shapes = {(p.cache_kb, p.slices) for p in placements}
-        assert len(shapes) >= 2
+        assert len({(r.cache_kb, r.slices) for r in admitted}) >= 2
 
 
 class TestModelConsistency:
