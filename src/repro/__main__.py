@@ -16,7 +16,6 @@ Each command imports the modules it runs when it runs, so ``list``,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 _EXPERIMENTS = {
@@ -63,23 +62,22 @@ def _slices(text: str) -> int:
 
 
 def _cache_kb(text: str) -> float:
-    from repro.cache.l2 import L2_BANK_BYTES
-    from repro.core.config import MAX_CACHE_KB
+    from repro.core.config import l2_size_error
 
     value = float(text)
-    bank_kb = L2_BANK_BYTES // 1024
-    if not (0 <= value <= MAX_CACHE_KB and value % bank_kb == 0):
-        raise argparse.ArgumentTypeError(
-            f"L2 is a whole number of {bank_kb} KB banks in "
-            f"0-{MAX_CACHE_KB:g} KB, got {text}")
+    message = l2_size_error(value)
+    if message is not None:
+        raise argparse.ArgumentTypeError(message)
     return value
 
 
 def _budget(text: str) -> float:
+    from repro.economics.market import budget_error
+
     value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"budget must be a positive, finite number, got {text}")
+    message = budget_error(value)
+    if message is not None:
+        raise argparse.ArgumentTypeError(message)
     return value
 
 

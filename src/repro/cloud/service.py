@@ -48,7 +48,7 @@ from repro.cloud.errors import (
 from repro.cloud.fabric import AllocationError, Fabric
 from repro.economics.auction import Allocation, ClearingResult, _clamp
 from repro.economics.backend import resolve_backend
-from repro.economics.market import BANK_KB, Market
+from repro.economics.market import BANK_KB, Market, budget_error
 from repro.economics.tensor import MarketKernel
 from repro.economics.utility import UtilityFunction
 from repro.perfmodel.model import AnalyticModel
@@ -69,10 +69,9 @@ class TenantRequest:
 
 def _check_budget(budget: float, tenant: str) -> None:
     """A budget is a positive, finite number of currency units."""
-    if not (0 < budget < math.inf):
-        raise EventValidationError(
-            f"budget must be a positive, finite number, got {budget!r}",
-            tenant=tenant)
+    message = budget_error(budget)
+    if message is not None:
+        raise EventValidationError(message, tenant=tenant)
 
 
 @dataclass(frozen=True)

@@ -63,16 +63,10 @@ from repro.core.config import SimConfig
 from repro.core.rename import rename_pipeline_depth
 from repro.core.simulator import SimResult, SimulationTimeout
 from repro.core.stats import SimStats, StallBreakdown
-from repro.trace.records import Trace
-
-#: Packed per-instruction flag bits (superset of trace.materialize's).
-F_BRANCH = 1
-F_TAKEN = 2
-F_LOAD = 4
-F_STORE = 8
-F_MEM = F_LOAD | F_STORE
-F_MUL = 16
-F_WRITES = 32
+from repro.trace.records import (
+    FLAG_BRANCH, FLAG_LOAD, FLAG_MEM, FLAG_MUL, FLAG_STORE, FLAG_TAKEN,
+    FLAG_WRITES, Trace,
+)
 
 #: LSQ/MSHR/store-buffer line size (fixed at 64 in the scalar model).
 _LSQ_LINE = 64
@@ -86,12 +80,14 @@ _L2_SETS = (L2_BANK_BYTES // L2_LINE_BYTES) // L2_ASSOC
 
 
 class _TraceColumns:
-    """Flat per-instruction columns shared by every run on one trace.
+    """The trace's columns plus what every run on it derives from them.
 
-    Extends :class:`~repro.trace.materialize.TraceArrays` with the
-    rename-visible fields (live sources, destination register) and
-    memoized Slice-assignment maps, so the pipeline never touches
-    ``Instruction`` objects.  Built once and cached on the trace.
+    ``pcs``, ``flags``, ``targets``, ``srcs`` (live sources), ``dst``
+    and ``addrs`` are the :class:`~repro.trace.records.Trace` columns
+    themselves; ``pc4`` (I-fetch byte addresses), ``lines`` (64-byte
+    memory lines), the RAT bound ``max_arch`` and the memoized
+    Slice-assignment maps are derived once.  Built once and cached on
+    the trace.
     """
 
     __slots__ = ("length", "pcs", "pc4", "addrs", "lines", "flags",
@@ -99,61 +95,20 @@ class _TraceColumns:
                  "_sid_cache", "_home_cache")
 
     def __init__(self, trace: Trace) -> None:
-        n = len(trace)
-        self.length = n
-        pcs: List[int] = [0] * n
-        pc4: List[int] = [0] * n
-        addrs: List[int] = [-1] * n
-        lines: List[int] = [-1] * n
-        flags: List[int] = [0] * n
-        targets: List[int] = [-1] * n
-        srcs: List[Tuple[int, ...]] = [()] * n
-        dst: List[int] = [-1] * n
-        from repro.isa import OpClass
-
-        for i, inst in enumerate(trace):
-            pc = inst.pc
-            pcs[i] = pc
-            pc4[i] = pc * 4
-            bits = 0
-            oc = inst.op_class
-            if inst.mem is not None:
-                addr = inst.mem.address
-                addrs[i] = addr
-                lines[i] = addr // _LSQ_LINE
-                bits |= F_STORE if oc is OpClass.STORE else F_LOAD
-            elif oc is OpClass.BRANCH:
-                bits |= F_BRANCH
-                if inst.taken:
-                    bits |= F_TAKEN
-            elif oc is OpClass.MUL:
-                bits |= F_MUL
-            if inst.writes_register:
-                bits |= F_WRITES
-                dst[i] = inst.dst
-            flags[i] = bits
-            if inst.target is not None:
-                targets[i] = inst.target
-            live = inst.live_srcs()
-            if live:
-                srcs[i] = live
-        self.pcs = pcs
-        self.pc4 = pc4
-        self.addrs = addrs
-        self.lines = lines
-        self.flags = flags
-        self.targets = targets
-        self.srcs = srcs
-        self.dst = dst
+        self.length = len(trace)
+        self.pcs = trace.pcs
+        self.pc4 = [pc * 4 for pc in trace.pcs]
+        self.addrs = trace.mem_addrs
+        self.lines = [addr // _LSQ_LINE if addr >= 0 else -1
+                      for addr in trace.mem_addrs]
+        self.flags = trace.flags
+        self.targets = trace.targets
+        self.srcs = trace.srcs
+        self.dst = trace.dsts
         # Architectural register space bound (RAT array sizing).
-        ma = 0
-        for i in range(n):
-            if dst[i] > ma:
-                ma = dst[i]
-            for s in srcs[i]:
-                if s > ma:
-                    ma = s
-        self.max_arch = ma
+        self.max_arch = max(0, max(trace.dsts, default=0),
+                            max((max(s) for s in trace.srcs if s),
+                                default=0))
         self._sid_cache: Dict[Tuple[int, int, bool], List[int]] = {}
         self._home_cache: Dict[int, List[int]] = {}
 
@@ -182,9 +137,10 @@ class _TraceColumns:
 
 
 def trace_columns(trace: Trace) -> _TraceColumns:
-    """The trace's flat columns, built once and cached on it."""
+    """The trace's :class:`_TraceColumns`, built once and cached on it
+    (a trace is immutable)."""
     cols = getattr(trace, "_soa_columns", None)
-    if cols is None or cols.length != len(trace):
+    if cols is None:
         cols = _TraceColumns(trace)
         trace._soa_columns = cols  # type: ignore[attr-defined]
     return cols
@@ -267,6 +223,39 @@ def _cache_touch(sets: Dict[int, List[int]], num_sets: int, assoc: int,
         del ways[0]
     ways.append(line)
     return False
+
+
+def _warm_lru_banks(banks: List[Dict[int, List[int]]], num_sets: int,
+                    assoc: int, stream: Sequence[int]) -> None:
+    """Leave ``banks`` (empty, line-interleaved) as a forward
+    :func:`_cache_touch` replay of the byte addresses ``stream`` would.
+
+    An LRU set ends holding the last ``assoc`` distinct lines that map
+    to it, least recently used first.  So the stream is walked from its
+    end: each set takes the lines it does not hold yet, each one older
+    than the last, until it is full, and the walk stops once every set
+    of every bank is full.
+    """
+    nb = len(banks)
+    unfilled = nb * num_sets
+    if not unfilled:
+        return
+    for addr in reversed(stream):
+        line = addr // L2_LINE_BYTES
+        local = line // nb
+        sets = banks[line % nb]
+        idx = local % num_sets
+        ways = sets.get(idx)
+        if ways is None:
+            ways = sets[idx] = [local]
+        elif len(ways) >= assoc or local in ways:
+            continue
+        else:
+            ways.insert(0, local)
+        if len(ways) == assoc:
+            unfilled -= 1
+            if not unfilled:
+                break
 
 
 # ======================================================================
@@ -454,7 +443,9 @@ class BatchedSimulator:
 
         The read stream goes through the home L1Ds, then the timed
         region's own PC stream through the L1Is; misses of both fall
-        through to the L2, in the same order.
+        through to the L2, in the same order.  The L2 takes the state
+        that replay leaves, built in one backward walk
+        (:func:`_warm_lru_banks`).
         """
         ns = self.num_slices
         fw = self.fetch_width
@@ -471,13 +462,7 @@ class BatchedSimulator:
             sid = (pc4 // 4 // fw) % ns
             if not _cache_touch(l1i[sid], l1i_n, l1i_a, pc4 // 8):
                 stream.append(pc4)
-        nb = self.l2_nb
-        if nb:
-            l2_sets = self.l2_sets
-            for addr in stream:
-                line = addr // L2_LINE_BYTES
-                _cache_touch(l2_sets[line % nb], _L2_SETS, L2_ASSOC,
-                             line // nb)
+        _warm_lru_banks(self.l2_sets, _L2_SETS, L2_ASSOC, stream)
 
     # ------------------------------------------------------------------
     # lazy memory-system background work
@@ -618,7 +603,7 @@ class BatchedSimulator:
     def _resolve_branch(self, seq: int, t: int) -> None:
         sid = self.sid[seq]
         pc = self.cols.pcs[seq]
-        taken = bool(self.cols.flags[seq] & F_TAKEN)
+        taken = bool(self.cols.flags[seq] & FLAG_TAKEN)
         bp = self.bp
         if self.gshare:
             index = (pc ^ self.hist[sid]) % self.bp_entries
@@ -865,7 +850,7 @@ class BatchedSimulator:
                         continue
                     t = comp[seq]
                     unresolved_set.discard(seq)
-                    if flags[seq] & F_BRANCH:
+                    if flags[seq] & FLAG_BRANCH:
                         self._resolve_branch(seq, t)
                     waiting = waiters.pop(seq, None)
                     if waiting:
@@ -891,7 +876,7 @@ class BatchedSimulator:
                                 cycle = rdy[consumer]
                                 entry = (consumer, consumer_ep)
                                 if cycle <= now:
-                                    if flags[consumer] & F_MEM:
+                                    if flags[consumer] & FLAG_MEM:
                                         insort(ready_mem[
                                             sid_of[consumer]], entry)
                                     else:
@@ -910,7 +895,7 @@ class BatchedSimulator:
                 for seq, seq_ep in batch:
                     if sq[seq] or ep[seq] != seq_ep:
                         continue
-                    if flags[seq] & F_MEM:
+                    if flags[seq] & FLAG_MEM:
                         insort(ready_mem[sid_of[seq]], (seq, seq_ep))
                     else:
                         insort(ready_alu[sid_of[seq]], (seq, seq_ep))
@@ -924,14 +909,14 @@ class BatchedSimulator:
                     if head_complete < 0 or head_complete + precommit > now:
                         break
                     bits = flags[head]
-                    if bits & F_STORE:
+                    if bits & FLAG_STORE:
                         if not self._commit_store(head, now):
                             break
                     rob_w.popleft()
                     rob_c[sid_of[head]] -= 1
                     ccyc[head] = now
                     self.committed += 1
-                    if bits & F_LOAD:
+                    if bits & FLAG_LOAD:
                         bank = lsq_banks[home_of[head]]
                         if bank.pop(head, None) is not None:
                             if len(bank) == lsq_cap - 1:
@@ -979,7 +964,7 @@ class BatchedSimulator:
                     del r[0]
                     alu_windows[sid].remove(seq)
                     cyc = now + (mul_latency
-                                 if flags[seq] & F_MUL else 1)
+                                 if flags[seq] & FLAG_MUL else 1)
                     comp[seq] = cyc
                     # Inline _schedule_completion: latency >= 1 so the
                     # now+1 floor can never bind.
@@ -1021,7 +1006,7 @@ class BatchedSimulator:
                                 self.st_issue_lsq_full += 1
                                 i += 1
                                 continue
-                            if (ordered and flags[seq] & F_LOAD
+                            if (ordered and flags[seq] & FLAG_LOAD
                                     and min_unresolved >= 0
                                     and min_unresolved < seq):
                                 i += 1
@@ -1042,7 +1027,7 @@ class BatchedSimulator:
                         sort_latency = 0 if distance == 0 else 1 + distance
                         resolved = now + 1 + sort_latency
                         bank = lsq_banks[home]
-                        is_store = flags[pick] & F_STORE
+                        is_store = flags[pick] & FLAG_STORE
                         if len(bank) >= lsq_cap and pick != head_seq:
                             # Defensive parity with the scalar bank-full
                             # re-insert; the issue predicate makes this
@@ -1102,12 +1087,12 @@ class BatchedSimulator:
                         self.st_rob_full += 1
                         break
                     bits = flags[seq]
-                    window = (mem_windows[sid] if bits & F_MEM
+                    window = (mem_windows[sid] if bits & FLAG_MEM
                               else alu_windows[sid])
                     if len(window) >= win_cap:
                         self.st_window_full += 1
                         break
-                    writes = bits & F_WRITES
+                    writes = bits & FLAG_WRITES
                     if not rn_free and writes:
                         self.st_freelist += 1
                         break
@@ -1176,7 +1161,7 @@ class BatchedSimulator:
                         producer_of[reg] = seq
                     disp[seq] = now
                     pend[seq] = pending
-                    if bits & F_STORE:
+                    if bits & FLAG_STORE:
                         unresolved_set.add(seq)
                     if fixups:
                         for producer in fixups:
@@ -1271,12 +1256,12 @@ class BatchedSimulator:
                     quotas[sid] -= 1
                     ptr += 1
                     bits = flags[seq]
-                    if bits & F_BRANCH:
+                    if bits & FLAG_BRANCH:
                         self.branches += 1
                         pc = pcs[seq]
                         predicted = self._predict(sid, pc)
                         self.pred[seq] = 1 if predicted else 0
-                        if predicted != bool(bits & F_TAKEN):
+                        if predicted != bool(bits & FLAG_TAKEN):
                             self.blocking = (seq, epoch)
                             break
                 self.fetch_ptr = ptr
@@ -1347,10 +1332,10 @@ class BatchedSimulator:
                     l1i_last[sid] = line
             bits = flags[seq]
             if bits:
-                if bits & F_BRANCH:
+                if bits & FLAG_BRANCH:
                     # BranchUnit.resolve: train the predictor, install
                     # the BTB target (prediction itself is stateless).
-                    taken = bool(bits & F_TAKEN)
+                    taken = bool(bits & FLAG_TAKEN)
                     pc = pcs[seq]
                     if gshare:
                         index = (pc ^ self.hist[sid]) % bp_entries
@@ -1369,7 +1354,7 @@ class BatchedSimulator:
                     target = targets[seq]
                     if taken and target >= 0:
                         btb[sid][pc % btb_entries] = target
-                elif bits & F_MEM:
+                elif bits & FLAG_MEM:
                     address = addrs[seq]
                     home = home_of[seq]
                     self.l1d_acc += 1

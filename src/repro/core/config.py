@@ -22,7 +22,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cache.l2 import default_bank_distances
+from repro.cache.l2 import L2_BANK_BYTES, default_bank_distances
 from repro.isa.registers import NUM_ARCH_REGS
 
 #: Paper Equation 3: valid Slice counts per VCore.
@@ -30,6 +30,19 @@ MIN_SLICES = 1
 MAX_SLICES = 8
 #: Paper Equation 3: maximum L2 per VCore (8 MB).
 MAX_CACHE_KB = 8192.0
+#: An L2 allocation is made of whole banks.
+BANK_KB = L2_BANK_BYTES // 1024
+
+
+def l2_size_error(l2_cache_kb: float) -> Optional[str]:
+    """Why ``l2_cache_kb`` is not an L2 allocation - a whole number of
+    banks from 0 to :data:`MAX_CACHE_KB` - as a one-line message, or
+    ``None`` if it is.  ``VCoreConfig`` and ``repro simulate
+    --cache-kb`` both apply it."""
+    if 0 <= l2_cache_kb <= MAX_CACHE_KB and l2_cache_kb % BANK_KB == 0:
+        return None
+    return (f"L2 is a whole number of {BANK_KB} KB banks in "
+            f"0-{MAX_CACHE_KB:g} KB, got {l2_cache_kb:g}")
 
 
 @dataclass(frozen=True)
@@ -134,14 +147,13 @@ class VCoreConfig:
                 f"Slice count {self.num_slices} outside paper Equation 3 "
                 f"range [{MIN_SLICES}, {MAX_SLICES}]"
             )
-        if not 0 <= self.l2_cache_kb <= MAX_CACHE_KB:
-            raise ValueError(
-                f"L2 size {self.l2_cache_kb} KB outside [0, {MAX_CACHE_KB}]"
-            )
+        message = l2_size_error(self.l2_cache_kb)
+        if message is not None:
+            raise ValueError(message)
 
     @property
     def num_l2_banks(self) -> int:
-        return int(round(self.l2_cache_kb / 64.0))
+        return int(self.l2_cache_kb // BANK_KB)
 
     def bank_distances(self) -> List[int]:
         if self.l2_bank_distances is not None:

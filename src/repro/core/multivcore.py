@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.coherence import Directory
-from repro.core.config import SimConfig
+from repro.core.config import SimConfig, l2_size_error
 from repro.core.simulator import SharingSimulator, SimResult
 from repro.network.topology import Mesh2D
 from repro.trace.generator import SyntheticTraceGenerator
@@ -136,6 +136,11 @@ class MultiVCoreSimulator:
                  config: Optional[SimConfig] = None):
         if num_vcores < 1:
             raise ValueError("need at least one VCore")
+        message = l2_size_error(l2_cache_kb / num_vcores)
+        if message is not None:
+            raise ValueError(
+                f"{l2_cache_kb:g} KB of L2 shared by {num_vcores} VCores "
+                f"is {l2_cache_kb / num_vcores:g} KB each: {message}")
         self.benchmark = benchmark
         self.num_vcores = num_vcores
         self.slices_per_vcore = slices_per_vcore

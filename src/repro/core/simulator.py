@@ -49,7 +49,9 @@ from repro.core.stats import SimStats
 from repro.core.vcore import VCore
 from repro.isa import Instruction, OpClass
 from repro.obs import OBS_OFF, Observability
-from repro.trace.records import Trace
+from repro.trace.records import (
+    FLAG_BRANCH, FLAG_MEM, FLAG_STORE, FLAG_TAKEN, Trace,
+)
 
 
 class SimulationTimeout(RuntimeError):
@@ -245,8 +247,7 @@ class ReferenceSimulator:
             home = (address // line_size) % num_slices
             if not l1d_access[home](address).hit:
                 l2_access(address)
-        for inst in self.trace:
-            pc = inst.pc
+        for pc in self.trace.pcs:
             sid = (pc // fetch_width) % num_slices
             if not l1i_access[sid](pc * 4).hit:
                 l2_access(pc * 4)
@@ -314,20 +315,16 @@ class ReferenceSimulator:
         are excluded by the sampled estimator's per-window deltas.
         """
         self._require_drained()
-        from repro.trace.materialize import (
-            FLAG_BRANCH, FLAG_STORE, FLAG_TAKEN, materialize,
-        )
-
-        arrays = materialize(self.trace)
+        trace = self.trace
         start = self._fetch_ptr
-        stop = min(start + count, len(self.trace))
+        stop = min(start + count, len(trace))
         if stop <= start:
             return 0
 
-        pcs = arrays.pcs
-        mem_addrs = arrays.mem_addrs
-        flags = arrays.flags
-        targets = arrays.targets
+        pcs = trace.pcs
+        mem_addrs = trace.mem_addrs
+        flags = trace.flags
+        targets = trace.targets
         vcore = self.vcore
         slices = self._slices
         num_slices = vcore.num_slices
@@ -355,21 +352,20 @@ class ReferenceSimulator:
                 l2_access(address)
             cache.prefetch(address + prefetch_stride)
             bits = flags[seq]
-            if bits:
-                if bits & FLAG_BRANCH:
-                    taken = bool(bits & FLAG_TAKEN)
-                    target = targets[seq]
-                    unit = branch_units[sid]
-                    unit.resolve(pc, taken,
-                                 target if target >= 0 else None,
-                                 unit.predict(pc))
-                else:
-                    address = mem_addrs[seq]
-                    is_store = bool(bits & FLAG_STORE)
-                    home = home_slice(address)
-                    if not l1d[home].access(address,
-                                            is_write=is_store).hit:
-                        l2_access(address, is_write=is_store)
+            if bits & FLAG_BRANCH:
+                taken = bool(bits & FLAG_TAKEN)
+                target = targets[seq]
+                unit = branch_units[sid]
+                unit.resolve(pc, taken,
+                             target if target >= 0 else None,
+                             unit.predict(pc))
+            elif bits & FLAG_MEM:
+                address = mem_addrs[seq]
+                is_store = bool(bits & FLAG_STORE)
+                home = home_slice(address)
+                if not l1d[home].access(address,
+                                        is_write=is_store).hit:
+                    l2_access(address, is_write=is_store)
         retired = stop - start
         self._fetch_ptr = stop
         self._next_dispatch_seq = stop

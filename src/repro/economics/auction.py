@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.economics.market import budget_error
 from repro.economics.tensor import MarketKernel
 from repro.economics.utility import UtilityFunction
 from repro.perfmodel.model import AnalyticModel
@@ -47,8 +48,9 @@ class Bidder:
     budget: float
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        message = budget_error(self.budget)
+        if message is not None:
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,20 @@ demand-driven prices depart from area cost:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 #: Capacity of one L2 bank in KB (paper Section 3.5).
 BANK_KB = 64.0
+
+
+def budget_error(budget: float) -> Optional[str]:
+    """Why ``budget`` is not a budget - a positive, finite number of
+    currency units - as a one-line message, or ``None`` if it is."""
+    if 0 < budget < math.inf:
+        return None
+    return f"budget must be a positive, finite number, got {budget!r}"
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.economics.market import Market
+from repro.economics.market import Market, budget_error
 from repro.economics.tensor import MarketKernel
 from repro.economics.utility import UtilityFunction
 from repro.perfmodel.model import (
@@ -69,8 +69,9 @@ class UtilityOptimizer:
                  cache_grid: Sequence[float] = CACHE_GRID_KB,
                  slice_grid: Sequence[int] = SLICE_GRID,
                  obs=None):
-        if budget <= 0:
-            raise ValueError("budget must be positive")
+        message = budget_error(budget)
+        if message is not None:
+            raise ValueError(message)
         self.cache_grid = tuple(cache_grid)
         self.slice_grid = tuple(slice_grid)
         self.model = model or AnalyticModel()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.simulator import simulate
 from repro.experiments.base import ExperimentResult
 from repro.perfmodel.model import AnalyticModel, SLICE_GRID
 from repro.trace.profiles import all_benchmarks
@@ -79,6 +78,9 @@ def run_simulated(benchmark: str = "gcc",
     ``sampling`` (a :class:`~repro.sampling.SamplingConfig`) switches
     the sweep to interval-sampled simulation.
     """
+    # Imported here: ``run()`` is analytic, so loading the artefact
+    # must not load the simulator.
+    from repro.core.simulator import simulate
     from repro.sampling import simulate_sampled
     from repro.trace.materialize import get_workload
 

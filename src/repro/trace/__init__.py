@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "generate_trace": ".generator",
     "PhasedProfile": ".phases",
     "gcc_phases": ".phases",
-    "TraceArrays": ".materialize",
     "get_workload": ".materialize",
     "workload_key": ".materialize",
     "workload_cache_stats": ".materialize:cache_stats",

@@ -17,19 +17,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.isa import Instruction, MemAccess
-from repro.isa.opcodes import CLASS_OPCODES, OpClass
+from repro.isa.opcodes import CLASS_OPCODES, OpClass, Opcode
 from repro.trace.profiles import BenchmarkProfile, get_profile
-from repro.trace.records import Trace, TraceMetadata
+from repro.trace.records import (
+    FLAG_BRANCH, FLAG_LOAD, FLAG_MUL, FLAG_STORE, FLAG_TAKEN, FLAG_WRITES,
+    Trace, TraceMetadata,
+)
 
 #: Size of the "hot" data region that always fits in the L1 D-cache.
 _HOT_REGION_BYTES = 4 * 1024
 #: Base virtual address of the data segment.
 _DATA_BASE = 0x1000_0000
-#: Base virtual address of the streaming segment (never reused).
-_STREAM_BASE = 0x4000_0000
+#: Base of the cold region, well above the hot region so the two never
+#: alias.
+_COLD_BASE = _DATA_BASE + 0x100_0000
 #: Base of the code segment; PCs are instruction indices, not bytes.
 _CODE_BASE = 0x40_0000
 #: Bias of an easy (highly predictable) static branch.
@@ -145,21 +148,6 @@ class SyntheticTraceGenerator:
     # dynamic instruction synthesis
     # ------------------------------------------------------------------
 
-    def _pick_dst(self) -> int:
-        """Destination register, avoiding the zero register."""
-        return self._rng.randrange(1, 32)
-
-    def _pick_src(self) -> int:
-        """Source register at a profile-typical dependence distance."""
-        if not self._recent_dsts:
-            return self._rng.randrange(1, 32)
-        # Geometric distance back into the recent-writer window.
-        dist = 1
-        while self._rng.random() > self._dep_p and dist < len(self._recent_dsts):
-            dist += 1
-        dist = min(dist, len(self._recent_dsts))
-        return self._recent_dsts[-dist]
-
     def _cold_line(self) -> int:
         """Pick a cold line realising the profile's L2 miss-rate curve.
 
@@ -190,79 +178,6 @@ class SyntheticTraceGenerator:
             del history[: len(history) - 10 * self._ws_lines]
         return line
 
-    def _pick_address(self) -> int:
-        """Memory address following the profile's reuse structure."""
-        if self._rng.random() < self._miss_frac:
-            # Cold access (L1-missing): reuse at L2 scales or compulsory.
-            # The cold region sits well above the hot region so the two
-            # never alias.
-            return _DATA_BASE + 0x100_0000 + self._cold_line() * 64
-        # Hot access: always L1-resident.
-        offset = self._rng.randrange(_HOT_REGION_BYTES // 8) * 8
-        return _DATA_BASE + offset
-
-    def _pick_op_class(self) -> OpClass:
-        """Pick a non-branch class for a block-body slot.
-
-        Branches are emitted only at block ends, so body-slot fractions
-        are scaled by 1 / (1 - frac_branch) to realise the profile's
-        global instruction mix.
-        """
-        p = self.profile
-        scale = 1.0 / (1.0 - p.frac_branch)
-        r = self._rng.random()
-        if r < p.frac_load * scale:
-            return OpClass.LOAD
-        r -= p.frac_load * scale
-        if r < p.frac_store * scale:
-            return OpClass.STORE
-        r -= p.frac_store * scale
-        if r < p.frac_mul * scale:
-            return OpClass.MUL
-        return OpClass.ALU
-
-    def _emit(self, seq: int, pc: int, op_class: OpClass) -> Instruction:
-        opcode = self._rng.choice(CLASS_OPCODES[op_class])
-        srcs: tuple
-        dst: Optional[int]
-        mem: Optional[MemAccess] = None
-        if op_class is OpClass.LOAD:
-            srcs = (self._pick_src(),)
-            dst = self._pick_dst()
-            mem = MemAccess(address=self._pick_address())
-        elif op_class is OpClass.STORE:
-            srcs = (self._pick_src(), self._pick_src())
-            dst = None
-            mem = MemAccess(address=self._pick_address())
-        elif self._rng.random() < self._two_src_prob:
-            srcs = (self._pick_src(), self._pick_src())
-            dst = self._pick_dst()
-        else:
-            srcs = (self._pick_src(),)
-            dst = self._pick_dst()
-        inst = Instruction(
-            seq=seq, pc=pc, opcode=opcode, srcs=srcs, dst=dst, mem=mem
-        )
-        if dst is not None:
-            self._recent_dsts.append(dst)
-            if len(self._recent_dsts) > 64:
-                self._recent_dsts.pop(0)
-        return inst
-
-    def _emit_branch(self, seq: int, branch: _StaticBranch) -> Instruction:
-        taken = self._rng.random() < branch.bias
-        target_pc = self._blocks[branch.target_block].base_pc
-        opcode = self._rng.choice(CLASS_OPCODES[OpClass.BRANCH])
-        return Instruction(
-            seq=seq,
-            pc=branch.pc,
-            opcode=opcode,
-            srcs=(self._pick_src(),),
-            dst=None,
-            taken=taken,
-            target=target_pc if taken else None,
-        )
-
     def warmup_addresses(self, cold_multiplier: float = 4.0) -> List[int]:
         """Cold-region addresses that bring the reuse history to steady
         state.
@@ -276,41 +191,134 @@ class SyntheticTraceGenerator:
         if cold_multiplier < 0:
             raise ValueError("cold_multiplier cannot be negative")
         n = int(cold_multiplier * self._ws_lines)
-        base = _DATA_BASE + 0x100_0000
-        return [base + self._cold_line() * 64 for _ in range(n)]
+        return [_COLD_BASE + self._cold_line() * 64 for _ in range(n)]
 
     def generate(self, length: int) -> Trace:
-        """Generate a dynamic trace of ``length`` instructions."""
+        """Generate a dynamic trace of ``length`` instructions.
+
+        Walks the control-flow graph and appends each instruction
+        straight into the trace's columns.  A block-body slot draws its
+        class, opcode, sources (ALU and multiply ops take a second one
+        with probability ``_two_src_prob``), destination and address, in
+        that order; the branch that ends a block draws its direction,
+        opcode and one source.  Every draw fixes the stream for a seed,
+        the opcode included, although no simulator reads it.
+        """
         if length < 1:
             raise ValueError("trace length must be positive")
-        instructions: List[Instruction] = []
-        block_idx = 0
+        rng = self._rng
+        rand = rng.random
+        randrange = rng.randrange
+        choice = rng.choice
+        recent = self._recent_dsts
+        dep_p = self._dep_p
+        two_src_prob = self._two_src_prob
+        miss_frac = self._miss_frac
+        cold_line = self._cold_line
+        # Branches only end blocks, so body-slot class fractions are
+        # scaled by 1 / (1 - frac_branch) to realise the global mix.
+        profile = self.profile
+        scale = 1.0 / (1.0 - profile.frac_branch)
+        p_load = profile.frac_load * scale
+        p_store = profile.frac_store * scale
+        p_mul = profile.frac_mul * scale
+        load_ops = CLASS_OPCODES[OpClass.LOAD]
+        store_ops = CLASS_OPCODES[OpClass.STORE]
+        mul_ops = CLASS_OPCODES[OpClass.MUL]
+        alu_ops = CLASS_OPCODES[OpClass.ALU]
+        branch_ops = CLASS_OPCODES[OpClass.BRANCH]
+
+        def pick_src() -> int:
+            """A source register at a profile-typical dependence distance:
+            geometric back into the window of recent destinations."""
+            if not recent:
+                return randrange(1, 32)
+            dist = 1
+            while rand() > dep_p and dist < len(recent):
+                dist += 1
+            return recent[-dist]
+
+        def pick_address() -> int:
+            """A cold (L1-missing) line with probability ``miss_frac``,
+            else a word of the always-resident hot region."""
+            if rand() < miss_frac:
+                return _COLD_BASE + cold_line() * 64
+            return _DATA_BASE + randrange(_HOT_REGION_BYTES // 8) * 8
+
+        pcs: List[int] = []
+        opcodes: List[Opcode] = []
+        srcs: List[Tuple[int, ...]] = []
+        dsts: List[int] = []
+        addrs: List[int] = []
+        flags: List[int] = []
+        targets: List[int] = []
+        blocks = self._blocks
+        block = blocks[0]
         seq = 0
-        while seq < length:
-            block = self._blocks[block_idx]
-            for offset in range(block.body_len):
-                if seq >= length:
-                    break
-                op_class = self._pick_op_class()
-                if op_class is OpClass.BRANCH:  # branches only end blocks
-                    op_class = OpClass.ALU
-                instructions.append(
-                    self._emit(seq, block.base_pc + offset, op_class)
-                )
-                seq += 1
+        while True:
+            base = block.base_pc
+            body = min(block.body_len, length - seq)
+            for pc in range(base, base + body):
+                # The class: r walks down the load, store and multiply
+                # fractions; what is left is an ALU op.
+                r = rand()
+                if r < p_load:
+                    opcodes.append(choice(load_ops))
+                    srcs.append((pick_src(),))
+                    dst = randrange(1, 32)  # never the zero register
+                    addrs.append(pick_address())
+                    flags.append(FLAG_LOAD | FLAG_WRITES)
+                elif r - p_load < p_store:
+                    opcodes.append(choice(store_ops))
+                    srcs.append((pick_src(), pick_src()))
+                    dst = -1
+                    addrs.append(pick_address())
+                    flags.append(FLAG_STORE)
+                else:
+                    if r - p_load - p_store < p_mul:
+                        opcodes.append(choice(mul_ops))
+                        flags.append(FLAG_MUL | FLAG_WRITES)
+                    else:
+                        opcodes.append(choice(alu_ops))
+                        flags.append(FLAG_WRITES)
+                    if rand() < two_src_prob:
+                        srcs.append((pick_src(), pick_src()))
+                    else:
+                        srcs.append((pick_src(),))
+                    dst = randrange(1, 32)
+                    addrs.append(-1)
+                pcs.append(pc)
+                dsts.append(dst)
+                targets.append(-1)
+                if dst >= 0:
+                    recent.append(dst)
+                    if len(recent) > 64:
+                        del recent[0]
+            seq += body
             if seq >= length:
                 break
-            branch_inst = self._emit_branch(seq, block.branch)
-            instructions.append(branch_inst)
+            branch = block.branch
+            taken = rand() < branch.bias
+            opcodes.append(choice(branch_ops))
+            srcs.append((pick_src(),))
+            pcs.append(branch.pc)
+            dsts.append(-1)
+            addrs.append(-1)
             seq += 1
-            if branch_inst.taken:
-                block_idx = block.branch.target_block
+            if taken:
+                block = blocks[branch.target_block]
+                flags.append(FLAG_BRANCH | FLAG_TAKEN)
+                targets.append(block.base_pc)
             else:
-                block_idx = block.fallthrough_block
-        meta = TraceMetadata(
-            benchmark=self.profile.name, seed=self.seed, length=len(instructions)
-        )
-        return Trace(instructions, meta)
+                block = blocks[block.fallthrough_block]
+                flags.append(FLAG_BRANCH)
+                targets.append(-1)
+            if seq >= length:
+                break
+        meta = TraceMetadata(benchmark=profile.name, seed=self.seed,
+                             length=length)
+        return Trace.from_columns(meta, pcs, opcodes, srcs, dsts, addrs,
+                                  flags, targets)
 
 
 def generate_trace(benchmark: str, length: int, seed: int = 0) -> Trace:

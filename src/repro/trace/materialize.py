@@ -1,134 +1,41 @@
-"""Materialized trace arrays and a process-local workload cache.
+"""The process-local workload cache.
 
-Two hot-path services for the simulator and the sweep engine:
+:func:`get_workload` is a process-local LRU over generated workloads,
+keyed by (profile fields, length, seed, warmup multiplier).  Repeated
+work units inside one engine worker - or repeated experiment calls in
+one process - reuse the same generated trace instead of re-running the
+synthetic generator.  Hit/miss/eviction counters are exposed both as
+plain module state (:func:`cache_stats`) and through ``repro.obs``
+(:func:`attach_obs`).
 
-* :func:`materialize` flattens a :class:`~repro.trace.records.Trace` into
-  :class:`TraceArrays` - compact, preallocated ``array`` columns (PCs,
-  memory addresses, packed flags) that the object model's functional
-  fast-forward (``ReferenceSimulator.fast_forward``) walks without
-  touching ``Instruction`` objects or property chains.  The arrays are
-  built on first use and cached on the trace instance.
+Cached workloads are shared; a :class:`~repro.trace.records.Trace` is
+immutable and the simulators never modify a warmup stream.
 
-* :func:`get_workload` is a process-local LRU over generated workloads,
-  keyed by (profile fields, length, seed, warmup multiplier).  Repeated
-  work units inside one engine worker - or repeated experiment calls in
-  one process - reuse the same generated trace instead of re-running the
-  synthetic generator.  Hit/miss/eviction counters are exposed both as
-  plain module state (:func:`cache_stats`) and through ``repro.obs``
-  (:func:`attach_obs`).
-
-Cached workloads are shared, so callers must treat the returned trace
-and warmup stream as immutable (the simulator already does).
+:func:`materialize` predates columnar traces: a trace's columns are now
+its data, so it returns the trace itself.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from array import array
 from collections import OrderedDict
 from dataclasses import asdict
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.trace.profiles import BenchmarkProfile, get_profile
 from repro.trace.records import Trace
 
-#: Packed per-instruction flag bits (see :class:`TraceArrays.flags`).
-FLAG_BRANCH = 1
-FLAG_TAKEN = 2
-FLAG_LOAD = 4
-FLAG_STORE = 8
-
 #: Default number of workloads kept by the process-local LRU.  A workload
-#: is O(length) instruction objects; 32 covers every benchmark in the
-#: paper's figures at several lengths without unbounded growth.
+#: is O(length) column entries; 32 covers every benchmark in the paper's
+#: figures at several lengths without unbounded growth.
 DEFAULT_CAPACITY = 32
 
 
-class TraceArrays:
-    """Column-oriented view of a trace for the functional fast path.
-
-    One entry per dynamic instruction:
-
-    * ``pcs``       - program counters (``array('q')``);
-    * ``mem_addrs`` - effective address, or ``-1`` for non-memory ops;
-    * ``flags``     - packed ``FLAG_*`` bits (``array('b')``);
-    * ``targets``   - taken-branch target PC, or ``-1``.
-    """
-
-    __slots__ = ("length", "pcs", "mem_addrs", "flags", "targets")
-
-    def __init__(self, trace: Sequence) -> None:
-        n = len(trace)
-        self.length = n
-        pcs = array("q", bytes(8 * n))
-        mem_addrs = array("q", bytes(8 * n))
-        flags = array("b", bytes(n))
-        targets = array("q", bytes(8 * n))
-        for i, inst in enumerate(trace):
-            pcs[i] = inst.pc
-            bits = 0
-            if inst.mem is not None:
-                mem_addrs[i] = inst.mem.address
-                bits |= FLAG_STORE if inst.is_store else FLAG_LOAD
-            else:
-                mem_addrs[i] = -1
-            if inst.is_branch:
-                bits |= FLAG_BRANCH
-                if inst.taken:
-                    bits |= FLAG_TAKEN
-            targets[i] = inst.target if inst.target is not None else -1
-            flags[i] = bits
-        self.pcs = pcs
-        self.mem_addrs = mem_addrs
-        self.flags = flags
-        self.targets = targets
-
-    def __len__(self) -> int:
-        return self.length
-
-
-#: Full-fidelity content tokens are computed for traces up to this many
-#: instructions; beyond it :func:`trace_token` samples element
-#: identities (the token check runs on the per-window fast-forward
-#: path, and a full O(n) walk over a millions-long trace would cost as
-#: much as the window itself).
-_TOKEN_FULL_MAX = 65536
-_TOKEN_PROBES = 4096
-
-
-def trace_token(trace: Trace) -> int:
-    """Identity fingerprint of a trace's instruction stream.
-
-    Replacing any element of a small trace changes the token;
-    for traces above ``_TOKEN_FULL_MAX`` a strided sample of element
-    identities (plus length and endpoints) is fingerprinted instead.
-    """
-    insts = trace._instructions
-    n = len(insts)
-    if n <= _TOKEN_FULL_MAX:
-        return hash((n, tuple(map(id, insts))))
-    step = max(1, n // _TOKEN_PROBES)
-    probes = tuple(id(insts[i]) for i in range(0, n, step))
-    return hash((n, id(insts), id(insts[-1]), probes))
-
-
-def materialize(trace: Trace) -> TraceArrays:
-    """The trace's :class:`TraceArrays`, built once and cached on it.
-
-    The memo is keyed on the trace's *content identity*
-    (:func:`trace_token`), not just its length, so a trace mutated in
-    place can never serve stale columns.
-    """
-    token = trace_token(trace)
-    arrays = getattr(trace, "_materialized", None)
-    if (arrays is not None and arrays.length == len(trace)
-            and getattr(trace, "_materialized_token", None) == token):
-        return arrays
-    arrays = TraceArrays(trace)
-    trace._materialized = arrays  # type: ignore[attr-defined]
-    trace._materialized_token = token  # type: ignore[attr-defined]
-    return arrays
+def materialize(trace: Trace) -> Trace:
+    """The trace's columns (``pcs``, ``mem_addrs``, ``flags``,
+    ``targets``, ...): the trace itself."""
+    return trace
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,40 @@ class TestVCoreConfig:
         assert VCoreConfig(l2_cache_kb=256).num_l2_banks == 4
         assert VCoreConfig(l2_cache_kb=0).num_l2_banks == 0
 
+    @pytest.mark.parametrize("kb", [512 / 3, 100.0, 20.0, -64.0, 8256.0,
+                                    float("nan"), float("inf")])
+    def test_partial_banks_rejected(self, kb):
+        """An L2 is whole 64 KB banks: 512/3 KB used to simulate 3
+        banks, 100 KB 2 banks and 20 KB none."""
+        with pytest.raises(ValueError,
+                           match="whole number of 64 KB banks") as info:
+            SimConfig().with_vcore(2, kb)
+        assert "\n" not in str(info.value)
+        assert f"got {kb:g}" in str(info.value)
+
+    def test_cli_applies_the_same_rule(self):
+        import argparse
+
+        from repro.__main__ import _cache_kb
+
+        for text in ("100", "20", "-64", "8256"):
+            with pytest.raises(ValueError) as api:
+                VCoreConfig(l2_cache_kb=float(text))
+            with pytest.raises(argparse.ArgumentTypeError) as cli:
+                _cache_kb(text)
+            assert str(cli.value) == str(api.value)
+        assert _cache_kb("192") == VCoreConfig(l2_cache_kb=192).l2_cache_kb
+
+    def test_multivcore_share_must_be_whole_banks(self):
+        from repro.core.multivcore import MultiVCoreSimulator
+
+        with pytest.raises(ValueError, match="170.667 KB each") as info:
+            MultiVCoreSimulator("dedup", num_vcores=3, l2_cache_kb=512)
+        assert "\n" not in str(info.value)
+        sim = MultiVCoreSimulator("dedup", num_vcores=4, l2_cache_kb=512,
+                                  trace_length=10)
+        assert sim.l2_cache_kb / sim.num_vcores == 128
+
     def test_explicit_distances_validated(self):
         cfg = VCoreConfig(l2_cache_kb=128, l2_bank_distances=[1, 2])
         assert cfg.bank_distances() == [1, 2]

@@ -92,6 +92,45 @@ class TestOnePath:
         assert snap["sim.cache.l2.misses"]["value"] > 0
 
 
+class TestNoInstructionObjects:
+    """The production path reads the trace's columns: generating a
+    workload and simulating it, exactly or sampled, in-process or
+    through the engine, builds no ``Instruction``."""
+
+    @pytest.fixture
+    def no_instructions(self, monkeypatch):
+        from repro.isa import Instruction
+        from repro.trace import materialize
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an Instruction was built on a "
+                                 "production path")
+
+        materialize.clear()
+        monkeypatch.setattr(Instruction, "__init__", refuse)
+        yield
+        materialize.clear()
+
+    def test_generate_and_simulate(self, tmp_path, no_instructions):
+        from repro.engine import ResultCache, SweepEngine
+
+        warmup, trace = get_workload("gcc", 6000, 1)
+        assert simulate(trace, num_slices=2,
+                        warmup_addresses=warmup).stats.committed == 6000
+        assert simulate_sampled(trace, num_slices=2, sampling=SAMPLING,
+                                warmup_addresses=warmup).sampled
+        engine = SweepEngine(jobs=1, cache=ResultCache(root=str(tmp_path)))
+        sweep = engine.simulation_map(["mcf"], cache_grid=(128.0,),
+                                      slice_grid=(1, 2), trace_length=600,
+                                      trace_seed=1)
+        assert len(sweep.grid("mcf")) == 2
+
+    def test_the_guard_trips(self, no_instructions):
+        _, trace = get_workload("gcc", 10, 1)
+        with pytest.raises(AssertionError, match="Instruction was built"):
+            trace[0]
+
+
 class TestVCoreFromConfig:
     CONFIG = SimConfig(vcore=VCoreConfig(num_slices=4, l2_cache_kb=512.0))
 
@@ -153,6 +192,15 @@ SharingSimulator(trace, num_slices=2, l2_cache_kb=128.0,
                  warmup_addresses=warmup).run()
 """
 
+#: Code that loads every artefact ``repro experiments`` runs.
+_ARTEFACTS = """
+import importlib
+from repro.experiments import runner
+
+for name in runner.NAMES:
+    importlib.import_module(f"repro.experiments.{name}")
+"""
+
 #: What a pure-Python path must not import: numpy, the market kernel,
 #: the cloud layer and the process-pool machinery.
 _HEAVY = ("numpy", "repro.cloud", "repro.economics.tensor",
@@ -183,6 +231,10 @@ def _repro_layers():
     pytest.param("import repro.core.simulator, repro.sampling",
                  ("repro.core.batched",), id="simulator-api"),
     pytest.param(_EXACT_RUN, _HEAVY, id="exact-run"),
+    # The Fig 12/13 artefacts are analytic; only their
+    # ``run_simulated()`` anchors load the simulator.
+    pytest.param(_ARTEFACTS, ("repro.core.simulator",),
+                 id="experiments-artefacts"),
     pytest.param(_cli("list"), ("numpy",), id="cli-list"),
     pytest.param(_cli("simulate", "--help"), ("numpy",),
                  id="cli-simulate-help"),

@@ -101,6 +101,11 @@ class TestClearing:
             SpotMarket(slice_supply=1, bank_supply=1).clear([])
         with pytest.raises(ValueError):
             Bidder("x", "gcc", UTILITY1, budget=0)
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(ValueError,
+                               match="^budget must be a positive, finite "
+                                     "number, got "):
+                Bidder("x", "gcc", UTILITY1, budget=budget)
 
 
 def _cache_blind_bidders(n, seed):

@@ -79,6 +79,13 @@ class TestUtilitySurface:
     def test_validation(self):
         with pytest.raises(ValueError):
             UtilityOptimizer(budget=0)
+        # A nan budget used to return (0 KB, 1 Slice) with nan VCores
+        # and utility; inf returned inf.
+        for budget in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError,
+                               match="^budget must be a positive, finite "
+                                     "number, got "):
+                UtilityOptimizer(budget=budget)
         # Grids the scalar model rejects fail at construction, with the
         # scalar model's one-line errors.
         with pytest.raises(ValueError,
