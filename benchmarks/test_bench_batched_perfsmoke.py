@@ -2,8 +2,8 @@
 
 Production ``simulate()`` runs the structure-of-arrays core
 (:mod:`repro.core.batched`); the object model
-:class:`~repro.core.simulator.ReferenceSimulator` is its equivalence
-reference.  Asserted end to end on the exact Figure 12 configuration
+:class:`~tests.oracles.objmodel.simulator.ReferenceSimulator` is its
+equivalence reference.  Asserted end to end on the exact Figure 12 configuration
 sweep (every Slice count at the 128 KB baseline, one gcc trace), one
 call per grid point on both sides:
 
@@ -23,8 +23,9 @@ artifact upload.
 
 import time
 
-from repro.core.simulator import ReferenceSimulator, simulate
+from repro.core.simulator import simulate
 from repro.trace.materialize import get_workload
+from tests.oracles.objmodel.simulator import ReferenceSimulator
 
 BENCHMARK = "gcc"
 LENGTH = 6000

@@ -4,8 +4,8 @@ A full reproduction of Zhou & Wentzlaff, ASPLOS 2014.  The package layers:
 
 * :mod:`repro.isa`, :mod:`repro.trace` - instruction substrate and the
   synthetic workload generator standing in for GEM5 traces;
-* :mod:`repro.network`, :mod:`repro.cache` - switched on-chip networks
-  and the distributed cache hierarchy;
+* :mod:`repro.network`, :mod:`repro.cache` - the on-chip mesh and the
+  distributed cache hierarchy's geometry and coherence directory;
 * :mod:`repro.core` - Slices, VCores and the SSim cycle-level simulator
   (the paper's primary contribution);
 * :mod:`repro.area` - the published 45 nm area decomposition;
@@ -56,7 +56,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SharingSimulator": ".core.simulator",
     "SimConfig": ".core.config",
     "SimResult": ".core.simulator",
-    "VCore": ".core.vcore",
     "simulate": ".core.simulator",
     "MARKET1": ".economics.market",
     "MARKET2": ".economics.market",

@@ -268,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default 3000)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--obs", action="store_true",
-                     help="attach the instrument registry (runs the "
-                          "object-model reference core)")
+                     help="attach the instrument registry (per-Slice, "
+                          "L2-bank and LSQ-bank counters)")
     sim.add_argument("--trace", metavar="PATH", default=None,
                      help="write Chrome trace_event JSON of the run "
                           "(open in ui.perfetto.dev)")

@@ -143,16 +143,6 @@ class Directory:
         elif not entry.sharers:
             entry.state = CoherenceState.INVALID
 
-    def attach_obs(self, scope) -> None:
-        """Register gauges over the directory's coherence statistics."""
-        scope.gauge("reads", lambda: self.stats.reads)
-        scope.gauge("writes", lambda: self.stats.writes)
-        scope.gauge("invalidations_sent",
-                    lambda: self.stats.invalidations_sent)
-        scope.gauge("downgrades", lambda: self.stats.downgrades)
-        scope.gauge("coherence_misses", lambda: self.stats.coherence_misses)
-        scope.gauge("tracked_lines", self.num_tracked_lines)
-
     def num_tracked_lines(self) -> int:
         return sum(
             1

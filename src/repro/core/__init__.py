@@ -16,26 +16,16 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CacheConfig": ".config",
     "VCoreConfig": ".config",
     "SimConfig": ".config",
-    "BimodalPredictor": ".branch",
-    "BranchTargetBuffer": ".branch",
-    "BranchUnit": ".branch",
-    "VCore": ".vcore",
     "SharingSimulator": ".simulator",
     "SimResult": ".simulator",
     "ReconfigurationEngine": ".reconfig",
     "ReconfigCost": ".reconfig",
     # submodules
     "batched": ".batched",
-    "branch": ".branch",
     "config": ".config",
-    "dyninst": ".dyninst",
-    "issue": ".issue",
-    "lsq": ".lsq",
     "multivcore": ".multivcore",
     "reconfig": ".reconfig",
     "rename": ".rename",
-    "rob": ".rob",
     "simulator": ".simulator",
     "stats": ".stats",
-    "vcore": ".vcore",
 })

@@ -4,12 +4,12 @@
 :meth:`BatchedSimulator.run` and :func:`~repro.sampling.simulate_sampled`
 runs :meth:`BatchedSimulator.run_sampled`.  One instance simulates one
 trace on one VCore configuration, keeping the per-instruction pipeline
-state that the object model holds in ``DynInst`` objects in flat columns
-indexed by sequence number.
+state that the object model holds in one object per in-flight
+instruction in flat columns indexed by sequence number.
 
-The object model :class:`~repro.core.simulator.ReferenceSimulator` is
-the equivalence reference: every statistic in
-:class:`~repro.core.stats.SimStats` is reproduced *bit-for-bit*,
+The object model in ``tests/oracles/objmodel`` is the equivalence
+reference: every statistic in :class:`~repro.core.stats.SimStats`, every
+``sim.*`` counter and every trace event is reproduced *bit-for-bit*,
 enforced by ``tests/core/test_batched_equivalence`` and the golden
 fixtures.
 
@@ -37,11 +37,17 @@ cache LRU lists (dict/list ordering).  Reproducing the same operation
 sequence on the same container types reproduces the same victims, which
 is what bit-identity requires.
 
-Restrictions: ``repro.obs`` instrumentation is not supported (run
-:class:`~repro.core.simulator.ReferenceSimulator`, or ``simulate()``
-with an enabled ``obs``, for instrumented runs); the core always uses
-the default ring-packed L2 bank distances, so a config that sets
-``VCoreConfig.l2_bank_distances`` is rejected.
+Counters and trace events
+-------------------------
+
+Besides ``SimStats``, a run keeps the counts behind the object model's
+component counters as plain lists - per Slice, per L2 bank, per LSQ
+bank - and :meth:`BatchedSimulator.flush_counters` publishes them,
+with end-state gauges read from the core's own state, under the
+``sim.*`` names.  A run whose :attr:`~BatchedSimulator.tracer` is set
+emits the object model's pipeline, cache and network events; each
+emitting site tests one local (or one attribute), so an untraced run
+pays nothing else.
 """
 
 from __future__ import annotations
@@ -54,15 +60,15 @@ from repro.cache.l1 import L1_LINE_BYTES
 from repro.cache.l2 import (
     L2_ASSOC,
     L2_BANK_BYTES,
-    L2_BASE_LATENCY,
-    L2_CYCLES_PER_DISTANCE,
     L2_LINE_BYTES,
     default_bank_distances,
+    l2_hit_latency,
 )
 from repro.core.config import SimConfig
 from repro.core.rename import rename_pipeline_depth
 from repro.core.simulator import SimResult, SimulationTimeout
 from repro.core.stats import SimStats, StallBreakdown
+from repro.isa.opcodes import OPCODE_CLASS
 from repro.trace.records import (
     FLAG_BRANCH, FLAG_LOAD, FLAG_MEM, FLAG_MUL, FLAG_STORE, FLAG_TAKEN,
     FLAG_WRITES, Trace,
@@ -136,6 +142,11 @@ class _TraceColumns:
         return col
 
 
+def _constant(value: Any):
+    """A gauge callable that reads ``value``."""
+    return lambda: value
+
+
 def trace_columns(trace: Trace) -> _TraceColumns:
     """The trace's :class:`_TraceColumns`, built once and cached on it
     (a trace is immutable)."""
@@ -152,20 +163,22 @@ def trace_columns(trace: Trace) -> _TraceColumns:
 
 
 class _LRF:
-    """Exact port of :class:`~repro.core.rename.LocalRegisterFile`.
+    """Exact port of the object model's ``LocalRegisterFile``.
 
     Kept as real Python sets on purpose: the scalar eviction picks
     ``next(iter(set))``, so the *container's* iteration order is part of
     the observable behaviour.  Identical operation sequences on identical
-    set types reproduce identical victims.
+    set types reproduce identical victims.  ``full_stalls`` counts the
+    allocations that found no room.
     """
 
-    __slots__ = ("capacity", "resident", "cached_remote")
+    __slots__ = ("capacity", "resident", "cached_remote", "full_stalls")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.resident: set = set()
         self.cached_remote: set = set()
+        self.full_stalls = 0
 
     def _evict_cached_remote(self) -> bool:
         cached = self.cached_remote
@@ -182,6 +195,7 @@ class _LRF:
             return True
         if (len(resident) >= self.capacity
                 and not self._evict_cached_remote()):
+            self.full_stalls += 1
             return False
         resident.add(global_reg)
         return True
@@ -192,6 +206,7 @@ class _LRF:
             return True
         if (len(resident) >= self.capacity
                 and not self._evict_cached_remote()):
+            self.full_stalls += 1
             return False
         resident.add(global_reg)
         self.cached_remote.add(global_reg)
@@ -206,8 +221,9 @@ def _cache_touch(sets: Dict[int, List[int]], num_sets: int, assoc: int,
                  line: int) -> bool:
     """One set-associative LRU access/refill; True on hit.
 
-    Same state evolution as ``repro.cache.setassoc`` (per-set LRU->MRU
-    order, evict LRU on full miss), with the set map grown lazily.
+    Same state evolution as the object model's set-associative cache
+    (per-set LRU->MRU order, evict LRU on full miss), with the set map
+    grown lazily.
     """
     idx = line % num_sets
     ways = sets.get(idx)
@@ -267,21 +283,17 @@ class BatchedSimulator:
     """One trace on one VCore configuration, over flat trace columns.
 
     ``config.vcore`` is the configuration.  ``warmup_addresses``, when
-    given, is replayed through the caches before the timed region, as
-    :class:`~repro.core.simulator.ReferenceSimulator` does.  Results are
-    bit-identical to a ``ReferenceSimulator`` run with the same
-    arguments.
+    given, is replayed through the caches before the timed region (the
+    L1s, then the L2 with their misses).  Results are bit-identical to
+    the object model's run with the same arguments.
+
+    ``tracer`` is ``None`` (no trace events) until the caller sets it
+    to an enabled :class:`~repro.obs.tracer.EventTracer` before running.
     """
 
     def __init__(self, trace: Trace, config: SimConfig,
                  warmup_addresses: Optional[Sequence[int]] = None) -> None:
         vcore = config.vcore
-        if vcore.l2_bank_distances is not None:
-            raise ValueError(
-                "VCoreConfig.l2_bank_distances is not supported: the "
-                "structure-of-arrays core uses the default ring-packed "
-                "bank distances"
-            )
         self.config = config
         self.trace = trace
         self.max_cycles = config.max_cycles
@@ -326,8 +338,8 @@ class BatchedSimulator:
         self.num_slices = ns
         self.l2_nb = nb
         self.l2_kb = nb * L2_BANK_BYTES / 1024
-        self.l2_lat = [d * L2_CYCLES_PER_DISTANCE + L2_BASE_LATENCY
-                       for d in default_bank_distances(nb)]
+        self.l2_dist = default_bank_distances(nb)
+        self.l2_lat = [l2_hit_latency(d) for d in self.l2_dist]
         self.sid = cols.sids(ns, self.fetch_width, self.by_pc)
         self.home = cols.homes(ns)
         self.decode_latency = (config.frontend_depth
@@ -401,6 +413,9 @@ class BatchedSimulator:
 
         self.l1i_sets = [{} for _ in range(ns)]
         self.l1d_sets = [{} for _ in range(ns)]
+        #: per Slice, the L1D lines a drained store wrote (evicting one
+        #: counts a writeback)
+        self.l1d_dirty = [set() for _ in range(ns)]
         self.l2_sets = [{} for _ in range(nb)]
         if warmup_addresses is not None:
             self._warm(warmup_addresses)
@@ -414,21 +429,39 @@ class BatchedSimulator:
         # so a repeat cannot have been evicted by its own prefetch.
         self.l1i_memo = ns % self.l1i_sets_n != 0
 
+        self.tracer = None
+        #: latency class of the last ``_hier_access`` (its trace span)
+        self.mem_level = ""
+
         self.fetched = 0
         self.committed = 0
         self.squashed_count = 0
         self.branches = 0
         self.mispredicts = 0
-        self.l1i_acc = 0
-        self.l1i_miss = 0
-        self.l1d_acc = 0
-        self.l1d_miss = 0
-        self.l2_hits = 0
-        self.l2_misses = 0
+        self.allocations = 0
         self.operand_requests = 0
         self.remote_hops = 0
         self.lsq_violations = 0
-        self.store_forwards = 0
+        # Event counts per Slice, per L2 bank and per LSQ bank (the LSQ
+        # bank of a memory op is its home Slice); SimStats sums them.
+        self.l1i_acc = [0] * ns
+        self.l1i_miss = [0] * ns
+        self.l1d_acc = [0] * ns
+        self.l1d_miss = [0] * ns
+        self.l1d_wb = [0] * ns
+        self.loads = [0] * ns
+        self.mshr_primary = [0] * ns
+        self.mshr_merges = [0] * ns
+        self.mshr_full = [0] * ns
+        self.sb_inserted = [0] * ns
+        self.sb_full = [0] * ns
+        self.l2_hits = [0] * nb
+        self.l2_misses = [0] * nb
+        self.lsq_inserted = [0] * ns
+        self.lsq_forwards = [0] * ns
+        #: younger same-line loads each store-commit search found,
+        #: resolved or not (only resolved ones replay)
+        self.lsq_searched = [0] * ns
         self.st_fetch_icache = 0
         self.st_fetch_buffer = 0
         self.st_fetch_redirect = 0
@@ -439,7 +472,7 @@ class BatchedSimulator:
         self.st_issue_lsq_full = 0
 
     def _warm(self, addresses: Sequence[int]) -> None:
-        """``ReferenceSimulator._warm_data_caches``, uncounted.
+        """The object model's functional cache warm-up, uncounted.
 
         The read stream goes through the home L1Ds, then the timed
         region's own PC stream through the L1Is; misses of both fall
@@ -482,23 +515,51 @@ class BatchedSimulator:
         if upto <= last:
             return
         sb = self.sb[sid]
-        if sb:
-            sets = self.l1d_sets[sid]
-            n_sets, assoc = self.l1d_sets_n, self.l1d_assoc
-            l1d_line = self.l1d_line
-            while sb:
-                addr, commit = sb[0]
-                t = commit + 1
-                if t <= last:
-                    t = last + 1
-                if t > upto:
-                    break
-                sb.popleft()
-                self.l1d_acc += 1
-                if not _cache_touch(sets, n_sets, assoc, addr // l1d_line):
-                    self.l1d_miss += 1
-                last = t
+        while sb:
+            addr, commit = sb[0]
+            t = commit + 1
+            if t <= last:
+                t = last + 1
+            if t > upto:
+                break
+            sb.popleft()
+            self._l1d_touch(sid, addr, True)
+            last = t
         self.sb_last[sid] = upto
+
+    def _l1d_touch(self, sid: int, addr: int, write: bool) -> bool:
+        """One counted access to Slice ``sid``'s L1D; True on a hit.
+
+        :func:`_cache_touch` plus the dirty bit: a write marks its line
+        dirty, and evicting a dirty line counts a writeback.
+        """
+        self.l1d_acc[sid] += 1
+        line = addr // self.l1d_line
+        sets = self.l1d_sets[sid]
+        idx = line % self.l1d_sets_n
+        ways = sets.get(idx)
+        if ways is None:
+            sets[idx] = [line]
+            hit = False
+        elif line in ways:
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
+            hit = True
+        else:
+            if len(ways) >= self.l1d_assoc:
+                dirty = self.l1d_dirty[sid]
+                victim = ways.pop(0)
+                if victim in dirty:
+                    dirty.discard(victim)
+                    self.l1d_wb[sid] += 1
+            ways.append(line)
+            hit = False
+        if not hit:
+            self.l1d_miss[sid] += 1
+        if write:
+            self.l1d_dirty[sid].add(line)
+        return hit
 
     def _l2_access(self, addr: int) -> Tuple[bool, int]:
         nb = self.l2_nb
@@ -509,26 +570,29 @@ class BatchedSimulator:
         hit = _cache_touch(self.l2_sets[bank], _L2_SETS, L2_ASSOC,
                            line // nb)
         if hit:
-            self.l2_hits += 1
+            self.l2_hits[bank] += 1
         else:
-            self.l2_misses += 1
+            self.l2_misses[bank] += 1
         return hit, self.l2_lat[bank]
 
     def _hier_access(self, sid: int, addr: int,
                      t: int, now: int) -> int:
-        """CacheHierarchy.access for a load issued at cycle ``t``.
+        """The object model's ``CacheHierarchy.access`` for a load issued
+        at cycle ``t``; sets :attr:`mem_level` to the latency class.
 
         ``now`` is the simulator's current cycle: background ticks are
         caught up to it first (MSHR entries with fill < now would have
         been retired; store-buffer drains through now-1 are replayed).
         """
         self._catch_up_ticks(sid, now)
-        l1d_line = self.l1d_line
+        self.loads[sid] += 1
         sb = self.sb[sid]
         if sb:
+            l1d_line = self.l1d_line
             line = addr // l1d_line
             for buffered_addr, _ in sb:
                 if buffered_addr // l1d_line == line:
+                    self.mem_level = "store_forward"
                     return t + self.l1d_hit
         mshr = self.mshr[sid]
         if mshr:
@@ -537,28 +601,27 @@ class BatchedSimulator:
                 del mshr[l]
         mshr_line = addr // _LSQ_LINE
         in_flight = mshr.get(mshr_line)
-        sets = self.l1d_sets[sid]
         if in_flight is not None:
             # Secondary miss: merge as a waiter; the L1D access still
             # counts and touches LRU state.
-            self.l1d_acc += 1
-            if not _cache_touch(sets, self.l1d_sets_n, self.l1d_assoc,
-                                addr // l1d_line):
-                self.l1d_miss += 1
+            self.mshr_merges[sid] += 1
+            self._l1d_touch(sid, addr, False)
+            self.mem_level = "l2"
             ready = t + self.l1d_hit
             return in_flight if in_flight > ready else ready
-        self.l1d_acc += 1
-        if _cache_touch(sets, self.l1d_sets_n, self.l1d_assoc,
-                        addr // l1d_line):
+        if self._l1d_touch(sid, addr, False):
+            self.mem_level = "l1"
             return t + self.l1d_hit
-        self.l1d_miss += 1
         l2_hit, l2_lat = self._l2_access(addr)
+        self.mem_level = "l2" if l2_hit else "memory"
         fill = t + self.l1d_hit + l2_lat
         if not l2_hit:
             fill += self.mem_delay
         if len(mshr) >= self.mshr_cap:
+            self.mshr_full[sid] += 1
             retry = min(mshr.values())
             return (retry if retry > fill else fill) + 1
+        self.mshr_primary[sid] += 1
         mshr[mshr_line] = fill
         return fill
 
@@ -583,11 +646,18 @@ class BatchedSimulator:
         if hops < 0:
             hops = -hops
         hop_latency = 1 + hops
-        request_arrives = self.disp[consumer] + hop_latency
+        dispatched = self.disp[consumer]
+        request_arrives = dispatched + hop_latency
         arrival = (t if t >= request_arrives else request_arrives) \
             + hop_latency
         self.operand_requests += 1
         self.remote_hops += hops
+        if self.tracer is not None:
+            self.tracer.complete(
+                "son.operand", ts=dispatched,
+                dur=max(1, arrival - dispatched), cat="network",
+                tid=p_slice, args={"src": p_slice, "dst": c_slice,
+                                   "reg": reg if reg >= 0 else None})
         if reg >= 0:
             op_arr[reg] = arrival
             # Remember which slices cached this register so release
@@ -624,6 +694,9 @@ class BatchedSimulator:
             self.btb[sid][pc % self.btb_entries] = target
         if bool(self.pred[seq]) != taken:
             self.mispredicts += 1
+            if self.tracer is not None:
+                self.tracer.instant("branch_mispredict", ts=t, cat="core",
+                                    tid=sid, args={"pc": pc})
             blocking = self.blocking
             if (blocking is not None and blocking[0] == seq
                     and blocking[1] == self.ep[seq]):
@@ -647,18 +720,24 @@ class BatchedSimulator:
         home = self.home[seq]
         line = self.cols.lines[seq]
         bank = self.lsq_banks[home]
-        violators = [load_seq for load_seq, entry in bank.items()
-                     if not entry[0] and load_seq > seq
-                     and entry[1] == line and entry[3] < seq
-                     and entry[2] <= now]
-        if violators:
-            oldest = min(violators)
-            self.lsq_violations += len(violators)
-            self._replay_from(oldest, now)
+        # Younger loads of the line that read a value older than this
+        # store; those whose address resolved by now replay.
+        stale = [(load_seq, entry[2]) for load_seq, entry in bank.items()
+                 if not entry[0] and load_seq > seq
+                 and entry[1] == line and entry[3] < seq]
+        if stale:
+            self.lsq_searched[home] += len(stale)
+            violators = [load_seq for load_seq, resolved in stale
+                         if resolved <= now]
+            if violators:
+                self.lsq_violations += len(violators)
+                self._replay_from(min(violators), now)
         self._catch_up_ticks(home, now)
         sb = self.sb[home]
         if len(sb) >= self.sb_cap:
+            self.sb_full[home] += 1
             return False
+        self.sb_inserted[home] += 1
         sb.append((self.cols.addrs[seq], now))
         del bank[seq]
         if len(bank) == self.lsq_cap - 1:
@@ -726,6 +805,10 @@ class BatchedSimulator:
             for q in stale:
                 unresolved.discard(q)
         self.squashed_count += len(squashed)
+        if self.tracer is not None:
+            self.tracer.instant(
+                "squash_replay", ts=now, cat="core",
+                args={"victim_seq": victim, "squashed": len(squashed)})
         blocking = self.blocking
         if blocking is not None and blocking[0] >= victim:
             self.blocking = None
@@ -817,11 +900,22 @@ class BatchedSimulator:
         op_arrs = self.op_arr
         lines_col = cols.lines
         addrs_col = cols.addrs
+        l1i_acc = self.l1i_acc
+        l1i_miss = self.l1i_miss
+        lsq_inserted = self.lsq_inserted
+        lsq_forwards = self.lsq_forwards
+        allocations = 0
+        tracer = self.tracer
+        tracing = tracer is not None
+        if tracing:
+            op_names = [OPCODE_CLASS[op].name.lower()
+                        for op in self.trace.opcodes]
 
         now = self.now
         while self.committed < target:
             if now >= max_cycles:
                 self.now = now
+                self.allocations += allocations
                 raise SimulationTimeout(
                     f"{self.committed}/{target} committed after "
                     f"{now} cycles"
@@ -916,6 +1010,13 @@ class BatchedSimulator:
                     rob_c[sid_of[head]] -= 1
                     ccyc[head] = now
                     self.committed += 1
+                    if tracing:
+                        fetched_at = ren[head] - decode_latency
+                        tracer.complete(
+                            op_names[head], ts=fetched_at,
+                            dur=max(1, now - fetched_at), cat="core",
+                            tid=sid_of[head],
+                            args={"seq": head, "pc": pcs[head]})
                     if bits & FLAG_LOAD:
                         bank = lsq_banks[home_of[head]]
                         if bank.pop(head, None) is not None:
@@ -1039,6 +1140,7 @@ class BatchedSimulator:
                             bank_entry = [bool(is_store), line,
                                           resolved, -1]
                             bank[pick] = bank_entry
+                            lsq_inserted[home] += 1
                             if len(bank) == lsq_cap:
                                 self.full_banks += 1
                             if is_store:
@@ -1053,12 +1155,27 @@ class BatchedSimulator:
                                         forwarding = store_seq
                                 if forwarding >= 0:
                                     bank_entry[3] = forwarding
-                                    self.store_forwards += 1
+                                    lsq_forwards[home] += 1
                                     complete = resolved + 1
+                                    if tracing:
+                                        tracer.complete(
+                                            "mem.lsq_forward", ts=now,
+                                            dur=max(1, complete - now),
+                                            cat="cache", tid=home,
+                                            args={"line": line,
+                                                  "seq": pick})
                                 else:
                                     complete = self._hier_access(
                                         home, addrs_col[pick],
                                         resolved, now) + sort_latency
+                                    if tracing:
+                                        tracer.complete(
+                                            "mem." + self.mem_level,
+                                            ts=now,
+                                            dur=max(1, complete - now),
+                                            cat="cache", tid=home,
+                                            args={"line": line,
+                                                  "seq": pick})
                             comp[pick] = complete
                             # Inline _schedule_completion: complete >=
                             # resolved >= now + 1, so the floor never
@@ -1150,6 +1267,7 @@ class BatchedSimulator:
                                     seq, registered)
                             break
                         reg = rn_free.pop()
+                        allocations += 1
                         arch = dst_col[seq]
                         gprior[seq] = rat[arch]
                         rat[arch] = reg
@@ -1211,7 +1329,7 @@ class BatchedSimulator:
                     # re-touches both MRU entries (a state no-op), so
                     # the memoized repeat skips the LRU work entirely.
                     address = pc4s[seq]
-                    self.l1i_acc += 1
+                    l1i_acc[sid] += 1
                     line = address // 8
                     if line == l1i_last[sid]:
                         hit = True
@@ -1223,13 +1341,18 @@ class BatchedSimulator:
                         if l1i_memo:
                             l1i_last[sid] = line
                     if not hit:
-                        self.l1i_miss += 1
+                        l1i_miss[sid] += 1
                         l2_hit, l2_lat = self._l2_access(address)
                         delay = self.l1i_hit + l2_lat
                         if not l2_hit:
                             delay += self.mem_delay
                         self.stall_until = now + delay
                         self.st_fetch_icache += 1
+                        if tracing:
+                            tracer.complete(
+                                "l1i_miss", ts=now, dur=delay, cat="cache",
+                                tid=sid, args={"pc": pcs[seq],
+                                               "l2_hit": l2_hit})
                         break
                     if seq >= hw:
                         # First-ever fetch: every column still holds its
@@ -1269,13 +1392,14 @@ class BatchedSimulator:
 
             now += 1
         self.now = now
+        self.allocations += allocations
 
     # ------------------------------------------------------------------
     # functional fast-forward (sampled composition)
     # ------------------------------------------------------------------
 
     def _fast_forward(self, count: int) -> int:
-        """``ReferenceSimulator.fast_forward``: caches, predictors and
+        """The object model's ``fast_forward``: caches, predictors and
         store state stay warm; no cycles elapse; stats untouched except
         the full-trace L1D/L2 counters (which the sampled estimator
         passes through unscaled)."""
@@ -1302,10 +1426,7 @@ class BatchedSimulator:
         sid_of = self.sid
         home_of = self.home
         l1i_sets = self.l1i_sets
-        l1d_sets = self.l1d_sets
         l1i_n, l1i_a = self.l1i_sets_n, self.l1i_assoc
-        l1d_n, l1d_a = self.l1d_sets_n, self.l1d_assoc
-        l1d_line = self.l1d_line
         gshare = self.gshare
         bp = self.bp
         btb = self.btb
@@ -1356,11 +1477,8 @@ class BatchedSimulator:
                         btb[sid][pc % btb_entries] = target
                 elif bits & FLAG_MEM:
                     address = addrs[seq]
-                    home = home_of[seq]
-                    self.l1d_acc += 1
-                    if not _cache_touch(l1d_sets[home], l1d_n, l1d_a,
-                                        address // l1d_line):
-                        self.l1d_miss += 1
+                    if not self._l1d_touch(home_of[seq], address,
+                                           bits & FLAG_STORE):
                         self._l2_access(address)
         retired = stop - start
         self.fetch_ptr = stop
@@ -1383,16 +1501,16 @@ class BatchedSimulator:
             squashed=self.squashed_count,
             branches=self.branches,
             branch_mispredicts=self.mispredicts,
-            l1i_accesses=self.l1i_acc,
-            l1i_misses=self.l1i_miss,
-            l1d_accesses=self.l1d_acc,
-            l1d_misses=self.l1d_miss,
-            l2_accesses=self.l2_hits + self.l2_misses,
-            l2_misses=self.l2_misses,
+            l1i_accesses=sum(self.l1i_acc),
+            l1i_misses=sum(self.l1i_miss),
+            l1d_accesses=sum(self.l1d_acc),
+            l1d_misses=sum(self.l1d_miss),
+            l2_accesses=sum(self.l2_hits) + sum(self.l2_misses),
+            l2_misses=sum(self.l2_misses),
             operand_requests=self.operand_requests,
             remote_operand_hops=self.remote_hops,
             lsq_violations=self.lsq_violations,
-            store_forwards=self.store_forwards,
+            store_forwards=sum(self.lsq_forwards),
             stalls=StallBreakdown(
                 fetch_icache=self.st_fetch_icache,
                 fetch_buffer_full=self.st_fetch_buffer,
@@ -1415,6 +1533,110 @@ class BatchedSimulator:
             l2_cache_kb=self.l2_kb,
             stats=self._stats(),
         )
+
+    def flush_counters(self, scope: Any) -> None:
+        """Publish the run's counters under ``scope`` (``sim``) as gauges.
+
+        The object model's names and values: ``core.rob``,
+        ``core.rename``, ``core.lsq[.bank<i>]``, ``core.slice<i>.{l1i,
+        loads, l1d, mshr, store_buffer, lrf}``, ``cache.l2[.bank<j>]``
+        and the operand network's ``network.son.{messages,
+        total_hops}``.  End-state gauges (occupancies, ``free_count``,
+        ``live_mappings``, ``outstanding``) read the core's state now,
+        so call this once the run has ended.  The object model's gauges
+        that read 0 by construction are left out: its ``stores`` (a
+        store reaches the L1D only through the store buffer), the ROB's
+        and LSQ's ``full_stalls`` and the rename ``free_list_stalls``
+        (capacity is checked before each dispatch or insert, and the
+        stall counted in ``SimStats``), the L1I and L2 ``writebacks``
+        (no exact run writes either) and its other network gauges (it
+        sends no network message).
+        """
+        for sid in range(self.num_slices):
+            self._catch_up_ticks(sid, self.now)
+        gauges: Dict[str, Any] = {}
+
+        def cache(prefix: str, hits: int, misses: int, sets: Dict) -> None:
+            total = hits + misses
+            gauges[prefix + "hits"] = hits
+            gauges[prefix + "misses"] = misses
+            gauges[prefix + "miss_rate"] = misses / total if total else 0.0
+            gauges[prefix + "occupancy"] = sum(map(len, sets.values()))
+
+        gauges["core.rob.dispatched"] = (self.committed
+                                         + self.squashed_count
+                                         + len(self.rob_w))
+        gauges["core.rob.occupancy"] = len(self.rob_w)
+        gauges["core.rename.allocations"] = self.allocations
+        gauges["core.rename.free_count"] = len(self.rn_free)
+        gauges["core.rename.live_mappings"] = sum(
+            1 for reg in self.rat if reg >= 0)
+        gauges["core.lsq.violations"] = sum(self.lsq_searched)
+        gauges["core.lsq.forwards"] = sum(self.lsq_forwards)
+        for sid in range(self.num_slices):
+            bank = f"core.lsq.bank{sid}."
+            gauges[bank + "inserted"] = self.lsq_inserted[sid]
+            gauges[bank + "violations"] = self.lsq_searched[sid]
+            gauges[bank + "forwards"] = self.lsq_forwards[sid]
+            gauges[bank + "occupancy"] = len(self.lsq_banks[sid])
+            sl = f"core.slice{sid}."
+            cache(sl + "l1i.", self.l1i_acc[sid] - self.l1i_miss[sid],
+                  self.l1i_miss[sid], self.l1i_sets[sid])
+            gauges[sl + "loads"] = self.loads[sid]
+            cache(sl + "l1d.", self.l1d_acc[sid] - self.l1d_miss[sid],
+                  self.l1d_miss[sid], self.l1d_sets[sid])
+            gauges[sl + "l1d.writebacks"] = self.l1d_wb[sid]
+            gauges[sl + "mshr.primary_misses"] = self.mshr_primary[sid]
+            gauges[sl + "mshr.secondary_merges"] = self.mshr_merges[sid]
+            gauges[sl + "mshr.full_stalls"] = self.mshr_full[sid]
+            gauges[sl + "mshr.outstanding"] = sum(
+                1 for fill in self.mshr[sid].values() if fill >= self.now)
+            gauges[sl + "store_buffer.inserted"] = self.sb_inserted[sid]
+            gauges[sl + "store_buffer.full_stalls"] = self.sb_full[sid]
+            gauges[sl + "store_buffer.occupancy"] = len(self.sb[sid])
+            lrf = self.lrf[sid]
+            gauges[sl + "lrf.full_stalls"] = lrf.full_stalls
+            gauges[sl + "lrf.occupancy"] = len(lrf.resident)
+            gauges[sl + "lrf.cached_remote"] = len(lrf.cached_remote)
+        hits, misses = sum(self.l2_hits), sum(self.l2_misses)
+        gauges["cache.l2.hits"] = hits
+        gauges["cache.l2.misses"] = misses
+        gauges["cache.l2.miss_rate"] = (misses / (hits + misses)
+                                        if hits + misses else 0.0)
+        for bank in range(self.l2_nb):
+            cache(f"cache.l2.bank{bank}.", self.l2_hits[bank],
+                  self.l2_misses[bank], self.l2_sets[bank])
+        gauges["network.son.messages"] = self.operand_requests
+        gauges["network.son.total_hops"] = self.remote_hops
+        for name, value in gauges.items():
+            scope.gauge(name, _constant(value))
+
+        c_cfg = self.config.cache_config
+        scope.info("core.rob.per_slice_capacity", self.rob_cap)
+        scope.info("core.rob.precommit_sync", self.precommit)
+        scope.info("core.rename.num_global", self.num_global)
+        for sid in range(self.num_slices):
+            scope.info(f"core.lsq.bank{sid}.capacity", self.lsq_cap)
+            sl = f"core.slice{sid}."
+            for name, level, line, sets in (
+                    ("l1i", c_cfg.l1i, self.l1i_line, self.l1i_sets_n),
+                    ("l1d", c_cfg.l1d, self.l1d_line, self.l1d_sets_n)):
+                scope.info(sl + name + ".geometry", {
+                    "size_bytes": int(level.size_kb * 1024),
+                    "line_size": line, "assoc": level.assoc,
+                    "sets": sets})
+                scope.info(sl + name + ".hit_latency", level.hit_delay)
+            scope.info(sl + "mshr.capacity", self.mshr_cap)
+            scope.info(sl + "lrf.capacity", self.lrf_cap)
+        scope.info("cache.l2.size_kb", self.l2_kb)
+        scope.info("cache.l2.num_banks", self.l2_nb)
+        for bank in range(self.l2_nb):
+            prefix = f"cache.l2.bank{bank}."
+            scope.info(prefix + "geometry", {
+                "size_bytes": L2_BANK_BYTES, "line_size": L2_LINE_BYTES,
+                "assoc": L2_ASSOC, "sets": _L2_SETS})
+            scope.info(prefix + "distance", self.l2_dist[bank])
+            scope.info(prefix + "hit_latency", self.l2_lat[bank])
 
     def run_sampled(self, sampling: Any,
                     phase_lengths: Optional[Sequence[int]] = None

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from repro.cache.l2 import L2_BANK_BYTES, default_bank_distances
+from repro.cache.l2 import L2_BANK_BYTES
 from repro.isa.registers import NUM_ARCH_REGS
 
 #: Paper Equation 3: valid Slice counts per VCore.
@@ -132,14 +132,13 @@ class CacheConfig:
 class VCoreConfig:
     """A VCore composition: Slice count plus L2 allocation.
 
-    ``l2_bank_distances`` optionally pins each bank's network distance;
-    by default banks pack in rings of four around the VCore (256 KB per
-    ring), reproducing the paper's latency growth (Section 5.4).
+    Banks pack in rings of four around the VCore (256 KB per ring,
+    :func:`repro.cache.l2.default_bank_distances`), reproducing the
+    paper's latency growth (Section 5.4).
     """
 
     num_slices: int = 1
     l2_cache_kb: float = 128.0
-    l2_bank_distances: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
         if not MIN_SLICES <= self.num_slices <= MAX_SLICES:
@@ -154,14 +153,6 @@ class VCoreConfig:
     @property
     def num_l2_banks(self) -> int:
         return int(self.l2_cache_kb // BANK_KB)
-
-    def bank_distances(self) -> List[int]:
-        if self.l2_bank_distances is not None:
-            dists = list(self.l2_bank_distances)
-            if len(dists) != self.num_l2_banks:
-                raise ValueError("one distance per L2 bank required")
-            return dists
-        return default_bank_distances(self.num_l2_banks)
 
 
 @dataclass(frozen=True)

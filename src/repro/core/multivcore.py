@@ -24,7 +24,7 @@ from repro.core.simulator import SharingSimulator, SimResult
 from repro.network.topology import Mesh2D
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.profiles import BenchmarkProfile, get_profile
-from repro.trace.records import Trace
+from repro.trace.records import FLAG_STORE, Trace
 
 #: Fraction of cold data that multithreaded workloads share (drives
 #: coherence traffic); PARSEC pipelines share working queues.
@@ -98,22 +98,17 @@ def _remap_shared(trace: Trace, thread_id: int,
                   shared_fraction: float) -> Trace:
     """Deterministically remap a fraction of cold lines into the shared
     region (same mapping for every thread, so the regions collide)."""
-    from repro.isa import Instruction, MemAccess
-
-    remapped = []
-    for inst in trace:
-        mem = inst.mem
-        if mem is not None and mem.address >= 0x1100_0000:
-            line = mem.address // 64
-            if (line * 2654435761) % 1000 < shared_fraction * 1000:
-                shared_line = line % _SHARED_LINES
-                mem = MemAccess(address=_SHARED_BASE + shared_line * 64,
-                                size=mem.size)
-        remapped.append(Instruction(
-            seq=inst.seq, pc=inst.pc, opcode=inst.opcode, srcs=inst.srcs,
-            dst=inst.dst, mem=mem, taken=inst.taken, target=inst.target,
-        ))
-    return Trace(remapped, trace.metadata)
+    threshold = shared_fraction * 1000
+    addrs = []
+    for addr in trace.mem_addrs:
+        if addr >= 0x1100_0000:
+            line = addr // 64
+            if (line * 2654435761) % 1000 < threshold:
+                addr = _SHARED_BASE + (line % _SHARED_LINES) * 64
+        addrs.append(addr)
+    return Trace.from_columns(trace.metadata, trace.pcs, trace.opcodes,
+                              trace.srcs, trace.dsts, addrs, trace.flags,
+                              trace.targets)
 
 
 class MultiVCoreSimulator:
@@ -178,12 +173,11 @@ class MultiVCoreSimulator:
     def _coherence_stalls(self, vcore_id: int, trace: Trace) -> int:
         """Replay shared-region accesses against the MSI directory."""
         stall = 0
-        for inst in trace:
-            mem = inst.mem
-            if mem is None or mem.address < _SHARED_BASE:
+        for addr, bits in zip(trace.mem_addrs, trace.flags):
+            if addr < _SHARED_BASE:
                 continue
-            line = mem.address // 64
-            if inst.is_store:
+            line = addr // 64
+            if bits & FLAG_STORE:
                 outcome = self.directory.write(line, vcore_id)
             else:
                 outcome = self.directory.read(line, vcore_id)

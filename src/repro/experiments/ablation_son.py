@@ -4,8 +4,13 @@
 we discovered that by adding a second operand network, performance would
 improve by only 1% across our applications."
 
-Runs the cycle-level simulator with link-contention modelling on one and
-two operand-network channels and reports the improvement.
+Runs the cycle-level simulator with ``model_contention`` set on one and
+two operand-network channels and reports the improvement.  The
+production core charges operand transfers their unloaded hop latency
+and reads neither knob (only the object-model oracle in
+``tests/oracles/objmodel`` does, and it sends no message through its
+networks), so both runs take the same cycles and the improvement is
+exactly 0: this ablation does not yet measure Section 5.1.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ def run(benchmarks: Sequence[str] = ("gcc", "libquantum"),
         l2_cache_kb: float = 256.0,
         trace_length: int = 3000,
         seed: int = 1) -> Dict[str, Dict[str, float]]:
-    """Cycles with one vs two operand networks, contention modelled."""
+    """Cycles with one vs two operand networks (equal; see above)."""
     results: Dict[str, Dict[str, float]] = {}
     for bench in benchmarks:
         warmup, trace = make_workload(bench, trace_length, seed=seed)

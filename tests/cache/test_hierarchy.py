@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.cache.hierarchy import MEMORY_LATENCY, CacheHierarchy
-from repro.cache.l1 import L1_HIT_LATENCY, L1Cache
-from repro.cache.l2 import BankedL2
-from repro.cache.mshr import MSHRFile
-from repro.cache.storebuffer import StoreBuffer
+from repro.cache.l1 import L1_HIT_LATENCY
+from tests.oracles.objmodel.hierarchy import MEMORY_LATENCY, CacheHierarchy
+from tests.oracles.objmodel.l1 import L1Cache
+from tests.oracles.objmodel.l2 import BankedL2
+from tests.oracles.objmodel.mshr import MSHRFile
+from tests.oracles.objmodel.storebuffer import StoreBuffer
 
 
 def _hier(banks=2, mshr=8):

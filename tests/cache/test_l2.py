@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.cache.l2 import (
-    BankedL2,
-    L2Bank,
-    default_bank_distances,
-    l2_hit_latency,
-)
+from repro.cache.l2 import default_bank_distances, l2_hit_latency
+from tests.oracles.objmodel.l2 import BankedL2, L2Bank
 
 
 class TestLatencyModel:

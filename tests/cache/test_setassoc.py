@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.setassoc import SetAssociativeCache
+from tests.oracles.objmodel.setassoc import SetAssociativeCache
 
 
 def _cache(size=1024, line=64, assoc=2):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cache.mshr import MSHRFile
-from repro.cache.storebuffer import StoreBuffer
+from tests.oracles.objmodel.mshr import MSHRFile
+from tests.oracles.objmodel.storebuffer import StoreBuffer
 
 
 class TestStoreBuffer:

@@ -7,10 +7,10 @@ branch predictor family.
 
 import pytest
 
-from repro.core.branch import BranchUnit, GSharePredictor
 from repro.core.config import SimConfig, SliceConfig
 from repro.core.simulator import SharingSimulator, simulate
 from repro.trace.generator import generate_trace
+from tests.oracles.objmodel.branch import BranchUnit, GSharePredictor
 
 
 def _run(trace, **overrides):

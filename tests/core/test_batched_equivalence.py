@@ -1,20 +1,24 @@
 """Dual-path equivalence: the production SoA core vs the object model.
 
 The production simulator (:class:`~repro.core.simulator.SharingSimulator`,
-``simulate()`` without ``obs``) runs the structure-of-arrays core in
-:mod:`repro.core.batched`, an independent re-implementation of the
-pipeline over flat columns.  Its only correctness contract is
+``simulate()`` with or without ``obs``) runs the structure-of-arrays
+core in :mod:`repro.core.batched`, an independent re-implementation of
+the pipeline over flat columns.  Its only correctness contract is
 **bit-identity** with the object model
-:class:`~repro.core.simulator.ReferenceSimulator` on every
-:class:`~repro.core.stats.SimStats` field of every configuration.
-These tests pin that contract against the reference explicitly:
+:class:`~tests.oracles.objmodel.simulator.ReferenceSimulator` on every
+:class:`~repro.core.stats.SimStats` field of every configuration, on
+every ``sim.*`` counter and on every trace event.  These tests pin that
+contract against the reference explicitly:
 
 * the Figure 12 grid (every Slice count at the 128 KB baseline) and the
   Figure 13 grid (every nonzero cache size at 4 Slices) for sentinel
   profiles in tier-1, and for **all fifteen** profiles when
   ``REPRO_EQUIVALENCE_FULL=1`` (the CI batched-equiv job sets it), each
-  point run through production ``simulate()`` and through
+  point run through instrumented production ``simulate()`` (its
+  ``obs.snapshot()`` held to the reference's, see
+  :func:`_expected_snapshot`) and through
   ``BatchedSimulator(trace, config).run()``;
+* the trace events of traced runs, as a multiset;
 * randomized configurations drawn from ``REPRO_EQUIV_SEED`` (the CI job
   runs two seed universes);
 * every ``SimConfig`` knob, one non-default value at a time;
@@ -27,14 +31,18 @@ These tests pin that contract against the reference explicitly:
 import dataclasses
 import os
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from repro.core.batched import BatchedSimulator
 from repro.core.config import SimConfig
-from repro.core.simulator import ReferenceSimulator, simulate
+from repro.core.simulator import simulate
+from repro.obs import Observability
 from repro.trace.materialize import get_workload
 from repro.trace.profiles import all_benchmarks
+from tests.oracles.objmodel.simulator import ReferenceSimulator
 
 LENGTH = 4000
 SEED = 1
@@ -61,18 +69,84 @@ def _diff(bench, ns, kb, reference, got):
     return "\n".join(lines)
 
 
-def _reference(trace, ns, kb, warmup):
+def _reference(trace, ns, kb, warmup, obs=None):
     return ReferenceSimulator(trace, num_slices=ns, l2_cache_kb=kb,
-                              warmup_addresses=warmup).run()
+                              warmup_addresses=warmup, obs=obs).run()
+
+
+#: Reference gauges the production core does not publish, because they
+#: read 0 by construction in the object model (see
+#: ``BatchedSimulator.flush_counters``):
+#: * ``sim.core.slice<i>.stores`` - stores enter the store buffer at
+#:   commit and never go through ``CacheHierarchy.access(is_write=True)``;
+#: * the ROB's and LSQ's ``full_stalls`` and the rename
+#:   ``free_list_stalls`` - the simulator checks capacity before it
+#:   dispatches or inserts, and counts the stall in ``SimStats``;
+#: * the L1Is' and L2 banks' ``writebacks`` - no exact run writes an
+#:   L1I or the L2, so no line there is ever dirty;
+#: * ``sim.network.*`` - nothing calls ``SwitchedNetwork.send()``, so
+#:   every network gauge reads 0 (and the networks' ``info`` describes
+#:   contention knobs no production code reads).
+_ZERO_BY_CONSTRUCTION = re.compile(
+    r"sim\.(core\.slice\d+\.stores|core\.rob\.full_stalls"
+    r"|core\.lsq(\.bank\d+)?\.full_stalls|core\.rename\.free_list_stalls"
+    r"|core\.slice\d+\.l1i\.writebacks|cache\.l2\.bank\d+\.writebacks"
+    r"|network\..*)$")
+
+
+def _expected_snapshot(snapshot, stats):
+    """The production snapshot a reference run's ``snapshot`` and
+    ``stats`` call for: the reference's entries without those the
+    production core does not publish, and the operand network's
+    ``messages`` and ``total_hops`` - 0 in the reference - as the
+    counts the production core reports for them,
+    ``SimStats.operand_requests`` and ``remote_operand_hops``."""
+    dropped = {name: value["value"] for name, value in snapshot.items()
+               if _ZERO_BY_CONSTRUCTION.match(name)}
+    assert not any(dropped.values()), dropped
+    out = {name: value for name, value in snapshot.items()
+           if name != "info" and name not in dropped}
+    out["info"] = {name: value
+                   for name, value in snapshot.get("info", {}).items()
+                   if not name.startswith("sim.network.")}
+    out["sim.network.son.messages"] = {
+        "type": "gauge", "value": stats.operand_requests}
+    out["sim.network.son.total_hops"] = {
+        "type": "gauge", "value": stats.remote_operand_hops}
+    return out
+
+
+def _check_point(bench, trace, warmup, ns, kb, tracing=False):
+    """One point on the reference and on instrumented ``simulate()``:
+    equal results, comparable snapshots and (when ``tracing``) equal
+    event multisets."""
+    want_obs = Observability(trace=tracing)
+    want = _reference(trace, ns, kb, warmup, obs=want_obs)
+    got_obs = Observability(trace=tracing)
+    got = simulate(trace, num_slices=ns, l2_cache_kb=kb,
+                   warmup_addresses=warmup, obs=got_obs)
+    assert want == got, _diff(bench, ns, kb, want, got)
+    assert got_obs.snapshot() == _expected_snapshot(
+        want_obs.snapshot(), want.stats), (
+        f"{bench} ns={ns} kb={kb:g}: snapshots differ")
+    if tracing:
+        assert _events(got_obs) == _events(want_obs)
+        assert got_obs.tracer.dropped == want_obs.tracer.dropped == 0
+    return want
+
+
+def _events(obs):
+    """The exported events as a multiset (track names included), each
+    without its ``args``."""
+    return Counter(tuple(sorted((key, value) for key, value in event.items()
+                                if key != "args"))
+                   for event in obs.tracer.chrome_trace()["traceEvents"])
 
 
 def _check_profile(bench, grid):
     warmup, trace = get_workload(bench, LENGTH, SEED)
     for ns, kb in grid:
-        want = _reference(trace, ns, kb, warmup)
-        got = simulate(trace, num_slices=ns, l2_cache_kb=kb,
-                       warmup_addresses=warmup)
-        assert want == got, _diff(bench, ns, kb, want, got)
+        want = _check_point(bench, trace, warmup, ns, kb)
         core = BatchedSimulator(trace, SimConfig().with_vcore(ns, kb),
                                 warmup).run()
         assert want == core, _diff(bench, ns, kb, want, core)
@@ -95,6 +169,15 @@ def test_full_profile_sweep(bench):
     if not FULL:  # pragma: no cover - skipif handles it
         return
     _check_profile(bench, FIG12_GRID + FIG13_GRID)
+
+
+@pytest.mark.parametrize("bench, ns", [("gcc", 2), ("hmmer", 8)])
+def test_traced_run_matches_reference(bench, ns):
+    """A traced run emits the reference's per-instruction events (fetch
+    to commit spans, memory and operand-network spans, mispredict and
+    squash instants) and publishes its counters."""
+    warmup, trace = get_workload(bench, 2000, SEED)
+    _check_point(bench, trace, warmup, ns, 128.0, tracing=True)
 
 
 def test_randomized_rows_multi_trace():
@@ -151,9 +234,8 @@ def test_backend_dispatch_through_simulate():
 
 
 #: One non-default value per result-affecting ``SimConfig`` leaf.  The
-#: VCore fields are the grid axes (``l2_bank_distances`` is rejected,
-#: see ``tests/core/test_production_path.py``), ``max_cycles`` is the
-#: timeout and ``backend`` selects nothing.
+#: VCore fields are the grid axes, ``max_cycles`` is the timeout and
+#: ``backend`` selects nothing.
 KNOBS = {
     ("slice_config", "fetch_width"): 4,
     ("slice_config", "issue_window_size"): 8,
@@ -185,7 +267,7 @@ KNOBS = {
     ("ordered_lsq",): True,
 }
 NOT_KNOBS = {("vcore", "num_slices"), ("vcore", "l2_cache_kb"),
-             ("vcore", "l2_bank_distances"), ("max_cycles",), ("backend",)}
+             ("max_cycles",), ("backend",)}
 
 
 def _with(config, path, value):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.branch import BimodalPredictor, BranchTargetBuffer, BranchUnit
+from tests.oracles.objmodel.branch import (
+    BimodalPredictor, BranchTargetBuffer, BranchUnit,
+)
 
 
 class TestBimodalPredictor:

@@ -85,13 +85,6 @@ class TestVCoreConfig:
                                   trace_length=10)
         assert sim.l2_cache_kb / sim.num_vcores == 128
 
-    def test_explicit_distances_validated(self):
-        cfg = VCoreConfig(l2_cache_kb=128, l2_bank_distances=[1, 2])
-        assert cfg.bank_distances() == [1, 2]
-        bad = VCoreConfig(l2_cache_kb=128, l2_bank_distances=[1])
-        with pytest.raises(ValueError):
-            bad.bank_distances()
-
     def test_with_vcore_helper(self):
         cfg = SimConfig().with_vcore(num_slices=4, l2_cache_kb=512)
         assert cfg.vcore.num_slices == 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.lsq import DistributedLSQ, LSQBank
+from tests.oracles.objmodel.lsq import DistributedLSQ, LSQBank
 
 
 class TestLSQBank:

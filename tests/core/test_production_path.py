@@ -1,24 +1,21 @@
 """One production simulator path.
 
-Without ``obs``, every entry point - ``simulate``, ``SharingSimulator``,
-``simulate_sampled`` and engine simulation sweeps - runs the
-structure-of-arrays core; the object model ``ReferenceSimulator`` runs
-only for instrumented ``simulate(obs=...)`` calls (and as the test
-reference).  Both entry points take their VCore from ``config.vcore``
-unless overridden, and the SoA core refuses the one ``VCoreConfig``
-field it cannot model instead of ignoring it.
+Every entry point - ``simulate`` with or without ``obs``,
+``SharingSimulator``, ``simulate_sampled`` and engine simulation sweeps
+- runs the structure-of-arrays core; the object model
+(``tests/oracles/objmodel``) is only the test reference.  Both entry
+points take their VCore from ``config.vcore`` unless overridden.
 """
 
 import pytest
 
 from repro.core.batched import BatchedSimulator
 from repro.core.config import SimConfig, VCoreConfig
-from repro.core.simulator import (
-    ReferenceSimulator, SharingSimulator, simulate,
-)
+from repro.core.simulator import SharingSimulator, simulate
 from repro.obs import Observability
 from repro.sampling import SamplingConfig, simulate_sampled
 from repro.trace.materialize import get_workload
+from tests.oracles.objmodel.simulator import ReferenceSimulator
 
 SAMPLING = SamplingConfig(interval=1000, detail=200, warmup=80, head=500,
                           jitter_seed=7)
@@ -30,17 +27,17 @@ def workload():
 
 
 @pytest.fixture
-def constructions(monkeypatch):
-    """Count ``ReferenceSimulator`` constructions."""
-    made = []
-    original = ReferenceSimulator.__init__
+def core_runs(monkeypatch):
+    """Count ``BatchedSimulator.run`` calls."""
+    runs = []
+    original = BatchedSimulator.run
 
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        original(self, *args, **kwargs)
+    def counting(self):
+        runs.append(self)
+        return original(self)
 
-    monkeypatch.setattr(ReferenceSimulator, "__init__", counting)
-    return made
+    monkeypatch.setattr(BatchedSimulator, "run", counting)
+    return runs
 
 
 @pytest.fixture
@@ -78,18 +75,20 @@ class TestOnePath:
                                       trace_seed=1)
         assert len(sweep.grid("gcc")) == 2
 
-    def test_simulate_with_obs_runs_the_reference(self, workload,
-                                                  constructions):
+    def test_simulate_with_obs_runs_the_production_core(
+            self, workload, core_runs, no_reference):
         warmup, trace = workload
         obs = Observability()
         result = simulate(trace, num_slices=2, warmup_addresses=warmup,
                           obs=obs)
-        assert len(constructions) == 1
+        assert len(core_runs) == 1
         snap = obs.snapshot()
         misses = sum(snap[f"sim.core.slice{s}.l1d.misses"]["value"]
                      for s in (0, 1))
         assert misses == result.stats.l1d_misses > 0
         assert snap["sim.cache.l2.misses"]["value"] > 0
+        assert (snap["sim.network.son.messages"]["value"]
+                == result.stats.operand_requests > 0)
 
 
 class TestNoInstructionObjects:
@@ -125,6 +124,14 @@ class TestNoInstructionObjects:
                                       trace_seed=1)
         assert len(sweep.grid("mcf")) == 2
 
+    def test_parsec_threads(self, no_instructions):
+        from repro.core.multivcore import MultiVCoreSimulator
+
+        result = MultiVCoreSimulator("dedup", num_vcores=2,
+                                     l2_cache_kb=256.0,
+                                     trace_length=600).run()
+        assert result.total_committed == 1200
+
     def test_the_guard_trips(self, no_instructions):
         _, trace = get_workload("gcc", 10, 1)
         with pytest.raises(AssertionError, match="Instruction was built"):
@@ -156,28 +163,6 @@ class TestVCoreFromConfig:
         assert (result.num_slices, result.l2_cache_kb) == (4, 512.0)
 
 
-class TestBankDistances:
-    CONFIG = SimConfig(vcore=VCoreConfig(num_slices=2, l2_cache_kb=256.0,
-                                         l2_bank_distances=(1, 9, 9, 9)))
-
-    def test_soa_core_rejects_bank_distances(self, workload):
-        warmup, trace = workload
-        with pytest.raises(ValueError) as info:
-            BatchedSimulator(trace, self.CONFIG, warmup)
-        assert "l2_bank_distances" in str(info.value)
-        assert "\n" not in str(info.value)
-        with pytest.raises(ValueError):
-            simulate(trace, config=self.CONFIG, warmup_addresses=warmup)
-
-    def test_reference_models_them(self, workload):
-        warmup, trace = workload
-        far = ReferenceSimulator(trace, self.CONFIG,
-                                 warmup_addresses=warmup).run()
-        near = simulate(trace, num_slices=2, l2_cache_kb=256.0,
-                        warmup_addresses=warmup)
-        assert far.cycles > near.cycles
-
-
 #: Code that exercises the simulation path: the simulator API, an
 #: in-process engine and one exact run.
 _EXACT_RUN = """
@@ -200,6 +185,14 @@ from repro.experiments import runner
 for name in runner.NAMES:
     importlib.import_module(f"repro.experiments.{name}")
 """
+
+#: The object-model modules that moved to ``tests/oracles/objmodel``.
+_OBJECT_MODEL = tuple(
+    f"repro.{name}" for name in (
+        "core.vcore", "core.branch", "core.lsq", "core.rob", "core.issue",
+        "core.dyninst", "cache.hierarchy", "cache.mshr",
+        "cache.storebuffer", "cache.setassoc", "network.switched",
+        "network.messages"))
 
 #: What a pure-Python path must not import: numpy, the market kernel,
 #: the cloud layer and the process-pool machinery.
@@ -227,9 +220,11 @@ def _repro_layers():
     pytest.param("import repro", ("numpy",) + _repro_layers(),
                  id="import-repro"),
     # The analytic sweeps import ``simulate`` and never simulate, so
-    # the simulator API must not load the SoA core.
+    # the simulator API must not load the SoA core, the obs layer or
+    # any module of the object model that left ``src``.
     pytest.param("import repro.core.simulator, repro.sampling",
-                 ("repro.core.batched",), id="simulator-api"),
+                 ("repro.core.batched", "repro.obs") + _OBJECT_MODEL,
+                 id="simulator-api"),
     pytest.param(_EXACT_RUN, _HEAVY, id="exact-run"),
     # The Fig 12/13 artefacts are analytic; only their
     # ``run_simulated()`` anchors load the simulator.

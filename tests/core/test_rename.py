@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.rename import (
+from repro.core.rename import rename_pipeline_depth
+from tests.oracles.objmodel.rename import (
     GlobalRenameState,
     LocalRegisterFile,
     RenameStallError,
-    rename_pipeline_depth,
 )
 
 

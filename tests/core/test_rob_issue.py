@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.dyninst import DynInst
-from repro.core.issue import IssueWindow, SliceIssueStage
-from repro.core.rob import DistributedROB
+from tests.oracles.objmodel.dyninst import DynInst
+from tests.oracles.objmodel.issue import IssueWindow, SliceIssueStage
+from tests.oracles.objmodel.rob import DistributedROB
 from repro.isa import Instruction, MemAccess, Opcode
 
 

@@ -8,10 +8,11 @@ walls, single instructions, maximum configurations).
 import pytest
 
 from repro.core.config import SimConfig, SliceConfig
-from repro.core.simulator import ReferenceSimulator, simulate
+from repro.core.simulator import simulate
 from repro.isa import NUM_ARCH_REGS, Instruction, MemAccess, Opcode
 from repro.trace.materialize import get_workload
 from repro.trace.records import Trace, TraceMetadata
+from tests.oracles.objmodel.simulator import ReferenceSimulator
 
 
 def _trace(insts, name="edge"):

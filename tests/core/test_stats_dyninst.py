@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.dyninst import NEVER, PENDING, DynInst
 from repro.core.stats import SimStats, StallBreakdown
 from repro.isa import Instruction, Opcode
+from tests.oracles.objmodel.dyninst import NEVER, PENDING, DynInst
 
 
 class TestSimStats:

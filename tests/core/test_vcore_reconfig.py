@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.core.reconfig import ReconfigurationEngine
-from repro.core.vcore import VCore
+from tests.oracles.objmodel.vcore import VCore
 
 
 def _vcore(slices=4, cache_kb=256.0):

@@ -188,7 +188,7 @@ class TestKeyPerturbation:
             VCoreConfig(num_slices=2),
             lambda vc: _sim_unit(sim_config=SimConfig(vcore=vc)),
         )
-        assert set(skipped) <= {"l2_bank_distances"}
+        assert not skipped
 
     def test_every_samplingconfig_field_moves_key(self):
         base = SamplingConfig(interval=1000, detail=200, warmup=80,

@@ -1,6 +1,6 @@
 """Tests for typed network messages."""
 
-from repro.network.messages import (
+from tests.oracles.objmodel.messages import (
     CacheReply,
     CacheRequest,
     MemSortMessage,

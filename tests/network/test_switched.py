@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.network.messages import OperandRequest
-from repro.network.switched import SwitchedNetwork
 from repro.network.topology import Mesh2D
+from tests.oracles.objmodel.messages import OperandRequest
+from tests.oracles.objmodel.switched import SwitchedNetwork
 
 
 def _net(**kwargs):

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cache.l1 import L1Cache
-from repro.cache.l2 import BankedL2
-from repro.cache.mshr import MSHRFile
-from repro.cache.storebuffer import StoreBuffer
+from tests.oracles.objmodel.l1 import L1Cache
+from tests.oracles.objmodel.l2 import BankedL2
+from tests.oracles.objmodel.mshr import MSHRFile
+from tests.oracles.objmodel.storebuffer import StoreBuffer
 
 #: Paper Table 2: Memory Delay.
 MEMORY_LATENCY = 100

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.dyninst import DynInst
 from repro.isa import OpClass
+from tests.oracles.objmodel.dyninst import DynInst
 
 
 class IssueWindow:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterator, List, Optional
 
-from repro.core.dyninst import DynInst
+from tests.oracles.objmodel.dyninst import DynInst
 
 
 class DistributedROB:

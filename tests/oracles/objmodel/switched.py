@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.network.messages import Message
 from repro.network.topology import Mesh2D
 from repro.obs.tracer import NULL_TRACER
+from tests.oracles.objmodel.messages import Message
 
 
 @dataclass

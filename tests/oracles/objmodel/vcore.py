@@ -13,20 +13,20 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.l1 import L1Cache
-from repro.cache.l2 import BankedL2
-from repro.cache.mshr import MSHRFile
-from repro.cache.storebuffer import StoreBuffer
-from repro.core.branch import BranchUnit
 from repro.core.config import SimConfig
-from repro.core.dyninst import DynInst
-from repro.core.issue import SliceIssueStage
-from repro.core.lsq import DistributedLSQ
-from repro.core.rename import GlobalRenameState, LocalRegisterFile
-from repro.core.rob import DistributedROB
-from repro.network.switched import SwitchedNetwork
 from repro.network.topology import Mesh2D
+from tests.oracles.objmodel.branch import BranchUnit
+from tests.oracles.objmodel.dyninst import DynInst
+from tests.oracles.objmodel.hierarchy import CacheHierarchy
+from tests.oracles.objmodel.issue import SliceIssueStage
+from tests.oracles.objmodel.l1 import L1Cache
+from tests.oracles.objmodel.l2 import BankedL2
+from tests.oracles.objmodel.lsq import DistributedLSQ
+from tests.oracles.objmodel.mshr import MSHRFile
+from tests.oracles.objmodel.rename import GlobalRenameState, LocalRegisterFile
+from tests.oracles.objmodel.rob import DistributedROB
+from tests.oracles.objmodel.storebuffer import StoreBuffer
+from tests.oracles.objmodel.switched import SwitchedNetwork
 
 
 @dataclass
@@ -68,10 +68,7 @@ class VCore:
         self.rename_network = SwitchedNetwork(self.mesh, name="rename")
 
         # Shared, banked L2 (zero banks = every L1 miss goes to memory).
-        self.l2 = BankedL2(
-            num_banks=v_cfg.num_l2_banks,
-            distances=v_cfg.bank_distances(),
-        )
+        self.l2 = BankedL2(num_banks=v_cfg.num_l2_banks)
 
         cache_cfg = config.cache_config
         self.slices: List[SliceContext] = []

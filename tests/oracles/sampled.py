@@ -2,7 +2,8 @@
 
 Production runs interval sampling on the structure-of-arrays core
 (:meth:`repro.core.batched.BatchedSimulator.run_sampled`).  This is the
-same loop driven through :class:`~repro.core.simulator.ReferenceSimulator`'s
+same loop driven through the object model
+(:class:`~tests.oracles.objmodel.simulator.ReferenceSimulator`)'s
 ``fast_forward`` / ``run_to_commit``: an exhaustively timed head, then
 for every planned window a functional fast-forward gap, a discarded
 detailed warmup prefix and a measured suffix that contributes one CPI
@@ -16,12 +17,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.config import SimConfig
-from repro.core.simulator import ReferenceSimulator, SimResult
+from repro.core.simulator import SimResult
 from repro.sampling.policy import (
     DEFAULT_SAMPLING, SamplingConfig, SamplingPolicy,
 )
 from repro.sampling.sampled import extrapolate_sampled
 from repro.trace.records import Trace
+from tests.oracles.objmodel.simulator import ReferenceSimulator
 
 
 def simulate_sampled(trace: Trace, num_slices: Optional[int] = None,

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.l2 import BankedL2, default_bank_distances
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.l2 import default_bank_distances
+from tests.oracles.objmodel.l2 import BankedL2
+from tests.oracles.objmodel.setassoc import SetAssociativeCache
 
 addresses = st.integers(min_value=0, max_value=1 << 30)
 access_lists = st.lists(

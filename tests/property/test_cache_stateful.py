@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.cache.setassoc import SetAssociativeCache
+from tests.oracles.objmodel.setassoc import SetAssociativeCache
 
 SIZE_BYTES = 512
 LINE = 64

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lsq import DistributedLSQ, LSQBank
+from tests.oracles.objmodel.lsq import DistributedLSQ, LSQBank
 
 # A memory operation: (is_store, line, resolved_cycle)
 mem_ops = st.lists(

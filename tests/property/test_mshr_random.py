@@ -8,7 +8,7 @@ model.  Seed policy matches ``test_setassoc_random``: fixed default,
 import os
 import random
 
-from repro.cache.mshr import MSHRFile
+from tests.oracles.objmodel.mshr import MSHRFile
 
 SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "20140301"))
 

@@ -3,9 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.messages import OperandRequest
-from repro.network.switched import SwitchedNetwork
 from repro.network.topology import Mesh2D
+from tests.oracles.objmodel.messages import OperandRequest
+from tests.oracles.objmodel.switched import SwitchedNetwork
 
 dims = st.integers(min_value=1, max_value=10)
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rename import GlobalRenameState, RenameStallError
+from tests.oracles.objmodel.rename import GlobalRenameState, RenameStallError
 
 arch_regs = st.integers(min_value=0, max_value=7)
 

@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.cache.setassoc import SetAssociativeCache
+from tests.oracles.objmodel.setassoc import SetAssociativeCache
 
 SEED = int(os.environ.get("REPRO_PROPERTY_SEED", "20140301"))
 

@@ -9,10 +9,10 @@ float, no tolerance): its contract is bit-identity, so "close" is a
 regression.
 
 To regenerate after a *deliberate* simulator change, run
-``repro.core.simulator.ReferenceSimulator`` (the object model) over the
-grids named in the fixture and rewrite the JSON - never regenerate from
-``simulate()``, ``SharingSimulator`` or ``BatchedSimulator`` (that would
-pin the thing under test to itself).
+``tests.oracles.objmodel.simulator.ReferenceSimulator`` (the object
+model) over the grids named in the fixture and rewrite the JSON - never
+regenerate from ``simulate()``, ``SharingSimulator`` or
+``BatchedSimulator`` (that would pin the thing under test to itself).
 
 The cache-key tests prove the sweep engine never serves a result
 recorded under one ``SimConfig.backend`` value to a request for
