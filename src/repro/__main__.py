@@ -177,10 +177,6 @@ def _cmd_datacenter_stream(args) -> int:
     except ValueError as exc:
         print(f"repro datacenter-stream: error: {exc}", file=sys.stderr)
         return 2
-    engine = None
-    if args.shards > 1:
-        from repro.engine import SweepEngine
-        engine = SweepEngine(jobs=args.jobs)
     floor = (args.admission_floor if args.admission_floor is not None
              else datacenter_stream.ADMISSION_FLOOR)
     strict = True if args.strict else None
@@ -197,6 +193,7 @@ def _cmd_datacenter_stream(args) -> int:
             admission_floor=floor,
             reprice_every=args.reprice_every,
             shards=args.shards,
+            jobs=args.jobs,
             couple=args.couple,
             sync_every=args.sync_every,
             fault_rate=args.faults,
@@ -206,7 +203,6 @@ def _cmd_datacenter_stream(args) -> int:
             audit_every=args.audit_every,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint_path,
-            engine=engine,
         )
     finally:
         if profiler is not None:
@@ -307,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--reprice-every", type=int, default=1,
                         metavar="N", help="run a warm-started repricing "
                         "step every N events (0 disables)")
-    stream.add_argument("--shards", type=int, default=1,
-                        help="fan independent stream shards across "
-                             "engine workers")
+    stream.add_argument("--shards", type=int, default=1, metavar="N",
+                        help="drive N independent stream shards "
+                             "(seeds seed..seed+N-1), one row each")
     stream.add_argument("--couple", type=int, default=1, metavar="N",
                         help="split each stream across N coupled "
                              "shards trading against one global price "
@@ -319,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-shard events between global price "
                              "syncs (needs --couple; default 500)")
     stream.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (needs --shards)")
+                        help="worker processes the shards run on "
+                             "(needs --shards; default 1, in-process)")
     stream.add_argument("--profile", metavar="PATH", default=None,
                         help="wrap the run in cProfile and dump pstats "
                              "to PATH")

@@ -18,7 +18,9 @@ exposes an event-driven API:
 * :meth:`step` - warm-started tatonnement: prices re-converge from
   the previous fixed point instead of from scratch, so a quiescent
   market reprices in a single round with zero price movement;
-* :meth:`run` - drive a whole event stream.
+* :meth:`process` - apply one event, dead-lettering bad ones in
+  lenient mode.  :func:`repro.experiments.datacenter_stream.drive_stream`
+  is the stream loop over it.
 
 Batch clearing is now a thin wrapper: :meth:`clear_batch` replays the
 registered tenants through the same tatonnement loop with cold-start
@@ -28,13 +30,12 @@ delegates here.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple,
-)
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,7 +139,7 @@ class Event:
 
 @dataclass(frozen=True)
 class StreamSummary:
-    """Aggregate outcome of :meth:`AllocationService.run`."""
+    """The service's running tallies (:meth:`AllocationService.summary`)."""
 
     events: int
     admitted: int
@@ -157,15 +158,24 @@ class StreamSummary:
     degraded_steps: int = 0
     readmitted: int = 0
     retry_pending: int = 0
-    #: Wall-clock seconds the driving loop spent (0.0 outside
-    #: :meth:`AllocationService.run`).  Timing fields are excluded
-    #: from equality: faulty==clean and crash/resume equivalence
-    #: compare semantic outcomes, not wall clocks.
+    #: Stream-level figures, 0 in :meth:`AllocationService.summary`
+    #: (the driving loop reports its own: see ``drive_stream``).
+    #: Timing fields are excluded from equality: faulty==clean and
+    #: crash/resume equivalence compare semantic outcomes, not wall
+    #: clocks.
     wall_s: float = field(default=0.0, compare=False)
-    #: Per-event latency percentiles over the driven stream, in
-    #: milliseconds (0.0 outside :meth:`AllocationService.run`).
     latency_p50_ms: float = field(default=0.0, compare=False)
     latency_p99_ms: float = field(default=0.0, compare=False)
+
+
+#: The service's event tallies, in snapshot order.  Each is published
+#: as the ``cloud.service.<name>`` gauge, so obs and :meth:`~
+#: AllocationService.summary` read the same count, restores included.
+TALLIES = (
+    "admitted", "rejected_price", "rejected_capacity", "departures",
+    "resizes", "compactions", "reprice_rounds", "degraded_steps",
+    "readmitted", "retry_exhausted",
+)
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -309,17 +319,6 @@ class AllocationService:
 
         scope = (obs or OBS_OFF).scope("cloud.service")
         self._scope = scope
-        self._dl_counters: Dict[str, Any] = {}
-        self._c_degraded = scope.counter("degraded_steps")
-        self._c_readmitted = scope.counter("readmitted")
-        self._c_retry_exhausted = scope.counter("retry_exhausted")
-        self._c_admitted = scope.counter("admitted")
-        self._c_rejected_price = scope.counter("rejected_price")
-        self._c_rejected_capacity = scope.counter("rejected_capacity")
-        self._c_departures = scope.counter("departures")
-        self._c_resizes = scope.counter("resizes")
-        self._c_compactions = scope.counter("compactions")
-        self._c_reprice_rounds = scope.counter("reprice_rounds")
         self._t_submit = scope.timer("submit_s")
         self._t_depart = scope.timer("depart_s")
         self._t_resize = scope.timer("resize_s")
@@ -330,7 +329,8 @@ class AllocationService:
         #: triggers a stack rebuild.
         self._arena = TensorArena(
             len(self.cache_grid) * len(self.slice_grid), scope=scope)
-        # Mirrored plain tallies for stream summaries (obs may be off).
+        # The event tallies: summary(), snapshot() and the obs gauges
+        # of the same names all read these.
         self._n_admitted = 0
         self._n_rejected_price = 0
         self._n_rejected_capacity = 0
@@ -338,6 +338,8 @@ class AllocationService:
         self._n_resizes = 0
         self._n_compactions = 0
         self._n_reprice_rounds = 0
+        for name in TALLIES:
+            scope.gauge(name, functools.partial(self.tally, name))
 
     # ------------------------------------------------------------------
     # queries
@@ -397,7 +399,6 @@ class AllocationService:
             cache_kb, slices, value = self._best_at_prices(tenant)
             marginal = value / tenant.budget
             if marginal < self.admission_floor:
-                self._c_rejected_price.inc()
                 self._n_rejected_price += 1
                 return AdmissionResult(
                     tenant=tenant.name, admitted=False,
@@ -411,7 +412,6 @@ class AllocationService:
             vcores = max(1, min(self.max_vcores, int(affordable)))
             if self.fabric is not None and not self._place(
                     tenant.name, cache_kb, slices, vcores):
-                self._c_rejected_capacity.inc()
                 self._n_rejected_capacity += 1
                 return AdmissionResult(
                     tenant=tenant.name, admitted=False,
@@ -421,7 +421,6 @@ class AllocationService:
                 )
             self._register(tenant, cache_kb=cache_kb, slices=slices,
                            vcores=vcores)
-            self._c_admitted.inc()
             self._n_admitted += 1
             return AdmissionResult(
                 tenant=tenant.name, admitted=True, reason="admitted",
@@ -444,7 +443,6 @@ class AllocationService:
             index = self._roster.index(state)
             del self._roster[index]
             self._arena.depart(index)
-            self._c_departures.inc()
             self._n_departures += 1
             if self.fabric is not None:
                 self.fabric.release(tenant_id)
@@ -481,7 +479,6 @@ class AllocationService:
                     # snapshot back always succeeds.
                     self.fabric.claim(snapshot, tenant_id)
                     self._n_rejected_capacity += 1
-                    self._c_rejected_capacity.inc()
                     return AdmissionResult(
                         tenant=tenant_id, admitted=False,
                         reason="rejected_capacity",
@@ -498,7 +495,6 @@ class AllocationService:
             if budget != old_budget:
                 self._arena.set_budget(self._roster.index(state),
                                        budget)
-            self._c_resizes.inc()
             self._n_resizes += 1
             return AdmissionResult(
                 tenant=tenant_id, admitted=True, reason="admitted",
@@ -539,7 +535,6 @@ class AllocationService:
                 # ``_tatonnement`` works on locals until committed).
                 return self._degraded_step(rounds=out["rounds"], t0=t0)
             self._set_prices(out["slice_price"], out["bank_price"])
-            self._c_reprice_rounds.inc(out["rounds"])
             self._n_reprice_rounds += out["rounds"]
             return StepResult(rounds=out["rounds"],
                               converged=out["converged"],
@@ -551,9 +546,7 @@ class AllocationService:
     def _degraded_step(self, rounds: int,
                        t0: Optional[float] = None) -> StepResult:
         """A repricing step that failed: keep last-known-good prices."""
-        self._c_degraded.inc()
         self._n_degraded_steps += 1
-        self._c_reprice_rounds.inc(rounds)
         self._n_reprice_rounds += rounds
         elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
         return StepResult(rounds=rounds, converged=False,
@@ -590,62 +583,10 @@ class AllocationService:
             self._dead_letter(event, exc, index)
             return None
 
-    def run(self, events: Iterable[Event],
-            reprice_every: int = 1, *,
-            strict: bool = True,
-            readmit: bool = False,
-            injector=None,
-            audit_every: int = 0,
-            checkpoint_every: int = 0,
-            on_checkpoint: Optional[Callable[[int, dict], None]] = None
-            ) -> StreamSummary:
-        """Drive a stream of events, repricing every ``reprice_every``
-        events (0 disables automatic repricing).
-
-        The defaults reproduce the historical strict loop bit for bit.
-        ``strict=False`` dead-letters rejectable events instead of
-        raising; ``readmit=True`` re-queues capacity-rejected tenants
-        and retries them with capped backoff after departures free
-        tiles; ``injector`` perturbs the stream with a seeded
-        :class:`~repro.cloud.resilience.FaultInjector`;
-        ``audit_every=N`` runs :meth:`verify_invariants` every N
-        events; ``checkpoint_every=N`` calls ``on_checkpoint(count,
-        snapshot)`` every N events.
-        """
-        count = 0
-        latencies: List[float] = []
-        t_run = time.perf_counter()
-        for event in events:
-            if injector is not None:
-                injector.perturb(self, count)
-            t_event = time.perf_counter()
-            outcome = self.process(event, count, strict=strict)
-            if readmit:
-                if event.kind == "depart" and outcome is not None:
-                    self.readmit_pending(count)
-                elif (event.kind == "submit" and outcome is not None
-                        and not outcome.admitted
-                        and outcome.reason == "rejected_capacity"):
-                    self.note_capacity_rejection(event.tenant, count)
-            count += 1
-            if reprice_every and count % reprice_every == 0:
-                self.step()
-            latencies.append(time.perf_counter() - t_event)
-            if audit_every and count % audit_every == 0:
-                self.verify_invariants()
-            if (checkpoint_every and on_checkpoint is not None
-                    and count % checkpoint_every == 0):
-                on_checkpoint(count, self.snapshot())
-        return self.summary(events=count,
-                            wall_s=time.perf_counter() - t_run,
-                            latencies=latencies)
-
-    def summary(self, events: int = 0, *, wall_s: float = 0.0,
-                latencies: Optional[List[float]] = None
-                ) -> StreamSummary:
-        ordered = sorted(latencies) if latencies else []
+    def summary(self) -> StreamSummary:
+        """The running tallies, prices, roster size and fragmentation."""
         return StreamSummary(
-            events=events,
+            events=0,
             admitted=self._n_admitted,
             rejected_price=self._n_rejected_price,
             rejected_capacity=self._n_rejected_capacity,
@@ -661,10 +602,11 @@ class AllocationService:
             degraded_steps=self._n_degraded_steps,
             readmitted=self._n_readmitted,
             retry_pending=len(self._retry_queue),
-            wall_s=wall_s,
-            latency_p50_ms=_percentile(ordered, 0.50) * 1e3,
-            latency_p99_ms=_percentile(ordered, 0.99) * 1e3,
         )
+
+    def tally(self, name: str) -> int:
+        """One event tally by its :data:`TALLIES` name."""
+        return getattr(self, f"_n_{name}")
 
     # ------------------------------------------------------------------
     # self-healing: dead letters and capacity-retry re-admission
@@ -686,13 +628,15 @@ class AllocationService:
             "reason": reason,
             "error": str(exc),
         })
+        if reason not in self._n_dead_letters:
+            self._publish_dead_letters(reason)
         self._n_dead_letters[reason] = (
             self._n_dead_letters.get(reason, 0) + 1)
-        counter = self._dl_counters.get(reason)
-        if counter is None:
-            counter = self._scope.counter(f"dead_letter.{reason}")
-            self._dl_counters[reason] = counter
-        counter.inc()
+
+    def _publish_dead_letters(self, reason: str) -> None:
+        """The ``dead_letter.<reason>`` gauge over that reason's tally."""
+        self._scope.gauge(f"dead_letter.{reason}",
+                          lambda: self._n_dead_letters.get(reason, 0))
 
     def note_capacity_rejection(self, tenant: TenantRequest,
                                 index: int) -> None:
@@ -736,7 +680,6 @@ class AllocationService:
             if outcome.admitted:
                 readmitted.append(name)
                 self._n_readmitted += 1
-                self._c_readmitted.inc()
                 continue
             entry["attempts"] += 1
             if (outcome.reason == "rejected_capacity"
@@ -748,7 +691,6 @@ class AllocationService:
                 still.append(entry)
             else:
                 self._n_retry_exhausted += 1
-                self._c_retry_exhausted.inc()
         self._retry_queue = still
         return readmitted
 
@@ -832,18 +774,7 @@ class AllocationService:
             ],
             "fabric": (self.fabric.snapshot_owners()
                        if self.fabric is not None else None),
-            "counters": {
-                "admitted": self._n_admitted,
-                "rejected_price": self._n_rejected_price,
-                "rejected_capacity": self._n_rejected_capacity,
-                "departures": self._n_departures,
-                "resizes": self._n_resizes,
-                "compactions": self._n_compactions,
-                "reprice_rounds": self._n_reprice_rounds,
-                "degraded_steps": self._n_degraded_steps,
-                "readmitted": self._n_readmitted,
-                "retry_exhausted": self._n_retry_exhausted,
-            },
+            "counters": {name: self.tally(name) for name in TALLIES},
             "dead_letters": [dict(d) for d in self.dead_letters],
             "dead_letter_counts": dict(self._n_dead_letters),
             "retry_queue": [
@@ -948,6 +879,8 @@ class AllocationService:
         self.dead_letters.extend(dict(d)
                                  for d in state.get("dead_letters", ()))
         self._n_dead_letters = dict(state.get("dead_letter_counts", {}))
+        for reason in self._n_dead_letters:
+            self._publish_dead_letters(reason)
         self._retry_queue = []
         for entry in state.get("retry_queue", ()):
             row = entry["tenant"]
@@ -1189,5 +1122,4 @@ class AllocationService:
                     if nodes:
                         self.fabric.claim(nodes, name)
                 return
-        self._c_compactions.inc()
         self._n_compactions += 1

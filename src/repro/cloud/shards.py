@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.cloud.service import AllocationService
+from repro.cloud.service import TALLIES, AllocationService
 
 
 class CoupledShards:
@@ -33,6 +33,10 @@ class CoupledShards:
     mean back through each service's price-epoch machinery (so every
     admission-cost cache invalidates exactly as if the shard's own
     tatonnement had moved prices there).
+
+    With ``obs`` (the one its services were built with), the
+    ``cloud.service.<tally>`` gauges read the sum over the group's
+    services rather than the last-built one's.
     """
 
     def __init__(self, services: Sequence[AllocationService],
@@ -48,10 +52,14 @@ class CoupledShards:
         from repro.obs import OBS_OFF
 
         scope = (obs or OBS_OFF).scope("cloud.shards")
-        self._c_syncs = scope.counter("price_syncs")
+        scope.gauge("price_syncs", lambda: self.n_syncs)
         scope.gauge("shards", lambda: len(self.services))
         scope.gauge("active_tenants", lambda: sum(
             len(s._roster) for s in self.services))
+        services = (obs or OBS_OFF).scope("cloud.service")
+        for name in TALLIES:
+            services.gauge(name, lambda name=name: sum(
+                s.tally(name) for s in self.services))
 
     # ------------------------------------------------------------------
     # coupling
@@ -75,7 +83,6 @@ class CoupledShards:
         for service in self.services:
             service._set_prices(slice_price, bank_price)
         self.n_syncs += 1
-        self._c_syncs.inc()
         return slice_price, bank_price
 
     def verify_invariants(self) -> None:

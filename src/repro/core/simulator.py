@@ -118,7 +118,8 @@ class SharingSimulator:
 
     An enabled ``obs`` (an :class:`~repro.obs.Observability`) gets the
     run's per-Slice, per-L2-bank and per-LSQ-bank counters under
-    ``sim.*`` once the run ends and, when it traces, the
+    ``sim.*`` once the run ends (replacing any earlier run's ``sim.*``
+    subtree) and, when it traces, the
     pipeline/cache/network events on one track per Slice.  Results are
     the same with or without it.
     """
@@ -151,6 +152,9 @@ class SharingSimulator:
             for sid in range(core.num_slices):
                 obs.tracer.set_thread_name(sid, f"slice{sid}")
         result = core.run()
+        # Replace the whole subtree: an obs reused across runs must not
+        # keep the gauges of an earlier, larger VCore.
+        obs.registry.drop("sim")
         core.flush_counters(obs.scope("sim"))
         return result
 

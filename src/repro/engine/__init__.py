@@ -19,11 +19,9 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CACHE_VERSION": ".cache",
     "DEFAULT_CACHE_DIR": ".cache",
-    "EngineMetrics": ".metrics",
     "ResultCache": ".cache",
     "RunMetrics": ".metrics",
     "SweepEngine": ".core",
-    "SweepRecord": ".metrics",
     "SweepResult": ".core",
     "SweepSpec": ".core",
     "SweepTimeoutError": ".core",

@@ -2,14 +2,13 @@
 
 Every cache entry is keyed by the SHA-256 of a canonical JSON encoding
 of *everything the result depends on*: the cache schema version, the
-evaluation kind, the benchmark profile's field values, the grids, the
-trace length and seed, the simulator config's fingerprint, the sampling
-config and the service parameters.  Change any of those and the key
-changes, so stale entries are never served; they are simply orphaned
-under the old key.
+benchmark profile's field values, the grids, the trace length and seed,
+the simulator config's fingerprint and the sampling config.  Change any
+of those and the key changes, so stale entries are never served; they
+are simply orphaned under the old key.
 
 Entries live under ``.repro_cache/v<N>/<kk>/<key>.json`` (override the
-root with ``REPRO_CACHE_DIR`` or the runner's ``--cache-dir``).  Writes
+root with ``REPRO_CACHE_DIR`` or ``ResultCache(root=...)``).  Writes
 are atomic (temp file + ``os.replace``) so concurrent worker processes
 and runs never observe torn entries; a lookup opens the entry file, a
 missing file is a miss, and corrupt or unreadable entries are counted
@@ -17,9 +16,8 @@ missing file is a miss, and corrupt or unreadable entries are counted
 that parses but holds the wrong shape for its unit is treated the same
 way once the engine :meth:`~ResultCache.reject`\\ s it.
 
-``python -m repro.experiments.runner --no-cache`` bypasses the cache
-entirely; delete the directory (or call :meth:`ResultCache.clear`) to
-drop it.
+``ResultCache(enabled=False)`` bypasses the cache entirely; delete the
+directory (or call :meth:`ResultCache.clear`) to drop it.
 """
 
 from __future__ import annotations

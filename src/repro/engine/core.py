@@ -1,13 +1,12 @@
 """The sweep engine: grid expansion, parallel fan-out, cached results.
 
-The engine runs the sweeps that cost enough to pay for a process pool
-and an on-disk cache: cycle-level simulation grids (~0.2 s per grid
-point) and streaming-service shards.  :class:`SweepEngine` centralises
-them:
+The engine runs simulation sweeps only: cycle-level grids, ~0.2 s per
+grid point, the counterpart of the paper's SSim cluster sweeps behind
+Figs 12-13.  They cost enough to pay for a process pool and an on-disk
+cache.  :class:`SweepEngine` centralises them:
 
 1. a :class:`SweepSpec` names the axes - benchmarks x cache_kb x slices
-   for a simulation sweep, or one service config x shards - and expands
-   into :class:`WorkUnit`\\ s, one per benchmark (or shard);
+   - and expands into :class:`WorkUnit`\\ s, one per benchmark;
 2. pending work units fan across a
    ``concurrent.futures.ProcessPoolExecutor``, one future per unit,
    whenever the sweep has two of them and two workers; otherwise they
@@ -16,8 +15,9 @@ them:
 3. every unit is backed by the content-addressed on-disk
    :class:`~repro.engine.cache.ResultCache` - warm runs skip evaluation
    entirely;
-4. every sweep is recorded in :class:`~repro.engine.metrics.EngineMetrics`
-   (units, points, hits/misses, wall time, workers).
+4. each sweep returns its own accounting in a :class:`SweepResult`, and
+   the ``engine.*`` instruments of the engine's ``obs`` keep the
+   running totals.
 
 The analytic ``P(c, s)`` is not an engine unit: the market kernel
 (:mod:`repro.economics.tensor`) computes a whole Equation 3 grid in well
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import ResultCache
-from repro.engine.metrics import EngineMetrics, SweepRecord, UnitStat
+from repro.engine.metrics import UnitStat
 from repro.obs import OBS_OFF, Observability, now_us
 from repro.perfmodel.model import (
     CACHE_GRID_KB,
@@ -52,7 +52,7 @@ DEFAULT_POOL_RETRIES = 2
 POOL_RETRY_BACKOFF_S = 0.05
 POOL_RETRY_BACKOFF_CAP_S = 1.0
 
-KindKey = Tuple[Any, ...]
+ResultKey = Tuple[Any, ...]
 
 
 class WorkUnitError(RuntimeError):
@@ -92,20 +92,16 @@ class SweepTimeoutError(RuntimeError):
 @dataclass(frozen=True)
 class WorkUnit:
     """One schedulable evaluation: a config grid for one benchmark
-    through the cycle-level simulator (``kind="simulation"``), or one
-    shard of a streaming-service run (``kind="service"``).
+    through the cycle-level simulator.
 
     All fields are primitives (plus the frozen, picklable
-    :class:`~repro.core.config.SimConfig` for simulation units), so
-    units pickle cheaply to workers and hash deterministically into
-    cache keys.
+    :class:`~repro.core.config.SimConfig`), so units pickle cheaply to
+    workers and hash deterministically into cache keys.
     """
 
-    kind: str  # "simulation" | "service"
     profile_fields: Tuple[Tuple[str, Any], ...]
     cache_grid: Tuple[float, ...]
     slice_grid: Tuple[int, ...]
-    #: Simulation-unit parameters; inert for service units.
     trace_length: int = 0
     trace_seed: int = 1
     sim_config: Any = None  # Optional[SimConfig]
@@ -113,11 +109,6 @@ class WorkUnit:
     #: runs exact.  Part of the cache key, so sampled and exact results
     #: can never alias.
     sampling: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: Streaming-service shard parameters as a sorted item tuple
-    #: (``kind="service"``); inert ``None`` for simulation units.
-    service: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: Which shard of the sharded stream this unit drives.
-    shard: int = 0
 
     @property
     def benchmark(self) -> str:
@@ -125,44 +116,33 @@ class WorkUnit:
 
     @property
     def points(self) -> int:
-        if self.kind == "service":
-            # Events, not grid cells, are the unit of work for a
-            # stream shard - this is what the metrics ledger counts.
-            return int(dict(self.service or ()).get("num_events", 1))
         return len(self.cache_grid) * len(self.slice_grid)
 
-    def result_key(self) -> KindKey:
+    def result_key(self) -> ResultKey:
         """How this unit's grid is addressed in a :class:`SweepResult`."""
         return (self.benchmark,)
 
     def key_fields(self) -> Dict[str, Any]:
         """The full content-address basis for the on-disk cache.
 
-        Every result-affecting field is present *unconditionally* (the
-        simulation fields hold inert defaults for service units), and
-        the :class:`SimConfig` enters via :meth:`SimConfig.fingerprint`
-        - a recursive walk over its dataclass fields - so a config knob
+        Every result-affecting field is present, and the
+        :class:`SimConfig` enters via :meth:`SimConfig.fingerprint` - a
+        recursive walk over its dataclass fields - so a config knob
         added later cannot silently alias cache entries.
         """
         from repro.core.config import SimConfig
 
-        sim_config = self.sim_config
-        if sim_config is None and self.kind == "simulation":
-            sim_config = SimConfig()
+        sim_config = (self.sim_config if self.sim_config is not None
+                      else SimConfig())
         return {
-            "kind": self.kind,
             "profile": list(self.profile_fields),
             "cache_grid": list(self.cache_grid),
             "slice_grid": list(self.slice_grid),
             "trace_length": self.trace_length,
             "trace_seed": self.trace_seed,
-            "sim_config": (sim_config.fingerprint()
-                           if sim_config is not None else None),
+            "sim_config": sim_config.fingerprint(),
             "sampling": (list(self.sampling)
                          if self.sampling is not None else None),
-            "service": (list(self.service)
-                        if self.service is not None else None),
-            "shard": self.shard,
         }
 
     def cache_key(self) -> str:
@@ -182,42 +162,13 @@ class SweepSpec:
     trace_length: int = 4000
     trace_seed: int = 1
     sim_config: Any = None  # Optional[SimConfig]
-    #: Streaming-service parameters; when set the spec expands into
-    #: ``shards`` independent ``kind="service"`` units (benchmarks and
-    #: grids are ignored).  Values must be primitives - they become the
-    #: unit's frozen, cache-keyed ``service`` tuple.  A ``couple > 1``
-    #: entry makes each unit run a whole coupled shard group (N
-    #: services sharing a global price vector) in-process; the stream
-    #: stats schema is stamped by ``STATS_VERSION`` in
-    #: ``repro.experiments.datacenter_stream``, so schema changes
-    #: invalidate cached unit results instead of misreading them.
-    service: Optional[Dict[str, Any]] = None
-    shards: int = 1
 
     def expand(self) -> List[WorkUnit]:
         """The spec's work units, in deterministic axis order."""
-        if self.service is not None:
-            base = dict(self.service)
-            seed0 = int(base.get("seed", 1))
-            units = []
-            for shard in range(max(1, int(self.shards))):
-                params = dict(base)
-                # Shards are independent streams: decorrelate by seed.
-                params["seed"] = seed0 + shard
-                units.append(WorkUnit(
-                    kind="service",
-                    profile_fields=(("name", f"stream/shard{shard}"),),
-                    cache_grid=(),
-                    slice_grid=(),
-                    service=tuple(sorted(params.items())),
-                    shard=shard,
-                ))
-            return units
         cache_grid = tuple(float(c) for c in self.cache_grid)
         slice_grid = tuple(int(s) for s in self.slice_grid)
         return [
             WorkUnit(
-                kind="simulation",
                 profile_fields=profile_key(bench),
                 cache_grid=cache_grid,
                 slice_grid=slice_grid,
@@ -232,58 +183,48 @@ class SweepSpec:
 def evaluate_unit(unit: WorkUnit) -> List[List[float]]:
     """Evaluate one work unit; runs in worker processes and in-process.
 
-    Returns JSON-stable rows ``[[cache_kb, slices, value], ...]`` in
+    Returns JSON-stable rows ``[[cache_kb, slices, ipc], ...]`` in
     (cache outer, slice inner) grid order.
     """
-    if unit.kind == "service":
-        # Lazy: the engine has no load-time dependency on the cloud
-        # service (experiments sit above the engine in the layering).
-        from repro.experiments.datacenter_stream import evaluate_shard
+    # Imported on first use: building an engine does not load the
+    # simulator.
+    from repro.core.simulator import simulate
+    from repro.sampling import SamplingConfig, simulate_sampled
+    from repro.trace.materialize import get_workload
 
-        return evaluate_shard(dict(unit.service or ()))
-
-    if unit.kind == "simulation":
-        # Lazy imports: a service sweep must not pay for the simulator.
-        from repro.core.simulator import simulate
-        from repro.sampling import SamplingConfig, simulate_sampled
-        from repro.trace.materialize import get_workload
-
-        profile = BenchmarkProfile(**dict(unit.profile_fields))
-        sampling = (SamplingConfig(**dict(unit.sampling))
-                    if unit.sampling is not None else None)
-        rows = []
-        for c in unit.cache_grid:
-            for s in unit.slice_grid:
-                # Served from the process-local workload LRU, so every
-                # grid point of this unit (and later units for the same
-                # profile in this worker) reuses one generated trace.
-                warmup, trace = get_workload(
-                    profile, unit.trace_length, unit.trace_seed)
-                if sampling is not None:
-                    result = simulate_sampled(
-                        trace, num_slices=int(s), l2_cache_kb=float(c),
-                        sampling=sampling, config=unit.sim_config,
-                        warmup_addresses=warmup)
-                else:
-                    result = simulate(
-                        trace, num_slices=int(s), l2_cache_kb=float(c),
-                        config=unit.sim_config, warmup_addresses=warmup)
-                rows.append([c, s, result.ipc])
-        return rows
-    raise ValueError(f"unknown work-unit kind {unit.kind!r}")
+    profile = BenchmarkProfile(**dict(unit.profile_fields))
+    sampling = (SamplingConfig(**dict(unit.sampling))
+                if unit.sampling is not None else None)
+    rows = []
+    for c in unit.cache_grid:
+        for s in unit.slice_grid:
+            # Served from the process-local workload LRU, so every
+            # grid point of this unit (and later units for the same
+            # profile in this worker) reuses one generated trace.
+            warmup, trace = get_workload(
+                profile, unit.trace_length, unit.trace_seed)
+            if sampling is not None:
+                result = simulate_sampled(
+                    trace, num_slices=int(s), l2_cache_kb=float(c),
+                    sampling=sampling, config=unit.sim_config,
+                    warmup_addresses=warmup)
+            else:
+                result = simulate(
+                    trace, num_slices=int(s), l2_cache_kb=float(c),
+                    config=unit.sim_config, warmup_addresses=warmup)
+            rows.append([c, s, result.ipc])
+    return rows
 
 
 def _fits(unit: WorkUnit, value: Any) -> bool:
     """Whether a cached value has the shape :func:`evaluate_unit`
     returns for ``unit``: a list of ``[number, number, number]`` rows
-    that, for a simulation unit, covers its grid exactly once."""
+    that covers its grid exactly once."""
     if not isinstance(value, list) or not all(
             isinstance(row, list) and len(row) == 3
             and all(type(x) in (int, float) for x in row)
             for row in value):
         return False
-    if unit.kind != "simulation":
-        return True
     cells = [(c, s) for c, s, _ in value]
     return len(cells) == unit.points and set(cells) == {
         (c, s) for c in unit.cache_grid for s in unit.slice_grid}
@@ -343,7 +284,7 @@ def _evaluate_tracked(unit: "WorkUnit", submitted: float
 class SweepResult:
     """All evaluated grids of one sweep, plus its accounting."""
 
-    values: Dict[KindKey, Dict[Tuple[float, int], float]]
+    values: Dict[ResultKey, Dict[Tuple[float, int], float]]
     units: int
     points: int
     cache_hits: int
@@ -373,7 +314,6 @@ class SweepEngine:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 metrics: Optional[EngineMetrics] = None,
                  obs: Optional[Observability] = None,
                  timeout_s: Optional[float] = None,
                  sampling: Any = None,
@@ -400,7 +340,6 @@ class SweepEngine:
                 "workloads on an LRU miss (pass None)")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache if cache is not None else ResultCache()
-        self.metrics = metrics if metrics is not None else EngineMetrics()
         self.obs = obs if obs is not None else OBS_OFF
         self.timeout_s = timeout_s
         #: Optional :class:`~repro.sampling.SamplingConfig` applied to
@@ -441,12 +380,8 @@ class SweepEngine:
         units = spec.expand()
         if self.sampling is not None:
             sampling_key = tuple(sorted(self.sampling.key_fields().items()))
-            units = [
-                replace(unit, sampling=sampling_key)
-                if unit.kind == "simulation" and unit.sampling is None
-                else unit
-                for unit in units
-            ]
+            units = [replace(unit, sampling=sampling_key)
+                     for unit in units]
         # A benchmark named twice is one unit: one evaluation, one grid.
         units = list(dict.fromkeys(units))
         results: Dict[WorkUnit, List[List[float]]] = {}
@@ -463,14 +398,13 @@ class SweepEngine:
             if cached is not None:
                 results[unit] = cached
                 stats.append(UnitStat(
-                    benchmark=unit.benchmark, kind=unit.kind,
-                    points=unit.points, cached=True,
+                    benchmark=unit.benchmark, points=unit.points,
+                    cached=True,
                 ))
                 hits += 1
             else:
                 pending.append(unit)
 
-        pending_points = sum(u.points for u in pending)
         workers = min(self.jobs, len(pending))
         parallel = workers > 1
         outcomes_by_unit: Dict[WorkUnit, Dict[str, Any]] = {}
@@ -494,8 +428,7 @@ class SweepEngine:
                 # reaching this unit.
                 continue
             stat = UnitStat(
-                benchmark=unit.benchmark, kind=unit.kind,
-                points=unit.points, cached=False,
+                benchmark=unit.benchmark, points=unit.points, cached=False,
                 worker_pid=outcome["pid"],
                 queue_wait_s=outcome["queue_wait_s"],
                 eval_s=outcome["eval_s"],
@@ -513,11 +446,10 @@ class SweepEngine:
                 results[unit] = outcome["rows"]
             elif failure is None:
                 failure = (unit, outcome)
-        self.metrics.record_units(stats)
         if failure is not None:
             unit, outcome = failure
             raise WorkUnitError(
-                f"work unit {unit.benchmark!r} ({unit.kind}) failed in "
+                f"work unit {unit.benchmark!r} failed in "
                 f"worker {outcome['pid']}: {outcome['error_type']}: "
                 f"{outcome['error_msg']}",
                 unit=unit,
@@ -525,7 +457,7 @@ class SweepEngine:
                 worker_traceback=outcome["traceback"],
             )
 
-        values: Dict[KindKey, Dict[Tuple[float, int], float]] = {}
+        values: Dict[ResultKey, Dict[Tuple[float, int], float]] = {}
         for unit in units:
             values[unit.result_key()] = {
                 (float(c), int(s)): v for c, s, v in results[unit]
@@ -544,17 +476,6 @@ class SweepEngine:
             workload_stats=workload_totals,
             sched_stats=dict(sched),
         )
-        self.metrics.record(SweepRecord(
-            kind=units[0].kind if units else "empty",
-            units=sweep.units,
-            points=sweep.points,
-            cache_hits=hits,
-            cache_misses=len(pending),
-            evaluated_points=pending_points,
-            elapsed_s=elapsed,
-            workers=workers,
-            parallel=parallel,
-        ))
         self._c_sweeps.inc()
         self._c_units.inc(len(units))
         self._c_points.inc(sweep.points)
@@ -563,7 +484,7 @@ class SweepEngine:
         self._t_sweep.add(elapsed)
         if self.obs.tracing:
             self.obs.tracer.complete(
-                f"sweep.{sweep.units and units[0].kind or 'empty'}",
+                "sweep.simulation",
                 ts=sweep_start_us, dur=elapsed * 1e6, cat="engine",
                 args={"units": sweep.units, "points": sweep.points,
                       "cache_hits": hits, "workers": workers,
@@ -728,7 +649,7 @@ class SweepEngine:
             ts=(outcome["started"] - _ORIGIN) * 1e6,
             dur=outcome["eval_s"] * 1e6, cat="engine",
             tid=outcome["pid"],
-            args={"kind": unit.kind, "points": unit.points,
+            args={"points": unit.points,
                   "queue_wait_s": round(outcome["queue_wait_s"], 6),
                   "ok": outcome["ok"]},
         )
@@ -757,20 +678,3 @@ class SweepEngine:
                 sim_config=sim_config,
             )
         )
-
-    def service_map(self, params: Dict[str, Any],
-                    shards: int = 1) -> SweepResult:
-        """Fan a sharded event stream across workers.
-
-        Each shard is one ``kind="service"`` unit: an independent
-        :class:`~repro.cloud.service.AllocationService` driven by a
-        seeded stream (seed + shard index), returning its
-        ``STREAM_METRICS`` rows keyed ``("stream/shard<i>",)``.
-        Cached like any other unit - params and shard are part of the
-        content address.
-        """
-        return self.run(SweepSpec(
-            benchmarks=(),
-            service=dict(params),
-            shards=shards,
-        ))

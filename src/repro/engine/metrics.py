@@ -1,14 +1,11 @@
-"""Structured run metrics for the sweep engine.
+"""Run metrics for the sweep engine and the experiment runner.
 
-Two layers:
-
-* :class:`EngineMetrics` - accumulated by the engine itself, one record
-  per sweep: work units, grid points, cache hits/misses, evaluation wall
-  time, and how many workers the sweep fanned across.
-* :class:`RunMetrics` - used by the experiment runner to attribute
-  engine activity and wall time to individual experiments (it snapshots
-  the engine counters around each ``run()`` call), and to export the
-  whole run as JSON.
+* :class:`UnitStat` - one work unit's telemetry inside a
+  :class:`~repro.engine.core.SweepResult` (the record of one sweep; the
+  engine's ``engine.*`` obs instruments keep the running totals).
+* :class:`RunMetrics` - used by the experiment runner to time each
+  experiment and to export the whole run as JSON, with the
+  observability snapshot when one is attached.
 """
 
 from __future__ import annotations
@@ -16,14 +13,8 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
-
-from repro.obs.registry import summarize
-
-_TOTAL_FIELDS = ("sweeps", "units", "points", "cache_hits", "cache_misses",
-                 "evaluated_units", "evaluated_points", "parallel_sweeps",
-                 "eval_elapsed_s")
 
 
 @dataclass(frozen=True)
@@ -36,150 +27,29 @@ class UnitStat:
     """
 
     benchmark: str
-    kind: str
     points: int
     cached: bool
     worker_pid: int = 0
     queue_wait_s: float = 0.0
     eval_s: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "kind": self.kind,
-            "points": self.points,
-            "cached": self.cached,
-            "worker_pid": self.worker_pid,
-            "queue_wait_s": self.queue_wait_s,
-            "eval_s": self.eval_s,
-        }
-
-
-@dataclass
-class SweepRecord:
-    """One engine sweep's accounting."""
-
-    kind: str
-    units: int
-    points: int
-    cache_hits: int
-    cache_misses: int
-    evaluated_points: int
-    elapsed_s: float
-    workers: int
-    parallel: bool
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "units": self.units,
-            "points": self.points,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "evaluated_points": self.evaluated_points,
-            "elapsed_s": self.elapsed_s,
-            "workers": self.workers,
-            "parallel": self.parallel,
-        }
-
-
-@dataclass
-class EngineMetrics:
-    """Aggregate counters plus the per-sweep record stream."""
-
-    records: List[SweepRecord] = field(default_factory=list)
-    unit_stats: List[UnitStat] = field(default_factory=list)
-
-    def record(self, record: SweepRecord) -> None:
-        self.records.append(record)
-
-    def record_units(self, stats) -> None:
-        self.unit_stats.extend(stats)
-
-    def unit_distributions(self) -> Dict[str, Any]:
-        """Latency/queue-wait distributions over evaluated units, plus a
-        per-worker breakdown.  Cache hits count toward ``cached`` only -
-        their zero timings would distort the distributions."""
-        evaluated = [u for u in self.unit_stats if not u.cached]
-        by_worker: Dict[int, List[UnitStat]] = {}
-        for stat in evaluated:
-            by_worker.setdefault(stat.worker_pid, []).append(stat)
-        return {
-            "cached_units": sum(1 for u in self.unit_stats if u.cached),
-            "evaluated_units": len(evaluated),
-            "eval_s": summarize([u.eval_s for u in evaluated]),
-            "queue_wait_s": summarize([u.queue_wait_s for u in evaluated]),
-            "workers": {
-                str(pid): {
-                    "units": len(stats),
-                    "points": sum(u.points for u in stats),
-                    "eval_s_total": sum(u.eval_s for u in stats),
-                }
-                for pid, stats in sorted(by_worker.items())
-            },
-        }
-
-    def totals(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {name: 0 for name in _TOTAL_FIELDS}
-        max_workers = 0
-        for rec in self.records:
-            totals["sweeps"] += 1
-            totals["units"] += rec.units
-            totals["points"] += rec.points
-            totals["cache_hits"] += rec.cache_hits
-            totals["cache_misses"] += rec.cache_misses
-            totals["evaluated_units"] += rec.cache_misses
-            totals["evaluated_points"] += rec.evaluated_points
-            totals["parallel_sweeps"] += 1 if rec.parallel else 0
-            totals["eval_elapsed_s"] += rec.elapsed_s
-            max_workers = max(max_workers, rec.workers)
-        totals["max_workers"] = max_workers
-        hits, misses = totals["cache_hits"], totals["cache_misses"]
-        looked_up = hits + misses
-        totals["cache_hit_rate"] = hits / looked_up if looked_up else 0.0
-        elapsed = totals["eval_elapsed_s"]
-        totals["points_per_sec"] = (
-            totals["points"] / elapsed if elapsed > 0 else 0.0
-        )
-        return totals
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "totals": self.totals(),
-            "sweeps": [rec.to_dict() for rec in self.records],
-            "unit_distributions": self.unit_distributions(),
-        }
-
-
-def _delta(after: Dict[str, float], before: Dict[str, float]
-           ) -> Dict[str, float]:
-    return {
-        name: after.get(name, 0) - before.get(name, 0)
-        for name in _TOTAL_FIELDS
-    }
-
 
 class RunMetrics:
-    """Per-experiment wall time + engine activity for one runner pass.
+    """Per-experiment wall time for one runner pass.
 
     With ``obs`` attached, every measured experiment also becomes a
     complete-span trace event (category ``runner``) and the exported
-    dict carries the observability snapshot alongside the engine
-    accounting.
+    dict carries the observability snapshot.
     """
 
-    def __init__(self, engine: Optional[Any] = None,
-                 obs: Optional[Any] = None):
-        self.engine = engine
+    def __init__(self, obs: Optional[Any] = None):
         self.obs = obs
         self.experiments: List[Dict[str, Any]] = []
-        self._t0 = time.perf_counter()
 
     @contextmanager
     def measure(self, name: str):
         from repro.obs.profiling import now_us
 
-        before = self.engine.metrics.totals() if self.engine else {}
         start = time.perf_counter()
         start_us = now_us()
         entry: Dict[str, Any] = {"name": name}
@@ -187,19 +57,12 @@ class RunMetrics:
             yield entry
         finally:
             wall = time.perf_counter() - start
-            after = self.engine.metrics.totals() if self.engine else {}
             entry["wall_s"] = wall
-            entry["engine"] = _delta(after, before)
-            entry["engine"]["points_per_sec"] = (
-                entry["engine"]["points"] / wall if wall > 0 else 0.0
-            )
             self.experiments.append(entry)
             if self.obs is not None and self.obs.tracing:
                 self.obs.tracer.complete(
                     f"experiment.{name}", ts=start_us,
-                    dur=wall * 1e6, cat="runner",
-                    args={"points": entry["engine"]["points"]},
-                )
+                    dur=wall * 1e6, cat="runner")
 
     @property
     def total_wall_s(self) -> float:
@@ -210,15 +73,6 @@ class RunMetrics:
             "total_wall_s": self.total_wall_s,
             "experiments": self.experiments,
         }
-        if self.engine is not None:
-            out["engine"] = self.engine.metrics.totals()
-            out["engine"]["jobs"] = self.engine.jobs
-            out["engine"]["cache"] = dict(self.engine.cache.counters())
-            out["engine"]["cache_enabled"] = self.engine.cache.enabled
-            out["engine"]["cache_dir"] = str(self.engine.cache.root)
-            out["engine"]["unit_distributions"] = (
-                self.engine.metrics.unit_distributions()
-            )
         if self.obs is not None and self.obs.enabled:
             out["obs"] = self.obs.snapshot()
         return out

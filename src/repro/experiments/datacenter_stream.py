@@ -12,13 +12,14 @@ reports the service-level metrics the batch experiments cannot see:
 * fabric fragmentation over time and opportunistic compactions;
 * warm-started price-convergence rounds per repricing step.
 
-The stream is sharded deterministically (seed + shard), so the engine
-can fan shards across workers as ``kind="service"`` work units; the
-default single shard runs in-process.
+The stream is sharded deterministically: shard ``j`` is the same
+stream seeded ``seed + j``.  Shards run in-process, or on a process
+pool with ``jobs > 1``; the default single stream runs in-process.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from repro.cloud.resilience import (
     FaultPlan,
     rng_state_from_json,
     rng_state_to_json,
+    save_checkpoint,
 )
 from repro.cloud.service import (
     AllocationService,
@@ -59,24 +61,6 @@ RESIZE_FRACTION = 0.06
 
 #: Below this utility-per-budget-unit the provider declines the tenant.
 ADMISSION_FLOOR = 0.02
-
-#: Metric order of the engine's ``kind="service"`` work-unit rows.
-#: (Extending this tuple requires bumping ``STATS_VERSION`` below so
-#: cached shard rows from older layouts can never alias.)
-STREAM_METRICS = (
-    "events", "admitted", "rejected_price", "rejected_capacity",
-    "departures", "resizes", "reprice_rounds", "compactions",
-    "active_tenants", "events_per_s", "final_fragmentation",
-    "slice_price", "bank_price",
-    "dead_letters", "degraded_steps", "readmitted",
-    "wall_s", "latency_p50_ms", "latency_p99_ms", "price_syncs",
-)
-
-#: Stamped into every ``kind="service"`` unit's params (and therefore
-#: its cache key) - bumped whenever the row layout above changes.
-#: 3: wall_s + latency percentiles + price_syncs columns (coupled
-#: sharding).
-STATS_VERSION = 3
 
 #: Default per-shard event interval between global price syncs in a
 #: coupled group.
@@ -421,72 +405,6 @@ def drive_coupled_stream(group: CoupledShards, num_events: int,
     return totals, latencies
 
 
-def evaluate_shard(params: Dict[str, object]) -> List[List[float]]:
-    """One engine work unit: an independent stream shard, or - with
-    ``couple > 1`` - a whole coupled shard group run in-process.
-
-    ``params`` comes from the unit's frozen ``service`` field; rows are
-    ``[[metric_index, 0, value], ...]`` in :data:`STREAM_METRICS`
-    order, which is what :class:`~repro.engine.core.SweepResult`
-    re-keys into a grid.  Coupled units decorrelate their inner shard
-    streams from the unit seed (``seed * 1000 + j``), so engine-level
-    shards (``seed0 + shard``) stay distinct from group-level ones.
-    """
-    fault_rate = float(params.get("fault_rate", 0.0))
-    strict = bool(params.get("strict", fault_rate == 0.0))
-    num_events = int(params["num_events"])
-    couple = int(params.get("couple", 1))
-    if couple > 1:
-        group = build_coupled_group(
-            couple,
-            sync_every=int(params.get("sync_every", SYNC_EVERY)),
-            admission_floor=float(params.get("admission_floor",
-                                             ADMISSION_FLOOR)),
-            degrade_on_divergence=not strict,
-        )
-        stats, _ = drive_coupled_stream(
-            group, num_events, seed=int(params["seed"]),
-            active_target=int(params.get("active_target",
-                                         ACTIVE_TARGET)),
-            resize_fraction=float(params.get("resize_fraction",
-                                             RESIZE_FRACTION)),
-            reprice_every=int(params.get("reprice_every", 1)),
-            strict=strict,
-            readmit=bool(params.get("readmit", False)),
-            audit_every=int(params.get("audit_every", 0)),
-        )
-        return [[float(i), 0.0, float(stats[name])]
-                for i, name in enumerate(STREAM_METRICS)]
-    injector = None
-    if fault_rate > 0.0:
-        injector = FaultInjector(
-            FaultPlan.seeded(num_events, fault_rate,
-                             int(params.get("chaos_seed", 0)),
-                             kinds=DEFAULT_INJECT_KINDS),
-            seed=int(params.get("chaos_seed", 0)),
-        )
-    service = build_service(
-        admission_floor=float(params.get("admission_floor",
-                                         ADMISSION_FLOOR)),
-        degrade_on_divergence=not strict,
-    )
-    stats, _, _ = drive_stream(
-        service,
-        num_events=num_events,
-        seed=int(params["seed"]),
-        active_target=int(params.get("active_target", ACTIVE_TARGET)),
-        resize_fraction=float(params.get("resize_fraction",
-                                         RESIZE_FRACTION)),
-        reprice_every=int(params.get("reprice_every", 1)),
-        strict=strict,
-        readmit=bool(params.get("readmit", False)),
-        injector=injector,
-        audit_every=int(params.get("audit_every", 0)),
-    )
-    return [[float(i), 0.0, float(stats[name])]
-            for i, name in enumerate(STREAM_METRICS)]
-
-
 def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
                    fault_rate: float = 0.0, checkpoint_every: int = 0,
                    checkpoint_path: Optional[str] = None,
@@ -497,8 +415,8 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
     """Raise the one-line ``ValueError`` :func:`run` raises for these
     arguments, if any: a run drives exactly ``num_events`` events and
     acts on every option it is given.  ``None`` means "not given" for
-    ``sync_every`` and ``chaos_seed``; ``jobs`` is the CLI's worker
-    count for sharded runs."""
+    ``sync_every`` and ``chaos_seed``; ``jobs`` is the worker count
+    for sharded runs."""
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
     for name, count in (("shards", shards), ("couple", couple),
@@ -537,88 +455,18 @@ def check_run_args(num_events: int, shards: int = 1, couple: int = 1,
                          "only the single stream writes checkpoints")
 
 
-def run(num_events: int = 20_000, seed: int = 11,
-        active_target: int = ACTIVE_TARGET,
-        admission_floor: float = ADMISSION_FLOOR,
-        reprice_every: int = 1, segments: int = 4,
-        shards: int = 1,
-        couple: int = 1, sync_every: Optional[int] = None,
-        fault_rate: float = 0.0, chaos_seed: Optional[int] = None,
-        strict: Optional[bool] = None, readmit: bool = False,
-        audit_every: int = 0,
-        checkpoint_every: int = 0,
-        checkpoint_path: Optional[str] = None,
-        engine=None, obs=None) -> DatacenterStreamResult:
-    """Drive one continuous stream, reported in ``segments`` rows
-    (at least one; more segments than events are clamped to
-    ``num_events``, so every row drives at least one event).
-
-    ``shards > 1`` needs an engine: independent shards fan out as
-    ``kind="service"`` work units instead (one row per shard).
-    ``couple > 1`` makes each unit a *coupled group* of that many
-    shard services trading against one shared global price vector,
-    averaged/broadcast every ``sync_every`` events per shard (default
-    :data:`SYNC_EVERY`) - the
-    1M-event configuration is ``shards * couple`` services covering
-    ``num_events`` total events in one invocation.
-
-    ``fault_rate > 0`` perturbs the stream with a
-    :class:`~repro.cloud.resilience.FaultPlan` seeded by
-    ``chaos_seed`` (default 0); the service then runs lenient (dead
-    letters, graceful degradation) unless ``strict=True`` is forced.
-    ``checkpoint_every=N`` writes a resumable checkpoint JSON to
-    ``checkpoint_path`` every N events (single-stream mode only).
-    Arguments that would drive a different number of events or drop an
-    option raise ``ValueError`` (see :func:`check_run_args`).
-    """
-    check_run_args(num_events, shards=shards, couple=couple,
-                   fault_rate=fault_rate,
-                   checkpoint_every=checkpoint_every,
-                   checkpoint_path=checkpoint_path,
-                   sync_every=sync_every, chaos_seed=chaos_seed,
-                   reprice_every=reprice_every, audit_every=audit_every,
-                   segments=segments)
-    if shards > 1 and engine is None:
-        raise ValueError("shards > 1 needs an engine: shards run as "
-                         "engine work units")
-    if sync_every is None:
-        sync_every = SYNC_EVERY
-    if chaos_seed is None:
-        chaos_seed = 0
-    start = time.perf_counter()
-    if obs is None and engine is not None:
-        obs = getattr(engine, "obs", None)
-    if strict is None:
-        strict = fault_rate == 0.0
-
-    if shards > 1:
-        params = {"num_events": num_events // shards, "seed": seed,
-                  "admission_floor": admission_floor,
-                  "active_target": active_target,
-                  "reprice_every": reprice_every,
-                  "stats_version": STATS_VERSION}
-        if couple > 1:
-            params.update({"couple": couple,
-                           "sync_every": sync_every})
-        if fault_rate > 0.0:
-            params.update({"fault_rate": fault_rate,
-                           "chaos_seed": chaos_seed,
-                           "strict": strict})
-        # Clean runs key these only when set, so their cache keys stay.
-        if readmit or fault_rate > 0.0:
-            params["readmit"] = readmit
-        if audit_every or fault_rate > 0.0:
-            params["audit_every"] = audit_every
-        sweep = engine.service_map(params, shards=shards)
-        rows = []
-        for shard in range(shards):
-            grid = sweep.values[(f"stream/shard{shard}",)]
-            stats = {name: grid[(float(i), 0)]
-                     for i, name in enumerate(STREAM_METRICS)}
-            stats["segment"] = f"shard{shard}"
-            rows.append(stats)
-        latencies: List[float] = []
-    elif couple > 1:
+def _drive(num_events: int, seed: int, *, couple: int, sync_every: int,
+           admission_floor: float, active_target: int,
+           reprice_every: int, fault_rate: float, chaos_seed: int,
+           strict: bool, readmit: bool, audit_every: int,
+           segments: int = 1, checkpoint_every: int = 0,
+           checkpoint_path: Optional[str] = None, obs=None
+           ) -> Tuple[List[Dict[str, Any]], List[float]]:
+    """``(rows, per_event_latencies_s)`` of one stream: a coupled group
+    when ``couple > 1`` (one ``coupled`` row), otherwise one service
+    driven in ``segments`` rows ``q1``, ``q2``, ...  Module-level so a
+    process pool can run one per shard."""
+    if couple > 1:
         group = build_coupled_group(
             couple, sync_every=sync_every,
             admission_floor=admission_floor, obs=obs,
@@ -631,53 +479,140 @@ def run(num_events: int = 20_000, seed: int = 11,
             strict=strict, readmit=readmit,
             audit_every=audit_every)
         stats["segment"] = "coupled"
-        rows = [stats]
-        latencies = list(latencies)
-    else:
-        service = build_service(admission_floor=admission_floor, obs=obs,
-                                degrade_on_divergence=not strict)
-        injector = None
-        if fault_rate > 0.0:
-            injector = FaultInjector(
-                FaultPlan.seeded(num_events, fault_rate, chaos_seed,
-                                 kinds=DEFAULT_INJECT_KINDS),
-                seed=chaos_seed,
-            )
-        on_checkpoint = None
-        if checkpoint_every:
-            from repro.cloud.resilience import save_checkpoint
+        return [stats], latencies
+    service = build_service(admission_floor=admission_floor, obs=obs,
+                            degrade_on_divergence=not strict)
+    injector = None
+    if fault_rate > 0.0:
+        injector = FaultInjector(
+            FaultPlan.seeded(num_events, fault_rate, chaos_seed,
+                             kinds=DEFAULT_INJECT_KINDS),
+            seed=chaos_seed,
+        )
+    on_checkpoint = None
+    if checkpoint_every:
+        def on_checkpoint(count, payload, _path=checkpoint_path):
+            save_checkpoint(_path, payload)
 
-            def on_checkpoint(count, payload,
-                              _path=checkpoint_path):
-                save_checkpoint(_path, payload)
+    rows: List[Dict[str, Any]] = []
+    latencies: List[float] = []
+    active: List[str] = []
+    serial = 0
+    # Never more segments than events: every segment drives >= 1.
+    segments = min(segments, num_events)
+    per_segment = num_events // segments
+    done = 0
+    for segment in range(segments):
+        count = (num_events - per_segment * (segments - 1)
+                 if segment == segments - 1 else per_segment)
+        stats, lats, serial = drive_stream(
+            service, done + count, seed + segment,
+            active_target=active_target,
+            reprice_every=reprice_every,
+            collect_latencies=True,
+            serial0=serial, active=active,
+            strict=strict, readmit=readmit, injector=injector,
+            audit_every=audit_every,
+            checkpoint_every=checkpoint_every,
+            on_checkpoint=on_checkpoint,
+            first_index=done,
+        )
+        done += count
+        stats["segment"] = f"q{segment + 1}"
+        rows.append(stats)
+        latencies.extend(lats)
+    return rows, latencies
 
-        rows = []
-        latencies = []
-        active: List[str] = []
-        serial = 0
-        # Never more segments than events: every segment drives >= 1.
-        segments = min(segments, num_events)
-        per_segment = num_events // segments
-        done = 0
-        for segment in range(segments):
-            count = (num_events - per_segment * (segments - 1)
-                     if segment == segments - 1 else per_segment)
-            stats, lats, serial = drive_stream(
-                service, done + count, seed + segment,
-                active_target=active_target,
-                reprice_every=reprice_every,
-                collect_latencies=True,
-                serial0=serial, active=active,
-                strict=strict, readmit=readmit, injector=injector,
-                audit_every=audit_every,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
-                first_index=done,
-            )
-            done += count
-            stats["segment"] = f"q{segment + 1}"
-            rows.append(stats)
+
+def run(num_events: int = 20_000, seed: int = 11,
+        active_target: int = ACTIVE_TARGET,
+        admission_floor: float = ADMISSION_FLOOR,
+        reprice_every: int = 1, segments: int = 4,
+        shards: int = 1, jobs: int = 1,
+        couple: int = 1, sync_every: Optional[int] = None,
+        fault_rate: float = 0.0, chaos_seed: Optional[int] = None,
+        strict: Optional[bool] = None, readmit: bool = False,
+        audit_every: int = 0,
+        checkpoint_every: int = 0,
+        checkpoint_path: Optional[str] = None,
+        engine=None, obs=None) -> DatacenterStreamResult:
+    """Drive one continuous stream, reported in ``segments`` rows
+    (at least one; more segments than events are clamped to
+    ``num_events``, so every row drives at least one event).
+
+    ``shards > 1`` drives that many independent streams of
+    ``num_events / shards`` events instead, one row per shard: shard
+    ``j`` is the single stream (one segment) seeded ``seed + j``, with
+    every other argument the same.  They run in-process, or across
+    ``jobs`` worker processes when ``jobs > 1``; shards take no
+    ``obs``.  ``couple > 1`` makes the stream (or each shard) a
+    *coupled group* of that many shard services trading against one
+    shared global price vector, averaged/broadcast every
+    ``sync_every`` events per shard (default :data:`SYNC_EVERY`) - the
+    1M-event configuration is ``shards * couple`` services covering
+    ``num_events`` total events in one invocation.
+
+    ``fault_rate > 0`` perturbs the stream with a
+    :class:`~repro.cloud.resilience.FaultPlan` seeded by
+    ``chaos_seed`` (default 0); the service then runs lenient (dead
+    letters, graceful degradation) unless ``strict=True`` is forced.
+    ``checkpoint_every=N`` writes a resumable checkpoint JSON to
+    ``checkpoint_path`` every N events (single-stream mode only).
+    ``engine`` only lends its ``obs`` when ``obs`` is not given.
+    Arguments that would drive a different number of events or drop an
+    option raise ``ValueError`` (see :func:`check_run_args`).
+    """
+    check_run_args(num_events, shards=shards, couple=couple,
+                   fault_rate=fault_rate,
+                   checkpoint_every=checkpoint_every,
+                   checkpoint_path=checkpoint_path,
+                   sync_every=sync_every, chaos_seed=chaos_seed,
+                   jobs=jobs, reprice_every=reprice_every,
+                   audit_every=audit_every, segments=segments)
+    if sync_every is None:
+        sync_every = SYNC_EVERY
+    if chaos_seed is None:
+        chaos_seed = 0
+    start = time.perf_counter()
+    if obs is None and engine is not None:
+        obs = getattr(engine, "obs", None)
+    if strict is None:
+        strict = fault_rate == 0.0
+    knobs = dict(couple=couple, sync_every=sync_every,
+                 admission_floor=admission_floor,
+                 active_target=active_target,
+                 reprice_every=reprice_every, fault_rate=fault_rate,
+                 chaos_seed=chaos_seed, strict=strict, readmit=readmit,
+                 audit_every=audit_every)
+
+    if shards > 1:
+        drive_shard = functools.partial(_drive, num_events // shards,
+                                        **knobs)
+        seeds = [seed + shard for shard in range(shards)]
+        if jobs > 1:
+            # Imported here: the pool machinery costs ~25 ms to import,
+            # and an in-process run never needs it.  Workers are
+            # spawned, not forked: numpy may already run threads here.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, shards),
+                    mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
+                outcomes = list(pool.map(drive_shard, seeds))
+        else:
+            outcomes = [drive_shard(shard_seed) for shard_seed in seeds]
+        rows, latencies = [], []
+        for shard, ((row,), lats) in enumerate(outcomes):
+            row["segment"] = f"shard{shard}"
+            rows.append(row)
             latencies.extend(lats)
+    else:
+        rows, latencies = _drive(
+            num_events, seed, segments=segments,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path, obs=obs, **knobs)
 
     run_params = {"num_events": num_events, "seed": seed,
                   "backend": "numpy",

@@ -4,19 +4,11 @@
 paper's presentation order.  Flags:
 
 ``--only <name>``     run one experiment (repeatable; see ``NAMES``)
-``--jobs N``          worker processes for the sweep engine (default 1)
 ``--json <path>``     export all results + run metrics as JSON
-``--no-cache``        disable the persistent result cache
-``--cache-dir DIR``   cache location (default ``.repro_cache``)
 ``--obs``             enable the instrument registry (repro.obs)
 ``--trace PATH``      write a Chrome trace_event JSON of the run
                       (implies ``--obs``; open in ui.perfetto.dev)
 ``--metrics-out PATH``  write run metrics (+ obs snapshot) as JSON
-``--timeout S``       per-sweep wall-clock bound (checked before each
-                      in-process unit; hung pool workers are killed)
-``--sampling``        interval-sampled simulation for simulation sweeps
-                      (``--exact``, the default, keeps golden paths
-                      bit-identical)
 ``--profile``         wrap the run in cProfile; writes a pstats dump
                       next to ``--metrics-out`` (see README "Profiling")
 
@@ -26,11 +18,11 @@ parser inherits :func:`build_parser` and hands the parsed namespace to
 
 Every experiment goes through the same path: ``module.run(engine=...)``
 returns a frozen :class:`~repro.experiments.base.ExperimentResult`,
-``module.render(result)`` prints it, and the engine records per-sweep
-cache/fan-out metrics that land in the JSON export.  No artefact sends
-a work unit to the engine today (the analytic ones read the model
-directly, and ``datacenter_stream`` runs one shard in-process), so the
-engine flags change no result and ``metrics.engine`` reads zero.
+``module.render(result)`` prints it, and its wall time lands in the
+JSON export.  No artefact sends a work unit to the sweep engine (the
+analytic ones read the model directly, and ``datacenter_stream`` runs
+one stream in-process), so the runner's engine is built in-process
+with its cache off, only to hand every artefact the run's ``obs``.
 """
 
 from __future__ import annotations
@@ -65,21 +57,15 @@ EXPERIMENTS = (
 #: ``--only`` vocabulary, in run order: each artefact module's ``NAME``.
 NAMES = tuple(name for _, name in EXPERIMENTS)
 
-#: JSON export format version.
-EXPORT_SCHEMA = 1
+#: JSON export format version.  2: ``metrics`` lost its ``engine``
+#: totals and each experiment entry its ``engine`` delta.
+EXPORT_SCHEMA = 2
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
     return value
 
 
@@ -93,15 +79,8 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
                         metavar="NAME", default=None,
                         help="run only this experiment (repeatable); "
                              "one of: " + ", ".join(NAMES))
-    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="sweep-engine worker processes (default 1)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write results + run metrics as JSON")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent result cache")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="result-cache directory "
-                             "(default .repro_cache, or $REPRO_CACHE_DIR)")
     parser.add_argument("--obs", action="store_true",
                         help="enable the instrument registry "
                              "(counters/histograms in --metrics-out)")
@@ -111,16 +90,6 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write run metrics (and, with --obs, the "
                              "instrument snapshot) as JSON")
-    parser.add_argument("--timeout", type=_positive_float, default=None,
-                        metavar="S",
-                        help="per-sweep wall-clock bound (seconds)")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--sampling", action="store_true",
-                      help="interval-sampled simulation for simulation "
-                           "sweeps (bounded, reported IPC error)")
-    mode.add_argument("--exact", action="store_true",
-                      help="exact cycle-level simulation (default; "
-                           "golden/bit-identity paths)")
     parser.add_argument("--profile", action="store_true",
                         help="wrap the run in cProfile and write a "
                              "pstats dump next to --metrics-out "
@@ -169,19 +138,16 @@ def _run(args) -> int:
     from repro.engine import ResultCache, RunMetrics, SweepEngine
     from repro.obs import OBS_OFF, Observability
 
-    cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
     obs = (Observability(trace=args.trace is not None)
            if (args.obs or args.trace is not None) else OBS_OFF)
-    sampling = None
-    if args.sampling:
-        from repro.sampling import DEFAULT_SAMPLING
-        sampling = DEFAULT_SAMPLING
-    engine = SweepEngine(jobs=args.jobs, cache=cache, obs=obs,
-                         timeout_s=args.timeout, sampling=sampling)
+    # The artefacts take their obs from the engine; none sends it a
+    # unit, so it runs in-process and never touches the disk.
+    engine = SweepEngine(jobs=1, cache=ResultCache(enabled=False),
+                         obs=obs)
     if obs is not OBS_OFF:
         from repro.trace import materialize
         materialize.attach_obs(obs.scope("trace.workload_lru"))
-    run_metrics = RunMetrics(engine=engine, obs=obs)
+    run_metrics = RunMetrics(obs=obs)
 
     selected = [
         (title, importlib.import_module(f"repro.experiments.{name}"))

@@ -8,7 +8,7 @@ Three pieces (see DESIGN.md "Observability"):
 * :mod:`repro.obs.tracer` - a bounded ring-buffer event tracer that
   exports Chrome ``trace_event`` JSON for ``chrome://tracing`` /
   Perfetto;
-* :mod:`repro.obs.profiling` - wall-clock span helpers feeding both.
+* :mod:`repro.obs.profiling` - the trace clock (``now_us``).
 
 :class:`Observability` (:mod:`repro.obs.bundle`) bundles one registry and
 one tracer and is what flows through constructor ``obs=`` parameters.
@@ -47,8 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Scope": ".registry",
     "Timer": ".registry",
     "now_us": ".profiling",
-    "profiled": ".profiling",
-    "span": ".profiling",
     "summarize": ".registry",
     # submodules
     "bundle": ".bundle",

@@ -1,16 +1,12 @@
-"""Profiling hooks: wall-clock spans feeding timers and the tracer.
+"""The trace clock: microseconds since a per-process-tree origin.
 
-The engine and the experiment runner use these to attribute wall time
-to named regions.  Everything degrades to (near) zero cost against the
-null instruments from :mod:`repro.obs.registry` / :mod:`repro.obs.tracer`.
+The engine and the experiment runner stamp their complete-span trace
+events with it.
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Optional
 
 #: Per-process monotonic origin: trace timestamps are microseconds since
 #: this module was first imported.  ``time.monotonic`` is CLOCK_MONOTONIC
@@ -22,48 +18,3 @@ _ORIGIN = time.monotonic()
 def now_us() -> float:
     """Microseconds since process-tree trace origin."""
     return (time.monotonic() - _ORIGIN) * 1e6
-
-
-@contextmanager
-def span(tracer, name: str, cat: str = "", tid: int = 0,
-         args: Optional[Dict[str, Any]] = None,
-         timer=None):
-    """Emit a complete ('X') trace event around a code region.
-
-    ``timer``, when given, also accumulates the duration into a
-    registry :class:`~repro.obs.registry.Timer`.
-    """
-    t0 = time.monotonic()
-    ts = (t0 - _ORIGIN) * 1e6
-    try:
-        yield
-    finally:
-        elapsed = time.monotonic() - t0
-        tracer.complete(name, ts=ts, dur=elapsed * 1e6, cat=cat,
-                        tid=tid, args=args)
-        if timer is not None:
-            timer.add(elapsed)
-
-
-def profiled(scope, name: Optional[str] = None) -> Callable:
-    """Decorator: time every call into ``scope.timer(name)`` and sample
-    the per-call latency into ``scope.histogram(name + ".s")``."""
-
-    def wrap(fn: Callable) -> Callable:
-        label = name or fn.__name__
-        timer = scope.timer(label)
-        hist = scope.histogram(f"{label}.s")
-
-        @functools.wraps(fn)
-        def inner(*args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - t0
-                timer.add(elapsed)
-                hist.observe(elapsed)
-
-        return inner
-
-    return wrap

@@ -274,6 +274,15 @@ class Registry:
     def info(self, path: str, value: Any) -> None:
         self._info[path] = value
 
+    def drop(self, prefix: str) -> None:
+        """Forget every instrument and info entry under ``prefix``
+        (the path itself and its dotted descendants), so a component
+        that republishes its subtree leaves nothing stale behind."""
+        for table in (self._instruments, self._info):
+            for path in [p for p in table
+                         if p == prefix or p.startswith(prefix + ".")]:
+                del table[path]
+
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
@@ -417,6 +426,9 @@ class NullRegistry:
         return _NULL_HISTOGRAM
 
     def info(self, path: str, value: Any) -> None:
+        pass
+
+    def drop(self, prefix: str) -> None:
         pass
 
     def names(self) -> List[str]:

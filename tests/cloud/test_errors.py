@@ -94,12 +94,15 @@ class TestBackwardCompat:
 
     def test_lenient_stream_dead_letters_nan_resize(self):
         svc = service()
-        summary = svc.run([
+        events = [
             Event(kind="submit", tenant=tenant("a")),
             Event(kind="resize", tenant_id="a", budget=math.nan),
             Event(kind="submit", tenant=tenant("b")),
-        ], strict=False)
-        assert summary.events == 3 and summary.admitted == 2
+        ]
+        outcomes = [svc.process(event, index, strict=False)
+                    for index, event in enumerate(events)]
+        assert outcomes[1] is None
+        assert svc.summary().admitted == 2
         assert svc.dead_letter_counts == {"invalid_event": 1}
         assert svc.tenant("a").budget == 24.0
 

@@ -203,6 +203,8 @@ class TestStep:
 
 class TestRunAndSummary:
     def test_run_stream(self):
+        """Events applied with ``process`` and a ``step`` every second
+        event land in the summary's tallies."""
         service = economics_service()
         events = [
             Event(kind="submit", tenant=tenant("a")),
@@ -210,20 +212,28 @@ class TestRunAndSummary:
             Event(kind="resize", tenant_id="a", budget=30.0),
             Event(kind="depart", tenant_id="b"),
         ]
-        summary = service.run(events, reprice_every=2)
+        for index, event in enumerate(events):
+            service.process(event, index)
+            if (index + 1) % 2 == 0:
+                service.step()
+        summary = service.summary()
         assert isinstance(summary, StreamSummary)
-        assert summary.events == 4
         assert summary.admitted == 2
         assert summary.resizes == 1
         assert summary.departures == 1
         assert summary.active_tenants == 1
         assert summary.reprice_rounds >= 1
+        # Stream-level figures belong to the driving loop.
+        assert (summary.events, summary.wall_s) == (0, 0.0)
 
     def test_run_without_repricing_keeps_prices(self):
+        from repro.experiments.datacenter_stream import drive_stream
+
         service = economics_service()
         p0 = service.prices()
-        service.run([Event(kind="submit", tenant=tenant("a"))],
-                    reprice_every=0)
+        stats, _, _ = drive_stream(service, 40, seed=1, reprice_every=0)
+        assert stats["admitted"] > 0
+        assert stats["reprice_rounds"] == 0
         assert service.prices() == p0
 
 
@@ -278,3 +288,70 @@ class TestObsCounters:
         service.submit(tenant("a"))  # rejected by the floor
         snapshot = obs.snapshot()
         assert snapshot["cloud.service.rejected_price"]["value"] == 1
+
+    def test_counts_equal_the_summary_after_restore(self):
+        """Each event is counted once, in the tallies ``summary()`` and
+        ``snapshot()`` read; the obs gauges read them too, so a
+        restored service's counts include the events before the
+        snapshot."""
+        from repro.cloud.resilience import FaultInjector, FaultPlan
+        from repro.cloud.service import TALLIES
+        from repro.experiments.datacenter_stream import (
+            build_service,
+            drive_stream,
+        )
+        from repro.obs import Observability
+
+        def chaos(seed):
+            return FaultInjector(FaultPlan.seeded(
+                300, 0.05, seed, kinds=("malformed", "unknown")),
+                seed=seed)
+
+        first = build_service(degrade_on_divergence=True)
+        active = []
+        _, _, serial = drive_stream(first, 300, seed=5, active=active,
+                                    strict=False, injector=chaos(1))
+        obs = Observability()
+        second = build_service(obs=obs, degrade_on_divergence=True)
+        second.restore(first.snapshot())
+        after, _, _ = drive_stream(second, 300, seed=6, serial0=serial,
+                                   active=active, strict=False,
+                                   injector=chaos(2))
+        snapshot = obs.snapshot()
+        counts = {name[len("cloud.service."):]: snap["value"]
+                  for name, snap in snapshot.items()
+                  if name.startswith("cloud.service.")
+                  and snap["type"] == "gauge"}
+        summary = second.summary()
+        for name in TALLIES:
+            assert counts[name] == second.tally(name), name
+        for name in ("admitted", "rejected_price", "rejected_capacity",
+                     "departures", "resizes", "reprice_rounds",
+                     "compactions", "degraded_steps", "readmitted"):
+            assert counts[name] == getattr(summary, name), name
+        assert counts["active_tenants"] == summary.active_tenants
+        dead = {name[len("dead_letter."):]: value
+                for name, value in counts.items()
+                if name.startswith("dead_letter.")}
+        assert dead == second.dead_letter_counts
+        assert sum(dead.values()) == summary.dead_letters > 0
+        # The counts run from the first event, not from the restore.
+        assert counts["admitted"] > after["admitted"] > 0
+
+    def test_coupled_group_counts_sum_its_services(self):
+        from repro.cloud.service import TALLIES
+        from repro.experiments.datacenter_stream import (
+            build_coupled_group,
+            drive_coupled_stream,
+        )
+        from repro.obs import Observability
+
+        obs = Observability()
+        group = build_coupled_group(2, sync_every=50, obs=obs)
+        drive_coupled_stream(group, 200, seed=3, reprice_every=10)
+        snapshot = obs.snapshot()
+        for name in TALLIES:
+            assert snapshot[f"cloud.service.{name}"]["value"] == sum(
+                service.tally(name) for service in group.services), name
+        assert snapshot["cloud.shards.price_syncs"]["value"] \
+            == group.n_syncs > 0

@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import (
-    ResultCache,
-    RunMetrics,
-    SweepEngine,
-    SweepSpec,
-    evaluate_unit,
-)
+from repro.engine import ResultCache, RunMetrics, SweepEngine, SweepSpec
 from repro.obs import Observability
 from repro.trace.profiles import get_profile
 
@@ -28,13 +22,6 @@ class TestExpansion:
         spec = SweepSpec(benchmarks=(get_profile("gcc"),))
         (unit,) = spec.expand()
         assert unit.benchmark == "gcc"
-
-    def test_unknown_kind_rejected(self):
-        spec = SweepSpec(benchmarks=("gcc",))
-        (unit,) = spec.expand()
-        from dataclasses import replace
-        with pytest.raises(ValueError):
-            evaluate_unit(replace(unit, kind="nonsense"))
 
 
 class TestEvaluation:
@@ -70,38 +57,57 @@ class TestEvaluation:
 
 
 class TestMetrics:
-    def test_sweep_accounting(self, engine):
+    def test_sweep_accounting(self, tmp_path):
+        """Each ``SweepResult`` accounts for its own sweep, and the
+        ``engine.*`` instruments keep the running totals."""
+        obs = Observability()
+        engine = SweepEngine(jobs=1, obs=obs,
+                             cache=ResultCache(root=tmp_path / "cache"))
         grid = dict(cache_grid=(64.0, 128.0), slice_grid=(1, 2),
                     trace_length=200)
-        engine.simulation_map(["astar", "hmmer"], **grid)
-        engine.simulation_map(["astar", "hmmer"], **grid)
-        totals = engine.metrics.totals()
-        assert totals["sweeps"] == 2
-        assert totals["units"] == 4
-        assert totals["points"] == 16
-        assert totals["cache_hits"] == 2
-        assert totals["cache_misses"] == 2
-        assert totals["evaluated_points"] == 8
-        assert totals["cache_hit_rate"] == 0.5
+        cold = engine.simulation_map(["astar", "hmmer"], **grid)
+        warm = engine.simulation_map(["astar", "hmmer"], **grid)
+        assert (cold.units, cold.points) == (warm.units, warm.points) \
+            == (2, 8)
+        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
+        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
+        totals = {name: snap.get("value", snap.get("count"))
+                  for name, snap in obs.snapshot().items()
+                  if name.startswith("engine.")}
+        assert totals["engine.sweeps"] == 2
+        assert totals["engine.units"] == 4
+        assert totals["engine.points"] == 16
+        assert totals["engine.cache.hits"] == 2
+        assert totals["engine.cache.misses"] == 2
+        assert totals["engine.unit_eval_s"] == 2
+        assert totals["engine.sweep_s"] == 2
 
     def test_run_metrics_attribution(self, tmp_path):
         """``RunMetrics`` around a traced two-point simulation sweep:
-        the sweep is attributed to its experiment, the trace holds
-        ``engine`` spans next to the ``runner`` span, and the export
-        carries the per-unit latency distributions."""
+        the sweep's span sits inside its experiment's span, the trace
+        holds ``engine`` spans next to the ``runner`` span, and the
+        export carries the per-unit latency distribution in the obs
+        snapshot (no engine totals of its own)."""
         obs = Observability(trace=True)
         engine = SweepEngine(jobs=1, obs=obs,
                              cache=ResultCache(root=tmp_path / "cache"))
-        run_metrics = RunMetrics(engine=engine, obs=obs)
+        run_metrics = RunMetrics(obs=obs)
         with run_metrics.measure("demo"):
             engine.simulation_map(["gcc"], **TINY)
         exported = run_metrics.to_dict()
         (entry,) = exported["experiments"]
+        assert set(entry) == {"name", "wall_s"}
         assert entry["name"] == "demo"
-        assert entry["engine"]["sweeps"] == 1
-        assert exported["engine"]["jobs"] == engine.jobs
+        assert set(exported) == {"total_wall_s", "experiments", "obs"}
         assert run_metrics.to_json()
 
+        events = obs.tracer.events()
+        (sweep,) = [e for e in events if e["name"] == "sweep.simulation"]
+        (experiment,) = [e for e in events
+                         if e["name"] == "experiment.demo"]
+        assert experiment["ts"] <= sweep["ts"]
+        assert (sweep["ts"] + sweep["dur"]
+                <= experiment["ts"] + experiment["dur"])
         trace_path = tmp_path / "run.trace.json"
         obs.export_trace(str(trace_path))
         doc = json.loads(trace_path.read_text())
@@ -109,10 +115,10 @@ class TestMetrics:
                 if e.get("ph") != "M"}
         assert {"engine", "runner"} <= cats
 
-        dist = exported["engine"]["unit_distributions"]
-        assert dist["evaluated_units"] + dist["cached_units"] > 0
-        assert set(dist["eval_s"]) == {"count", "mean", "min", "p50",
-                                       "p90", "p99", "max"}
+        dist = exported["obs"]["engine.unit_eval_s"]
+        assert dist["count"] == 1
+        assert {"count", "mean", "min", "p50", "p90", "p99",
+                "max"} <= set(dist)
 
     def test_unit_spans_sit_where_the_units_ran(self, tmp_path):
         """A traced serial sweep draws its units one after another, in

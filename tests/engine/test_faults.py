@@ -249,18 +249,6 @@ class TestWorkerDeath:
             _engine(tmp_path, store=store)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_cli_rejects_nonpositive_timeout(self, capsys, value):
-        from repro.__main__ import main as cli_main
-        from repro.experiments import runner
-
-        with pytest.raises(SystemExit) as runner_exit:
-            runner.main(["--no-cache", "--timeout", value])
-        with pytest.raises(SystemExit) as cli_exit:
-            cli_main(["experiments", "--no-cache", "--timeout", value])
-        assert runner_exit.value.code == cli_exit.value.code == 2
-        assert "--timeout: must be > 0" in capsys.readouterr().err
-
 
 class TestCorruptedCache:
     def test_corrupt_entry_detected_and_recomputed(self, tmp_path):
@@ -300,10 +288,7 @@ class TestUnitTelemetry:
                    for s in sweep.unit_stats)
         warm = engine.run(_spec())
         assert all(s.cached for s in warm.unit_stats)
-        dist = engine.metrics.unit_distributions()
-        assert dist["evaluated_units"] == 2
-        assert dist["cached_units"] == 2
-        assert dist["eval_s"]["count"] == 2
+        assert all(s.eval_s == 0.0 for s in warm.unit_stats)
 
 
 class TestDeathAndSharedState:

@@ -23,7 +23,6 @@ from repro.sampling import DEFAULT_SAMPLING, SamplingConfig
 
 def _sim_unit(**overrides):
     base = dict(
-        kind="simulation",
         profile_fields=profile_key("gcc"),
         cache_grid=(256.0,),
         slice_grid=(2,),
@@ -40,7 +39,7 @@ class TestExpansion:
                          slice_grid=(1, 2),
                          trace_length=2_000, trace_seed=3)
         units = spec.expand()
-        assert [u.kind for u in units] == ["simulation", "simulation"]
+        assert [u.benchmark for u in units] == ["gcc", "mcf"]
         for unit in units:
             assert unit.trace_length == 2_000
             assert unit.trace_seed == 3
@@ -106,13 +105,24 @@ class TestKeyPerturbation:
                 profile_fields=profile_key("mcf")).cache_key(),
             "cache_grid": _sim_unit(cache_grid=(128.0,)).cache_key(),
             "slice_grid": _sim_unit(slice_grid=(4,)).cache_key(),
-            "kind": _sim_unit(kind="service").cache_key(),
+            "sampling": _sim_unit(sampling=tuple(sorted(
+                DEFAULT_SAMPLING.key_fields().items()))).cache_key(),
         }
         assert len(set(keys.values())) == len(keys)
 
+    def test_key_fields_are_the_simulation_inputs(self):
+        # Exactly the unit's own fields, with the SimConfig as its
+        # fingerprint: nothing that does not shape an IPC grid.
+        assert set(_sim_unit().key_fields()) == {
+            "profile", "cache_grid", "slice_grid", "trace_length",
+            "trace_seed", "sim_config", "sampling"}
+        assert set(_sim_unit().key_fields()) == {
+            f.name.replace("_fields", "")
+            for f in dataclasses.fields(WorkUnit)}
+
     def test_default_and_explicit_default_simconfig_agree(self):
-        # kind="simulation" with sim_config=None runs SimConfig(); the
-        # key must say so explicitly, not hash the None sentinel.
+        # sim_config=None runs SimConfig(); the key must say so
+        # explicitly, not hash the None sentinel.
         implicit = _sim_unit()
         explicit = _sim_unit(sim_config=SimConfig())
         assert implicit.cache_key() == explicit.cache_key()

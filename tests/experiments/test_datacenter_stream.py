@@ -1,6 +1,8 @@
 """The datacenter_stream experiment: seeded streams, shards, CLI."""
 
+import json
 import os
+import pathlib
 
 import pytest
 
@@ -42,7 +44,6 @@ REJECTED = {
     "zero-shards": ({"shards": 0}, ["--shards", "0"]),
     "zero-couple": ({"couple": 0}, ["--couple", "0"]),
     "negative-couple": ({"couple": -3}, ["--couple", "-3"]),
-    # ``run()`` takes its worker count through the engine it is handed.
     "zero-jobs": ({"shards": 2, "jobs": 0},
                   ["--shards", "2", "--jobs", "0"]),
     "zero-sync-every": ({"couple": 2, "sync_every": 0},
@@ -56,14 +57,23 @@ REJECTED = {
         ["--checkpoint-every", "-1", "--checkpoint-path", "ck.json"]),
 }
 
-#: Rejected by ``run()`` only: the CLI always builds an engine for
-#: ``--shards > 1`` and always drives four segments, so these have no
-#: command line.
+#: Rejected by ``run()`` only: the CLI always drives four segments, so
+#: these have no command line.
 REJECTED_API = {
-    "shards-without-engine": {"shards": 2},
     "zero-segments": {"segments": 0},
     "negative-segments": {"segments": -3},
 }
+
+
+#: Wall-clock row fields; every other field is seeded.
+TIMING = {"events_per_s", "wall_s", "latency_p50_ms", "latency_p99_ms"}
+
+#: Non-timing shard rows of ``run(num_events=400, seed=11, shards=2)``
+#: (the CLI's default seed and reprice interval) for three argument
+#: sets, recorded when shards still ran as engine work units.
+SHARD_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parents[1] / "regression" / "fixtures"
+     / "shard_rows.json").read_text())
 
 
 class TestDriveStream:
@@ -137,19 +147,83 @@ class TestRun:
         assert "rejection rate" in out
 
 
-class TestShardedRun:
-    def test_sharded_run_uses_engine(self, tmp_path):
-        pytest.importorskip("numpy")
-        from repro.engine import ResultCache, SweepEngine
+def _semantic(rows):
+    """Rows without their wall-clock fields."""
+    return [{k: v for k, v in row.items() if k not in TIMING}
+            for row in rows]
 
-        engine = SweepEngine(jobs=1,
-                             cache=ResultCache(root=str(tmp_path)))
+
+class TestShardedRun:
+    """``run(shards=N)`` drives its shards itself: no engine, no
+    cache, in-process at ``jobs=1`` and on a process pool above."""
+
+    def test_sharded_run_needs_no_engine(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         result = ds.run(num_events=200, seed=4, shards=2,
-                        engine=engine, reprice_every=20)
-        assert len(result.rows) == 2
-        assert {row["segment"] for row in result.rows} == \
-            {"shard0", "shard1"}
+                        reprice_every=20)
+        assert [row["segment"] for row in result.rows] == \
+            ["shard0", "shard1"]
+        assert [row["events"] for row in result.rows] == [100.0, 100.0]
         assert result.num_events == 200
+        assert result.latency_p99_ms >= result.latency_p50_ms > 0.0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_shard_j_is_seed_plus_j(self):
+        result = ds.run(num_events=240, seed=9, shards=3,
+                        reprice_every=20)
+        for shard, row in enumerate(result.rows):
+            stats, _, _ = ds.drive_stream(ds.build_service(), 80,
+                                          seed=9 + shard,
+                                          reprice_every=20)
+            assert _semantic([row]) == _semantic(
+                [{**stats, "segment": f"shard{shard}"}])
+
+    def test_pool_rows_equal_in_process_rows(self):
+        kwargs = dict(num_events=200, seed=4, shards=2, reprice_every=20)
+        pooled = ds.run(jobs=2, **kwargs)
+        assert _semantic(pooled.rows) == _semantic(ds.run(**kwargs).rows)
+
+    def test_lenient_run_drives_lenient_shards(self, monkeypatch):
+        seen = []
+        drive = ds.drive_stream
+
+        def spying(*args, **kwargs):
+            seen.append(kwargs["strict"])
+            return drive(*args, **kwargs)
+
+        monkeypatch.setattr(ds, "drive_stream", spying)
+        ds.run(num_events=200, seed=4, shards=2, reprice_every=20,
+               strict=False)
+        assert seen == [False, False]
+
+    @pytest.mark.parametrize("case", sorted(SHARD_GOLDEN))
+    def test_rows_match_the_pinned_rows(self, case):
+        """Every non-timing field of every shard row, pinned for a
+        clean, a coupled and a faulty run of 400 events on 2 shards."""
+        golden = SHARD_GOLDEN[case]
+        result = ds.run(num_events=400, seed=11, shards=2,
+                        **golden["args"])
+        assert _semantic(result.rows) == golden["rows"]
+
+    def test_cli_runs_are_timed_and_uncached(self, tmp_path, monkeypatch,
+                                             capsys):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for name in ("a.json", "b.json"):
+            assert main(["datacenter-stream", "--events", "400",
+                         "--shards", "2", "--jobs", "1",
+                         "--json", name]) == 0
+            runs.append(json.loads((tmp_path / name).read_text()))
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["a.json", "b.json"]
+        for run in runs:
+            # In-process shards run inside the run's own clock.
+            assert sum(row["wall_s"] for row in run["rows"]) \
+                <= run["elapsed"]
+        assert _semantic(runs[0]["rows"]) == _semantic(runs[1]["rows"])
 
 
 class TestCli:
@@ -162,8 +236,6 @@ class TestCli:
         assert "Streaming datacenter service" in out
 
     def test_json_export(self, tmp_path, capsys):
-        import json
-
         from repro.__main__ import main
 
         path = tmp_path / "stream.json"
@@ -183,14 +255,9 @@ class TestRejectedArgs:
 
     @pytest.mark.parametrize("case", REJECTED)
     def test_run_raises(self, case):
-        from repro.engine import SweepEngine
-
         kwargs = {"num_events": 400, "reprice_every": 50,
                   **REJECTED[case][0]}
-        jobs = kwargs.pop("jobs", 1)
         with pytest.raises(ValueError) as info:
-            if kwargs.get("shards", 1) > 1:
-                kwargs["engine"] = SweepEngine(jobs=jobs)
             ds.run(seed=4, **kwargs)
         assert "\n" not in str(info.value)
         assert not os.path.exists("ck.json")
@@ -233,10 +300,7 @@ class TestShardOptions:
 
     @pytest.mark.parametrize("option", [{"readmit": True},
                                         {"audit_every": 5}])
-    def test_clean_sharded_run_forwards(self, option, tmp_path,
-                                        monkeypatch):
-        from repro.engine import ResultCache, SweepEngine
-
+    def test_clean_sharded_run_forwards(self, option, monkeypatch):
         seen = []
         drive = ds.drive_stream
 
@@ -245,10 +309,8 @@ class TestShardOptions:
             return drive(*args, **kwargs)
 
         monkeypatch.setattr(ds, "drive_stream", spying)
-        engine = SweepEngine(jobs=1,
-                             cache=ResultCache(root=str(tmp_path)))
-        ds.run(num_events=200, seed=4, shards=2, engine=engine,
-               reprice_every=20, **option)
+        ds.run(num_events=200, seed=4, shards=2, reprice_every=20,
+               **option)
         (name, value), = option.items()
         assert len(seen) == 2
         assert all(kwargs[name] == value for kwargs in seen)
@@ -301,16 +363,12 @@ class TestCoupledRun:
             if key not in skip:
                 assert rows[1][key] == value, key
 
-    def test_engine_shards_of_coupled_groups(self, tmp_path):
+    def test_shards_of_coupled_groups(self):
         pytest.importorskip("numpy")
-        from repro.engine import ResultCache, SweepEngine
-
-        engine = SweepEngine(jobs=1,
-                             cache=ResultCache(root=str(tmp_path)))
         result = ds.run(num_events=400, seed=4, shards=2, couple=2,
-                        sync_every=100, engine=engine,
-                        reprice_every=50)
-        assert len(result.rows) == 2
+                        sync_every=100, reprice_every=50)
+        assert [row["segment"] for row in result.rows] == \
+            ["shard0", "shard1"]
         assert sum(row["price_syncs"] for row in result.rows) >= 2
 
     def test_cli_couple_flag(self, capsys):

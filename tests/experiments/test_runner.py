@@ -21,34 +21,37 @@ class TestSelection:
 
 class TestRun:
     def test_only_runs_one_experiment(self, tmp_path, capsys):
-        assert runner.main(["--only", "taxonomy", "--no-cache",
-                            "--cache-dir", str(tmp_path / "c")]) == 0
+        assert runner.main(["--only", "taxonomy"]) == 0
         out = capsys.readouterr().out
         assert "Table 8" in out
         assert "Figure 12" not in out
 
-    def test_json_export_shape(self, tmp_path, capsys):
+    def test_json_export_shape(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "out.json"
         runner.main(["--only", "scalability", "--only", "taxonomy",
-                     "--jobs", "1", "--json", str(path),
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--json", str(path)])
         capsys.readouterr()
         payload = json.loads(path.read_text())
-        assert payload["schema"] == runner.EXPORT_SCHEMA
+        assert payload["schema"] == runner.EXPORT_SCHEMA == 2
         names = [r["name"] for r in payload["results"]]
         assert names == ["scalability", "taxonomy"]
         for result in payload["results"]:
             assert "elapsed" not in result  # timing lives in metrics
         metrics = payload["metrics"]
+        assert set(metrics) == {"total_wall_s", "experiments"}
         assert [e["name"] for e in metrics["experiments"]] == names
-        assert metrics["engine"]["cache_dir"] == str(tmp_path / "cache")
+        assert all(set(e) == {"name", "wall_s"}
+                   for e in metrics["experiments"])
+        # The runner's engine keeps its cache off: nothing on disk.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
     def test_warm_rerun_identical_results(self, tmp_path, capsys):
-        # The runner's artefacts send no unit to the engine; its
-        # cold/warm cache counts are checked on a simulation sweep in
+        # The runner's artefacts send no unit to the engine, and its
+        # engine has no cache; cold/warm cache counts are checked on a
+        # simulation sweep in
         # tests/engine/test_regression.py::TestWarmCache.
-        argv = ["--only", "scalability", "--cache-dir",
-                str(tmp_path / "cache")]
+        argv = ["--only", "scalability"]
         cold_path, warm_path = tmp_path / "cold.json", tmp_path / "warm.json"
         runner.main(argv + ["--json", str(cold_path)])
         runner.main(argv + ["--json", str(warm_path)])

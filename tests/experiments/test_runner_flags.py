@@ -1,5 +1,7 @@
-"""Runner/CLI flags added with sampled simulation: --sampling, --exact,
---profile."""
+"""CLI flags added with sampled simulation: ``simulate --sampling`` /
+``--exact``, and the runner's ``--profile``.  ``repro experiments``
+runs no simulation sweep, so it takes neither ``--sampling`` nor any
+other engine flag."""
 
 import pstats
 
@@ -7,17 +9,48 @@ import pytest
 
 from repro.experiments import runner
 
+#: The engine flags ``repro experiments`` no longer takes: no artefact
+#: sends the engine a unit, so none of them changed a result.
+REMOVED_ENGINE_FLAGS = (
+    ["--jobs", "2"], ["--no-cache"], ["--cache-dir", "c"],
+    ["--timeout", "5"], ["--sampling"], ["--exact"],
+)
+
+
+def _parse(*argv):
+    from repro import __main__ as cli
+
+    return cli.build_parser().parse_args(list(argv))
+
 
 class TestParser:
-    def test_sampling_and_exact_are_exclusive(self):
-        parser = runner.build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--sampling", "--exact"])
+    def test_sampling_and_exact_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _parse("simulate", "--sampling", "--exact")
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_exact_is_the_default(self):
-        args = runner.build_parser().parse_args([])
-        assert not args.sampling
-        assert not args.profile
+        assert not _parse("simulate").sampling
+        assert not _parse("experiments").profile
+
+    @pytest.mark.parametrize("flag", REMOVED_ENGINE_FLAGS,
+                             ids=[f[0] for f in REMOVED_ENGINE_FLAGS])
+    def test_experiments_rejects_engine_flags(self, flag, capsys):
+        from repro import __main__ as cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["experiments", *flag])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == ("repro: error: unrecognized arguments: "
+                           + " ".join(flag))
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(flag)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == ("repro.experiments.runner: error: "
+                           "unrecognized arguments: " + " ".join(flag))
 
 
 class TestProfileDumpPath:
@@ -35,8 +68,7 @@ class TestProfileRun:
                                             monkeypatch):
         monkeypatch.chdir(tmp_path)
         metrics = tmp_path / "metrics.json"
-        assert runner.main(["--only", "taxonomy", "--no-cache",
-                            "--cache-dir", str(tmp_path / "cache"),
+        assert runner.main(["--only", "taxonomy",
                             "--metrics-out", str(metrics),
                             "--profile"]) == 0
         out = capsys.readouterr().out
@@ -76,6 +108,7 @@ class TestCliPassthrough:
             return 0
 
         monkeypatch.setattr(runner, "run_parsed", fake_run)
-        assert cli.main(["experiments", "--sampling", "--profile"]) == 0
-        assert seen["args"].sampling
+        assert cli.main(["experiments", "--only", "taxonomy",
+                         "--profile"]) == 0
+        assert seen["args"].only == ["taxonomy"]
         assert seen["args"].profile

@@ -68,6 +68,20 @@ class TestScope:
         reg.scope("x").info("capacity", 8)
         assert reg.snapshot()["info"]["x.capacity"] == 8
 
+    def test_drop_removes_a_whole_subtree(self):
+        reg = Registry()
+        reg.counter("sim").inc()
+        reg.counter("sim.core.rob").inc()
+        reg.gauge("sim.core.slice7.loads", lambda: 3)
+        reg.scope("sim").info("core.rob.capacity", 64)
+        reg.counter("simulator.runs").inc()
+        reg.counter("engine.sweeps").inc()
+        reg.info("engine.jobs", 1)
+        reg.drop("sim")
+        assert reg.names() == ["engine.sweeps", "simulator.runs"]
+        assert reg.snapshot()["info"] == {"engine.jobs": 1}
+        NULL_REGISTRY.drop("sim")  # the disabled registry takes it too
+
 
 class TestHistogram:
     def test_exact_moments_survive_thinning(self):

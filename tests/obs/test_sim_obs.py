@@ -38,6 +38,24 @@ class TestAttachment:
         )
         assert l1d_misses == result.stats.l1d_misses
 
+    def test_reused_obs_holds_only_the_last_run(self, workload):
+        """An obs reused across runs reports the last VCore only: an
+        8-Slice run's ``slice2``-``slice7`` gauges do not outlive it."""
+        warmup, trace = workload
+        obs = Observability()
+        simulate(trace, num_slices=8, warmup_addresses=warmup, obs=obs)
+        result = simulate(trace, num_slices=2, warmup_addresses=warmup,
+                          obs=obs)
+        fresh = Observability()
+        simulate(trace, num_slices=2, warmup_addresses=warmup, obs=fresh)
+        snap = obs.snapshot()
+        assert snap == fresh.snapshot()
+        slices = {name.split(".")[2] for name in snap
+                  if name.startswith("sim.core.slice")}
+        assert slices == {"slice0", "slice1"}
+        assert sum(snap[f"sim.core.slice{s}.l1d.misses"]["value"]
+                   for s in (0, 1)) == result.stats.l1d_misses
+
     def test_trace_covers_core_cache_network(self, workload):
         warmup, trace = workload
         obs = Observability(trace=True)

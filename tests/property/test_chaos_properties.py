@@ -229,25 +229,28 @@ class TestCrashResume:
         assert resumed.snapshot() == reference
 
 
-class TestRunWrapperCheckpoints:
-    def test_service_run_checkpoints_and_audits(self):
-        """``AllocationService.run`` exposes the same hooks for
-        callers that bring their own event list."""
-        from repro.cloud.service import Event, TenantRequest
-        from repro.economics.utility import UTILITY2
-
+class TestDriveStreamHooks:
+    def test_checkpoints_and_audits(self, monkeypatch):
+        """``drive_stream``'s hooks on a lenient stream: a checkpoint
+        every 5 events, an audit every 4, and an injected ghost depart
+        dead-lettered instead of raised."""
         service = build_service()
-        events = []
-        for i in range(12):
-            events.append(Event(kind="submit", tenant=TenantRequest(
-                name=f"t{i}", benchmark="gcc", utility=UTILITY2,
-                budget=18.0 + i)))
-        events.append(Event(kind="depart", tenant_id="ghost"))
+        audits = []
+        verify = service.verify_invariants
+
+        def counting_verify():
+            audits.append(True)
+            verify()
+
+        monkeypatch.setattr(service, "verify_invariants", counting_verify)
         seen = []
-        summary = service.run(
-            events, reprice_every=4, strict=False,
+        stats, _, _ = drive_stream(
+            service, 13, seed=3, reprice_every=4, strict=False,
+            injector=FaultInjector(FaultPlan([FaultEvent(6, "unknown")])),
             audit_every=4, checkpoint_every=5,
-            on_checkpoint=lambda count, snap: seen.append(count))
+            on_checkpoint=lambda count, checkpoint: seen.append(count))
         assert seen == [5, 10]
-        assert summary.dead_letters == 1
-        assert summary.events == 13
+        assert len(audits) == 3
+        assert stats["dead_letters"] == 1.0
+        assert service.dead_letter_counts == {"unknown_tenant": 1}
+        assert stats["events"] == 13.0

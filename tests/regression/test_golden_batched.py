@@ -76,8 +76,7 @@ class TestEngineCacheKeysSeeBackend:
         from repro.engine.core import WorkUnit
         from repro.perfmodel.model import profile_key
 
-        return WorkUnit(kind="simulation",
-                        profile_fields=profile_key("gcc"),
+        return WorkUnit(profile_fields=profile_key("gcc"),
                         cache_grid=(128.0,), slice_grid=(1, 4),
                         trace_length=4000, trace_seed=1,
                         sim_config=sim_config)

@@ -1,4 +1,5 @@
-"""Every module in ``src/repro`` is reachable from a command.
+"""Every module in ``src/repro`` is reachable from a command, and the
+sweep engine sits below the layers that use it.
 
 A static walk of the import graph, rooted at ``python -m repro`` and at
 every artefact module the CLI and the runner name (they import those by
@@ -48,10 +49,19 @@ def _imports(tree, tables):
                     yield node.module + target.partition(":")[0]
 
 
-def unreached_modules():
+def _parse_src():
+    """``({module: ast}, {package: lazy_exports table})`` of src/repro."""
     trees = {_module_name(path): ast.parse(path.read_text())
              for path in (SRC / "repro").rglob("*.py")}
-    tables = {name: _lazy_table(tree) for name, tree in trees.items()}
+    return trees, {name: _lazy_table(tree) for name, tree in trees.items()}
+
+
+def _in_package(module, package):
+    return module == package or module.startswith(package + ".")
+
+
+def unreached_modules():
+    trees, tables = _parse_src()
     artefacts = set(_EXPERIMENTS.values()) | {n for _, n in EXPERIMENTS}
     todo = ["repro.__main__"] + [f"repro.experiments.{n}" for n in artefacts]
     seen = set()
@@ -69,3 +79,16 @@ def unreached_modules():
 def test_every_module_is_reachable_from_a_command():
     unreached = unreached_modules()
     assert not unreached, "no command reaches " + ", ".join(unreached)
+
+
+def test_engine_imports_no_experiment_or_cloud_module():
+    """The engine runs simulation sweeps for the layers above it; it
+    imports none of them, at module level or inside a function."""
+    trees, tables = _parse_src()
+    above = ("repro.experiments", "repro.cloud")
+    offending = sorted(
+        f"{name} imports {target}"
+        for name, tree in trees.items() if _in_package(name, "repro.engine")
+        for target in _imports(tree, tables)
+        if any(_in_package(target, package) for package in above))
+    assert not offending, "; ".join(offending)
